@@ -37,8 +37,7 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -396,10 +395,9 @@ def evaluate_model(model: BoostModel, X: np.ndarray, y: np.ndarray) -> EvalRepor
     return evaluate(y, predict(model, X))
 
 
-def spatial_kfold(cells: Sequence[str], k: int = 5, seed: int = 0) -> np.ndarray:
+def spatial_kfold(cells: Sequence[str], k: int = 5) -> np.ndarray:
     """Contiguous spatial folds: cells sorted by axial (q, r) are cut into k
-    nearly equal tiles. The cut is deterministic; ``seed`` is accepted for
-    interface stability but does not influence it."""
+    nearly equal tiles. The cut is deterministic."""
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > len(cells):
@@ -427,7 +425,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
                    target: str = "y") -> CvReport:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    fold_of = spatial_kfold(cells, k, params.seed)
+    fold_of = spatial_kfold(cells, k)
     pooled_pred = np.empty(len(y))
     folds = []
     for f in range(k):
@@ -495,33 +493,31 @@ class ParamSpace:
 class Trial:
     index: int
     params: BoostParams
-    cv_mse: float
-    cv_r2: float
+    cv: CvReport
+
+    @property
+    def cv_mse(self) -> float:
+        return self.cv.pooled.mse
+
+    @property
+    def cv_r2(self) -> float:
+        return self.cv.pooled.r2
 
 
 def random_search(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
                   space: ParamSpace, trials: int, seed: int, k: int = 5,
                   feature_names: Optional[Sequence[str]] = None,
-                  target: str = "y", jobs: int = 1) -> tuple[BoostParams, list[Trial]]:
+                  target: str = "y") -> tuple[BoostParams, list[Trial]]:
     """Seeded uniform random search over ``space``; the winner is the trial
-    with the lowest pooled cross-validation MSE (ties to the earliest)."""
+    with the lowest pooled cross-validation MSE (ties to the earliest). Each
+    trial keeps its full cross-validation report."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     candidates = [space.sample(rng) for _ in range(trials)]
-
-    def run(item):
-        index, params = item
-        report = cross_validate(X, y, cells, params, k, feature_names, target)
-        return Trial(index=index, params=params,
-                     cv_mse=report.pooled.mse, cv_r2=report.pooled.r2)
-
-    items = list(enumerate(candidates))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            log = list(pool.map(run, items))
-    else:
-        log = [run(item) for item in items]
+    log = [Trial(index=index, params=params,
+                 cv=cross_validate(X, y, cells, params, k, feature_names, target))
+           for index, params in enumerate(candidates)]
     best = min(log, key=lambda t: (t.cv_mse, t.index))
     return best.params, log
 

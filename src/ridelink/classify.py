@@ -24,7 +24,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geo import great_circle_m
 from .ingest import CANONICAL_COLUMNS, DEFAULT_EPOCH, TripRecord, format_time, parse_time
@@ -194,26 +194,17 @@ def classify_all(
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
     cfg: ClassifierConfig = ClassifierConfig(),
-    jobs: int = 1,
 ) -> tuple[list[TripClass], dict]:
     """Classify every trip; returns per-trip results (input order) and a summary.
 
-    ``planner`` is either an object with a ``plan(olon, olat, dlon, dlat,
-    depart_min)`` method or an equivalent callable.
+    ``planner`` is a :class:`~ridelink.ptnet.NetworkPlanner` or a
+    :class:`~ridelink.ptnet.CachedPlanner`; each trip's alternative is its
+    ``plan(olon, olat, dlon, dlat)``.
     """
-    plan: Callable = planner.plan if hasattr(planner, "plan") else planner
-
-    def one(trip: TripRecord) -> TripClass:
-        alt = plan(trip.olon, trip.olat, trip.dlon, trip.dlat, trip.pickup_min)
-        return classify_trip(trip, alt, net, lexicon, cfg)
-
-    if jobs > 1 and len(trips) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, trips))
-    else:
-        results = [one(t) for t in trips]
+    results = [
+        classify_trip(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat), net, lexicon, cfg)
+        for t in trips
+    ]
     return results, summarize(results)
 
 

@@ -59,7 +59,6 @@ DEFAULTS: dict = {
     "bbox": None,
     "epoch": "2022-09-01",
     "target": "FCR",
-    "jobs": 1,
     "paths": {
         "trips": None, "stations": None, "routes": None, "fares": None,
         "poi": None, "population": None, "roads": None, "districts": None,
@@ -205,13 +204,6 @@ class RunConfig:
         return days
 
     @property
-    def jobs(self) -> int:
-        jobs = self.data["jobs"]
-        if not isinstance(jobs, int) or jobs < 1:
-            raise ConfigError(f"jobs must be a positive integer, got {jobs!r}")
-        return jobs
-
-    @property
     def epoch(self) -> _dt.date:
         try:
             return _dt.date.fromisoformat(str(self.data["epoch"]))
@@ -315,7 +307,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 FLAG_PATHS = {
     "workspace": ["workspace"],
     "days": ["days"],
-    "jobs": ["jobs"],
     "bbox_flag": ["bbox"],
     "side_km": ["grid", "side_km"],
     "target": ["target"],
@@ -440,7 +431,7 @@ def cmd_plan(cfg: RunConfig, args) -> None:
     net = _load_city_network(cfg)
     cache = CachedPlanner(cfg.planner(net))
     for trip in trips:
-        cache.plan(trip.olon, trip.olat, trip.dlon, trip.dlat, trip.pickup_min)
+        cache.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
     cache.save(str(cfg.artifact("alternatives")))
     _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache)})
 
@@ -452,7 +443,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
     lexicon = station_lexicon(net)
     try:
         results, summary = classify_all(trips, cache, net, lexicon,
-                                        cfg.classifier(), jobs=cfg.jobs)
+                                        cfg.classifier())
     except KeyError as exc:
         raise InputError(f"alternatives cache does not cover the trip set "
                          f"({exc}); re-run 'plan'") from None
@@ -544,12 +535,11 @@ def cmd_train(cfg: RunConfig, args) -> None:
         best, log = boost.random_search(
             matrix.X, matrix.y, matrix.cell_ids, space, trials=trials,
             seed=args.seed, k=folds, feature_names=matrix.names,
-            target=matrix.target, jobs=cfg.jobs)
+            target=matrix.target)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    cv = next(t.cv for t in log if t.params == best)
     model = boost.fit(matrix.X, matrix.y, best, matrix.names, matrix.target)
-    cv = boost.cross_validate(matrix.X, matrix.y, matrix.cell_ids, best,
-                              folds, matrix.names, matrix.target)
     fit_eval = boost.evaluate_model(model, matrix.X, matrix.y)
     boost.save_model(model, str(cfg.artifact("model")))
     boost.write_trial_log(log, str(cfg.artifact("trials")))
@@ -608,8 +598,7 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
             raise ConfigError(f"no sweep values configured for {parameter!r}")
         try:
             report = sensitivity.elasticity_sweep(
-                trips, plan, net, lexicon, classifier, parameter,
-                [float(v) for v in values], jobs=cfg.jobs)
+                trips, plan, net, lexicon, classifier, parameter, values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         reports.append(report)
@@ -714,7 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--workspace", help="artifact directory")
     common.add_argument("--set", action="append", metavar="PATH=VALUE",
                         help="override one config key, e.g. grid.side_km=0.5")
-    common.add_argument("--jobs", type=int, help="worker cap for parallel stages")
     common.add_argument("--days", type=int, help="observation days for ratios")
     common.add_argument("--bbox", dest="bbox_flag", type=_parse_bbox_flag,
                         help="lon_min,lat_min,lon_max,lat_max")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .classify import TripClass
 from .geo import great_circle_m
-from .hexgrid import HexGrid, axial_center_xy, cell_center, cell_id, cell_polygon, locate
+from .hexgrid import HexGrid, axial_center_xy, cell_center, cell_id, locate
 from .ingest import TripRecord
 from .ptnet import TransitNetwork
 

@@ -10,7 +10,9 @@ The planner minimises a generalized cost
 where ``t_pt`` is the door-to-door time (access walk + waits + rides + egress
 walk) in minutes. Walking is straight-line at a configurable speed. Service
 windows are not part of planning; they are checked separately against a trip's
-start time via :func:`is_in_service`.
+start time via :func:`is_in_service`. A journey therefore depends only on its
+origin and destination coordinates, which are all that
+:meth:`NetworkPlanner.plan` takes and all that :class:`CachedPlanner` keys on.
 
 File formats:
 
@@ -365,15 +367,13 @@ class NetworkPlanner:
         hits = [(self._sids[i], float(d[i])) for i in np.flatnonzero(d <= self.search_radius_m)]
         return hits  # already in sorted-station order
 
-    def plan(self, olon: float, olat: float, dlon: float, dlat: float,
-             depart_min: Optional[int] = None) -> PtAlternative:
+    def plan(self, olon: float, olat: float, dlon: float, dlat: float) -> PtAlternative:
         """Plan the best journey from origin to destination.
 
-        ``depart_min`` is accepted for interface symmetry with trip records but
-        does not influence the (time-independent) search.  Journeys that board
-        and alight at the same station are excluded from the candidate space:
-        the search state carries the boarding station, so such a journey can
-        never be selected even when it would be the cost minimum.
+        Journeys that board and alight at the same station are excluded from
+        the candidate space: the search state carries the boarding station, so
+        such a journey can never be selected even when it would be the cost
+        minimum.
         """
         net = self.net
         access = self._stations_within(olon, olat)
@@ -483,19 +483,6 @@ class NetworkPlanner:
         return legs, transfers, access_walk_m
 
 
-def plan_pt_alternative(
-    net: TransitNetwork,
-    origin: tuple[float, float],
-    destination: tuple[float, float],
-    depart_min: Optional[int] = None,
-    search_radius_m: float = DEFAULT_SEARCH_RADIUS_M,
-    transfer_penalty_min: float = DEFAULT_TRANSFER_PENALTY_MIN,
-) -> PtAlternative:
-    """One-shot convenience wrapper; build a :class:`NetworkPlanner` for bulk use."""
-    planner = NetworkPlanner(net, search_radius_m, transfer_penalty_min)
-    return planner.plan(origin[0], origin[1], destination[0], destination[1], depart_min)
-
-
 def is_in_service(net: TransitNetwork, subject, interval: tuple[int, int]) -> bool:
     """Check service windows against a trip interval (minutes since epoch).
 
@@ -538,35 +525,32 @@ def station_lexicon(net: TransitNetwork) -> dict[str, tuple[str, ...]]:
     return {key: tuple(sorted(ids)) for key, ids in sorted(table.items())}
 
 
-def coord_key(lon: float, lat: float) -> str:
-    return f"{lon:.5f},{lat:.5f}"
-
-
 class CachedPlanner:
-    """Memoising wrapper keyed on (origin, destination, departure hour).
+    """Memoising wrapper keyed on the exact origin and destination coordinates.
 
-    Coordinates round to 5 decimals (about a metre) in the key, and entries
-    persist as JSON lines so a planning stage can be replayed without the
-    network files.
+    The planner does not depend on time, so a trip's alternative is a function
+    of its four coordinates alone, and every lookup returns what the wrapped
+    planner returns for exactly those coordinates. Entries persist as JSON
+    lines, whose floats round-trip exactly, so a planning stage can be
+    replayed without the network files.
     """
 
     def __init__(self, planner: Optional[NetworkPlanner] = None):
         self.planner = planner
-        self._table: dict[tuple[str, str, int], PtAlternative] = {}
+        self._table: dict[tuple[float, float, float, float], PtAlternative] = {}
 
     @staticmethod
-    def key(olon, olat, dlon, dlat, depart_min) -> tuple[str, str, int]:
-        hour = int(depart_min % 1440) // 60 if depart_min is not None else 0
-        return (coord_key(olon, olat), coord_key(dlon, dlat), hour)
+    def key(olon, olat, dlon, dlat) -> tuple[float, float, float, float]:
+        return (float(olon), float(olat), float(dlon), float(dlat))
 
-    def plan(self, olon, olat, dlon, dlat, depart_min=None) -> PtAlternative:
-        k = self.key(olon, olat, dlon, dlat, depart_min)
+    def plan(self, olon, olat, dlon, dlat) -> PtAlternative:
+        k = self.key(olon, olat, dlon, dlat)
         hit = self._table.get(k)
         if hit is not None:
             return hit
         if self.planner is None:
             raise KeyError(f"no cached alternative for {k} and no planner attached")
-        alt = self.planner.plan(olon, olat, dlon, dlat, depart_min)
+        alt = self.planner.plan(*k)
         self._table[k] = alt
         return alt
 
@@ -575,11 +559,8 @@ class CachedPlanner:
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
-            for (okey, dkey, hour) in sorted(self._table):
-                alt = self._table[(okey, dkey, hour)]
-                handle.write(json.dumps(
-                    {"okey": okey, "dkey": dkey, "hour": hour, "alt": alt.to_dict()}
-                ) + "\n")
+            for k in sorted(self._table):
+                handle.write(json.dumps({"key": k, "alt": self._table[k].to_dict()}) + "\n")
 
     @classmethod
     def load(cls, path: str, planner: Optional[NetworkPlanner] = None) -> "CachedPlanner":
@@ -590,9 +571,7 @@ class CachedPlanner:
                 if not line:
                     continue
                 entry = json.loads(line)
-                cache._table[(entry["okey"], entry["dkey"], entry["hour"])] = (
-                    PtAlternative.from_dict(entry["alt"])
-                )
+                cache._table[cls.key(*entry["key"])] = PtAlternative.from_dict(entry["alt"])
         return cache
 
 
@@ -611,14 +590,12 @@ __all__ = [
     "TransitNetwork",
     "UNAVAILABLE",
     "alternative_fare",
-    "coord_key",
     "format_hhmm",
     "is_in_service",
     "leg_km",
     "leg_minutes",
     "load_network",
     "parse_hhmm",
-    "plan_pt_alternative",
     "station_lexicon",
     "validate_network",
     "write_fares",

@@ -12,7 +12,6 @@ the cached alternatives.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -36,13 +35,24 @@ class ElasticityReport:
 def arc_elasticity(baseline_value: float, baseline_ratio: float,
                    value: float, ratio: float) -> Optional[float]:
     """Baseline-anchored arc elasticity; None at the anchor itself and when
-    the baseline share is zero (a percentage change from zero is undefined)."""
+    the baseline value or share is zero (a percentage change from zero is
+    undefined)."""
     if value == baseline_value:
         return None
-    if baseline_ratio == 0.0:
+    if baseline_value == 0.0 or baseline_ratio == 0.0:
         return None
     return (((ratio - baseline_ratio) / baseline_ratio)
             / ((value - baseline_value) / baseline_value))
+
+
+def _swept_config(cfg: ClassifierConfig, parameter: str, value: float) -> ClassifierConfig:
+    """``cfg`` with one threshold replaced; the config validates the value.
+    ``max_transfers`` counts transfers, so its points must be whole numbers."""
+    if parameter == "max_transfers":
+        if not value.is_integer():
+            raise ValueError(f"max_transfers sweep values must be whole numbers, got {value}")
+        return replace(cfg, max_transfers=int(value))
+    return replace(cfg, **{parameter: value})
 
 
 def elasticity_sweep(
@@ -53,13 +63,13 @@ def elasticity_sweep(
     cfg: ClassifierConfig,
     parameter: str,
     values: Sequence[float],
-    jobs: int = 1,
 ) -> ElasticityReport:
     """Substitutive share and elasticity at each threshold value.
 
-    ``values`` must be strictly positive and include the baseline (the
-    threshold currently set on ``cfg``); the share reported at the baseline
-    is identical to a plain classification run with ``cfg``.
+    Each value must make a valid :class:`ClassifierConfig`, and ``values``
+    must include the baseline (the threshold currently set on ``cfg``); the
+    share reported at the baseline is identical to a plain classification run
+    with ``cfg``. ``planner`` is a ``NetworkPlanner`` or a ``CachedPlanner``.
     """
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
@@ -67,28 +77,18 @@ def elasticity_sweep(
     points = [float(v) for v in values]
     if not points:
         raise ValueError("values must not be empty")
-    for v in points:
-        if v <= 0.0:
-            raise ValueError(f"sweep values must be positive, got {v}")
+    configs = [_swept_config(cfg, parameter, v) for v in points]
     baseline = float(getattr(cfg, parameter))
     if baseline not in points:
         raise ValueError(f"values must include the baseline "
                          f"{parameter}={baseline}")
 
-    plan = planner.plan if hasattr(planner, "plan") else planner
-    alts = [plan(t.olon, t.olat, t.dlon, t.dlat, t.pickup_min) for t in trips]
-
-    def share_at(value: float) -> float:
-        swept = replace(cfg, **{parameter: value})
+    alts = [planner.plan(t.olon, t.olat, t.dlon, t.dlat) for t in trips]
+    ratios = []
+    for swept in configs:
         results = [classify_trip(trip, alt, net, lexicon, swept)
                    for trip, alt in zip(trips, alts)]
-        return summarize(results)["shares"][SUBSTITUTIVE]
-
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            ratios = list(pool.map(share_at, points))
-    else:
-        ratios = [share_at(v) for v in points]
+        ratios.append(summarize(results)["shares"][SUBSTITUTIVE])
 
     base_ratio = ratios[points.index(baseline)]
     elasticities = [arc_elasticity(baseline, base_ratio, v, r)

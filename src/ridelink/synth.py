@@ -468,8 +468,7 @@ class _Factory:
     }
 
     def classify(self, trip: TripRecord) -> TripClass:
-        alt = self.planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat,
-                                trip.pickup_min)
+        alt = self.planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
         return classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
 
     def plant(self, recipe: str) -> tuple[TripRecord, str, Optional[str]]:

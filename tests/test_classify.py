@@ -209,22 +209,6 @@ class TestClassifyAll:
         assert summary["counts"][FIRST_MILE] == 1
         assert abs(sum(summary["shares"].values()) - 1.0) < 1e-12
 
-    def test_parallel_matches_serial(self, city_planner):
-        trips = self._trips() * 5
-        serial, s1 = classify_all(trips, city_planner, _NET, _LEX, jobs=1)
-        parallel, s2 = classify_all(trips, city_planner, _NET, _LEX, jobs=4)
-        assert serial == parallel
-        assert s1 == s2
-
-    def test_accepts_plain_callable(self):
-        alt = PtAlternative(available=True, access_walk_m=100, egress_walk_m=100,
-                            t_pt_min=20, transfers=0, fare_rmb=3,
-                            gen_cost_min=20, legs=())
-        results, _ = classify_all(self._trips()[:1],
-                                  lambda olon, olat, dlon, dlat, t: alt,
-                                  _NET, _LEX)
-        assert results[0].label == FIRST_MILE
-
     def test_summarize_empty(self):
         summary = summarize([])
         assert summary["total"] == 0

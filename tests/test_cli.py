@@ -8,6 +8,7 @@ layering, and the error contract (JSON on stderr, exit codes 2/3/4).
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -222,6 +223,38 @@ class TestPipelineArtifacts:
         assert set(echoes) == {argv[0] for argv in STAGES}
         for name, doc in echoes.items():
             assert doc["command"] == name
+
+
+class TestRetiredJobs:
+    """``jobs`` is no longer a setting: the flag is rejected, while a stray
+    ``RIDELINK_JOBS`` is an unknown key like any other and changes nothing."""
+
+    def test_jobs_flag_rejected(self, pipeline):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["classify", "--config", str(config_path),
+                                "--jobs", "2"])
+        assert code == 3
+        assert json.loads(err)["kind"] == "config"
+
+    def test_jobs_env_key_changes_nothing(self, pipeline, tmp_path, monkeypatch):
+        ws, config_path, _ = pipeline
+        trees = {}
+        for name, jobs in (("plain", None), ("jobs", "2")):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            if jobs is None:
+                monkeypatch.delenv("RIDELINK_JOBS", raising=False)
+            else:
+                monkeypatch.setenv("RIDELINK_JOBS", jobs)
+            # the stages of the benchmark's trips-bulk workload that used to
+            # read the setting
+            for stage in ("plan", "classify", "elasticity"):
+                code, _, err = run_cli([stage, "--config", str(config_path),
+                                        "--workspace", str(copy)])
+                assert code == 0, f"{stage} failed: {err}"
+            trees[name] = {path.relative_to(copy).as_posix(): path.read_bytes()
+                           for path in sorted(copy.rglob("*")) if path.is_file()}
+        assert trees["plain"] == trees["jobs"]
 
 
 class TestErrorContract:

@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enum_oracle import best_journey, random_network
 from ridelink.geo import EARTH_RADIUS_M
@@ -283,23 +287,52 @@ class CountingPlanner:
         return self.inner.plan(*args)
 
 
+# coordinates inside the fixture city, and offsets far below the ~1 m that a
+# 5-decimal rounding of degrees would merge
+_LON = st.floats(120.995, 121.06, allow_nan=False)
+_LAT = st.floats(30.98, 31.035, allow_nan=False)
+_TINY = st.floats(1e-9, 9e-6).flatmap(lambda d: st.sampled_from([d, -d]))
+
+
+@st.composite
+def _coordinate_sequences(draw):
+    """Trip coordinate 4-tuples with exact repeats and near-duplicates that
+    differ from an earlier tuple by less than 1e-5 degrees in one coordinate."""
+    seq = [tuple(draw(s) for s in (_LON, _LAT, _LON, _LAT))
+           for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(1, 6))):
+        base = list(draw(st.sampled_from(seq)))
+        if draw(st.booleans()):
+            base[draw(st.integers(0, 3))] += draw(_TINY)
+        seq.append(tuple(base))
+    return draw(st.permutations(seq))
+
+
 class TestPlanCache:
-    def test_memoises_by_rounded_key(self, city_planner):
+    @settings(max_examples=40, deadline=None)
+    @given(seq=_coordinate_sequences())
+    def test_exact_per_coordinate_memo(self, city_planner, seq):
         counting = CountingPlanner(city_planner)
         cache = CachedPlanner(counting)
-        a1 = cache.plan(121.001, 30.999, 121.055, 31.001, 510)
-        a2 = cache.plan(121.001, 30.999, 121.055, 31.001, 540)  # same hour bucket? no: 8 vs 9
-        assert counting.calls == 2 or a1 == a2
-        # identical key (5-decimal coords, same hour) must not replan
-        cache.plan(121.0010000001, 30.999, 121.055, 31.001, 511)
-        assert counting.calls == 2
+        for coords in seq:
+            assert cache.plan(*coords) == city_planner.plan(*coords)
+        distinct = set(seq)
+        assert len(cache) == len(distinct)
+        assert counting.calls == len(distinct)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "alts.jsonl")
+            cache.save(path)
+            replay = CachedPlanner.load(path)
+        assert len(replay) == len(distinct)
+        for coords in distinct:
+            assert replay.plan(*coords) == city_planner.plan(*coords)
 
     def test_save_load_replay(self, city_planner, tmp_path):
         cache = CachedPlanner(city_planner)
-        alt = cache.plan(121.001, 30.999, 121.055, 31.001, 510)
+        alt = cache.plan(121.001, 30.999, 121.055, 31.001)
         path = tmp_path / "alts.jsonl"
         cache.save(str(path))
         replay = CachedPlanner.load(str(path))
-        assert replay.plan(121.001, 30.999, 121.055, 31.001, 510) == alt
+        assert replay.plan(121.001, 30.999, 121.055, 31.001) == alt
         with pytest.raises(KeyError):
-            replay.plan(121.002, 30.999, 121.055, 31.001, 510)
+            replay.plan(121.002, 30.999, 121.055, 31.001)

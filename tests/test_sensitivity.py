@@ -91,6 +91,9 @@ class TestArcElasticity:
     def test_none_when_baseline_share_zero(self):
         assert arc_elasticity(400.0, 0.0, 600.0, 0.2) is None
 
+    def test_none_when_baseline_value_zero(self):
+        assert arc_elasticity(0.0, 0.5, 1.0, 0.75) is None
+
     def test_sign_tracks_direction(self):
         assert arc_elasticity(400.0, 0.5, 300.0, 0.25) > 0  # both shrink
         assert arc_elasticity(400.0, 0.5, 300.0, 0.75) < 0  # opposite moves
@@ -138,23 +141,13 @@ class TestWalkSweep:
                     / ((value - 400.0) / 400.0))
             assert report.elasticities[i] == pytest.approx(want, rel=1e-12)
 
-    def test_parallel_matches_serial(self):
-        serial = elasticity_sweep(_walk_trips(), _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "walk_threshold_m",
-                                  self.VALUES, jobs=1)
-        parallel = elasticity_sweep(_walk_trips(), _PLANNER, _NET, _LEX,
-                                    ClassifierConfig(), "walk_threshold_m",
-                                    self.VALUES, jobs=3)
-        assert serial.ratios == parallel.ratios
-        assert serial.elasticities == parallel.elasticities
-
     def test_planner_called_once_per_trip(self):
         calls = []
 
         class Counting:
-            def plan(self, olon, olat, dlon, dlat, depart_min=None):
+            def plan(self, olon, olat, dlon, dlat):
                 calls.append(1)
-                return _PLANNER.plan(olon, olat, dlon, dlat, depart_min)
+                return _PLANNER.plan(olon, olat, dlon, dlat)
 
         trips = _walk_trips()
         elasticity_sweep(trips, Counting(), _NET, _LEX, ClassifierConfig(),
@@ -180,8 +173,7 @@ class TestTimeGateSweep:
         trips = [_trip(o, d, duration=5) for o, d in ods]
         gaps = []
         for trip in trips:
-            alt = _PLANNER.plan(trip.olon, trip.olat, trip.dlon, trip.dlat,
-                                trip.pickup_min)
+            alt = _PLANNER.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
             assert alt.available
             assert alt.access_walk_m <= 400 and alt.egress_walk_m <= 400
             gaps.append(alt.t_pt_min - trip.duration_min)
@@ -245,12 +237,44 @@ class TestTransferSweep:
         assert report.elasticities[0] == pytest.approx(2 / 3, rel=1e-12)
         assert report.elasticities[2] == 0.0
 
+    def _chain_trips(self, net):
+        c = {sid: (net.stations[sid].lon, net.stations[sid].lat)
+             for sid in net.stations}
+        return [_trip(c["j1"], c["j2"]), _trip(c["j1"], c["j3"]),
+                _trip(c["j1"], c["j4"])]
+
+    def test_zero_transfers_is_a_valid_point(self):
+        net, planner, lex = self._chain()
+        trips = self._chain_trips(net)
+        report = elasticity_sweep(trips, planner, net, lex, ClassifierConfig(),
+                                  "max_transfers", [0, 1, 2, 3])
+        _, summary = classify_all(trips, planner, net, lex,
+                                  ClassifierConfig(max_transfers=0))
+        assert report.values == [0.0, 1.0, 2.0, 3.0]
+        assert report.ratios[0] == summary["shares"][SUBSTITUTIVE] == 1 / 3
+        assert report.ratios == [1 / 3, 2 / 3, 1.0, 1.0]
+
+    def test_zero_baseline_has_no_elasticities(self):
+        net, planner, lex = self._chain()
+        report = elasticity_sweep(self._chain_trips(net), planner, net, lex,
+                                  ClassifierConfig(max_transfers=0),
+                                  "max_transfers", [0, 1, 2])
+        assert report.ratios == [1 / 3, 2 / 3, 1.0]
+        assert report.elasticities == [None, None, None]
+
+    @pytest.mark.parametrize("bad", [1.5, -1.0])
+    def test_fractional_or_negative_transfers_rejected(self, bad):
+        net, planner, lex = self._chain()
+        with pytest.raises(ValueError, match="max_transfers"):
+            elasticity_sweep([], planner, net, lex, ClassifierConfig(),
+                             "max_transfers", [bad, 2.0])
+
 
 class TestCostRatioSweep:
     def test_collapse_when_fares_sit_just_under_half(self):
         # all transit fares at exactly 0.45x the trip cost: every trip is
         # substitutive at the 0.5 default and none survives 0.4
-        fare = _PLANNER.plan(M1[0], M1[1], M4[0], M4[1], 600).fare_rmb
+        fare = _PLANNER.plan(M1[0], M1[1], M4[0], M4[1]).fare_rmb
         assert fare > 0
         cost = fare / 0.45
         trips = [_trip(M1, M4, cost=cost, pickup=540 + 30 * i)

@@ -220,8 +220,7 @@ class TestPlanting:
         cfg = ClassifierConfig()
         g = next(t for t in truth if t.intended_class == SUBSTITUTIVE)
         trip = trips[g.trip_index]
-        alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat,
-                           trip.pickup_min)
+        alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
         assert alt.available and alt.legs
         tod = trip.pickup_min % 1440
         for leg in alt.legs:
@@ -248,8 +247,7 @@ class TestPlanting:
             if g.violated_condition != "C5":
                 continue
             trip = trips[g.trip_index]
-            alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat,
-                               trip.pickup_min)
+            alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
             assert alt.transfers >= 3
 
     def test_cheap_hops_fail_only_the_fare_check(self, small_city):
@@ -260,8 +258,7 @@ class TestPlanting:
             if g.violated_condition != "C6":
                 continue
             trip = trips[g.trip_index]
-            alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat,
-                               trip.pickup_min)
+            alt = planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
             assert alt.fare_rmb > cfg.cost_ratio * trip.cost
             assert alt.transfers <= cfg.max_transfers
             assert alt.access_walk_m <= cfg.walk_threshold_m
