@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -112,8 +113,11 @@ class ClassifierConfig:
     def __post_init__(self):
         if self.walk_threshold_m <= 0 or self.time_gate_min <= 0 or self.time_ratio <= 0:
             raise ValueError("classifier thresholds must be positive")
-        if self.max_transfers < 0:
-            raise ValueError("max_transfers must be >= 0")
+        transfers = self.max_transfers
+        whole = isinstance(transfers, numbers.Integral) or (
+            isinstance(transfers, float) and transfers.is_integer())
+        if isinstance(transfers, bool) or not whole or transfers < 0:
+            raise ValueError(f"max_transfers must be a whole number >= 0, got {transfers!r}")
         if not (0.0 < self.cost_ratio <= 1.0):
             raise ValueError("cost_ratio must be in (0, 1]")
 

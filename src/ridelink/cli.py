@@ -433,7 +433,8 @@ def cmd_plan(cfg: RunConfig, args) -> None:
     for trip in trips:
         cache.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
     cache.save(str(cfg.artifact("alternatives")))
-    _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache)})
+    _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache),
+           "states_expanded": cache.planner.states_expanded})
 
 
 def cmd_classify(cfg: RunConfig, args) -> None:

@@ -253,10 +253,10 @@ def validate_network(net: TransitNetwork) -> None:
         for sid in route.station_ids:
             if sid not in net.stations:
                 raise ValueError(f"route {rid!r} references missing station {sid!r}")
-        if route.headway_min <= 0:
-            raise ValueError(f"route {rid!r} has nonpositive headway")
-        if route.speed_kmh <= 0:
-            raise ValueError(f"route {rid!r} has nonpositive speed")
+        if not 0 < route.headway_min < math.inf:
+            raise ValueError(f"route {rid!r} has a nonpositive or non-finite headway")
+        if not 0 < route.speed_kmh < math.inf:
+            raise ValueError(f"route {rid!r} has a nonpositive or non-finite speed")
         if not (0 <= route.service_start < route.service_end <= 1440):
             raise ValueError(f"route {rid!r} has invalid service window")
         if route.leg_times_min is not None and len(route.leg_times_min) != len(route.station_ids) - 1:
@@ -331,6 +331,17 @@ class NetworkPlanner:
     first in-vehicle leg and gates both transfers and arrival, so a journey
     always contains at least one ride. Ties between equal-cost states break on
     the lexicographic state key, which keeps results reproducible.
+
+    The search stops at its best arrival: each settled state that can end a
+    journey is scored with its egress walk, and the search ends once a popped
+    cost exceeds the best score so far. Rides, waits, transfers and walks all
+    cost at least zero, so states pop in nondecreasing cost order and every
+    state still queued would score above the best; all that could win or tie
+    were settled first, in the same order a search of the whole graph would
+    settle them. The ride and transfer moves of each (station, route) are built
+    once per planner.
+
+    ``states_expanded`` counts the settled states over every :meth:`plan` call.
     """
 
     def __init__(
@@ -339,27 +350,38 @@ class NetworkPlanner:
         search_radius_m: float = DEFAULT_SEARCH_RADIUS_M,
         transfer_penalty_min: float = DEFAULT_TRANSFER_PENALTY_MIN,
     ):
-        if search_radius_m <= 0:
-            raise ValueError("search radius must be positive")
+        if not 0 < search_radius_m < math.inf:
+            raise ValueError("search radius must be positive and finite")
+        if not 0 <= transfer_penalty_min < math.inf:
+            raise ValueError("transfer penalty must be nonnegative and finite")
         self.net = net
         self.search_radius_m = search_radius_m
         self.transfer_penalty_min = transfer_penalty_min
+        self.states_expanded = 0
         sids = sorted(net.stations)
         self._sids = sids
         self._lon = np.array([net.stations[s].lon for s in sids])
         self._lat = np.array([net.stations[s].lat for s in sids])
-        # per-route positional index and per-leg times/distances
-        self._pos: dict[str, dict[str, list[int]]] = {}
+        # per-leg times/distances; per (station, route), the rides to each
+        # neighbouring stop, and those rides then the transfers once ridden
         self._leg_min: dict[str, list[float]] = {}
         self._leg_km: dict[str, list[float]] = {}
+        self._rides: dict[tuple[str, str], list[tuple]] = {}
         for rid in sorted(net.routes):
             route = net.routes[rid]
-            pos: dict[str, list[int]] = {}
-            for i, sid in enumerate(route.station_ids):
-                pos.setdefault(sid, []).append(i)
-            self._pos[rid] = pos
-            self._leg_min[rid] = [leg_minutes(net, route, i) for i in range(len(route.station_ids) - 1)]
-            self._leg_km[rid] = [leg_km(net, route, i) for i in range(len(route.station_ids) - 1)]
+            n = len(route.station_ids)
+            self._leg_min[rid] = [leg_minutes(net, route, i) for i in range(n - 1)]
+            self._leg_km[rid] = [leg_km(net, route, i) for i in range(n - 1)]
+            for p, sid in enumerate(route.station_ids):
+                self._rides.setdefault((sid, rid), []).extend(
+                    (route.station_ids[q], rid, self._leg_min[rid][min(p, q)], "ride", (p, q))
+                    for q in (p - 1, p + 1) if 0 <= q < n)
+        self._moves = {
+            (sid, rid): rides + [
+                (sid, rid2, transfer_penalty_min + net.routes[rid2].headway_min / 2.0,
+                 "transfer", None)
+                for rid2 in net.routes_at(sid) if rid2 != rid]
+            for (sid, rid), rides in self._rides.items()}
 
     def _stations_within(self, lon: float, lat: float) -> list[tuple[str, float]]:
         d = great_circle_m(np.full(len(self._sids), lon), np.full(len(self._sids), lat),
@@ -380,51 +402,44 @@ class NetworkPlanner:
         egress = self._stations_within(dlon, dlat)
         if not access or not egress:
             return UNAVAILABLE
-        egress_m = dict(egress)
+        egress_walk_min = {sid: walk_minutes(m, net.walk_speed_kmh) for sid, m in egress}
 
         # state = (station, route, ridden, boarding station)
         dist: dict[tuple, float] = {}
         prev: dict[tuple, tuple] = {}
         heap: list[tuple[float, tuple]] = []
-
-        def relax(state, cost, origin_state, kind, payload):
-            if cost < dist.get(state, math.inf):
-                dist[state] = cost
-                prev[state] = (origin_state, kind, payload)
-                heapq.heappush(heap, (cost, state))
-
         for sid, walk_m in access:
             walk = walk_minutes(walk_m, net.walk_speed_kmh)
             for rid in net.routes_at(sid):
                 cost = walk + net.routes[rid].headway_min / 2.0
-                relax((sid, rid, False, sid), cost, None, "access", walk_m)
-
-        while heap:
-            cost, state = heapq.heappop(heap)
-            if cost > dist.get(state, math.inf):
-                continue
-            sid, rid, ridden, board0 = state
-            for p in self._pos[rid].get(sid, ()):
-                for q in (p - 1, p + 1):
-                    if 0 <= q < len(net.routes[rid].station_ids):
-                        w = self._leg_min[rid][min(p, q)]
-                        nsid = net.routes[rid].station_ids[q]
-                        relax((nsid, rid, True, board0), cost + w, state, "ride", (p, q))
-            if ridden:
-                for rid2 in net.routes_at(sid):
-                    if rid2 == rid:
-                        continue
-                    w = self.transfer_penalty_min + net.routes[rid2].headway_min / 2.0
-                    relax((sid, rid2, True, board0), cost + w, state, "transfer", None)
+                state = (sid, rid, False, sid)
+                if cost < dist.get(state, math.inf):
+                    dist[state] = cost
+                    prev[state] = (None, "access", walk_m)
+                    heapq.heappush(heap, (cost, state))
 
         best_state, best_total = None, math.inf
-        for state, cost in dist.items():
-            sid, rid, ridden, board0 = state
-            if not ridden or sid == board0 or sid not in egress_m:
+        expanded = 0
+        rides, moves = self._rides, self._moves
+        while heap:
+            cost, state = heapq.heappop(heap)
+            if cost > best_total:
+                break
+            if cost > dist[state]:
                 continue
-            total = cost + walk_minutes(egress_m[sid], net.walk_speed_kmh)
-            if total < best_total or (total == best_total and state < best_state):
-                best_state, best_total = state, total
+            expanded += 1
+            sid, rid, ridden, board0 = state
+            if ridden and sid != board0 and sid in egress_walk_min:
+                total = cost + egress_walk_min[sid]
+                if total < best_total or (total == best_total and state < best_state):
+                    best_state, best_total = state, total
+            for nsid, nrid, w, kind, payload in (moves if ridden else rides)[sid, rid]:
+                nstate, ncost = (nsid, nrid, True, board0), cost + w
+                if ncost < dist.get(nstate, math.inf):
+                    dist[nstate] = ncost
+                    prev[nstate] = (state, kind, payload)
+                    heapq.heappush(heap, (ncost, nstate))
+        self.states_expanded += expanded
         if best_state is None:
             return UNAVAILABLE
 
@@ -433,7 +448,7 @@ class NetworkPlanner:
         return PtAlternative(
             available=True,
             access_walk_m=access_walk_m,
-            egress_walk_m=egress_m[best_state[0]],
+            egress_walk_m=dict(egress)[best_state[0]],
             t_pt_min=t_pt,
             transfers=transfers,
             fare_rmb=alternative_fare(net, legs),

@@ -12,6 +12,7 @@ the cached alternatives.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -47,11 +48,9 @@ def arc_elasticity(baseline_value: float, baseline_ratio: float,
 
 def _swept_config(cfg: ClassifierConfig, parameter: str, value: float) -> ClassifierConfig:
     """``cfg`` with one threshold replaced; the config validates the value.
-    ``max_transfers`` counts transfers, so its points must be whole numbers."""
-    if parameter == "max_transfers":
-        if not value.is_integer():
-            raise ValueError(f"max_transfers sweep values must be whole numbers, got {value}")
-        return replace(cfg, max_transfers=int(value))
+    ``max_transfers`` counts transfers, so a whole point reaches it as ``int``."""
+    if parameter == "max_transfers" and value.is_integer():
+        value = int(value)
     return replace(cfg, **{parameter: value})
 
 
@@ -74,6 +73,9 @@ def elasticity_sweep(
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
                          f"expected one of {', '.join(PARAMETERS)}")
+    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence) or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise ValueError(f"{parameter} sweep values must be a list of numbers, got {values!r}")
     points = [float(v) for v in values]
     if not points:
         raise ValueError("values must not be empty")

@@ -41,3 +41,38 @@ def build_city() -> TransitNetwork:
                     speed_kmh=20.0, fare_class="bus"),
     }
     return TransitNetwork(stations=stations, routes=routes, fares=FareRules())
+
+
+def build_lattice(rng, nodes: int = 7, spacing_deg: float = 0.006) -> TransitNetwork:
+    """Seeded tie-heavy lattice: metro rows and bus columns with one uniform
+    leg time and a shared headway per mode, stations shared at crossings, plus
+    one loop route that passes its first station twice."""
+    lines = {}
+    for j in range(nodes):
+        if rng.random() < 0.6:
+            lines[f"MR{j}"] = ("metro", [(i, j) for i in range(nodes)])
+    for i in range(nodes):
+        if rng.random() < 0.6:
+            lines[f"BC{i}"] = ("bus", [(i, j) for j in range(nodes)])
+    lo, hi = 1, nodes - 2
+    lines["LOOP"] = ("bus", [(lo, lo), (hi, lo), (hi, hi), (lo, hi), (lo, lo)])
+    on_lines: dict = {}
+    for rid, (mode, path) in sorted(lines.items()):
+        for node in path:
+            on_lines.setdefault(node, []).append((rid, mode))
+    stations = {}
+    for (i, j), members in sorted(on_lines.items()):
+        mode = "metro" if any(m == "metro" for _, m in members) else "bus"
+        sid = f"N{i}{j}"
+        stations[sid] = _station(sid, f"Node {i} {j}", 121.0 + i * spacing_deg,
+                                 31.0 + j * spacing_deg, mode,
+                                 sorted({rid for rid, _ in members}))
+    headway = {"metro": 6.0, "bus": 8.0}
+    routes = {}
+    for rid, (mode, path) in sorted(lines.items()):
+        sids = tuple(f"N{i}{j}" for i, j in path)
+        routes[rid] = Route(id=rid, line_id=rid, mode=mode, station_ids=sids,
+                            headway_min=headway[mode], service_start=330,
+                            service_end=1410, speed_kmh=30.0, fare_class=mode,
+                            leg_times_min=(2.0,) * (len(sids) - 1))
+    return TransitNetwork(stations=stations, routes=routes, fares=FareRules())

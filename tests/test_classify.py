@@ -83,12 +83,18 @@ class TestConfig:
         {"time_gate_min": -1.0},
         {"time_ratio": 0.0},
         {"max_transfers": -1},
+        {"max_transfers": 1.5},
+        {"max_transfers": True},
+        {"max_transfers": "2"},
         {"cost_ratio": 0.0},
         {"cost_ratio": 1.5},
     ])
     def test_rejects_bad_thresholds(self, kwargs):
         with pytest.raises(ValueError):
             ClassifierConfig(**kwargs)
+
+    def test_whole_float_transfers_accepted(self):
+        assert ClassifierConfig(max_transfers=3.0).max_transfers == 3.0
 
 
 class TestConditionMatrix:

@@ -207,6 +207,19 @@ class TestPipelineArtifacts:
         params = {line.split(",")[0] for line in lines[1:]}
         assert params == {"walk_threshold_m", "time_gate_min"}
 
+    def test_plan_echo_counts_expanded_states(self, pipeline, tmp_path):
+        ws, config_path, echoes = pipeline
+        expanded = echoes["plan"]["states_expanded"]
+        assert isinstance(expanded, int) and expanded > 0
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        code, out, _ = run_cli(["plan", "--config", str(config_path),
+                                "--workspace", str(copy)])
+        assert code == 0
+        assert json.loads(out)["states_expanded"] == expanded
+        assert not any("states_expanded" in path.read_text(errors="replace")
+                       for path in copy.rglob("*") if path.is_file())
+
     def test_report_manifest(self, pipeline):
         ws, _, _ = pipeline
         doc = json.loads((ws / "report" / "report.json").read_text())
@@ -306,6 +319,41 @@ class TestErrorContract:
         code, _, err = run_cli(["classify", "--config", str(config_path)])
         assert code == 3
         assert "cost_ratio" in json.loads(err)["error"]
+
+    def test_bad_planner_settings(self, pipeline, tmp_path):
+        ws, config_path, _ = pipeline
+        # a negative penalty makes transfer cycles ever cheaper, so the
+        # search would never end; it must be refused before planning starts
+        for setting in ("planner.transfer_penalty_min=-10",
+                        "planner.transfer_penalty_min=Infinity",
+                        "planner.search_radius_m=NaN"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ridelink", "plan", "--config", str(config_path),
+                 "--set", setting], capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 3, setting
+            assert "invalid planner settings" in json.loads(proc.stderr)["error"]
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        code, _, err = run_cli(["plan", "--config", str(config_path), "--workspace",
+                                str(copy), "--set", "planner.transfer_penalty_min=0"])
+        assert code == 0, err
+
+    @pytest.mark.parametrize("values", ["5", "[400,null]", "true", "[400,true]", '"400"'])
+    def test_sweep_values_not_a_list_of_numbers(self, pipeline, values):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["elasticity", "--config", str(config_path),
+                                "--parameter", "walk_threshold_m",
+                                "--set", f"elasticity.values.walk_threshold_m={values}"])
+        assert code == 3, err
+        assert "list of numbers" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("value", ["1.5", "true"])
+    def test_max_transfers_must_be_whole(self, pipeline, value):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["classify", "--config", str(config_path),
+                                "--set", f"classifier.max_transfers={value}"])
+        assert code == 3, err
+        assert "max_transfers" in json.loads(err)["error"]
 
     def test_partial_alternatives_cache(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline

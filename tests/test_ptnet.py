@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import tempfile
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cityfix import build_lattice
 from enum_oracle import best_journey, random_network
 from ridelink.geo import EARTH_RADIUS_M
 from ridelink.ptnet import (
@@ -165,6 +168,42 @@ class TestPlanner:
     def test_bad_radius(self, city_net):
         with pytest.raises(ValueError, match="radius"):
             NetworkPlanner(city_net, search_radius_m=0.0)
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="radius"):
+                NetworkPlanner(city_net, search_radius_m=radius)
+
+    def test_bad_transfer_penalty(self, city_net):
+        for penalty in (-10.0, -1e-9, math.inf, math.nan):
+            with pytest.raises(ValueError, match="transfer penalty"):
+                NetworkPlanner(city_net, transfer_penalty_min=penalty)
+        # m1 to m6 changes at the hub m3, which costs nothing extra at 0
+        alt = NetworkPlanner(city_net, transfer_penalty_min=0).plan(121.0, 30.999, 121.036, 31.031)
+        assert alt.transfers == 1 and alt.gen_cost_min == alt.t_pt_min
+
+    def test_golden_plans_on_tie_heavy_lattice(self):
+        # Uniform leg times, one headway per mode and endpoints placed exactly
+        # on stations make many journeys tie on cost, so this digest pins the
+        # chosen legs and the lexicographic tie-break as well as the costs.
+        rng = np.random.default_rng(2024)
+        net = build_lattice(rng)
+        sids = sorted(net.stations)
+        lons = [s.lon for s in net.stations.values()]
+        lats = [s.lat for s in net.stations.values()]
+        ods = []
+        for k in range(200):
+            if k % 2:
+                a, b = (net.stations[s] for s in rng.choice(sids, size=2, replace=False))
+                ods.append((a.lon, a.lat, b.lon, b.lat))
+            else:
+                ods.append(tuple(float(rng.uniform(min(v) - 0.004, max(v) + 0.004))
+                                 for v in (lons, lats, lons, lats)))
+        lines = []
+        for penalty in (0.0, 5.0):
+            planner = NetworkPlanner(net, transfer_penalty_min=penalty)
+            lines.extend(json.dumps(planner.plan(*od).to_dict()) for od in ods)
+        assert sum('"transfers": 0' not in line for line in lines) > 100
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e55d705da8559c57dab7f756abd52df7109c4e1d01092c368a27e7dcf6327f04"
 
 
 class TestFares:
@@ -252,8 +291,12 @@ class TestNetworkIO:
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
 
     def test_bad_headway_and_window(self, city_net):
-        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 0.0, 360, 1380, 20.0, "bus")}
-        with pytest.raises(ValueError, match="headway"):
+        for headway in (0.0, math.nan, math.inf):
+            routes = {"R": Route("R", "L", "bus", ("b1", "b2"), headway, 360, 1380, 20.0, "bus")}
+            with pytest.raises(ValueError, match="headway"):
+                validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
+        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 360, 1380, math.nan, "bus")}
+        with pytest.raises(ValueError, match="speed"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
         routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 1380, 360, 20.0, "bus")}
         with pytest.raises(ValueError, match="service window"):
