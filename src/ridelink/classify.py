@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .geo import great_circle_m
 from .ingest import CANONICAL_COLUMNS, DEFAULT_EPOCH, TripRecord, format_time, parse_time
 from .ptnet import PtAlternative, TransitNetwork, is_in_service
 
@@ -111,8 +111,9 @@ class ClassifierConfig:
     cost_ratio: float = 0.5
 
     def __post_init__(self):
-        if self.walk_threshold_m <= 0 or self.time_gate_min <= 0 or self.time_ratio <= 0:
-            raise ValueError("classifier thresholds must be positive")
+        if not all(0 < v < math.inf for v in (self.walk_threshold_m, self.time_gate_min,
+                                              self.time_ratio)):
+            raise ValueError("classifier thresholds must be positive and finite")
         transfers = self.max_transfers
         whole = isinstance(transfers, numbers.Integral) or (
             isinstance(transfers, float) and transfers.is_integer())
@@ -129,12 +130,6 @@ class TripClass:
     matched_station: Optional[str] = None
     both_ends_station: bool = False
     trace: dict[str, bool] = field(default_factory=dict)
-
-
-def _nearest_station(net: TransitNetwork, candidates: Sequence[str], lon: float, lat: float) -> str:
-    best = min(candidates, key=lambda sid: (great_circle_m(lon, lat, net.stations[sid].lon,
-                                                           net.stations[sid].lat), sid))
-    return best
 
 
 def classify_trip(
@@ -157,11 +152,11 @@ def classify_trip(
     orig_hits = match_label(trip.pickup_label, lexicon)
     trace["C2"] = bool(dest_hits or orig_hits)
     if dest_hits:
-        matched = _nearest_station(net, dest_hits, trip.dlon, trip.dlat)
+        matched = net.nearest_station(trip.dlon, trip.dlat, dest_hits)
         return TripClass(FIRST_MILE, matched_station=matched,
                          both_ends_station=bool(orig_hits), trace=trace)
     if orig_hits:
-        matched = _nearest_station(net, orig_hits, trip.olon, trip.olat)
+        matched = net.nearest_station(trip.olon, trip.olat, orig_hits)
         return TripClass(LAST_MILE, matched_station=matched, trace=trace)
 
     c3 = bool(alt.available

@@ -457,6 +457,10 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 def cmd_gridify(cfg: RunConfig, args) -> None:
     trips, results = _read_classified(cfg)
     net = _load_city_network(cfg)
+    unknown = sorted({r.matched_station for r in results if r.matched_station} - set(net.stations))
+    if unknown:
+        raise InputError(f"classified artifact names {len(unknown)} station(s) the network "
+                         f"lacks, such as {unknown[0]!r}; re-run 'classify'")
     grid = _grid(cfg)
     days = cfg.days
     stats = hexgrid.compute_ratios(trips, results, grid, days)
@@ -494,9 +498,12 @@ def cmd_features(cfg: RunConfig, args) -> None:
     population = (features.load_points(str(pop_path), value_column="population")
                   if pop_path else [])
     roads = features.load_roads(str(roads_path)) if roads_path else None
-    matrix = features.assemble_features(grid, stats, net, trips, results,
-                                        cfg.days, cfg.target, pois,
-                                        population, roads)
+    try:
+        matrix = features.assemble_features(grid, stats, net, trips, results,
+                                            cfg.days, cfg.target, pois,
+                                            population, roads)
+    except ValueError as exc:
+        raise InputError(f"cannot build features from these inputs: {exc}") from None
     if len(matrix.y) == 0:
         raise InputError(f"no grid cell has a defined {cfg.target}; "
                          f"nothing to model")

@@ -72,26 +72,17 @@ DESTINATION_TARGETS = ("LCR", "ASR")
 def nearest_distances(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str, float]]:
     """Per-cell great-circle distance (km) to the nearest station of each of
     the four mode x hub categories. A category with no stations is an error."""
-    groups: dict[str, list[tuple[float, float]]] = {name: [] for _, _, name in STATION_CATEGORIES}
-    for sid in sorted(net.stations):
-        s = net.stations[sid]
-        for mode, hub, name in STATION_CATEGORIES:
-            if s.mode == mode and s.is_hub == hub:
-                groups[name].append((s.lon, s.lat))
-    for _, _, name in STATION_CATEGORIES:
-        if not groups[name]:
+    masks = {}
+    for mode, hub, name in STATION_CATEGORIES:
+        masks[name] = np.array([net.stations[sid].mode == mode and net.stations[sid].is_hub == hub
+                                for sid in net.station_ids], dtype=bool)
+        if not masks[name].any():
             raise ValueError(f"category empty: {name}")
-    arrays = {name: (np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-              for name, pts in groups.items()}
     out: dict[str, dict[str, float]] = {}
     for q, r in grid.cells:
-        lon, lat = cell_center(grid, q, r)
-        row = {}
-        for _, _, name in STATION_CATEGORIES:
-            lons, lats = arrays[name]
-            d = great_circle_m(np.full(len(lons), lon), np.full(len(lons), lat), lons, lats)
-            row[name] = float(np.min(d)) / 1000.0
-        out[cell_id(q, r)] = row
+        d = net.station_distances_m(*cell_center(grid, q, r))
+        out[cell_id(q, r)] = {name: float(np.min(d[mask])) / 1000.0
+                              for name, mask in masks.items()}
     return out
 
 
@@ -99,7 +90,7 @@ def station_densities(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str,
     """Single-line bus stop and bus hub counts per km^2 for each cell."""
     members = grid.cell_set()
     counts: dict[str, list[int]] = {cell_id(q, r): [0, 0] for q, r in grid.cells}
-    for sid in sorted(net.stations):
+    for sid in net.station_ids:
         s = net.stations[sid]
         if s.mode != "bus":
             continue

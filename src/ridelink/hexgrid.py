@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
-from .geo import LocalProjection, great_circle_m, point_in_ring
+from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord
 from .ptnet import TransitNetwork
 
@@ -422,6 +422,8 @@ def complementary_breakdown(
     """
     by_mode = {"metro": {"direct": 0, "indirect_hub": 0, "indirect_single": 0},
                "bus": {"direct": 0, "indirect_hub": 0, "indirect_single": 0}}
+    mode_ids = {m: [sid for sid in net.station_ids if net.stations[sid].mode == m]
+                for m in by_mode}
     total = 0
     for trip, res in zip(trips, results):
         if res.label not in (FIRST_MILE, LAST_MILE) or res.matched_station is None:
@@ -433,12 +435,7 @@ def complementary_breakdown(
         total += 1
         lon, lat = ((trip.olon, trip.olat) if res.label == FIRST_MILE
                     else (trip.dlon, trip.dlat))
-        nearest = min(
-            (sid for sid in sorted(net.stations) if net.stations[sid].mode == mode),
-            key=lambda sid: (great_circle_m(lon, lat, net.stations[sid].lon,
-                                            net.stations[sid].lat), sid),
-        )
-        if nearest == res.matched_station:
+        if net.nearest_station(lon, lat, mode_ids[mode]) == res.matched_station:
             by_mode[mode]["direct"] += 1
         elif station.is_hub:
             by_mode[mode]["indirect_hub"] += 1

@@ -89,6 +89,10 @@ class FareRules:
 
 @dataclass
 class TransitNetwork:
+    """Stations, routes and fares. Stations and routes are fixed once the
+    network is built: the routes at each station and the station index
+    (``station_ids`` sorted, with coordinates in the same order) derive from them."""
+
     stations: dict[str, Station]
     routes: dict[str, Route]
     fares: FareRules = field(default_factory=FareRules)
@@ -104,6 +108,22 @@ class TransitNetwork:
                 lst = self._routes_at.setdefault(sid, [])
                 if rid not in lst:
                     lst.append(rid)
+        self.station_ids = sorted(self.stations)
+        self._row = {sid: i for i, sid in enumerate(self.station_ids)}
+        self._lon = np.array([self.stations[s].lon for s in self.station_ids])
+        self._lat = np.array([self.stations[s].lat for s in self.station_ids])
+
+    def station_distances_m(self, lon: float, lat: float, rows=None) -> np.ndarray:
+        """Metres from a point to the stations at ``rows`` of ``station_ids`` (default all)."""
+        lons, lats = (self._lon, self._lat) if rows is None else (self._lon[rows], self._lat[rows])
+        return great_circle_m(np.full(len(lons), lon), np.full(len(lons), lat), lons, lats)
+
+    def nearest_station(self, lon: float, lat: float, among: Iterable[str]) -> str:
+        """Nearest of ``among``; rows follow sorted ids, so argmin's first minimum
+        breaks a tie toward the lowest id."""
+        rows = sorted(self._row[sid] for sid in among)
+        best = 0 if len(rows) == 1 else int(np.argmin(self.station_distances_m(lon, lat, rows)))
+        return self.station_ids[rows[best]]
 
 
 @dataclass(frozen=True)
@@ -358,10 +378,6 @@ class NetworkPlanner:
         self.search_radius_m = search_radius_m
         self.transfer_penalty_min = transfer_penalty_min
         self.states_expanded = 0
-        sids = sorted(net.stations)
-        self._sids = sids
-        self._lon = np.array([net.stations[s].lon for s in sids])
-        self._lat = np.array([net.stations[s].lat for s in sids])
         # per-leg times/distances; per (station, route), the rides to each
         # neighbouring stop, and those rides then the transfers once ridden
         self._leg_min: dict[str, list[float]] = {}
@@ -384,10 +400,9 @@ class NetworkPlanner:
             for (sid, rid), rides in self._rides.items()}
 
     def _stations_within(self, lon: float, lat: float) -> list[tuple[str, float]]:
-        d = great_circle_m(np.full(len(self._sids), lon), np.full(len(self._sids), lat),
-                           self._lon, self._lat)
-        hits = [(self._sids[i], float(d[i])) for i in np.flatnonzero(d <= self.search_radius_m)]
-        return hits  # already in sorted-station order
+        d = self.net.station_distances_m(lon, lat)
+        ids = self.net.station_ids
+        return [(ids[i], float(d[i])) for i in np.flatnonzero(d <= self.search_radius_m)]
 
     def plan(self, olon: float, olat: float, dlon: float, dlat: float) -> PtAlternative:
         """Plan the best journey from origin to destination.

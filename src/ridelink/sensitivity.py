@@ -12,6 +12,7 @@ the cached alternatives.
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -74,8 +75,10 @@ def elasticity_sweep(
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
                          f"expected one of {', '.join(PARAMETERS)}")
     if isinstance(values, (str, bytes)) or not isinstance(values, Sequence) or any(
-            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
-        raise ValueError(f"{parameter} sweep values must be a list of numbers, got {values!r}")
+            isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
+            for v in values):
+        raise ValueError(f"{parameter} sweep values must be a list of numbers, all finite, "
+                         f"got {values!r}")
     points = [float(v) for v in values]
     if not points:
         raise ValueError("values must not be empty")

@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -88,6 +89,13 @@ class TestConfig:
         {"max_transfers": "2"},
         {"cost_ratio": 0.0},
         {"cost_ratio": 1.5},
+        {"walk_threshold_m": math.nan},
+        {"walk_threshold_m": math.inf},
+        {"time_gate_min": math.nan},
+        {"time_gate_min": math.inf},
+        {"time_ratio": math.nan},
+        {"time_ratio": math.inf},
+        {"cost_ratio": math.nan},
     ])
     def test_rejects_bad_thresholds(self, kwargs):
         with pytest.raises(ValueError):

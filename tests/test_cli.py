@@ -6,6 +6,7 @@ layering, and the error contract (JSON on stderr, exit codes 2/3/4).
 """
 
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -67,6 +68,13 @@ def _args(**kwargs) -> SimpleNamespace:
     merged = {"config": None, "set": None}
     merged.update(kwargs)
     return SimpleNamespace(**merged)
+
+
+def _write_rows(path, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +346,8 @@ class TestErrorContract:
                                 str(copy), "--set", "planner.transfer_penalty_min=0"])
         assert code == 0, err
 
-    @pytest.mark.parametrize("values", ["5", "[400,null]", "true", "[400,true]", '"400"'])
+    @pytest.mark.parametrize("values", ["5", "[400,null]", "true", "[400,true]", '"400"',
+                                        "[NaN,400]", "[400,Infinity]"])
     def test_sweep_values_not_a_list_of_numbers(self, pipeline, values):
         _, config_path, _ = pipeline
         code, _, err = run_cli(["elasticity", "--config", str(config_path),
@@ -354,6 +363,45 @@ class TestErrorContract:
                                 "--set", f"classifier.max_transfers={value}"])
         assert code == 3, err
         assert "max_transfers" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("setting", ["classifier.walk_threshold_m=NaN",
+                                         "classifier.time_gate_min=Infinity",
+                                         "classifier.time_ratio=NaN"])
+    def test_non_finite_thresholds_rejected(self, pipeline, setting):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["classify", "--config", str(config_path), "--set", setting])
+        assert code == 3, err
+        assert "invalid classifier thresholds" in json.loads(err)["error"]
+
+    def test_stationless_feature_category(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / "stations.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        hubs = [r for r in rows if r["mode"] == "bus" and "|" in r["line_ids"]]
+        assert hubs
+        for row in hubs:  # cut every bus hub to one line
+            row["line_ids"] = row["line_ids"].split("|")[0]
+        _write_rows(path, rows)
+        code, _, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        assert "category empty: dist_bus_hub_km" in json.loads(err)["error"]
+
+    def test_classified_names_unknown_station(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "classified.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        next(r for r in rows if r["matched_station"])["matched_station"] = "zz_unknown"
+        _write_rows(path, rows)
+        code, _, err = run_cli(["gridify", "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert "'zz_unknown'" in error and "re-run 'classify'" in error
 
     def test_partial_alternatives_cache(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline

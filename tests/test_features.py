@@ -37,8 +37,9 @@ def _station(sid, lon, lat, mode, lines):
                    mode=mode, line_ids=tuple(lines))
 
 
-def _full_net():
-    """Six stations covering all four mode x hub categories."""
+def _full_net(*extra, drop=()):
+    """Six stations covering all four mode x hub categories, plus the
+    ``extra`` stations and without the ids in ``drop``."""
     stations = {
         "ms1": _station("ms1", 121.010, 31.010, "metro", ["M1"]),
         "ms2": _station("ms2", 121.042, 31.031, "metro", ["M1"]),
@@ -47,6 +48,9 @@ def _full_net():
         "bs2": _station("bs2", 121.044, 31.008, "bus", ["B2"]),
         "bh1": _station("bh1", 121.031, 31.013, "bus", ["B1", "B2"]),
     }
+    stations.update((s.id, s) for s in extra)
+    for sid in drop:
+        del stations[sid]
     return TransitNetwork(stations=stations, routes={})
 
 
@@ -133,14 +137,12 @@ class TestNearestDistances:
         grid = build_grid(BBOX, 0.5)
         q, r = grid.cells[len(grid.cells) // 2]
         lon, lat = cell_center(grid, q, r)
-        net = _full_net()
-        net.stations["ms1"] = _station("ms1", lon, lat, "metro", ["M1"])
+        net = _full_net(_station("ms1", lon, lat, "metro", ["M1"]))
         dist = nearest_distances(grid, net)
         assert dist[cell_id(q, r)]["dist_metro_single_km"] == pytest.approx(0.0, abs=1e-9)
 
     def test_missing_category_is_an_error(self):
-        net = _full_net()
-        del net.stations["bh1"]
+        net = _full_net(drop=("bh1",))
         grid = build_grid(BBOX, 0.5)
         with pytest.raises(ValueError, match="category empty"):
             nearest_distances(grid, net)
@@ -196,8 +198,7 @@ class TestStationDensities:
 
     def test_station_outside_grid_ignored(self):
         grid = build_grid(BBOX, 0.5)
-        net = _full_net()
-        net.stations["far"] = _station("far", 122.5, 32.5, "bus", ["B9"])
+        net = _full_net(_station("far", 122.5, 32.5, "bus", ["B9"]))
         dens = station_densities(grid, net)
         total = sum(d["bus_single_density"] for d in dens.values()) * grid.cell_area_km2
         assert total == pytest.approx(2.0)

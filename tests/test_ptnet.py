@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cityfix import build_lattice
 from enum_oracle import best_journey, random_network
-from ridelink.geo import EARTH_RADIUS_M
+from ridelink.geo import EARTH_RADIUS_M, great_circle_m
 from ridelink.ptnet import (
     CachedPlanner,
     FareRules,
@@ -379,3 +379,51 @@ class TestPlanCache:
         assert replay.plan(121.001, 30.999, 121.055, 31.001) == alt
         with pytest.raises(KeyError):
             replay.plan(121.002, 30.999, 121.055, 31.001)
+
+
+@st.composite
+def _station_cases(draw):
+    """Stations drawn onto a few shared points, so equal distances occur, with
+    ids in any order; a candidate subset in any order; and a query point that
+    may sit on a station."""
+    points = draw(st.lists(st.tuples(_LON, _LAT), min_size=1, max_size=4))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                        min_size=1, max_size=10, unique=True))
+    stations = {sid: Station(sid, sid, (), *draw(st.sampled_from(points)), "bus", ("B1",))
+                for sid in ids}
+    among = draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    point = draw(st.one_of(st.tuples(_LON, _LAT), st.sampled_from(points)))
+    return stations, among, point
+
+
+class TestStationIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_station_cases())
+    def test_nearest_station_is_the_brute_force_minimum(self, case):
+        stations, among, (lon, lat) = case
+        net = TransitNetwork(stations=stations, routes={})
+        assert net.station_ids == sorted(stations)
+        got = net.nearest_station(lon, lat, among)
+        assert got in among
+        scalar = {sid: great_circle_m(lon, lat, stations[sid].lon, stations[sid].lat)
+                  for sid in among}
+        assert scalar[got] == pytest.approx(min(scalar.values()), abs=1e-6)
+        # among exactly equal distances the lowest id wins
+        vector = dict(zip(net.station_ids, net.station_distances_m(lon, lat)))
+        assert vector[got] == min(vector[sid] for sid in among)
+        assert got == min(sid for sid in among if vector[sid] == vector[got])
+
+    def test_station_distances_follow_rows(self):
+        net, a_lat, b_lat = two_stop_net()
+        d = net.station_distances_m(121.0, a_lat)
+        assert d[0] == 0.0 and d[1] == pytest.approx(5000.0)
+        assert list(net.station_distances_m(121.0, a_lat, [1, 0])) == [d[1], d[0]]
+
+    def test_single_candidate_needs_no_distance(self, monkeypatch):
+        net, _, _ = two_stop_net()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("no distance is needed for one candidate")
+
+        monkeypatch.setattr(net, "station_distances_m", refuse)
+        assert net.nearest_station(0.0, 0.0, ["B"]) == "B"
