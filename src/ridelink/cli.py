@@ -218,6 +218,13 @@ class RunConfig:
                               f"got {self.data['target']!r}")
         return target
 
+    def explain_setting(self, key: str, least: int) -> int:
+        value = self.data["explain"][key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"explain.{key} must be an integer of at least "
+                              f"{least}, got {value!r}")
+        return value
+
     def classifier(self) -> ClassifierConfig:
         try:
             return ClassifierConfig(**self.data["classifier"])
@@ -574,9 +581,9 @@ def cmd_explain(cfg: RunConfig, args) -> None:
     if list(model.feature_names) != list(matrix.names):
         raise InputError("features artifact no longer matches the trained "
                          "model; re-run 'features' and 'train' together")
-    seed = int(cfg.data["explain"]["seed"])
+    seed = cfg.explain_setting("seed", 0)
     background = explain.sample_background(
-        matrix.X, int(cfg.data["explain"]["background_size"]), seed)
+        matrix.X, cfg.explain_setting("background_size", 1), seed)
     mode = str(cfg.data["explain"]["mode"])
     try:
         shap = explain.shap_values(model, matrix.X, background, mode=mode)
@@ -587,6 +594,7 @@ def cmd_explain(cfg: RunConfig, args) -> None:
     written = explain.export_plots(out_dir, shap, matrix.X, curves, seed=seed)
     _echo({"command": "explain", "mode": shap.mode,
            "samples": len(matrix.y), "background": shap.n_background,
+           "pdp_tree_rows": sum(c.tree_rows for c in curves),
            "files": sorted(str(p) for p in written)})
 
 

@@ -15,7 +15,9 @@ Three pieces:
   normalized to percentages that sum to 100.
 * partial dependence (``pdp``): the mean prediction as one feature is swept
   over an evenly spaced grid, with a per-point density flag marking grid
-  values at or below the 95th percentile of the observed column.
+  values at or below the 95th percentile of the observed column. Each tree
+  runs once per interval between its own thresholds on the swept feature,
+  and the curve is bit-identical to predicting the whole tiled sweep.
 
 CSV and SVG exports are deterministic: fixed canvas, fixed precision, and a
 seeded jitter for the beeswarm layout.
@@ -32,7 +34,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import svgchart
-from .boost import BoostModel, predict
+from .boost import BoostModel, _tree_predict, predict
 
 EXACT_FEATURE_LIMIT = 20
 DEFAULT_BACKGROUND_SIZE = 100
@@ -64,6 +66,7 @@ class PdpCurve:
     values: np.ndarray          # mean prediction with the column pinned
     dense: np.ndarray           # grid value <= 95th percentile of the column
     cutoff: float
+    tree_rows: int = 0          # rows pushed through trees to compute values
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +250,17 @@ def top_order(report: ImportanceReport, k: Optional[int] = None) -> list[int]:
 
 def pdp(model: BoostModel, X: np.ndarray, feature: Union[int, str],
         n_grid: int = PDP_GRID_INTERVALS) -> PdpCurve:
+    """Mean prediction over the rows of ``X`` with column ``feature`` pinned
+    to each grid value.
+
+    With x_j = g, a tree's leaves depend on g only through its tests g <= t
+    on its own thresholds for j, so all grid points in one interval between
+    them reach the same leaves: each tree runs once per such interval (once
+    when it never splits on j) and is gathered back to (grid, row). Each
+    entry sums f0 and gamma * leaf over the nonzero-gamma trees in tree
+    order, as ``predict`` does on the tiled sweep, so the values equal
+    ``predict(model, sweep).reshape(len(grid), n).mean(axis=1)`` bit for bit.
+    """
     X = _as_matrix(model, X, "X")
     if len(X) == 0:
         raise ValueError("partial dependence requires at least one row")
@@ -263,12 +277,31 @@ def pdp(model: BoostModel, X: np.ndarray, feature: Union[int, str],
     col = X[:, j]
     grid = np.linspace(float(col.min()), float(col.max()), n_grid + 1)
     cutoff = float(np.percentile(col, DENSITY_PERCENTILE))
-    n = len(X)
-    swept = np.tile(X, (len(grid), 1))
-    swept[:, j] = np.repeat(grid, n)
-    values = predict(model, swept).reshape(len(grid), n).mean(axis=1)
-    return PdpCurve(feature=model.feature_names[j], grid=grid, values=values,
-                    dense=grid <= cutoff, cutoff=cutoff)
+    out = np.full((len(grid), len(X)), model.f0)
+    pinned = X.copy()
+    tree_rows = 0
+    for tree, gamma in zip(model.trees, model.gammas):
+        if gamma == 0.0:
+            continue
+        labels = np.searchsorted(np.sort(_cut_points(tree, j)), grid, side="left")
+        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+        h = np.empty((len(first), len(X)))
+        for k, g in enumerate(grid[first]):
+            pinned[:, j] = g
+            h[k] = _tree_predict(tree, pinned)
+        out += (gamma * h)[inverse]
+        tree_rows += h.size
+    return PdpCurve(feature=model.feature_names[j], grid=grid,
+                    values=out.mean(axis=1), dense=grid <= cutoff,
+                    cutoff=cutoff, tree_rows=tree_rows)
+
+
+def _cut_points(node: dict, j: int) -> list[float]:
+    """Thresholds of every split on feature ``j`` in one tree."""
+    if "value" in node:
+        return []
+    own = [float(node["threshold"])] if int(node["feature"]) == j else []
+    return own + _cut_points(node["left"], j) + _cut_points(node["right"], j)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ def load_network(
 
 
 def validate_network(net: TransitNetwork) -> None:
+    for sid in net.station_ids:
+        if not (math.isfinite(net.stations[sid].lon) and math.isfinite(net.stations[sid].lat)):
+            raise ValueError(f"station {sid!r} has a non-finite coordinate")
     for rid in sorted(net.routes):
         route = net.routes[rid]
         if len(route.station_ids) < 2:
@@ -279,8 +282,11 @@ def validate_network(net: TransitNetwork) -> None:
             raise ValueError(f"route {rid!r} has a nonpositive or non-finite speed")
         if not (0 <= route.service_start < route.service_end <= 1440):
             raise ValueError(f"route {rid!r} has invalid service window")
-        if route.leg_times_min is not None and len(route.leg_times_min) != len(route.station_ids) - 1:
-            raise ValueError(f"route {rid!r} leg-time table length mismatch")
+        if route.leg_times_min is not None:
+            if len(route.leg_times_min) != len(route.station_ids) - 1:
+                raise ValueError(f"route {rid!r} leg-time table length mismatch")
+            if not all(0 <= t < math.inf for t in route.leg_times_min):
+                raise ValueError(f"route {rid!r} has a negative or non-finite leg time")
 
 
 def write_stations(stations: Iterable[Station], path: str) -> None:

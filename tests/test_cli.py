@@ -228,6 +228,19 @@ class TestPipelineArtifacts:
         assert not any("states_expanded" in path.read_text(errors="replace")
                        for path in copy.rglob("*") if path.is_file())
 
+    def test_explain_echo_counts_pdp_tree_rows(self, pipeline):
+        ws, _, echoes = pipeline
+        model = boost.load_model(str(ws / "model.json"))
+        matrix = features.read_features(str(ws / "features.csv"))
+        rows = echoes["explain"]["pdp_tree_rows"]
+        # at least one tree run per curve, at most one per grid point
+        live = sum(gamma != 0.0 for gamma in model.gammas)
+        n, d = matrix.X.shape
+        assert isinstance(rows, int)
+        assert d * live * n <= rows <= d * live * n * 101
+        assert not any("pdp_tree_rows" in path.read_text(errors="replace")
+                       for path in ws.rglob("*") if path.is_file())
+
     def test_report_manifest(self, pipeline):
         ws, _, _ = pipeline
         doc = json.loads((ws / "report" / "report.json").read_text())
@@ -389,6 +402,22 @@ class TestErrorContract:
         assert code == 2, err
         assert "category empty: dist_bus_hub_km" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("stage", ["plan", "classify", "gridify", "features"])
+    def test_non_finite_station_coordinate(self, pipeline, tmp_path, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / "stations.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[0]["lon"] = "nan"
+        _write_rows(path, rows)
+        code, _, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert error.startswith("transit network failed to load")
+        assert f"station {rows[0]['id']!r}" in error
+
     def test_classified_names_unknown_station(self, pipeline, tmp_path):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -449,6 +478,18 @@ class TestErrorContract:
                                 "--mode", "bogus"])
         assert code == 3
         assert json.loads(err)["kind"] == "config"
+
+    @pytest.mark.parametrize("assignment", [
+        "explain.background_size=0", "explain.background_size=-3",
+        "explain.background_size=abc", "explain.seed=-1"])
+    def test_bad_explain_setting(self, pipeline, assignment):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["explain", "--config", str(config_path),
+                                "--set", assignment])
+        assert code == 3, err
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert assignment.split("=")[0] in doc["error"]
 
 
 class TestModuleEntry:

@@ -2,10 +2,14 @@
 dependence, verified against hand-enumerated coalitions and closed-form
 behavior of handcrafted tree ensembles."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridelink import boost, explain
 from ridelink.boost import BoostModel, BoostParams, fit, predict
@@ -372,6 +376,66 @@ class TestPdp:
             pdp(model, X, 0, n_grid=0)
 
 
+def _tiled_pdp(model, X, j, n_grid):
+    """Brute-force partial dependence: the whole sweep through ``predict``."""
+    grid = np.linspace(X[:, j].min(), X[:, j].max(), n_grid + 1)
+    swept = np.tile(X, (len(grid), 1))
+    swept[:, j] = np.repeat(grid, len(X))
+    return predict(model, swept).reshape(len(grid), len(X)).mean(axis=1)
+
+
+@st.composite
+def _pdp_cases(draw):
+    """A small seeded fit over an integer column whose grid points land on
+    split thresholds, a constant column and a float column, with one tree's
+    gamma zeroed on request."""
+    seed = draw(st.integers(0, 2**16))
+    n_grid = draw(st.sampled_from([1, 2, 7]))
+    n = draw(st.integers(40, 80))
+    rng = np.random.default_rng(seed)
+    span = n_grid * draw(st.integers(1, 2))
+    ints = rng.integers(0, span + 1, size=n).astype(float)
+    ints[:2] = (0.0, float(span))
+    X = np.column_stack([ints, np.full(n, draw(st.sampled_from([-1.5, 0.0, 3.0]))),
+                         rng.normal(size=n)])
+    y = X[:, 0] + np.sin(2 * X[:, 2]) + 0.1 * rng.normal(size=n)
+    params = BoostParams(iterations=100, learning_rate=0.1,
+                         depth=draw(st.integers(1, 3)), ordered_segments=2,
+                         seed=seed)
+    model = fit(X, y, params, feature_names=["ints", "const", "floats"])
+    zeroed = draw(st.none() | st.integers(0, len(model.trees) - 1))
+    if zeroed is not None:
+        model.gammas[zeroed] = 0.0
+    return model, X, draw(st.integers(0, 2)), n_grid
+
+
+class TestPdpOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_pdp_cases())
+    def test_bit_equal_to_tiled_predict(self, case):
+        model, X, j, n_grid = case
+        curve = pdp(model, X, j, n_grid=n_grid)
+        assert np.array_equal(curve.values, _tiled_pdp(model, X, j, n_grid))
+
+    def test_grid_points_on_thresholds_and_zero_gamma(self):
+        # stumps on x0 at 1 and 2 with the grid at 0, 1, 2, 3: the points on
+        # a threshold go left, and the zero-gamma tree (which would add 100)
+        # is skipped as in predict
+        trees = [_stump(0, 1.0, -1.0, 1.0), _stump(0, 2.0, 0.5, 2.5),
+                 _stump(0, 1.0, 100.0, 100.0), _stump(1, 0.0, 0.25, 4.0)]
+        model = _model(trees, [1.0, 0.5, 0.0, 1.0], f0=0.1)
+        X = np.column_stack([[0.0, 1.0, 3.0, 2.0], [-1.0, 1.0, 1.0, 1.0]])
+        curve = pdp(model, X, 0, n_grid=3)
+        assert np.array_equal(curve.grid, [0.0, 1.0, 2.0, 3.0])
+        assert np.array_equal(curve.values, _tiled_pdp(model, X, 0, 3))
+        # f0 plus the x1 stump's mean, (0.25 + 3 * 4) / 4, is 3.1625
+        assert np.allclose(curve.values, [3.1625 - 1 + 0.25, 3.1625 - 1 + 0.25,
+                                          3.1625 + 1 + 0.25, 3.1625 + 1 + 1.25])
+        # three trees with nonzero gamma; grid points fall in two intervals
+        # of each stump on x0 and in one of the x1 stump
+        assert curve.tree_rows == (2 + 2 + 1) * len(X)
+
+
 class TestBackground:
     def test_small_matrix_returned_whole(self):
         X = np.arange(12.0).reshape(4, 3)
@@ -526,3 +590,28 @@ class TestEndToEnd:
         assert len(curves) == 5
         paths = export_plots(tmp_path, shap, X, curves, seed=1)
         assert all(open(p).read() for p in paths)
+
+
+class TestGoldenExplain:
+    def test_golden_explain_digest(self, tmp_path):
+        # A seeded fit on fixed data, explained in tree mode over a 100-row
+        # background; the digest pins every byte of the six exported files.
+        # Column x2 holds small integers, so PDP grid points land on split
+        # thresholds and many rows tie.
+        rng = np.random.default_rng(2025)
+        n, d = 160, 6
+        X = rng.normal(size=(n, d))
+        X[:, 2] = rng.integers(0, 6, size=n)
+        y = (np.sin(X[:, 0]) + 0.4 * X[:, 1] * X[:, 2] + (X[:, 3] > 0.2)
+             + 0.1 * rng.normal(size=n))
+        params = BoostParams(iterations=100, learning_rate=0.1, depth=4,
+                             ordered_segments=2, seed=5)
+        model = fit(X, y, params, feature_names=[f"x{j}" for j in range(d)])
+        bg = sample_background(X, size=100, seed=0)
+        shap = shap_values(model, X, bg, mode="tree")
+        curves = [pdp(model, X, j) for j in range(d)]
+        paths = export_plots(tmp_path, shap, X, curves, seed=0)
+        lines = [f"{Path(p).name} {hashlib.sha256(Path(p).read_bytes()).hexdigest()}"
+                 for p in paths]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "6db96d870c715358a582990e66876dc1e99b64bae3bf286268f98a43e0b5f914"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -301,6 +302,23 @@ class TestNetworkIO:
         routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 1380, 360, 20.0, "bus")}
         with pytest.raises(ValueError, match="service window"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
+
+    def test_bad_leg_times(self, city_net):
+        for leg in (-1.0, -1e-9, math.nan, math.inf):
+            routes = {"R": Route("R", "L", "bus", ("b1", "b2", "b3"), 10.0, 360, 1380, 20.0,
+                                 "bus", leg_times_min=(2.0, leg))}
+            with pytest.raises(ValueError, match="'R'.*leg time"):
+                validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
+        routes = {"R": Route("R", "L", "bus", ("b1", "b2", "b3"), 10.0, 360, 1380, 20.0,
+                             "bus", leg_times_min=(0.0, 2.0))}
+        validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
+
+    def test_non_finite_station_coordinate(self, city_net):
+        for lon, lat in ((math.nan, 31.0), (121.0, math.inf), (-math.inf, math.nan)):
+            stations = dict(city_net.stations)
+            stations["b2"] = dataclasses.replace(stations["b2"], lon=lon, lat=lat)
+            with pytest.raises(ValueError, match="station 'b2'.*non-finite"):
+                validate_network(TransitNetwork(stations=stations, routes=city_net.routes))
 
 
 class TestLexicon:
