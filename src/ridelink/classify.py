@@ -159,6 +159,13 @@ def classify_trip(
         matched = net.nearest_station(trip.olon, trip.olat, orig_hits)
         return TripClass(LAST_MILE, matched_station=matched, trace=trace)
 
+    return classify_thresholds(trip, alt, cfg, trace)
+
+
+def classify_thresholds(trip: TripRecord, alt: PtAlternative, cfg: ClassifierConfig,
+                        trace: dict[str, bool]) -> TripClass:
+    """C3-C6, the only conditions that read ``cfg``, for a trip that passed C1
+    and matched no station label in C2; records them in ``trace``."""
     c3 = bool(alt.available
               and alt.access_walk_m <= cfg.walk_threshold_m
               and alt.egress_walk_m <= cfg.walk_threshold_m)
@@ -301,6 +308,7 @@ __all__ = [
     "SUBSTITUTIVE",
     "TripClass",
     "classify_all",
+    "classify_thresholds",
     "classify_trip",
     "match_label",
     "normalize_label",

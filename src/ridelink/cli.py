@@ -23,14 +23,17 @@ import dataclasses
 import datetime as _dt
 import hashlib
 import json
+import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import boost, explain, features, hexgrid, sensitivity, svgchart, synth
 from .classify import (
     ALL_LABELS,
+    CONDITIONS,
     ClassifierConfig,
     classify_all,
     read_classified,
@@ -218,12 +221,20 @@ class RunConfig:
                               f"got {self.data['target']!r}")
         return target
 
-    def explain_setting(self, key: str, least: int) -> int:
-        value = self.data["explain"][key]
+    def int_setting(self, section: str, key: str, least: int) -> int:
+        value = self.data[section][key]
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"explain.{key} must be an integer of at least "
+            raise ConfigError(f"{section}.{key} must be an integer of at least "
                               f"{least}, got {value!r}")
         return value
+
+    @property
+    def vif_threshold(self) -> float:
+        value = self.data["features"]["vif_threshold"]
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ConfigError(f"features.vif_threshold must be a finite number, got {value!r}")
+        return float(value)
 
     def classifier(self) -> ClassifierConfig:
         try:
@@ -457,8 +468,10 @@ def cmd_classify(cfg: RunConfig, args) -> None:
                          f"({exc}); re-run 'plan'") from None
     write_classified(trips, results, str(cfg.artifact("classified")), cfg.epoch)
     write_summary(summary, str(cfg.artifact("summary")))
+    failed = Counter(r.failed_condition for r in results)
     _echo({"command": "classify", "trips": len(trips),
-           "shares": summary["shares"]})
+           "shares": summary["shares"],
+           "failed_conditions": {c: failed[c] for c in CONDITIONS}})
 
 
 def cmd_gridify(cfg: RunConfig, args) -> None:
@@ -515,8 +528,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
         raise InputError(f"no grid cell has a defined {cfg.target}; "
                          f"nothing to model")
     try:
-        filtered, report = features.apply_vif(
-            matrix, float(cfg.data["features"]["vif_threshold"]))
+        filtered, report = features.apply_vif(matrix, cfg.vif_threshold)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     features.write_features(filtered, str(cfg.artifact("features")),
@@ -533,7 +545,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
         raise InputError(
             f"features artifact models {matrix.target} but the configured "
             f"target is {cfg.target}; re-run 'features'")
-    folds = int(cfg.data["train"]["folds"])
+    folds = cfg.int_setting("train", "folds", 2)
     minimum = max(4, folds)
     if len(matrix.y) < minimum:
         raise InputError(
@@ -545,7 +557,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
             for key, value in cfg.data["train"]["space"].items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid search space: {exc}") from None
-    trials = int(cfg.data["train"]["trials"])
+    trials = cfg.int_setting("train", "trials", 1)
     try:
         best, log = boost.random_search(
             matrix.X, matrix.y, matrix.cell_ids, space, trials=trials,
@@ -581,9 +593,9 @@ def cmd_explain(cfg: RunConfig, args) -> None:
     if list(model.feature_names) != list(matrix.names):
         raise InputError("features artifact no longer matches the trained "
                          "model; re-run 'features' and 'train' together")
-    seed = cfg.explain_setting("seed", 0)
+    seed = cfg.int_setting("explain", "seed", 0)
     background = explain.sample_background(
-        matrix.X, cfg.explain_setting("background_size", 1), seed)
+        matrix.X, cfg.int_setting("explain", "background_size", 1), seed)
     mode = str(cfg.data["explain"]["mode"])
     try:
         shap = explain.shap_values(model, matrix.X, background, mode=mode)

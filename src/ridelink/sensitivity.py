@@ -4,9 +4,13 @@ Re-classifies a trip set while sweeping one classifier threshold over a set
 of evaluation values, reporting the substitutive share at each value and its
 baseline-anchored arc elasticity: the percentage change of the share divided
 by the percentage change of the threshold, both measured against the
-baseline configuration. Journey planning does not depend on any classifier
-threshold, so each trip is planned exactly once and every sweep point reuses
-the cached alternatives.
+baseline configuration.
+
+Only C3-C6 read a threshold. So each trip is planned once and run through
+``classify_trip`` once, at the baseline configuration, which settles its
+service window (C1) and station labels (C2); each sweep point then runs only
+``classify_thresholds`` over the trips that reached C3, and divides by all
+trips as ``summarize`` does.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import svgchart
-from .classify import SUBSTITUTIVE, ClassifierConfig, classify_trip, summarize
+from .classify import SUBSTITUTIVE, ClassifierConfig, classify_thresholds, classify_trip
 from .ingest import TripRecord
 from .ptnet import TransitNetwork
 
@@ -89,11 +93,13 @@ def elasticity_sweep(
                          f"{parameter}={baseline}")
 
     alts = [planner.plan(t.olon, t.olat, t.dlon, t.dlat) for t in trips]
+    reaching = [(t, a) for t, a in zip(trips, alts)
+                if "C3" in classify_trip(t, a, net, lexicon, cfg).trace]
     ratios = []
     for swept in configs:
-        results = [classify_trip(trip, alt, net, lexicon, swept)
-                   for trip, alt in zip(trips, alts)]
-        ratios.append(summarize(results)["shares"][SUBSTITUTIVE])
+        count = sum(classify_thresholds(trip, alt, swept, {}).label == SUBSTITUTIVE
+                    for trip, alt in reaching)
+        ratios.append(count / len(trips) if trips else 0.0)
 
     base_ratio = ratios[points.index(baseline)]
     elasticities = [arc_elasticity(baseline, base_ratio, v, r)

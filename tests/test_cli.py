@@ -228,6 +228,19 @@ class TestPipelineArtifacts:
         assert not any("states_expanded" in path.read_text(errors="replace")
                        for path in copy.rglob("*") if path.is_file())
 
+    def test_classify_echo_counts_failed_conditions(self, pipeline):
+        ws, _, echoes = pipeline
+        failed = echoes["classify"]["failed_conditions"]
+        with open(ws / "classified.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        counted = Counter(row["failed_condition"] for row in rows)
+        assert list(failed) == ["C1", "C2", "C3", "C4", "C5", "C6"]
+        assert failed == {c: counted[c] for c in failed}
+        assert failed["C2"] == 0  # a label miss falls through to C3, never fails
+        assert sum(failed.values()) == sum(row["label"] == "independent" for row in rows)
+        assert not any("failed_conditions" in path.read_text(errors="replace")
+                       for path in ws.rglob("*") if path.is_file())
+
     def test_explain_echo_counts_pdp_tree_rows(self, pipeline):
         ws, _, echoes = pipeline
         model = boost.load_model(str(ws / "model.json"))
@@ -490,6 +503,29 @@ class TestErrorContract:
         doc = json.loads(err)
         assert doc["kind"] == "config"
         assert assignment.split("=")[0] in doc["error"]
+
+
+    def test_train_counts_must_be_integers(self, pipeline):
+        _, config_path, _ = pipeline
+        for setting in ("train.trials=abc", "train.folds=abc"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "ridelink", "train", "--config", str(config_path),
+                 "--seed", "7", "--set", setting], capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode == 3, (setting, proc.stderr)
+            doc = json.loads(proc.stderr)
+            assert doc["kind"] == "config"
+            assert setting.split("=")[0] in doc["error"]
+
+    @pytest.mark.parametrize("value", ["abc", "NaN", "inf", "Infinity", "-Infinity"])
+    def test_vif_threshold_must_be_finite(self, pipeline, value):
+        _, config_path, _ = pipeline
+        code, _, err = run_cli(["features", "--config", str(config_path),
+                                "--set", f"features.vif_threshold={value}"])
+        assert code == 3, err
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert "features.vif_threshold" in doc["error"]
 
 
 class TestModuleEntry:

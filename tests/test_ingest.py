@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ridelink.ingest import (
     CANONICAL_COLUMNS,
+    TIME_FORMAT,
     Rejection,
     SchemaError,
     TripRecord,
@@ -71,6 +74,74 @@ class TestParsing:
         epoch = datetime.date(2023, 1, 1)
         assert parse_time("2023/1/2 01:05", epoch) == 1440 + 65
         assert format_time(1440 + 65, epoch) == "2023/1/2 01:05"
+
+    @staticmethod
+    def _strptime_minutes(text):
+        """The oracle: minutes from ``datetime.strptime``, or ``ValueError``."""
+        try:
+            moment = datetime.datetime.strptime(text.strip(), TIME_FORMAT)
+        except ValueError:
+            return ValueError
+        delta = moment - datetime.datetime(2022, 9, 1)
+        return delta.days * 1440 + delta.seconds // 60
+
+    @staticmethod
+    def _parsed_minutes(text):
+        try:
+            return parse_time(text)
+        except ValueError:
+            return ValueError
+
+    @settings(max_examples=300, deadline=None)
+    @given(moment=st.datetimes(datetime.datetime(1000, 1, 1),
+                               datetime.datetime(9999, 12, 31, 23, 59)),
+           day=st.none() | st.integers(28, 31),
+           month_pad=st.sampled_from(["", "0"]), day_pad=st.sampled_from(["", "0", " "]),
+           hour_pad=st.sampled_from(["", "0"]), minute_pad=st.sampled_from(["", "0"]),
+           gap=st.sampled_from([" ", "  ", "\t", " \t\t "]))
+    def test_same_as_strptime_on_real_moments(self, moment, day, month_pad, day_pad,
+                                              hour_pad, minute_pad, gap):
+        # unpadded, zero-padded and space-padded fields of real moments, and
+        # days 28-31 in every month (Feb 30 and Apr 31 do not exist)
+        def pad(value, prefix):
+            return f"{prefix}{value}" if value < 10 else str(value)
+
+        text = (f"{moment.year}/{pad(moment.month, month_pad)}/"
+                f"{pad(moment.day if day is None else day, day_pad)}"
+                f"{gap}{pad(moment.hour, hour_pad)}:{pad(moment.minute, minute_pad)}")
+        assert self._parsed_minutes(text) == self._strptime_minutes(text)
+
+    # arbitrary fields, separators and stray characters: mostly invalid
+    _PAD = st.sampled_from(["", "0", " ", "00"])
+    _GAP = st.sampled_from([" ", "  ", "\t", " \t ", "", "/", "\n"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(year=st.integers(0, 99999), year_width=st.sampled_from([4, 1, 5]),
+           month=st.integers(0, 13), month_pad=_PAD,
+           day=st.integers(0, 32), day_pad=_PAD, gap=_GAP,
+           hour=st.integers(0, 25), minute=st.integers(0, 61),
+           minute_pad=st.sampled_from(["", "0"]),
+           edges=st.sampled_from(["", " ", "\t", "x", "0"]))
+    @example(year=2024, year_width=4, month=2, month_pad="", day=30, day_pad="",
+             gap=" ", hour=8, minute=0, minute_pad="", edges="")
+    @example(year=2022, year_width=4, month=9, month_pad="0", day=3, day_pad=" ",
+             gap="\t", hour=24, minute=0, minute_pad="", edges="")
+    @example(year=2022, year_width=4, month=9, month_pad="", day=3, day_pad="",
+             gap="  ", hour=23, minute=60, minute_pad="", edges="")
+    def test_same_as_strptime_on_built_stamps(self, year, year_width, month, month_pad,
+                                              day, day_pad, gap, hour, minute,
+                                              minute_pad, edges):
+        # valid and invalid dates, zero- and space-padded fields, runs of
+        # spaces and tabs, hour 24 and minute 60, and stray leading or
+        # trailing characters
+        text = (f"{edges}{year:0{year_width}d}/{month_pad}{month}/{day_pad}{day}"
+                f"{gap}{hour}:{minute_pad}{minute}{edges}")
+        assert self._parsed_minutes(text) == self._strptime_minutes(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/: \t\n\u0663x", max_size=20))
+    def test_same_as_strptime_on_any_text(self, text):
+        assert self._parsed_minutes(text) == self._strptime_minutes(text)
 
     def test_missing_column_is_fatal(self):
         header = [c for c in CANONICAL_COLUMNS if c != "cost"]

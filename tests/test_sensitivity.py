@@ -1,7 +1,11 @@
 """Tests for the threshold sweep: shares recomputed per value over cached
 journeys, baseline-anchored arc elasticities, and CSV/SVG outputs."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cityfix import build_city
 from ridelink.classify import SUBSTITUTIVE, ClassifierConfig, classify_all
@@ -327,3 +331,123 @@ class TestOutputs:
         assert a.startswith("<svg")
         assert 'width="800" height="600"' in a
         assert "time_gate_min" in a
+
+
+class _MemoPlanner:
+    """Plans each OD pair once across the many classification runs below."""
+
+    def __init__(self, planner):
+        self.planner = planner
+        self.alts = {}
+
+    def plan(self, olon, olat, dlon, dlat):
+        key = (olon, olat, dlon, dlat)
+        if key not in self.alts:
+            self.alts[key] = self.planner.plan(olon, olat, dlon, dlat)
+        return self.alts[key]
+
+
+_MEMO = _MemoPlanner(_PLANNER)
+_ENDS = [M1, M2, M3, M4, M6, B1, B3, (121.020, 31.020)]
+# plain addresses, and station labels that make first- and last-mile trips
+_LABELS = ["Somewhere", "Elsewhere", "Alder Station Exit B", "Fir Station"]
+# before, at and after the service windows (B1 runs 360-1380, metro 330-1410)
+_PICKUPS = [120, 330, 360, 600, 1380, 1400, 1420]
+
+
+@st.composite
+def _trip_sets(draw):
+    """Trips over the fixture city. Costs are whole multiples or simple
+    fractions of the journey's fare, so fare / cost can land exactly on a
+    cost_ratio point."""
+    trips = []
+    for _ in range(draw(st.integers(1, 8))):
+        o, d = draw(st.sampled_from(_ENDS)), draw(st.sampled_from(_ENDS))
+        north = draw(st.sampled_from([0, 150, 300, 450])) * LAT_M
+        o = (o[0], o[1] + north)
+        fare = _MEMO.plan(o[0], o[1], d[0], d[1]).fare_rmb or 4.0
+        pickup = draw(st.sampled_from(_PICKUPS))
+        trips.append(TripRecord(
+            plate_id="p", olon=o[0], olat=o[1],
+            pickup_label=draw(st.sampled_from(_LABELS)), pickup_min=pickup,
+            dlon=d[0], dlat=d[1], dropoff_label=draw(st.sampled_from(_LABELS)),
+            dropoff_min=pickup + draw(st.integers(1, 45)), distance_km=8.0,
+            cost=fare * draw(st.sampled_from([1.0, 2.0, 4.0, 2.5, 0.5]))))
+    return trips
+
+
+def _threshold_points(parameter, trips):
+    """Values that put some trip exactly on the parameter's inclusive
+    threshold, plus the default: each walk, each trip duration (C4 switches
+    branch at duration == gate) and transit time gap, each transfer count,
+    each fare / cost."""
+    points = {float(getattr(ClassifierConfig(), parameter))}
+    for trip in trips:
+        alt = _MEMO.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
+        if parameter == "walk_threshold_m":
+            points |= {alt.access_walk_m, alt.egress_walk_m}
+        elif parameter == "time_gate_min":
+            points |= {float(trip.duration_min), alt.t_pt_min - trip.duration_min}
+        elif parameter == "max_transfers":
+            points |= {float(alt.transfers), 0.0}
+        else:
+            points.add(alt.fare_rmb / trip.cost)
+    if parameter == "cost_ratio":
+        return sorted(p for p in points if 0.0 < p <= 1.0)
+    return sorted(p for p in points if p > 0.0 or parameter == "max_transfers")
+
+
+class TestSweepMatchesClassifyAll:
+    """The sweep classifies each trip once and re-runs only C3-C6 per point;
+    every point's share must still be ``classify_all``'s at that config."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), trips=_trip_sets(), parameter=st.sampled_from(PARAMETERS))
+    def test_every_point_equals_classify_all(self, data, trips, parameter):
+        candidates = _threshold_points(parameter, trips)
+        values = data.draw(st.lists(st.sampled_from(candidates), min_size=1,
+                                    max_size=6, unique=True))
+        baseline = values[0]
+        as_config = int if parameter == "max_transfers" else float
+        cfg = replace(ClassifierConfig(), **{parameter: as_config(baseline)})
+        report = elasticity_sweep(trips, _MEMO, _NET, _LEX, cfg, parameter, values)
+        for value, ratio in zip(values, report.ratios):
+            swept = replace(cfg, **{parameter: as_config(value)})
+            _, summary = classify_all(trips, _MEMO, _NET, _LEX, swept)
+            assert ratio == summary["shares"][SUBSTITUTIVE], (parameter, value)
+
+    @pytest.mark.parametrize("walk_end", ["access", "egress"])
+    def test_trip_on_every_threshold_is_substitutive(self, walk_end):
+        # one trip sitting exactly on all four inclusive thresholds at once:
+        # its access or egress walk, its transit time gap (an 8-minute trip,
+        # so the short-trip branch of C4 applies), its transfers and half its
+        # cost as the fare
+        off = (M1[0], M1[1] + 300 * LAT_M)
+        o, d = (off, M4) if walk_end == "access" else (M4, off)
+        alt = _PLANNER.plan(o[0], o[1], d[0], d[1])
+        walk = getattr(alt, f"{walk_end}_walk_m")
+        trip = _trip(o, d, duration=8, cost=2 * alt.fare_rmb)
+        gap = alt.t_pt_min - 8
+        assert walk > 0 and gap >= 8
+        cfg = ClassifierConfig(walk_threshold_m=walk, time_gate_min=gap,
+                               max_transfers=alt.transfers, cost_ratio=0.5)
+        below = {"walk_threshold_m": walk - 0.01, "time_gate_min": gap - 0.01,
+                 "max_transfers": alt.transfers - 1, "cost_ratio": 0.49}
+        for parameter in PARAMETERS:
+            values = [float(getattr(cfg, parameter)), below[parameter]]
+            if values[1] < 0:  # a direct journey has no fewer transfers
+                values.pop()
+            report = elasticity_sweep([trip], _PLANNER, _NET, _LEX, cfg, parameter, values)
+            assert report.ratios == [1.0, 0.0][:len(values)], parameter
+
+    def test_duration_equal_to_gate_takes_the_short_trip_branch(self):
+        # transit takes about 16.6 min against a 10-minute trip; with
+        # time_ratio 1.5 the long-trip branch fails (16.6 > 15), and the
+        # short-trip branch passes (gap 6.6 <= gate) while duration <= gate
+        alt = _PLANNER.plan(M1[0], M1[1] + 300 * LAT_M, M4[0], M4[1])
+        trip = _trip((M1[0], M1[1] + 300 * LAT_M), M4, duration=10)
+        cfg = ClassifierConfig(time_ratio=1.5)
+        assert alt.t_pt_min > 1.5 * 10 and alt.t_pt_min - 10 <= 9
+        report = elasticity_sweep([trip], _PLANNER, _NET, _LEX, cfg,
+                                  "time_gate_min", [15.0, 10.0, 9.0])
+        assert report.ratios == [1.0, 1.0, 0.0]
