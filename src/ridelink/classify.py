@@ -28,7 +28,8 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .ingest import CANONICAL_COLUMNS, DEFAULT_EPOCH, TripRecord, format_time, parse_time
+from .ingest import (DEFAULT_EPOCH, TripRecord, has_request_times, parse_trip_row,
+                     read_trip_header, trip_cells, trip_header)
 from .ptnet import PtAlternative, TransitNetwork, is_in_service
 
 FIRST_MILE = "first_mile_complementary"
@@ -232,58 +233,45 @@ def write_classified(
     path: str,
     epoch=DEFAULT_EPOCH,
 ) -> None:
+    """Write the trip columns of ``trips_clean.csv``, then the four label columns."""
     if len(trips) != len(results):
         raise ValueError("trips and results must align")
-    # request_time is schema-optional: carried only when every trip has one,
-    # mirroring the canonical trip writer
-    with_request = bool(trips) and all(t.request_min is not None for t in trips)
-    request_col = ("request_time",) if with_request else ()
+    with_request = has_request_times(trips)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CANONICAL_COLUMNS + request_col + CLASSIFIED_EXTRA_COLUMNS)
+        writer.writerow(trip_header(with_request) + CLASSIFIED_EXTRA_COLUMNS)
         for t, r in zip(trips, results):
-            row = [
-                t.plate_id, repr(t.olon), repr(t.olat), t.pickup_label,
-                format_time(t.pickup_min, epoch), repr(t.dlon), repr(t.dlat),
-                t.dropoff_label, format_time(t.dropoff_min, epoch),
-                repr(t.distance_km), repr(t.cost),
-            ]
-            if with_request:
-                row.append(format_time(t.request_min, epoch))
-            row.extend([
+            writer.writerow(trip_cells(t, epoch, with_request) + [
                 r.label, r.failed_condition or "", r.matched_station or "",
                 "true" if r.both_ends_station else "false",
             ])
-            writer.writerow(row)
 
 
-def read_classified(path: str, epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
-    """Reload a classified-trip CSV. Traces are not persisted, so they come back empty."""
+def read_classified(path: str, bbox: tuple[float, float, float, float],
+                    epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
+    """Reload a classified-trip CSV in one pass: each row's trip columns are
+    checked as ``ingest`` checks ``trips_clean.csv``. The first bad row raises a
+    ``ValueError`` naming its line. Traces are not persisted, so come back empty."""
     trips: list[TripRecord] = []
     results: list[TripClass] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            request = row.get("request_time")
-            trips.append(TripRecord(
-                plate_id=row["plate_id"],
-                olon=float(row["olon"]), olat=float(row["olat"]),
-                pickup_label=row["pickup_label"],
-                pickup_min=parse_time(row["pickup_time"], epoch),
-                dlon=float(row["dlon"]), dlat=float(row["dlat"]),
-                dropoff_label=row["dropoff_label"],
-                dropoff_min=parse_time(row["dropoff_time"], epoch),
-                distance_km=float(row["distance_km"]),
-                cost=float(row["cost"]),
-                request_min=parse_time(request, epoch) if request else None,
-            ))
-            label = row["label"]
-            if label not in ALL_LABELS:
-                raise ValueError(f"unknown trip label {label!r} in {path}")
+        reader = csv.reader(handle)
+        layout = read_trip_header(reader, extra=CLASSIFIED_EXTRA_COLUMNS)
+        label_at, failed_at, station_at, both_at = layout.extra
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                trips.append(parse_trip_row(row, layout, bbox, epoch))
+                if row[label_at] not in ALL_LABELS:
+                    raise ValueError(f"unknown trip label {row[label_at]!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno} of {path}: {exc}") from None
             results.append(TripClass(
-                label=label,
-                failed_condition=row["failed_condition"] or None,
-                matched_station=row["matched_station"] or None,
-                both_ends_station=row["both_ends_station"] == "true",
+                label=row[label_at],
+                failed_condition=row[failed_at] or None,
+                matched_station=row[station_at] or None,
+                both_ends_station=row[both_at] == "true",
             ))
     return trips, results
 

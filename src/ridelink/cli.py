@@ -362,21 +362,12 @@ def _load_city_network(cfg: RunConfig):
         raise InputError(f"transit network failed to load: {exc}") from None
 
 
-def _parse_trips_file(path, bbox, epoch, columns=None):
-    """Parse a canonical trip CSV, opting in to the optional waiting-time
-    column whenever the header carries one."""
-    mapping = dict(columns or {})
-    if "request_time" not in mapping:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            header = next(csv.reader(handle), [])
-        if "request_time" in [h.strip() for h in header]:
-            mapping["request_time"] = "request_time"
-    return parse_trips(str(path), bbox, epoch, mapping or None)
-
-
 def _read_clean_trips(cfg: RunConfig):
     path = cfg.need_artifact("trips_clean")
-    trips, rejections = _parse_trips_file(path, cfg.bbox(), cfg.epoch)
+    try:
+        trips, rejections = parse_trips(str(path), cfg.bbox(), cfg.epoch)
+    except SchemaError as exc:
+        raise InputError(f"cleaned trips artifact is unreadable: {exc}; re-run 'ingest'") from None
     if rejections:
         raise InputError(f"cleaned trips artifact has {len(rejections)} "
                          f"unreadable rows; re-run 'ingest'")
@@ -384,10 +375,11 @@ def _read_clean_trips(cfg: RunConfig):
 
 def _read_classified(cfg: RunConfig):
     path = cfg.need_artifact("classified")
+    bbox = cfg.bbox()
     try:
-        return read_classified(str(path), cfg.epoch)
-    except (KeyError, ValueError) as exc:
-        raise InputError(f"classified artifact is corrupt: {exc}") from None
+        return read_classified(str(path), bbox, cfg.epoch)
+    except ValueError as exc:
+        raise InputError(f"classified artifact is corrupt: {exc}; re-run 'classify'") from None
 
 
 def _grid(cfg: RunConfig):
@@ -425,8 +417,8 @@ def cmd_synth(cfg: RunConfig, args) -> None:
 def cmd_ingest(cfg: RunConfig, args) -> None:
     trips_path = cfg.input_file("trips")
     try:
-        trips, rejections = _parse_trips_file(
-            trips_path, cfg.bbox(), cfg.epoch,
+        trips, rejections = parse_trips(
+            str(trips_path), cfg.bbox(), cfg.epoch,
             cfg.data["ingest"].get("columns"))
     except SchemaError as exc:
         raise InputError(f"trip schema error: {exc}") from None
@@ -503,7 +495,7 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
 
 
 def cmd_features(cfg: RunConfig, args) -> None:
-    trips, results = _read_classified(cfg)
+    trips, _ = _read_classified(cfg)
     net = _load_city_network(cfg)
     grid = _grid(cfg)
     stats = hexgrid.read_cell_stats(str(cfg.need_artifact("cells")))
@@ -519,7 +511,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
                   if pop_path else [])
     roads = features.load_roads(str(roads_path)) if roads_path else None
     try:
-        matrix = features.assemble_features(grid, stats, net, trips, results,
+        matrix = features.assemble_features(grid, stats, net, trips,
                                             cfg.days, cfg.target, pois,
                                             population, roads)
     except ValueError as exc:
@@ -611,6 +603,14 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
+    parameters = args.parameter or cfg.data["elasticity"]["parameters"]
+    sweeps = cfg.data["elasticity"]["values"]
+    if not (isinstance(parameters, list) and all(isinstance(p, str) for p in parameters)):
+        raise ConfigError(f"elasticity.parameters must be a list of names, got {parameters!r}")
+    if len(set(parameters)) != len(parameters):
+        raise ConfigError(f"elasticity parameters must not repeat, got {parameters!r}")
+    if not isinstance(sweeps, dict):
+        raise ConfigError(f"elasticity.values must map parameters to lists, got {sweeps!r}")
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     planner = cfg.planner(net)
@@ -618,10 +618,9 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
     plan = CachedPlanner.load(str(alts), planner) if alts.exists() else planner
     lexicon = station_lexicon(net)
     classifier = cfg.classifier()
-    parameters = args.parameter or list(cfg.data["elasticity"]["parameters"])
     reports = []
     for parameter in parameters:
-        values = cfg.data["elasticity"]["values"].get(parameter)
+        values = sweeps.get(parameter)
         if not values:
             raise ConfigError(f"no sweep values configured for {parameter!r}")
         try:

@@ -23,10 +23,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classify import TripClass
 from .geo import great_circle_m
 from .hexgrid import HexGrid, axial_center_xy, cell_center, cell_id, locate
-from .ingest import TripRecord
+from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
 
 POI_CATEGORIES = ("residence", "retail", "catering", "enterprise")
@@ -321,7 +320,6 @@ def poi_and_population(
 
 def tnc_travel_columns(
     trips: Sequence[TripRecord],
-    results: Sequence[TripClass],
     grid: HexGrid,
     days: int,
     side: str,
@@ -334,7 +332,7 @@ def tnc_travel_columns(
     if days < 1:
         raise ValueError("days must be >= 1")
     members = grid.cell_set()
-    with_wait = bool(trips) and all(t.request_min is not None for t in trips)
+    with_wait = has_request_times(trips)
     acc: dict[str, list[float]] = {cell_id(q, r): [0, 0.0, 0.0, 0.0] for q, r in grid.cells}
     for trip in trips:
         lon, lat = ((trip.olon, trip.olat) if side == "origin"
@@ -381,7 +379,6 @@ def assemble_features(
     stats: dict,
     net: TransitNetwork,
     trips: Sequence[TripRecord],
-    results: Sequence[TripClass],
     days: int,
     target: str,
     pois: Sequence[tuple[float, float, str]] = (),
@@ -397,7 +394,7 @@ def assemble_features(
     densities = station_densities(grid, net)
     road_cols = road_metrics(grid, roads if roads is not None else RoadGraph([], []))
     env_cols = poi_and_population(grid, pois, population)
-    ride_cols = tnc_travel_columns(trips, results, grid, days, side)
+    ride_cols = tnc_travel_columns(trips, grid, days, side)
 
     with_wait = any(row["avg_wait_min"] is not None for row in ride_cols.values())
     names = [n for n in COLUMN_SCHEMA if with_wait or n != "avg_wait_min"]

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from .geo import LocalProjection, point_in_ring
-from .ingest import TripRecord
+from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
 
 SQRT3 = math.sqrt(3.0)
@@ -387,7 +387,7 @@ def trip_stats(
     when the input schema carries request timestamps on every trip."""
     if len(trips) != len(results):
         raise ValueError("trips and results must align")
-    with_wait = bool(trips) and all(t.request_min is not None for t in trips)
+    with_wait = has_request_times(trips)
     per_class: dict[str, dict[str, list[float]]] = {}
     for trip, res in zip(trips, results):
         bucket = per_class.setdefault(res.label, {"travel_min": [], "fare_per_km": [], "wait_min": []})

@@ -7,8 +7,11 @@ The canonical trip table is a UTF-8 CSV with header
 Timestamps use the ``YYYY/M/D HH:MM`` form (month/day unpadded) and are read in
 the configured local timezone with no DST handling; internally every time is an
 integer count of minutes since midnight of a configurable epoch date, so
-``t % 1440`` is minutes-of-day. An optional ``request_time`` column, when mapped,
-yields pick-up waiting times.
+``t % 1440`` is minutes-of-day. An optional ``request_time`` column, read
+whenever the header has one, yields pick-up waiting times.
+
+The trip columns of both ``trips_clean.csv`` and ``classified.csv`` are read by
+:func:`read_trip_header` and :func:`parse_trip_row` and written by :func:`trip_cells`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -137,6 +140,104 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def has_request_times(trips: Sequence[TripRecord]) -> bool:
+    """True when every trip carries a request time, the condition under which
+    the optional ``request_time`` column is written and waiting times exist."""
+    return bool(trips) and all(t.request_min is not None for t in trips)
+
+
+def trip_header(with_request: bool) -> tuple[str, ...]:
+    return CANONICAL_COLUMNS + (("request_time",) if with_request else ())
+
+
+def trip_cells(t: TripRecord, epoch: _dt.date, with_request: bool) -> list[str]:
+    """One trip's cells under :func:`trip_header`; floats use repr so a reparse is lossless."""
+    row = [t.plate_id, repr(t.olon), repr(t.olat), t.pickup_label, format_time(t.pickup_min, epoch),
+           repr(t.dlon), repr(t.dlat), t.dropoff_label, format_time(t.dropoff_min, epoch),
+           repr(t.distance_km), repr(t.cost)]
+    if with_request:
+        row.append(format_time(t.request_min, epoch))
+    return row
+
+
+class TripLayout(NamedTuple):
+    index: tuple[int, ...]  # header position of each CANONICAL_COLUMNS field
+    request: Optional[int]  # position of the request_time column, if any
+    extra: tuple[int, ...]  # positions of the caller's extra columns
+    width: int
+
+
+def read_trip_header(reader, columns: Optional[dict[str, str]] = None,
+                     extra: Sequence[str] = ()) -> TripLayout:
+    """Read the header row and locate the trip columns in it.
+
+    ``columns`` maps canonical field names to header names. ``request_time``
+    is read from the column so named (or mapped) whenever the header has it.
+    Each required field, each ``extra`` name and a present ``request_time``
+    must appear exactly once, else :class:`SchemaError`.
+    """
+    columns = columns or {}
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise SchemaError("empty input: no header row") from None
+
+    def position(canon: str, kind: str = "required", needed: bool = True) -> Optional[int]:
+        wanted = columns.get(canon, canon)
+        hits = [i for i, h in enumerate(header) if h == wanted]
+        if len(hits) > 1 or (needed and not hits):
+            raise SchemaError(f"{kind} column {wanted!r} ({canon}) appears {len(hits)} times in header")
+        return hits[0] if hits else None
+
+    return TripLayout(
+        index=tuple(position(c) for c in CANONICAL_COLUMNS),
+        request=position("request_time", "optional", needed="request_time" in columns),
+        extra=tuple(position(c) for c in extra),
+        width=len(header),
+    )
+
+
+def parse_trip_row(row: Sequence[str], layout: TripLayout,
+                   bbox: tuple[float, float, float, float], epoch: _dt.date) -> TripRecord:
+    """Parse and check one data row; a bad row raises ``ValueError(reason)``.
+
+    The reasons, in the order checked: wrong column count, bad timestamp, bad
+    number, dropoff not after pickup, nonpositive distance, negative cost,
+    coordinates outside bbox.
+    """
+    if len(row) != layout.width:
+        raise ValueError("wrong column count")
+    (plate_id, olon, olat, pickup_label, pickup_time, dlon, dlat, dropoff_label,
+     dropoff_time, distance_km, cost) = [row[i].strip() for i in layout.index]
+    try:
+        pickup_min = parse_time(pickup_time, epoch)
+        dropoff_min = parse_time(dropoff_time, epoch)
+        request_min = None
+        if layout.request is not None and row[layout.request].strip():
+            request_min = parse_time(row[layout.request], epoch)
+    except ValueError:
+        raise ValueError("bad timestamp") from None
+    try:
+        olon, olat = _parse_float(olon), _parse_float(olat)
+        dlon, dlat = _parse_float(dlon), _parse_float(dlat)
+        distance_km = _parse_float(distance_km)
+        cost = _parse_float(cost)
+    except ValueError:
+        raise ValueError("bad number") from None
+    if dropoff_min <= pickup_min:
+        raise ValueError("dropoff not after pickup")
+    if distance_km <= 0.0:
+        raise ValueError("nonpositive distance")
+    if cost < 0.0:
+        raise ValueError("negative cost")
+    lon_min, lat_min, lon_max, lat_max = bbox
+    if not (lon_min <= olon <= lon_max and lat_min <= olat <= lat_max
+            and lon_min <= dlon <= lon_max and lat_min <= dlat <= lat_max):
+        raise ValueError("coordinates outside bbox")
+    return TripRecord(plate_id, olon, olat, pickup_label, pickup_min, dlon, dlat,
+                      dropoff_label, dropoff_min, distance_km, cost, request_min)
+
+
 def parse_trips(
     source: str | TextIO,
     bbox: tuple[float, float, float, float],
@@ -146,11 +247,12 @@ def parse_trips(
     """Read the canonical trip CSV.
 
     ``columns`` maps canonical field names to the actual header names (fields
-    not listed keep their canonical name; a ``request_time`` entry enables the
-    optional waiting-time column). A missing required column raises
-    :class:`SchemaError`. Malformed rows never abort the run: each one becomes a
-    :class:`Rejection` with a stable reason string, and valid rows are returned
-    in input order.
+    not listed keep their canonical name; a ``request_time`` entry names the
+    optional waiting-time column, which is otherwise read whenever the header
+    has a ``request_time`` column). A missing or repeated column raises
+    :class:`SchemaError`. Malformed rows never abort the run: each one becomes
+    a :class:`Rejection` with the reason from :func:`parse_trip_row`, and valid
+    rows are returned in input order.
 
     ``bbox`` is ``(lon_min, lat_min, lon_max, lat_max)``; both trip endpoints
     must fall inside it.
@@ -162,102 +264,31 @@ def parse_trips(
     else:
         handle = source
     try:
-        return _parse_trip_rows(csv.reader(handle), bbox, epoch, columns or {})
+        reader = csv.reader(handle)
+        layout = read_trip_header(reader, columns)
+        trips: list[TripRecord] = []
+        rejections: list[Rejection] = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                trips.append(parse_trip_row(row, layout, bbox, epoch))
+            except ValueError as exc:
+                rejections.append(Rejection(lineno, str(exc)))
+        return trips, rejections
     finally:
         if close_after:
             handle.close()
 
 
-def _parse_trip_rows(reader, bbox, epoch, columns) -> tuple[list[TripRecord], list[Rejection]]:
-    lon_min, lat_min, lon_max, lat_max = bbox
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("empty input: no header row") from None
-    header = [h.strip() for h in header]
-
-    name_of = {canon: columns.get(canon, canon) for canon in CANONICAL_COLUMNS}
-    index_of: dict[str, int] = {}
-    for canon in CANONICAL_COLUMNS:
-        wanted = name_of[canon]
-        hits = [i for i, h in enumerate(header) if h == wanted]
-        if len(hits) != 1:
-            raise SchemaError(f"required column {wanted!r} ({canon}) appears {len(hits)} times in header")
-        index_of[canon] = hits[0]
-    request_idx = None
-    if "request_time" in columns:
-        wanted = columns["request_time"]
-        hits = [i for i, h in enumerate(header) if h == wanted]
-        if len(hits) != 1:
-            raise SchemaError(f"optional column {wanted!r} (request_time) appears {len(hits)} times in header")
-        request_idx = hits[0]
-
-    width = len(header)
-    trips: list[TripRecord] = []
-    rejections: list[Rejection] = []
-    lineno = 1
-    for row in reader:
-        lineno += 1
-        if not row:
-            continue
-        if len(row) != width:
-            rejections.append(Rejection(lineno, "wrong column count"))
-            continue
-        def cell(canon: str) -> str:
-            return row[index_of[canon]].strip()
-        try:
-            pickup_min = parse_time(cell("pickup_time"), epoch)
-            dropoff_min = parse_time(cell("dropoff_time"), epoch)
-            request_min = None
-            if request_idx is not None and row[request_idx].strip():
-                request_min = parse_time(row[request_idx].strip(), epoch)
-        except ValueError:
-            rejections.append(Rejection(lineno, "bad timestamp"))
-            continue
-        try:
-            olon, olat = _parse_float(cell("olon")), _parse_float(cell("olat"))
-            dlon, dlat = _parse_float(cell("dlon")), _parse_float(cell("dlat"))
-            distance_km = _parse_float(cell("distance_km"))
-            cost = _parse_float(cell("cost"))
-        except ValueError:
-            rejections.append(Rejection(lineno, "bad number"))
-            continue
-        if dropoff_min <= pickup_min:
-            rejections.append(Rejection(lineno, "dropoff not after pickup"))
-            continue
-        if distance_km <= 0.0:
-            rejections.append(Rejection(lineno, "nonpositive distance"))
-            continue
-        if cost < 0.0:
-            rejections.append(Rejection(lineno, "negative cost"))
-            continue
-        if not (lon_min <= olon <= lon_max and lat_min <= olat <= lat_max
-                and lon_min <= dlon <= lon_max and lat_min <= dlat <= lat_max):
-            rejections.append(Rejection(lineno, "coordinates outside bbox"))
-            continue
-        trips.append(TripRecord(
-            plate_id=cell("plate_id"),
-            olon=olon, olat=olat,
-            pickup_label=cell("pickup_label"),
-            pickup_min=pickup_min,
-            dlon=dlon, dlat=dlat,
-            dropoff_label=cell("dropoff_label"),
-            dropoff_min=dropoff_min,
-            distance_km=distance_km,
-            cost=cost,
-            request_min=request_min,
-        ))
-    return trips, rejections
-
-
 def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.date = DEFAULT_EPOCH) -> None:
-    """Write the canonical trip CSV. Floats use repr so a reparse is lossless.
+    """Write the canonical trip CSV through :func:`trip_cells`.
 
     A ``request_time`` column is appended when every trip carries one, so the
     optional waiting-time signal survives a write/parse cycle.
     """
     rows = list(trips)
-    with_request = bool(rows) and all(t.request_min is not None for t in rows)
+    with_request = has_request_times(rows)
     close_after = False
     if isinstance(target, str):
         handle: TextIO = open(target, "w", encoding="utf-8", newline="")
@@ -266,22 +297,9 @@ def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.da
         handle = target
     try:
         writer = csv.writer(handle)
-        header = CANONICAL_COLUMNS + (("request_time",) if with_request else ())
-        writer.writerow(header)
+        writer.writerow(trip_header(with_request))
         for t in rows:
-            row = [
-                t.plate_id,
-                repr(t.olon), repr(t.olat),
-                t.pickup_label,
-                format_time(t.pickup_min, epoch),
-                repr(t.dlon), repr(t.dlat),
-                t.dropoff_label,
-                format_time(t.dropoff_min, epoch),
-                repr(t.distance_km), repr(t.cost),
-            ]
-            if with_request:
-                row.append(format_time(t.request_min, epoch))
-            writer.writerow(row)
+            writer.writerow(trip_cells(t, epoch, with_request))
     finally:
         if close_after:
             handle.close()
@@ -385,11 +403,17 @@ __all__ = [
     "IqrFilterReport",
     "Rejection",
     "SchemaError",
+    "TripLayout",
     "TripRecord",
     "format_time",
+    "has_request_times",
     "iqr_filter",
     "parse_time",
+    "parse_trip_row",
     "parse_trips",
+    "read_trip_header",
+    "trip_cells",
+    "trip_header",
     "write_iqr_reports",
     "write_rejections",
     "write_trips",

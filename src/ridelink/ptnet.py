@@ -213,9 +213,9 @@ def format_hhmm(minutes: int) -> str:
 def load_network(
     stations_path: str,
     routes_path: str,
-    fares: FareRules | str | dict | None = None,
+    fares: Optional[str] = None,
 ) -> TransitNetwork:
-    """Load stations/routes CSVs plus fare rules (JSON path, dict, or object)."""
+    """Load stations/routes CSVs plus fare rules from a JSON path (defaults when None)."""
     stations: dict[str, Station] = {}
     with open(stations_path, "r", encoding="utf-8", newline="") as handle:
         for row in csv.DictReader(handle):
@@ -251,13 +251,8 @@ def load_network(
                 speed_kmh=float(row["speed_kmh"]),
                 fare_class=mode,
             )
-    if fares is None:
-        fare_rules = FareRules()
-    elif isinstance(fares, FareRules):
-        fare_rules = fares
-    elif isinstance(fares, dict):
-        fare_rules = FareRules(**fares)
-    else:
+    fare_rules = FareRules()
+    if fares is not None:
         with open(fares, "r", encoding="utf-8") as handle:
             fare_rules = FareRules(**json.load(handle))
     net = TransitNetwork(stations=stations, routes=routes, fares=fare_rules)
@@ -519,32 +514,25 @@ class NetworkPlanner:
         return legs, transfers, access_walk_m
 
 
-def is_in_service(net: TransitNetwork, subject, interval: tuple[int, int]) -> bool:
+def is_in_service(net: TransitNetwork, alt: Optional[PtAlternative],
+                  interval: tuple[int, int]) -> bool:
     """Check service windows against a trip interval (minutes since epoch).
 
     The operative instant is the trip start: a window counts when it contains
     ``interval[0]`` expressed as minutes-of-day, boundaries inclusive.
 
-    ``subject`` selects the routes to test: a :class:`PtAlternative` with legs
-    requires *every* leg's route window to contain the start; an alternative
-    without legs (or None) falls back to "any route in the network", and an
-    iterable of station ids means "any route serving one of these stations".
+    An available ``alt`` with legs requires *every* leg's route window to
+    contain the start; an alternative without legs (or None) falls back to
+    "any route in the network".
     """
     tod = interval[0] % 1440
 
     def window_ok(route: Route) -> bool:
         return route.service_start <= tod <= route.service_end
 
-    if isinstance(subject, PtAlternative):
-        if subject.available and subject.legs:
-            return all(window_ok(net.routes[l.route_id]) for l in subject.legs)
-        subject = None
-    if subject is None:
-        return any(window_ok(net.routes[rid]) for rid in sorted(net.routes))
-    route_ids: set[str] = set()
-    for sid in subject:
-        route_ids.update(net.routes_at(sid))
-    return any(window_ok(net.routes[rid]) for rid in sorted(route_ids))
+    if alt is not None and alt.available and alt.legs:
+        return all(window_ok(net.routes[l.route_id]) for l in alt.legs)
+    return any(window_ok(net.routes[rid]) for rid in sorted(net.routes))
 
 
 def station_lexicon(net: TransitNetwork) -> dict[str, tuple[str, ...]]:

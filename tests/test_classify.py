@@ -1,9 +1,13 @@
 import csv
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cityfix import build_city
 from matrix_cases import build_condition_matrix
@@ -25,12 +29,13 @@ from ridelink.classify import (
     write_classified,
     write_summary,
 )
-from ridelink.ingest import TripRecord
+from ridelink.ingest import TripRecord, parse_trips, write_trips
 from ridelink.ptnet import NetworkPlanner, PtAlternative, station_lexicon
 
 _NET = build_city()
 _LEX = station_lexicon(_NET)
 _CASES = build_condition_matrix(_NET, _LEX)
+_BBOX = (120.9, 30.9, 121.1, 31.1)  # around build_city()
 
 
 class TestNormalizeLabel:
@@ -235,7 +240,7 @@ class TestClassifiedRoundtrip:
         results, summary = classify_all(trips, city_planner, _NET, _LEX)
         path = tmp_path / "classified.csv"
         write_classified(trips, results, str(path))
-        trips2, results2 = read_classified(str(path))
+        trips2, results2 = read_classified(str(path), _BBOX)
         assert trips2 == trips
         for a, b in zip(results, results2):
             assert (a.label, a.failed_condition, a.matched_station,
@@ -262,7 +267,7 @@ class TestClassifiedRoundtrip:
         with open(path, newline="") as handle:
             header = next(csv.reader(handle))
         assert "request_time" in header
-        trips2, _ = read_classified(str(path))
+        trips2, _ = read_classified(str(path), _BBOX)
         assert trips2 == trips
 
     def test_mismatched_lengths_rejected(self, tmp_path):
@@ -277,7 +282,7 @@ class TestClassifiedRoundtrip:
         text = path.read_text().replace("independent", "mystery")
         path.write_text(text)
         with pytest.raises(ValueError, match="unknown trip label"):
-            read_classified(str(path))
+            read_classified(str(path), _BBOX)
 
     def test_summary_json(self, tmp_path):
         import json
@@ -285,3 +290,73 @@ class TestClassifiedRoundtrip:
         path = tmp_path / "summary.json"
         write_summary(summary, str(path))
         assert json.loads(path.read_text()) == summary
+
+
+_LABEL_TEXT = st.text(alphabet='abZ09 ,"\'-', max_size=12).map(str.strip)
+
+
+@st.composite
+def _trip_and_class(draw, timed):
+    lon = st.floats(_BBOX[0], _BBOX[2])
+    lat = st.floats(_BBOX[1], _BBOX[3])
+    pickup = draw(st.integers(0, 30 * 1440))
+    request = draw(st.integers(0, 90).map(lambda w: pickup - w) if timed
+                   else st.none() | st.integers(pickup - 90, pickup))
+    trip = TripRecord(
+        draw(_LABEL_TEXT), draw(lon), draw(lat), draw(_LABEL_TEXT), pickup,
+        draw(lon), draw(lat), draw(_LABEL_TEXT), pickup + draw(st.integers(1, 600)),
+        draw(st.floats(1e-6, 500.0)), draw(st.floats(0.0, 1e4)), request)
+    result = TripClass(draw(st.sampled_from(ALL_LABELS)),
+                       draw(st.none() | st.sampled_from(CONDITIONS)),
+                       draw(st.none() | st.sampled_from(sorted(_NET.stations))),
+                       draw(st.booleans()))
+    return trip, result
+
+
+class TestOneTripCodec:
+    """``classified.csv`` is ``trips_clean.csv`` plus four label columns, read
+    with the same checks."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans().flatmap(lambda timed: st.lists(_trip_and_class(timed), max_size=6)))
+    def test_classified_extends_trips_clean(self, rows):
+        trips = [t for t, _ in rows]
+        results = [r for _, r in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            clean, classified = Path(tmp, "trips_clean.csv"), Path(tmp, "classified.csv")
+            write_trips(trips, str(clean))
+            write_classified(trips, results, str(classified))
+            clean_lines = clean.read_bytes().split(b"\r\n")
+            classified_lines = classified.read_bytes().split(b"\r\n")
+            assert len(clean_lines) == len(classified_lines) == len(trips) + 2
+            for plain, labelled in zip(clean_lines[:-1], classified_lines):
+                assert labelled.startswith(plain + b",")
+            parsed, rejections = parse_trips(str(clean), _BBOX)
+            trips2, results2 = read_classified(str(classified), _BBOX)
+        assert rejections == []
+        if not all(t.request_min is not None for t in trips):  # written only when all have one
+            trips = [replace(t, request_min=None) for t in trips]
+        assert trips2 == parsed == trips
+        assert [(r.label, r.failed_condition, r.matched_station, r.both_ends_station)
+                for r in results2] == [
+            (r.label, r.failed_condition, r.matched_station, r.both_ends_station)
+            for r in results]
+
+    @pytest.mark.parametrize("edit,reason", [
+        (lambda row: row.__setitem__(1, "nan"), "bad number"),
+        (lambda row: row.__setitem__(8, row[4]), "dropoff not after pickup"),
+        (lambda row: row.pop(), "wrong column count"),
+        (lambda row: row.__setitem__(2, "31.5"), "coordinates outside bbox"),
+    ], ids=["nan", "dropoff", "width", "bbox"])
+    def test_first_bad_row_names_its_line(self, city_planner, tmp_path, edit, reason):
+        trips = TestClassifyAll()._trips()
+        results, _ = classify_all(trips, city_planner, _NET, _LEX)
+        path = tmp_path / "classified.csv"
+        write_classified(trips, results, str(path))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        edit(rows[3])
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=f"^line 4 of .*: {reason}$"):
+            read_classified(str(path), _BBOX)

@@ -445,6 +445,61 @@ class TestErrorContract:
         error = json.loads(err)["error"]
         assert "'zz_unknown'" in error and "re-run 'classify'" in error
 
+    @pytest.mark.parametrize("case", ["nan_coordinate", "dropoff_not_after_pickup",
+                                      "wrong_column_count", "outside_bbox"])
+    @pytest.mark.parametrize("stage", ["gridify", "features"])
+    def test_bad_classified_row_names_its_line(self, pipeline, tmp_path, case, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "classified.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        header, row = rows[0], rows[3]  # line 4
+        if case == "nan_coordinate":
+            row[header.index("olat")] = "nan"
+        elif case == "dropoff_not_after_pickup":
+            row[header.index("dropoff_time")] = row[header.index("pickup_time")]
+        elif case == "wrong_column_count":
+            row.append("extra")
+        else:
+            lon_max = json.loads((copy / "city" / "scenario.json").read_text())["bbox"][2]
+            row[header.index("dlon")] = repr(lon_max + 0.5)
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, _, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert "line 4 " in error and "re-run 'classify'" in error
+
+    @pytest.mark.parametrize("stage", ["plan", "classify", "elasticity"])
+    def test_headerless_clean_trips(self, pipeline, tmp_path, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "trips_clean.csv").write_text("")
+        code, _, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        assert "re-run 'ingest'" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("extra", [
+        ["--set", "elasticity.values=5"],
+        ["--set", "elasticity.parameters=5"],
+        ["--parameter", "walk_threshold_m", "--parameter", "walk_threshold_m"],
+        ["--set", 'elasticity.parameters=["time_gate_min","walk_threshold_m","time_gate_min"]'],
+    ], ids=["values_not_a_map", "parameters_not_a_list", "flag_repeated", "config_repeated"])
+    def test_bad_elasticity_parameters(self, pipeline, tmp_path, extra):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "elasticity.csv").unlink()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridelink", "elasticity", "--workspace", str(copy), *extra],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stderr)["kind"] == "config"
+        assert not (copy / "elasticity.csv").exists()
+
     def test_partial_alternatives_cache(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline
         broken = tmp_path / "w"

@@ -343,7 +343,7 @@ class TestTncTravelColumns:
         lon, lat = cell_center(grid, *grid.cells[2])
         trips = [_trip(lon, lat, 121.049, 31.001, duration=10),
                  _trip(lon, lat, 121.049, 31.001, duration=20)]
-        cols = tnc_travel_columns(trips, [None, None], grid, days=1, side="origin")
+        cols = tnc_travel_columns(trips, grid, days=1, side="origin")
         cid = cell_id(*grid.cells[2])
         assert cols[cid]["avg_travel_min"] == pytest.approx(15.0)
         assert cols[cid]["n_trips_daily"] == pytest.approx(2.0)
@@ -353,8 +353,8 @@ class TestTncTravelColumns:
         o = cell_center(grid, *grid.cells[1])
         d = cell_center(grid, *grid.cells[-2])
         trips = [_trip(o[0], o[1], d[0], d[1])]
-        dest = tnc_travel_columns(trips, [None], grid, days=1, side="destination")
-        orig = tnc_travel_columns(trips, [None], grid, days=1, side="origin")
+        dest = tnc_travel_columns(trips, grid, days=1, side="destination")
+        orig = tnc_travel_columns(trips, grid, days=1, side="origin")
         assert dest[cell_id(*grid.cells[-2])]["n_trips_daily"] == 1.0
         assert dest[cell_id(*grid.cells[1])]["n_trips_daily"] == 0.0
         assert orig[cell_id(*grid.cells[1])]["n_trips_daily"] == 1.0
@@ -363,11 +363,11 @@ class TestTncTravelColumns:
         grid = build_grid(BBOX, 0.5)
         lon, lat = cell_center(grid, *grid.cells[2])
         bare = [_trip(lon, lat, 121.049, 31.001)]
-        cols = tnc_travel_columns(bare, [None], grid, days=1, side="origin")
+        cols = tnc_travel_columns(bare, grid, days=1, side="origin")
         assert all(row["avg_wait_min"] is None for row in cols.values())
         timed = [_trip(lon, lat, 121.049, 31.001, request=4),
                  _trip(lon, lat, 121.049, 31.001, request=8)]
-        cols = tnc_travel_columns(timed, [None, None], grid, days=1, side="origin")
+        cols = tnc_travel_columns(timed, grid, days=1, side="origin")
         assert cols[cell_id(*grid.cells[2])]["avg_wait_min"] == pytest.approx(6.0)
 
     def test_fare_per_km_recompute(self):
@@ -377,7 +377,7 @@ class TestTncTravelColumns:
         trips = [_trip(lon, lat, 121.049, 31.001,
                        distance=float(rng.uniform(2, 30)),
                        cost=float(rng.uniform(10, 90))) for _ in range(25)]
-        cols = tnc_travel_columns(trips, [None] * 25, grid, days=1, side="origin")
+        cols = tnc_travel_columns(trips, grid, days=1, side="origin")
         expected = np.mean([t.cost / t.distance_km for t in trips])
         assert cols[cell_id(*grid.cells[5])]["avg_fare_per_km"] == pytest.approx(expected, rel=1e-12)
 
@@ -385,12 +385,12 @@ class TestTncTravelColumns:
         grid = build_grid(BBOX, 0.5)
         lon, lat = cell_center(grid, *grid.cells[2])
         trips = [_trip(lon, lat, 121.049, 31.001) for _ in range(6)]
-        cols = tnc_travel_columns(trips, [None] * 6, grid, days=3, side="origin")
+        cols = tnc_travel_columns(trips, grid, days=3, side="origin")
         assert cols[cell_id(*grid.cells[2])]["n_trips_daily"] == pytest.approx(2.0)
         with pytest.raises(ValueError):
-            tnc_travel_columns(trips, [None] * 6, grid, days=0, side="origin")
+            tnc_travel_columns(trips, grid, days=0, side="origin")
         with pytest.raises(ValueError):
-            tnc_travel_columns(trips, [None] * 6, grid, days=1, side="midpoint")
+            tnc_travel_columns(trips, grid, days=1, side="midpoint")
 
 
 class TestVifFilter:
@@ -503,7 +503,7 @@ def _mini_world(with_request=True, wide=False):
 class TestAssembleFeatures:
     def test_schema_each_column_exactly_once(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
-        m = assemble_features(grid, stats, net, trips, results, 1, "FCR",
+        m = assemble_features(grid, stats, net, trips, 1, "FCR",
                               pois, population, roads)
         assert m.names == list(COLUMN_SCHEMA)
         assert len(m.names) == len(set(m.names)) == 19
@@ -511,14 +511,14 @@ class TestAssembleFeatures:
 
     def test_wait_column_dropped_without_request_times(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world(False)
-        m = assemble_features(grid, stats, net, trips, results, 1, "FCR",
+        m = assemble_features(grid, stats, net, trips, 1, "FCR",
                               pois, population, roads)
         assert "avg_wait_min" not in m.names
         assert len(m.names) == 18
 
     def test_rows_are_cells_with_defined_target(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
-        m = assemble_features(grid, stats, net, trips, results, 1, "FCR",
+        m = assemble_features(grid, stats, net, trips, 1, "FCR",
                               pois, population, roads)
         defined = [cid for cid in stats if stats[cid].fcr is not None]
         assert m.cell_ids == defined
@@ -526,13 +526,13 @@ class TestAssembleFeatures:
 
     def test_target_values_and_sides(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
-        fcr = assemble_features(grid, stats, net, trips, results, 1, "FCR",
+        fcr = assemble_features(grid, stats, net, trips, 1, "FCR",
                                 pois, population, roads)
         cid_a = cell_id(*grid.cells[3])
         row_a = fcr.cell_ids.index(cid_a)
         assert fcr.y[row_a] == pytest.approx(2.0 / 8.0)
         assert fcr.column("n_trips_daily")[row_a] == pytest.approx(8.0)
-        lcr = assemble_features(grid, stats, net, trips, results, 1, "LCR",
+        lcr = assemble_features(grid, stats, net, trips, 1, "LCR",
                                 pois, population, roads)
         assert set(lcr.cell_ids) == {cid for cid in stats if stats[cid].lcr is not None}
         row_a_dest = lcr.cell_ids.index(cid_a)
@@ -542,13 +542,13 @@ class TestAssembleFeatures:
     def test_unknown_target_rejected(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
         with pytest.raises(ValueError, match="unknown target"):
-            assemble_features(grid, stats, net, trips, results, 1, "XYZ",
+            assemble_features(grid, stats, net, trips, 1, "XYZ",
                               pois, population, roads)
 
     def test_no_missing_values(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
         for target in ("FCR", "LCR", "DSR", "ASR"):
-            m = assemble_features(grid, stats, net, trips, results, 1, target,
+            m = assemble_features(grid, stats, net, trips, 1, target,
                                   pois, population, roads)
             assert np.all(np.isfinite(m.X))
 
@@ -556,7 +556,7 @@ class TestAssembleFeatures:
 class TestSerialization:
     def test_feature_roundtrip(self, tmp_path):
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
-        m = assemble_features(grid, stats, net, trips, results, 1, "DSR",
+        m = assemble_features(grid, stats, net, trips, 1, "DSR",
                               pois, population, roads)
         path = tmp_path / "features.csv"
         schema_path = tmp_path / "features_schema.json"
@@ -583,7 +583,7 @@ class TestSerialization:
 
     def test_apply_vif_projects_matrix(self):
         grid, net, trips, results, stats, pois, population, roads = _mini_world(wide=True)
-        m = assemble_features(grid, stats, net, trips, results, 1, "FCR",
+        m = assemble_features(grid, stats, net, trips, 1, "FCR",
                               pois, population, roads)
         assert m.X.shape[0] >= m.X.shape[1]
         filtered, report = apply_vif(m, threshold=10.0)

@@ -188,6 +188,27 @@ class TestParsing:
         trips, rejections = parse_trips(io.StringIO(csv_text([row])), BBOX)
         assert trips == [] and rejections == [Rejection(2, "bad number")]
 
+    def test_unmapped_request_time_is_read(self):
+        header = list(CANONICAL_COLUMNS) + ["request_time"]
+        text = csv_text([SAMPLE_ROW + ["2022/9/3 08:21"], SAMPLE_ROW + [""]], header)
+        trips, rejections = parse_trips(io.StringIO(text), BBOX)
+        assert rejections == []
+        assert [t.wait_min for t in trips] == [9, None]
+
+    def test_duplicated_request_time_is_fatal(self):
+        header = list(CANONICAL_COLUMNS) + ["request_time", "request_time"]
+        text = csv_text([SAMPLE_ROW + ["2022/9/3 08:21", "2022/9/3 08:22"]], header)
+        with pytest.raises(SchemaError, match="'request_time'.* 2 times"):
+            parse_trips(io.StringIO(text), BBOX)
+
+    def test_mapped_request_time_wins(self):
+        header = list(CANONICAL_COLUMNS) + ["request_time", "ordered"]
+        text = csv_text([SAMPLE_ROW + ["2022/9/3 08:21", "2022/9/3 08:10"]], header)
+        trips, _ = parse_trips(io.StringIO(text), BBOX, columns={"request_time": "ordered"})
+        assert trips[0].wait_min == 20
+        with pytest.raises(SchemaError, match="'booked'"):
+            parse_trips(io.StringIO(text), BBOX, columns={"request_time": "booked"})
+
     def test_roundtrip_is_lossless(self):
         rng = np.random.default_rng(20240915)
         trips = []

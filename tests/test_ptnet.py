@@ -263,11 +263,6 @@ class TestServiceWindows:
         assert not is_in_service(city_net, UNAVAILABLE, (60, 90))
         assert is_in_service(city_net, None, (12 * 60, 12 * 60 + 20))
 
-    def test_station_set_variant(self, city_net):
-        start = 5 * 60 + 45
-        assert is_in_service(city_net, {"m1"}, (start, start + 10))
-        assert not is_in_service(city_net, {"b1"}, (start, start + 10))
-
 
 class TestNetworkIO:
     def test_roundtrip(self, city_net, tmp_path):
