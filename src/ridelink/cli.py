@@ -12,6 +12,9 @@ reads the artifacts of earlier stages by their well-known names and fails
 with a machine-readable error naming the producing subcommand when one is
 missing. Success prints a one-line JSON summary to stdout; failures print a
 JSON error to stderr and exit 2 (input), 3 (config), or 4 (internal).
+
+Every stage runs in its own process, so this module imports only ``errors``
+and the standard library, and each command imports the modules it runs.
 """
 
 from __future__ import annotations
@@ -21,40 +24,19 @@ import copy
 import csv
 import dataclasses
 import datetime as _dt
-import hashlib
 import json
 import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import boost, explain, features, hexgrid, sensitivity, svgchart, synth
-from .classify import (
-    ALL_LABELS,
-    CONDITIONS,
-    ClassifierConfig,
-    classify_all,
-    read_classified,
-    write_classified,
-    write_summary,
-)
 from .errors import CliError, ConfigError, InputError, MissingArtifactError
-from .ingest import (
-    SchemaError,
-    iqr_filter,
-    parse_trips,
-    write_iqr_reports,
-    write_rejections,
-    write_trips,
-)
-from .ptnet import (
-    CachedPlanner,
-    NetworkPlanner,
-    load_network,
-    station_lexicon,
-)
+
+if TYPE_CHECKING:
+    from .classify import ClassifierConfig
+    from .ptnet import NetworkPlanner
 
 DEFAULTS: dict = {
     "workspace": "runs/default",
@@ -228,21 +210,38 @@ class RunConfig:
                               f"{least}, got {value!r}")
         return value
 
-    @property
-    def vif_threshold(self) -> float:
-        value = self.data["features"]["vif_threshold"]
+    def float_setting(self, section: str, key: str, positive: bool = False) -> float:
+        value = self.data[section][key]
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value)):
-            raise ConfigError(f"features.vif_threshold must be a finite number, got {value!r}")
+                or not math.isfinite(value) or (positive and value <= 0)):
+            kind = "finite positive" if positive else "finite"
+            raise ConfigError(f"{section}.{key} must be a {kind} number, got {value!r}")
         return float(value)
 
+    def bool_setting(self, section: str, key: str) -> bool:
+        value = self.data[section][key]
+        if not isinstance(value, bool):
+            raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
+        return value
+
+    @property
+    def ingest_columns(self) -> Optional[dict[str, str]]:
+        columns = self.data["ingest"]["columns"]
+        if columns is not None and not (isinstance(columns, dict) and all(
+                isinstance(k, str) and isinstance(v, str) for k, v in columns.items())):
+            raise ConfigError(f"ingest.columns must map field names to header names, "
+                              f"got {columns!r}")
+        return columns
+
     def classifier(self) -> ClassifierConfig:
+        from .classify import ClassifierConfig
         try:
             return ClassifierConfig(**self.data["classifier"])
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid classifier thresholds: {exc}") from None
 
     def planner(self, net) -> NetworkPlanner:
+        from .ptnet import NetworkPlanner
         try:
             return NetworkPlanner(net, **self.data["planner"])
         except (TypeError, ValueError) as exc:
@@ -352,6 +351,7 @@ def _echo(doc: dict) -> None:
 
 
 def _load_city_network(cfg: RunConfig):
+    from .ptnet import load_network
     stations = cfg.input_file("stations")
     routes = cfg.input_file("routes")
     fares = cfg.input_file("fares", required=False)
@@ -363,6 +363,7 @@ def _load_city_network(cfg: RunConfig):
 
 
 def _read_clean_trips(cfg: RunConfig):
+    from .ingest import SchemaError, parse_trips
     path = cfg.need_artifact("trips_clean")
     try:
         trips, rejections = parse_trips(str(path), cfg.bbox(), cfg.epoch)
@@ -373,7 +374,9 @@ def _read_clean_trips(cfg: RunConfig):
                          f"unreadable rows; re-run 'ingest'")
     return trips
 
+
 def _read_classified(cfg: RunConfig):
+    from .classify import read_classified
     path = cfg.need_artifact("classified")
     bbox = cfg.bbox()
     try:
@@ -383,6 +386,7 @@ def _read_classified(cfg: RunConfig):
 
 
 def _grid(cfg: RunConfig):
+    from . import hexgrid
     try:
         return hexgrid.build_grid(cfg.bbox(), float(cfg.data["grid"]["side_km"]))
     except (TypeError, ValueError) as exc:
@@ -394,6 +398,7 @@ def _grid(cfg: RunConfig):
 
 
 def cmd_synth(cfg: RunConfig, args) -> None:
+    from . import synth
     overrides = dict(cfg.data["synth"])
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -415,16 +420,18 @@ def cmd_synth(cfg: RunConfig, args) -> None:
 
 
 def cmd_ingest(cfg: RunConfig, args) -> None:
+    from .ingest import (SchemaError, iqr_filter, parse_trips, write_iqr_reports,
+                         write_rejections, write_trips)
+    columns = cfg.ingest_columns
+    iqr_k = cfg.float_setting("ingest", "iqr_k", positive=True)
+    per_day = cfg.bool_setting("ingest", "per_day")
     trips_path = cfg.input_file("trips")
     try:
-        trips, rejections = parse_trips(
-            str(trips_path), cfg.bbox(), cfg.epoch,
-            cfg.data["ingest"].get("columns"))
+        trips, rejections = parse_trips(str(trips_path), cfg.bbox(), cfg.epoch, columns)
     except SchemaError as exc:
         raise InputError(f"trip schema error: {exc}") from None
     try:
-        kept, reports = iqr_filter(trips, float(cfg.data["ingest"]["iqr_k"]),
-                                   bool(cfg.data["ingest"]["per_day"]))
+        kept, reports = iqr_filter(trips, iqr_k, per_day)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cfg.workspace.mkdir(parents=True, exist_ok=True)
@@ -437,6 +444,7 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
 
 
 def cmd_plan(cfg: RunConfig, args) -> None:
+    from .ptnet import CachedPlanner
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     cache = CachedPlanner(cfg.planner(net))
@@ -448,6 +456,8 @@ def cmd_plan(cfg: RunConfig, args) -> None:
 
 
 def cmd_classify(cfg: RunConfig, args) -> None:
+    from .classify import CONDITIONS, classify_all, write_classified, write_summary
+    from .ptnet import CachedPlanner, station_lexicon
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     cache = CachedPlanner.load(str(cfg.need_artifact("alternatives")))
@@ -467,6 +477,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 
 
 def cmd_gridify(cfg: RunConfig, args) -> None:
+    from . import hexgrid
     trips, results = _read_classified(cfg)
     net = _load_city_network(cfg)
     unknown = sorted({r.matched_station for r in results if r.matched_station} - set(net.stations))
@@ -495,6 +506,7 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
 
 
 def cmd_features(cfg: RunConfig, args) -> None:
+    from . import features, hexgrid
     trips, _ = _read_classified(cfg)
     net = _load_city_network(cfg)
     grid = _grid(cfg)
@@ -520,7 +532,8 @@ def cmd_features(cfg: RunConfig, args) -> None:
         raise InputError(f"no grid cell has a defined {cfg.target}; "
                          f"nothing to model")
     try:
-        filtered, report = features.apply_vif(matrix, cfg.vif_threshold)
+        filtered, report = features.apply_vif(
+            matrix, cfg.float_setting("features", "vif_threshold"))
     except ValueError as exc:
         raise InputError(str(exc)) from None
     features.write_features(filtered, str(cfg.artifact("features")),
@@ -532,6 +545,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
 
 
 def cmd_train(cfg: RunConfig, args) -> None:
+    from . import boost, features
     matrix = features.read_features(str(cfg.need_artifact("features")))
     if matrix.target != cfg.target:
         raise InputError(
@@ -580,6 +594,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
 
 
 def cmd_explain(cfg: RunConfig, args) -> None:
+    from . import boost, explain, features
     model = boost.load_model(str(cfg.need_artifact("model")))
     matrix = features.read_features(str(cfg.need_artifact("features")))
     if list(model.feature_names) != list(matrix.names):
@@ -603,6 +618,8 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
+    from . import sensitivity
+    from .ptnet import CachedPlanner, station_lexicon
     parameters = args.parameter or cfg.data["elasticity"]["parameters"]
     sweeps = cfg.data["elasticity"]["values"]
     if not (isinstance(parameters, list) and all(isinstance(p, str) for p in parameters)):
@@ -611,24 +628,23 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
         raise ConfigError(f"elasticity parameters must not repeat, got {parameters!r}")
     if not isinstance(sweeps, dict):
         raise ConfigError(f"elasticity.values must map parameters to lists, got {sweeps!r}")
+    missing = [p for p in parameters if not sweeps.get(p)]
+    if missing:
+        raise ConfigError(f"no sweep values configured for {missing[0]!r}")
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     planner = cfg.planner(net)
     alts = cfg.artifact("alternatives")
     plan = CachedPlanner.load(str(alts), planner) if alts.exists() else planner
-    lexicon = station_lexicon(net)
     classifier = cfg.classifier()
+    base = sensitivity.sweep_base(trips, plan, net, station_lexicon(net), classifier)
     reports = []
     for parameter in parameters:
-        values = sweeps.get(parameter)
-        if not values:
-            raise ConfigError(f"no sweep values configured for {parameter!r}")
         try:
-            report = sensitivity.elasticity_sweep(
-                trips, plan, net, lexicon, classifier, parameter, values)
+            reports.append(sensitivity.elasticity_sweep(
+                base, classifier, parameter, sweeps[parameter]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        reports.append(report)
     sensitivity.write_elasticity_csv(reports, str(cfg.artifact("elasticity")))
     for report in reports:
         svg_path = cfg.workspace / f"elasticity_{report.parameter}.svg"
@@ -641,6 +657,10 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
 
 
 def cmd_report(cfg: RunConfig, args) -> None:
+    import hashlib
+
+    from . import hexgrid, svgchart
+    from .classify import ALL_LABELS
     summary_path = cfg.need_artifact("summary")
     cells_path = cfg.need_artifact("cells")
     temporal_path = cfg.need_artifact("temporal")

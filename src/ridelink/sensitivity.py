@@ -6,11 +6,11 @@ baseline-anchored arc elasticity: the percentage change of the share divided
 by the percentage change of the threshold, both measured against the
 baseline configuration.
 
-Only C3-C6 read a threshold. So each trip is planned once and run through
-``classify_trip`` once, at the baseline configuration, which settles its
-service window (C1) and station labels (C2); each sweep point then runs only
-``classify_thresholds`` over the trips that reached C3, and divides by all
-trips as ``summarize`` does.
+Only C3-C6 read a threshold. So :func:`sweep_base` plans each trip once and
+runs it through ``classify_trip`` once, at the baseline configuration, which
+settles its service window (C1) and station labels (C2); every sweep point of
+every parameter then runs only ``classify_thresholds`` over the trips that
+reached C3, and divides by all trips as ``summarize`` does.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import svgchart
 from .classify import SUBSTITUTIVE, ClassifierConfig, classify_thresholds, classify_trip
 from .ingest import TripRecord
-from .ptnet import TransitNetwork
+from .ptnet import PtAlternative, TransitNetwork
 
 PARAMETERS = ("walk_threshold_m", "time_gate_min", "max_transfers", "cost_ratio")
 
@@ -51,6 +51,27 @@ def arc_elasticity(baseline_value: float, baseline_ratio: float,
             / ((value - baseline_value) / baseline_value))
 
 
+class SweepBase(NamedTuple):
+    """The trips that reach C3 at the baseline configuration, each with its
+    journey, out of ``total`` trips."""
+    reaching: list[tuple[TripRecord, PtAlternative]]
+    total: int
+
+
+def sweep_base(
+    trips: Sequence[TripRecord],
+    planner,
+    net: TransitNetwork,
+    lexicon: dict[str, tuple[str, ...]],
+    cfg: ClassifierConfig,
+) -> SweepBase:
+    """Plan and classify each trip once for every sweep over ``trips``.
+    ``planner`` is a ``NetworkPlanner`` or a ``CachedPlanner``."""
+    alts = [planner.plan(t.olon, t.olat, t.dlon, t.dlat) for t in trips]
+    return SweepBase([(t, a) for t, a in zip(trips, alts)
+                      if "C3" in classify_trip(t, a, net, lexicon, cfg).trace], len(trips))
+
+
 def _swept_config(cfg: ClassifierConfig, parameter: str, value: float) -> ClassifierConfig:
     """``cfg`` with one threshold replaced; the config validates the value.
     ``max_transfers`` counts transfers, so a whole point reaches it as ``int``."""
@@ -60,20 +81,17 @@ def _swept_config(cfg: ClassifierConfig, parameter: str, value: float) -> Classi
 
 
 def elasticity_sweep(
-    trips: Sequence[TripRecord],
-    planner,
-    net: TransitNetwork,
-    lexicon: dict[str, tuple[str, ...]],
+    base: SweepBase,
     cfg: ClassifierConfig,
     parameter: str,
     values: Sequence[float],
 ) -> ElasticityReport:
     """Substitutive share and elasticity at each threshold value.
 
-    Each value must make a valid :class:`ClassifierConfig`, and ``values``
-    must include the baseline (the threshold currently set on ``cfg``); the
-    share reported at the baseline is identical to a plain classification run
-    with ``cfg``. ``planner`` is a ``NetworkPlanner`` or a ``CachedPlanner``.
+    ``base`` comes from :func:`sweep_base` with the same ``cfg``. Each value
+    must make a valid :class:`ClassifierConfig`, and ``values`` must include
+    the baseline (the threshold currently set on ``cfg``); the share reported
+    at the baseline is identical to a plain classification run with ``cfg``.
     """
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
@@ -92,14 +110,11 @@ def elasticity_sweep(
         raise ValueError(f"values must include the baseline "
                          f"{parameter}={baseline}")
 
-    alts = [planner.plan(t.olon, t.olat, t.dlon, t.dlat) for t in trips]
-    reaching = [(t, a) for t, a in zip(trips, alts)
-                if "C3" in classify_trip(t, a, net, lexicon, cfg).trace]
     ratios = []
     for swept in configs:
         count = sum(classify_thresholds(trip, alt, swept, {}).label == SUBSTITUTIVE
-                    for trip, alt in reaching)
-        ratios.append(count / len(trips) if trips else 0.0)
+                    for trip, alt in base.reaching)
+        ratios.append(count / base.total if base.total else 0.0)
 
     base_ratio = ratios[points.index(baseline)]
     elasticities = [arc_elasticity(baseline, base_ratio, v, r)
@@ -133,5 +148,5 @@ def elasticity_svg(report: ElasticityReport) -> str:
         x_label=report.parameter, y_label="substitutive share")
 
 
-__all__ = ["PARAMETERS", "ElasticityReport", "arc_elasticity",
-           "elasticity_sweep", "write_elasticity_csv", "elasticity_svg"]
+__all__ = ["PARAMETERS", "ElasticityReport", "SweepBase", "arc_elasticity",
+           "sweep_base", "elasticity_sweep", "write_elasticity_csv", "elasticity_svg"]

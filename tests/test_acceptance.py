@@ -47,7 +47,7 @@ from ridelink.hexgrid import (
 )
 from ridelink.ingest import parse_trips
 from ridelink.ptnet import NetworkPlanner, load_network, station_lexicon
-from ridelink.sensitivity import elasticity_sweep
+from ridelink.sensitivity import elasticity_sweep, sweep_base
 from ridelink.synth import ScenarioSpec, bbox_of, generate, read_ground_truth
 
 
@@ -290,11 +290,11 @@ def test_criterion_06_partial_dependence_identities():
 def test_criterion_07_substitutive_share_monotone(city):
     """Relaxing the walk threshold or the time gate never shrinks the
     substitutive share, and the baseline point reproduces the plain run."""
-    walk = elasticity_sweep(city.trips, NetworkPlanner(city.net), city.net,
-                            city.lexicon, city.cfg, "walk_threshold_m",
+    base = sweep_base(city.trips, NetworkPlanner(city.net), city.net,
+                      city.lexicon, city.cfg)
+    walk = elasticity_sweep(base, city.cfg, "walk_threshold_m",
                             [300, 400, 500, 600, 700, 800])
-    gate = elasticity_sweep(city.trips, NetworkPlanner(city.net), city.net,
-                            city.lexicon, city.cfg, "time_gate_min",
+    gate = elasticity_sweep(base, city.cfg, "time_gate_min",
                             [10, 15, 20, 25, 30, 35, 40])
     walk_ok = all(b >= a for a, b in zip(walk.ratios, walk.ratios[1:]))
     gate_ok = all(b >= a for a, b in zip(gate.ratios, gate.ratios[1:]))

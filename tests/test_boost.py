@@ -1,6 +1,7 @@
 """Tests for the boosted-tree regressor, spatial folds, and random search."""
 
 import csv
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -470,3 +471,86 @@ class TestRandomSearch:
         X, y, cells = self._data()
         with pytest.raises(ValueError, match="trials"):
             random_search(X, y, cells, self.SPACE, trials=0, seed=1)
+
+
+def _golden_data(kind: str):
+    """Fixed training data. In ``integer`` data every column holds values
+    0..3, so many rows share each candidate threshold, and the last column
+    repeats the first, so equal gains fall to the lower feature index. In
+    ``symmetric`` data the target marks the middle two of four equally common
+    values of the first column, so its first split scores exactly the same at
+    thresholds 0 and 2 and falls to the lower one."""
+    rng = np.random.default_rng(404)
+    n, d = 120, 5
+    if kind == "normal":
+        X = rng.normal(size=(n, d))
+    else:
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        X[:, 4] = X[:, 0]
+    if kind == "symmetric":
+        X[:, 0] = rng.permutation(np.repeat(np.arange(4.0), n // 4))
+        return X, ((X[:, 0] == 1) | (X[:, 0] == 2)).astype(float)
+    y = X[:, 0] - 0.5 * X[:, 1] * X[:, 2] + (X[:, 3] > 0.5) + 0.2 * rng.normal(size=n)
+    return X, y
+
+
+# case -> (data kind, params, sha256 of model_to_json)
+GOLDEN_MODELS = {
+    "random_strength": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, random_strength=0.7, seed=1),
+        "8086aacadd379b32cfb3f0b4ff94d4b90c5ef31f422d4d00aae261b028948c14"),
+    "bagging": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, bagging_temperature=0.9, seed=2),
+        "2a4b3b91bb2ae5bcc04dce431d8a60f23f1ae4a4972b5feb3bedf769db935983"),
+    "column_subset": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, column_sample_ratio=0.5, seed=3),
+        "92a917260ee79e3d0536c7c5c3707626574de6474932aa64c2e5ab569a09f0e6"),
+    "all_randomness": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=5, random_strength=0.4,
+        bagging_temperature=0.5, column_sample_ratio=0.6, seed=4),
+        "d78355dc98d9e12183ede0b4f8d89048e1f30dc9b11873ad84cd2f4c27976c5d"),
+    "one_segment": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, ordered_segments=1, seed=5),
+        "75c6e951d662206f21fc64f7bbe1e84a849dbae524a0e11f12b3c05f276f0a97"),
+    "four_segments": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, ordered_segments=4, seed=6),
+        "042ba0a7277d3bbb12cb320eefb3cd0688899582d393060c5f561ccd033a81a5"),
+    "min_leaf_binds": ("normal", BoostParams(
+        iterations=100, learning_rate=0.1, depth=6, min_data_in_leaf=25, seed=7),
+        "1ddd107f85967558e79cda008561904d1a3e984503b04bedb8f0aa5f67e5b3cd"),
+    "integer_ties": ("integer", BoostParams(
+        iterations=100, learning_rate=0.1, depth=4, bagging_temperature=0.5, seed=8),
+        "a30e4c88e3c9048f0a5fb5dacc9010a2c41cfd27104081c461c87aeaf06c6d7f"),
+    "threshold_ties": ("symmetric", BoostParams(
+        iterations=100, learning_rate=0.1, depth=3, ordered_segments=1, seed=9),
+        "819777570480d67dbe974b00e182901d674637ed61c123292727f68ed935a22d"),
+}
+
+
+def _leaf_sizes(node, X, rows):
+    if "value" in node:
+        return [len(rows)]
+    mask = X[rows, node["feature"]] <= node["threshold"]
+    return _leaf_sizes(node["left"], X, rows[mask]) + _leaf_sizes(node["right"], X, rows[~mask])
+
+
+class TestGoldenModels:
+    """sha256 of ``model_to_json`` for seeded fits, pinned from the exact,
+    per-column split search; a faster search must reproduce every byte."""
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_MODELS))
+    def test_golden_model_digest(self, case):
+        kind, params, digest = GOLDEN_MODELS[case]
+        X, y = _golden_data(kind)
+        model = fit(X, y, params, feature_names=[f"x{j}" for j in range(X.shape[1])])
+        assert hashlib.sha256(model_to_json(model).encode()).hexdigest() == digest
+
+    def test_min_leaf_binds_in_its_case(self):
+        # the main trees stop at leaves of exactly min_data_in_leaf rows,
+        # well short of depth 6
+        _, params, _ = GOLDEN_MODELS["min_leaf_binds"]
+        X, y = _golden_data("normal")
+        model = fit(X, y, params)
+        sizes = [_leaf_sizes(tree, X, np.arange(len(X))) for tree in model.trees]
+        assert min(min(s) for s in sizes) == params.min_data_in_leaf
+        assert max(len(s) for s in sizes) <= len(X) // params.min_data_in_leaf

@@ -9,6 +9,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -214,6 +215,27 @@ class TestPipelineArtifacts:
         assert lines[0] == "parameter,value,substitutive_ratio,arc_elasticity"
         params = {line.split(",")[0] for line in lines[1:]}
         assert params == {"walk_threshold_m", "time_gate_min"}
+
+    def test_elasticity_classifies_each_trip_once(self, pipeline, tmp_path, monkeypatch):
+        from ridelink import sensitivity
+
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        calls = []
+        classify_trip = sensitivity.classify_trip
+
+        def counting(*args):
+            calls.append(1)
+            return classify_trip(*args)
+
+        monkeypatch.setattr(sensitivity, "classify_trip", counting)
+        code, _, err = run_cli(["elasticity", "--config", str(config_path),
+                                "--workspace", str(copy)])
+        assert code == 0, err
+        trips = len((ws / "trips_clean.csv").read_text().splitlines()) - 1
+        assert len(calls) == trips  # once per run, not once per swept parameter
+        assert (copy / "elasticity.csv").read_bytes() == (ws / "elasticity.csv").read_bytes()
 
     def test_plan_echo_counts_expanded_states(self, pipeline, tmp_path):
         ws, config_path, echoes = pipeline
@@ -572,6 +594,41 @@ class TestErrorContract:
             assert doc["kind"] == "config"
             assert setting.split("=")[0] in doc["error"]
 
+    @pytest.mark.parametrize("extra, env", [
+        (["--set", "ingest.columns=5"], {}),
+        (["--set", 'ingest.columns=["x"]'], {}),
+        (["--set", 'ingest.columns={"olon": 5}'], {}),
+        (["--set", "ingest.iqr_k=abc"], {}),
+        (["--set", "ingest.iqr_k=-1"], {}),
+        (["--set", "ingest.iqr_k=NaN"], {}),
+        (["--iqr-k", "inf"], {}),
+        ([], {"RIDELINK_INGEST__PER_DAY": "no"}),
+    ], ids=["columns_number", "columns_list", "columns_value_number", "iqr_k_text",
+            "iqr_k_negative", "iqr_k_nan", "iqr_k_flag_inf", "per_day_env_no"])
+    def test_bad_ingest_setting(self, pipeline, tmp_path, extra, env):
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridelink", "ingest", "--config", str(config_path),
+             "--workspace", str(copy), *extra],
+            capture_output=True, text=True, timeout=60, env={**os.environ, **env})
+        assert proc.returncode == 3, proc.stderr
+        doc = json.loads(proc.stderr)
+        assert doc["kind"] == "config"
+        assert "ingest." in doc["error"]
+        assert (copy / "trips_clean.csv").read_bytes() == (ws / "trips_clean.csv").read_bytes()
+
+    def test_good_ingest_settings(self, pipeline, tmp_path):
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        code, _, err = run_cli([
+            "ingest", "--config", str(config_path), "--workspace", str(copy),
+            "--iqr-k", "1.5", "--set", "ingest.per_day=true",
+            "--set", 'ingest.columns={"plate_id": "plate_id"}'])
+        assert code == 0, err
+
     @pytest.mark.parametrize("value", ["abc", "NaN", "inf", "Infinity", "-Infinity"])
     def test_vif_threshold_must_be_finite(self, pipeline, value):
         _, config_path, _ = pipeline
@@ -581,6 +638,50 @@ class TestErrorContract:
         doc = json.loads(err)
         assert doc["kind"] == "config"
         assert "features.vif_threshold" in doc["error"]
+
+
+# the ridelink modules each stage loads: the package, ``cli`` and ``errors``,
+# then the modules the stage runs and what they import
+_LOADED_BY_EVERY_STAGE = {"ridelink", "ridelink.cli", "ridelink.errors", "ridelink.ingest"}
+_TRIP_LAYERS = {"ridelink.classify", "ridelink.geo", "ridelink.ptnet"}
+_FEATURE_LAYERS = _TRIP_LAYERS | {"ridelink.features", "ridelink.hexgrid"}
+STAGE_MODULES = {
+    "synth": _TRIP_LAYERS | {"ridelink.synth"},
+    "ingest": set(),
+    "plan": {"ridelink.geo", "ridelink.ptnet"},
+    "classify": _TRIP_LAYERS,
+    "gridify": _TRIP_LAYERS | {"ridelink.hexgrid"},
+    "features": _FEATURE_LAYERS,
+    "train": _FEATURE_LAYERS | {"ridelink.boost"},
+    "explain": _FEATURE_LAYERS | {"ridelink.boost", "ridelink.explain", "ridelink.svgchart"},
+    "elasticity": _TRIP_LAYERS | {"ridelink.sensitivity", "ridelink.svgchart"},
+    "report": _TRIP_LAYERS | {"ridelink.hexgrid", "ridelink.svgchart"},
+}
+
+_REPORT_MODULES = """
+import json, sys
+from ridelink.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ridelink")))
+sys.exit(code)
+"""
+
+
+class TestStageImports:
+    """Each stage runs in a process of its own and loads only the modules it
+    runs, so none pays for compiling and importing the others."""
+
+    @pytest.mark.parametrize("argv", STAGES, ids=[argv[0] for argv in STAGES])
+    def test_stage_loads_only_its_modules(self, pipeline, tmp_path, argv):
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_MODULES, *argv, "--config", str(config_path),
+             "--workspace", str(copy)], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert loaded == sorted(_LOADED_BY_EVERY_STAGE | STAGE_MODULES[argv[0]])
 
 
 class TestModuleEntry:

@@ -24,6 +24,7 @@ from ridelink.sensitivity import (
     arc_elasticity,
     elasticity_sweep,
     elasticity_svg,
+    sweep_base,
     write_elasticity_csv,
 )
 
@@ -51,6 +52,12 @@ def _trip(o, d, duration=20, cost=30.0, pickup=600):
                       cost=cost)
 
 
+def _sweep(trips, planner, net, lexicon, cfg, parameter, values):
+    """One parameter's sweep over a base pass of its own."""
+    return elasticity_sweep(sweep_base(trips, planner, net, lexicon, cfg), cfg,
+                            parameter, values)
+
+
 def _walk_trips():
     """Six trips whose only varying condition is the access walk: origins
     250..750 m north of the west-end station, destinations at the east end."""
@@ -63,24 +70,24 @@ class TestValidation:
         assert PARAMETERS == ("walk_threshold_m", "time_gate_min",
                               "max_transfers", "cost_ratio")
         with pytest.raises(ValueError, match="unknown sweep parameter"):
-            elasticity_sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
-                             "time_ratio", [2.0])
+            _sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
+                   "time_ratio", [2.0])
 
     def test_values_must_include_baseline(self):
         with pytest.raises(ValueError, match="baseline"):
-            elasticity_sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
-                             "walk_threshold_m", [300.0, 500.0])
+            _sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
+                   "walk_threshold_m", [300.0, 500.0])
 
     def test_values_must_not_be_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            elasticity_sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
-                             "walk_threshold_m", [])
+            _sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
+                   "walk_threshold_m", [])
 
     @pytest.mark.parametrize("bad", [0.0, -5.0])
     def test_non_positive_value_rejected(self, bad):
         with pytest.raises(ValueError, match="positive"):
-            elasticity_sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
-                             "walk_threshold_m", [bad, 400.0])
+            _sweep([], _PLANNER, _NET, _LEX, ClassifierConfig(),
+                   "walk_threshold_m", [bad, 400.0])
 
 
 class TestArcElasticity:
@@ -108,34 +115,34 @@ class TestWalkSweep:
 
     def test_share_counts_by_construction(self):
         trips = _walk_trips()
-        report = elasticity_sweep(trips, _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "walk_threshold_m",
-                                  self.VALUES)
+        report = _sweep(trips, _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "walk_threshold_m",
+                        self.VALUES)
         # each 100 m of extra allowance admits exactly one more trip
         assert report.ratios == [i / 6 for i in range(1, 7)]
         assert report.baseline == 400.0
         assert report.values == self.VALUES
 
     def test_monotone_non_decreasing(self):
-        report = elasticity_sweep(_walk_trips(), _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "walk_threshold_m",
-                                  self.VALUES)
+        report = _sweep(_walk_trips(), _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "walk_threshold_m",
+                        self.VALUES)
         assert all(a <= b for a, b in zip(report.ratios, report.ratios[1:]))
 
     def test_baseline_matches_plain_classification_exactly(self):
         trips = _walk_trips()
         _, summary = classify_all(trips, _PLANNER, _NET, _LEX,
                                   ClassifierConfig())
-        report = elasticity_sweep(trips, _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "walk_threshold_m",
-                                  self.VALUES)
+        report = _sweep(trips, _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "walk_threshold_m",
+                        self.VALUES)
         at_baseline = report.ratios[report.values.index(400.0)]
         assert at_baseline == summary["shares"][SUBSTITUTIVE]
 
     def test_anchor_elasticity_is_none_others_match_formula(self):
-        report = elasticity_sweep(_walk_trips(), _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "walk_threshold_m",
-                                  self.VALUES)
+        report = _sweep(_walk_trips(), _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "walk_threshold_m",
+                        self.VALUES)
         base_ratio = report.ratios[1]
         assert report.elasticities[1] is None
         for i, value in enumerate(self.VALUES):
@@ -154,8 +161,26 @@ class TestWalkSweep:
                 return _PLANNER.plan(olon, olat, dlon, dlat)
 
         trips = _walk_trips()
-        elasticity_sweep(trips, Counting(), _NET, _LEX, ClassifierConfig(),
-                         "walk_threshold_m", self.VALUES)
+        _sweep(trips, Counting(), _NET, _LEX, ClassifierConfig(),
+               "walk_threshold_m", self.VALUES)
+        assert len(calls) == len(trips)
+
+    def test_one_base_serves_every_parameter(self):
+        calls = []
+
+        class Counting:
+            def plan(self, olon, olat, dlon, dlat):
+                calls.append(1)
+                return _PLANNER.plan(olon, olat, dlon, dlat)
+
+        trips = _walk_trips()
+        cfg = ClassifierConfig()
+        base = sweep_base(trips, Counting(), _NET, _LEX, cfg)
+        for parameter, values in (("walk_threshold_m", self.VALUES),
+                                  ("time_gate_min", [10.0, 15.0, 20.0]),
+                                  ("cost_ratio", [0.3, 0.5])):
+            assert (elasticity_sweep(base, cfg, parameter, values)
+                    == _sweep(trips, _PLANNER, _NET, _LEX, cfg, parameter, values))
         assert len(calls) == len(trips)
 
 
@@ -185,9 +210,9 @@ class TestTimeGateSweep:
 
     def test_shares_match_gap_counts_and_are_monotone(self):
         trips, gaps = self._trips_and_gaps()
-        report = elasticity_sweep(trips, _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "time_gate_min",
-                                  self.VALUES)
+        report = _sweep(trips, _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "time_gate_min",
+                        self.VALUES)
         expected = [sum(1 for gap in gaps if gap <= g) / len(trips)
                     for g in self.VALUES]
         assert report.ratios == expected
@@ -232,9 +257,9 @@ class TestTransferSweep:
         trips = [_trip(c["j1"], c["j2"]),   # direct
                  _trip(c["j1"], c["j3"]),   # one transfer
                  _trip(c["j1"], c["j4"])]   # two transfers
-        report = elasticity_sweep(trips, planner, net, lex,
-                                  ClassifierConfig(), "max_transfers",
-                                  [1.0, 2.0, 3.0])
+        report = _sweep(trips, planner, net, lex,
+                        ClassifierConfig(), "max_transfers",
+                        [1.0, 2.0, 3.0])
         assert report.ratios == [2 / 3, 1.0, 1.0]
         assert report.elasticities[1] is None
         # tightening to one transfer: (-1/3) / (-1/2) = 2/3
@@ -250,8 +275,8 @@ class TestTransferSweep:
     def test_zero_transfers_is_a_valid_point(self):
         net, planner, lex = self._chain()
         trips = self._chain_trips(net)
-        report = elasticity_sweep(trips, planner, net, lex, ClassifierConfig(),
-                                  "max_transfers", [0, 1, 2, 3])
+        report = _sweep(trips, planner, net, lex, ClassifierConfig(),
+                        "max_transfers", [0, 1, 2, 3])
         _, summary = classify_all(trips, planner, net, lex,
                                   ClassifierConfig(max_transfers=0))
         assert report.values == [0.0, 1.0, 2.0, 3.0]
@@ -260,9 +285,9 @@ class TestTransferSweep:
 
     def test_zero_baseline_has_no_elasticities(self):
         net, planner, lex = self._chain()
-        report = elasticity_sweep(self._chain_trips(net), planner, net, lex,
-                                  ClassifierConfig(max_transfers=0),
-                                  "max_transfers", [0, 1, 2])
+        report = _sweep(self._chain_trips(net), planner, net, lex,
+                        ClassifierConfig(max_transfers=0),
+                        "max_transfers", [0, 1, 2])
         assert report.ratios == [1 / 3, 2 / 3, 1.0]
         assert report.elasticities == [None, None, None]
 
@@ -270,8 +295,8 @@ class TestTransferSweep:
     def test_fractional_or_negative_transfers_rejected(self, bad):
         net, planner, lex = self._chain()
         with pytest.raises(ValueError, match="max_transfers"):
-            elasticity_sweep([], planner, net, lex, ClassifierConfig(),
-                             "max_transfers", [bad, 2.0])
+            _sweep([], planner, net, lex, ClassifierConfig(),
+                   "max_transfers", [bad, 2.0])
 
 
 class TestCostRatioSweep:
@@ -283,9 +308,9 @@ class TestCostRatioSweep:
         cost = fare / 0.45
         trips = [_trip(M1, M4, cost=cost, pickup=540 + 30 * i)
                  for i in range(4)]
-        report = elasticity_sweep(trips, _PLANNER, _NET, _LEX,
-                                  ClassifierConfig(), "cost_ratio",
-                                  [0.4, 0.5])
+        report = _sweep(trips, _PLANNER, _NET, _LEX,
+                        ClassifierConfig(), "cost_ratio",
+                        [0.4, 0.5])
         assert report.ratios == [0.0, 1.0]
         # (-100% share) / (-20% threshold) = 5
         assert report.elasticities[0] == pytest.approx(5.0, rel=1e-12)
@@ -410,7 +435,7 @@ class TestSweepMatchesClassifyAll:
         baseline = values[0]
         as_config = int if parameter == "max_transfers" else float
         cfg = replace(ClassifierConfig(), **{parameter: as_config(baseline)})
-        report = elasticity_sweep(trips, _MEMO, _NET, _LEX, cfg, parameter, values)
+        report = _sweep(trips, _MEMO, _NET, _LEX, cfg, parameter, values)
         for value, ratio in zip(values, report.ratios):
             swept = replace(cfg, **{parameter: as_config(value)})
             _, summary = classify_all(trips, _MEMO, _NET, _LEX, swept)
@@ -437,7 +462,7 @@ class TestSweepMatchesClassifyAll:
             values = [float(getattr(cfg, parameter)), below[parameter]]
             if values[1] < 0:  # a direct journey has no fewer transfers
                 values.pop()
-            report = elasticity_sweep([trip], _PLANNER, _NET, _LEX, cfg, parameter, values)
+            report = _sweep([trip], _PLANNER, _NET, _LEX, cfg, parameter, values)
             assert report.ratios == [1.0, 0.0][:len(values)], parameter
 
     def test_duration_equal_to_gate_takes_the_short_trip_branch(self):
@@ -448,6 +473,6 @@ class TestSweepMatchesClassifyAll:
         trip = _trip((M1[0], M1[1] + 300 * LAT_M), M4, duration=10)
         cfg = ClassifierConfig(time_ratio=1.5)
         assert alt.t_pt_min > 1.5 * 10 and alt.t_pt_min - 10 <= 9
-        report = elasticity_sweep([trip], _PLANNER, _NET, _LEX, cfg,
-                                  "time_gate_min", [15.0, 10.0, 9.0])
+        report = _sweep([trip], _PLANNER, _NET, _LEX, cfg,
+                        "time_gate_min", [15.0, 10.0, 9.0])
         assert report.ratios == [1.0, 1.0, 0.0]
