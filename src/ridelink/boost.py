@@ -29,6 +29,14 @@ Trees are exact-greedy: every unique value of every candidate column is
 scored by weighted variance reduction, ties resolved toward the lowest
 feature index and then the lowest threshold. Split rule is ``x <= threshold``
 to the left branch.
+
+Each fit sorts every column once (a stable argsort, so equal values keep
+ascending row order), as in SLIQ's presorting and XGBoost's column blocks.
+A node splits its sorted view between its children by a stable partition,
+so each child's view equals a fresh stable sort of that child's rows, and
+one pass then scores all candidate columns with running sums along their
+orders. The sums, the candidates and their order, and so every split, are
+the same as a per-node sort of each column would give; nothing is binned.
 """
 
 from __future__ import annotations
@@ -103,67 +111,84 @@ def _leaf(g: np.ndarray, w: np.ndarray) -> dict:
     return {"value": value}
 
 
-def _best_split(X, g, w, rows, cols, min_leaf, noise_scale, rng):
-    """Scan candidate splits; returns (gain, feature, threshold) or None."""
-    best = None
+def _best_split(g, w, rows, orders, xs, cols, min_leaf, noise_scale, rng):
+    """Score every boundary of every candidate column in one pass; returns
+    (gain, feature, threshold) or None. Row ``i`` of ``orders`` lists ``rows``
+    sorted by column ``cols[i]``, ties in ascending row order, and row ``i``
+    of ``xs`` holds their values in that column."""
     parent_w = w[rows]
     parent_g = g[rows]
     sw = parent_w.sum()
     swg = (parent_w * parent_g).sum()
     swgg = (parent_w * parent_g * parent_g).sum()
     parent_sse = swgg - swg * swg / sw
-    for j in cols:
-        xs = X[rows, j]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        w_s = parent_w[order]
-        g_s = parent_g[order]
-        cw = np.cumsum(w_s)
-        cwg = np.cumsum(w_s * g_s)
-        cwgg = np.cumsum(w_s * g_s * g_s)
-        boundary = np.nonzero(xs_s[:-1] != xs_s[1:])[0]
-        if boundary.size == 0:
-            continue
-        left_n = boundary + 1
-        right_n = len(rows) - left_n
-        feasible = (left_n >= min_leaf) & (right_n >= min_leaf)
-        boundary = boundary[feasible]
-        if boundary.size == 0:
-            continue
-        lw, lg, lgg = cw[boundary], cwg[boundary], cwgg[boundary]
-        rw, rg, rgg = sw - lw, swg - lg, swgg - lgg
-        sse = (lgg - lg * lg / lw) + (rgg - rg * rg / rw)
-        gains = parent_sse - sse
-        if noise_scale > 0.0:
-            gains = gains + rng.normal(size=gains.shape) * noise_scale
-        pick = int(np.argmax(gains))  # first maximum -> lowest threshold
-        gain = float(gains[pick])
-        threshold = float(xs_s[boundary[pick]])
-        if best is None or gain > best[0]:
-            best = (gain, int(j), threshold)
-    if best is None or best[0] <= 0.0:
+    # a candidate cuts after sorted position p: p + 1 rows go left
+    m = len(rows)
+    lo, hi = max(min_leaf - 1, 0), min(m - min_leaf, m - 1)
+    feasible = np.zeros(orders.shape, dtype=bool)
+    np.not_equal(xs[:, lo:hi], xs[:, lo + 1:hi + 1], out=feasible[:, lo:hi])
+    candidates = np.flatnonzero(feasible)  # column by column, thresholds ascending
+    if candidates.size == 0:
         return None
-    return best
+    # running sums of w, w*g and w*g*g along each column's sorted rows
+    sums = np.empty((3,) + orders.shape)
+    g_s = np.take(g, orders)
+    np.take(w, orders, out=sums[0])
+    np.multiply(sums[0], g_s, out=sums[1])
+    np.multiply(sums[1], g_s, out=sums[2])
+    np.cumsum(sums, axis=2, out=sums)
+    lw, lg, lgg = np.take(sums.reshape(3, -1), candidates, axis=1)
+    rw, rg, rgg = sw - lw, swg - lg, swgg - lgg
+    gains = parent_sse - ((lgg - lg * lg / lw) + (rgg - rg * rg / rw))
+    if noise_scale > 0.0:
+        # candidates run column by column, so one draw gives each column the
+        # same numbers as a draw of its own, and the noise stream stays fixed
+        gains = gains + rng.normal(size=gains.shape) * noise_scale
+    pick = int(np.argmax(gains))  # first maximum -> lowest feature, then threshold
+    gain = float(gains[pick])
+    if gain <= 0.0:
+        return None
+    i, p = divmod(int(candidates[pick]), m)
+    return gain, int(cols[i]), float(xs[i, p])
 
 
-def _grow(X, g, w, rows, depth_left, cols, min_leaf, random_strength, rng) -> dict:
-    if depth_left == 0 or len(rows) < 2 * min_leaf:
-        return _leaf(g[rows], w[rows])
-    noise_scale = 0.0
-    if random_strength > 0.0:
-        pw = w[rows]
-        pg = g[rows]
-        mean = (pw * pg).sum() / pw.sum()
-        parent_sse = (pw * (pg - mean) ** 2).sum()
-        noise_scale = random_strength * math.sqrt(parent_sse / len(rows) + 1e-12)
-    found = _best_split(X, g, w, rows, cols, min_leaf, noise_scale, rng)
-    if found is None:
-        return _leaf(g[rows], w[rows])
-    _, feature, threshold = found
-    mask = X[rows, feature] <= threshold
-    left = _grow(X, g, w, rows[mask], depth_left - 1, cols, min_leaf, random_strength, rng)
-    right = _grow(X, g, w, rows[~mask], depth_left - 1, cols, min_leaf, random_strength, rng)
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+def _grow(X, g, w, rows, view, cols, depth, min_leaf, random_strength, rng) -> dict:
+    """Grow one tree depth-first over ``rows``, whose sorted ``view`` (row
+    order and values per column) comes from the fit's presort. A child's view
+    is a stable partition of its parent's, made once the child is to split."""
+
+    def grow(rows, orders, xs, keep, depth_left):
+        if depth_left == 0 or len(rows) < 2 * min_leaf:
+            return _leaf(g[rows], w[rows])
+        if keep is not None:
+            orders, xs = _partition(orders, xs, keep)
+        noise_scale = 0.0
+        if random_strength > 0.0:
+            pw = w[rows]
+            pg = g[rows]
+            mean = (pw * pg).sum() / pw.sum()
+            parent_sse = (pw * (pg - mean) ** 2).sum()
+            noise_scale = random_strength * math.sqrt(parent_sse / len(rows) + 1e-12)
+        found = _best_split(g, w, rows, orders, xs, cols, min_leaf, noise_scale, rng)
+        if found is None:
+            return _leaf(g[rows], w[rows])
+        _, feature, threshold = found
+        mask = X[rows, feature] <= threshold
+        goes_left = np.zeros(len(X), dtype=bool)
+        goes_left[rows[mask]] = True
+        side = goes_left[orders]
+        left = grow(rows[mask], orders, xs, side, depth_left - 1)
+        right = grow(rows[~mask], orders, xs, ~side, depth_left - 1)
+        return {"feature": feature, "threshold": threshold, "left": left, "right": right}
+
+    return grow(rows, view[0][cols], view[1][cols], None, depth)
+
+
+def _partition(orders, xs, keep):
+    """The flagged entries of each column's sorted view; the filter is stable,
+    so every column stays sorted with ties in ascending row order."""
+    c = len(orders)
+    return orders[keep].reshape(c, -1), xs[keep].reshape(c, -1)
 
 
 def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
@@ -216,6 +241,11 @@ def _fit_core(X: np.ndarray, y: np.ndarray, params, feature_names, target) -> Bo
     k = params.ordered_segments
     segments = _segment_permutation(perm, k)
     prefix_rows = [np.sort(np.concatenate(segments[:j])) for j in range(1, k)]
+    # presort once: each column's rows in ascending value order, ties in
+    # ascending row order, and their values; each prefix model keeps its rows
+    orders = np.argsort(X, axis=0, kind="stable").T
+    view = (orders, np.take_along_axis(X.T, orders, axis=1))
+    prefix_views = [_partition(*view, np.isin(orders, rows)) for rows in prefix_rows]
     prefix_pred = [np.full(n, f0) for _ in range(1, k)]
     main_pred = np.full(n, f0)
     lr = params.learning_rate
@@ -235,8 +265,8 @@ def _fit_core(X: np.ndarray, y: np.ndarray, params, feature_names, target) -> Bo
         for j in range(1, k):
             rows = prefix_rows[j - 1]
             g = y[rows] - prefix_pred[j - 1][rows]
-            tree = _grow(X, _scatter(g, rows, n), w, rows, params.depth, cols,
-                         params.min_data_in_leaf, params.random_strength, rng)
+            tree = _grow(X, _scatter(g, rows, n), w, rows, prefix_views[j - 1], cols,
+                         params.depth, params.min_data_in_leaf, params.random_strength, rng)
             h = _tree_predict(tree, X)
             denom = float(h[rows] @ h[rows])
             gamma = lr * float(g @ h[rows]) / denom if denom > 0.0 else 0.0
@@ -249,7 +279,7 @@ def _fit_core(X: np.ndarray, y: np.ndarray, params, feature_names, target) -> Bo
             for j in range(1, k):
                 grad_base[segments[j]] = prefix_pred[j - 1][segments[j]]
         g_main = y - grad_base
-        tree = _grow(X, g_main, w, np.arange(n), params.depth, cols,
+        tree = _grow(X, g_main, w, np.arange(n), view, cols, params.depth,
                      params.min_data_in_leaf, params.random_strength, rng)
         r = y - main_pred
         _refit_leaves(tree, X, r, w, np.arange(n))
@@ -290,8 +320,8 @@ def fit(X: np.ndarray, y: np.ndarray, params: BoostParams,
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X must be 2-d and aligned with y")
-    if np.isnan(X).any() or np.isnan(y).any():
-        raise ValueError("missing values in training data")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("missing values or infinities in training data")
     if len(X) < 2 * params.min_data_in_leaf:
         raise ValueError("too few rows for min_data_in_leaf")
     if feature_names is None:

@@ -293,6 +293,15 @@ class RunConfig:
         return path
 
 
+def _check_sections(data: dict, defaults: dict, prefix: str = "") -> None:
+    """Refuse any default section that an override replaced with a non-object."""
+    for key, default in defaults.items():
+        if isinstance(default, dict):
+            if not isinstance(data[key], dict):
+                raise ConfigError(f"{prefix}{key} must be a JSON object, got {data[key]!r}")
+            _check_sections(data[key], default, f"{prefix}{key}.")
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
     data = copy.deepcopy(DEFAULTS)
     config_path = getattr(args, "config", None)
@@ -310,6 +319,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     _deep_merge(data, env_overrides())
     for assignment in getattr(args, "set", None) or []:
         _set_override(data, assignment)
+    _check_sections(data, DEFAULTS)
     for dest, path in FLAG_PATHS.items():
         value = getattr(args, dest, None)
         if value is None:
@@ -590,7 +600,12 @@ def cmd_train(cfg: RunConfig, args) -> None:
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     _echo({"command": "train", "target": matrix.target, "trials": trials,
-           "cv_mse": cv.pooled.mse, "cv_r2": cv.pooled.r2})
+           "cv_mse": cv.pooled.mse, "cv_r2": cv.pooled.r2, "trees": len(model.trees),
+           "leaves": sum(_leaf_count(tree) for tree in model.trees)})
+
+
+def _leaf_count(node: dict) -> int:
+    return 1 if "value" in node else _leaf_count(node["left"]) + _leaf_count(node["right"])
 
 
 def cmd_explain(cfg: RunConfig, args) -> None:

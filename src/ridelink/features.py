@@ -19,14 +19,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .geo import great_circle_m
-from .hexgrid import HexGrid, axial_center_xy, cell_center, cell_id, locate
-from .ingest import TripRecord, has_request_times
-from .ptnet import TransitNetwork
+from .errors import InputError
+
+if TYPE_CHECKING:
+    from .hexgrid import HexGrid
+    from .ingest import TripRecord
+    from .ptnet import TransitNetwork
 
 POI_CATEGORIES = ("residence", "retail", "catering", "enterprise")
 
@@ -71,6 +73,7 @@ DESTINATION_TARGETS = ("LCR", "ASR")
 def nearest_distances(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str, float]]:
     """Per-cell great-circle distance (km) to the nearest station of each of
     the four mode x hub categories. A category with no stations is an error."""
+    from .hexgrid import cell_center, cell_id
     masks = {}
     for mode, hub, name in STATION_CATEGORIES:
         masks[name] = np.array([net.stations[sid].mode == mode and net.stations[sid].is_hub == hub
@@ -87,6 +90,7 @@ def nearest_distances(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str,
 
 def station_densities(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str, float]]:
     """Single-line bus stop and bus hub counts per km^2 for each cell."""
+    from .hexgrid import cell_id, locate
     members = grid.cell_set()
     counts: dict[str, list[int]] = {cell_id(q, r): [0, 0] for q, r in grid.cells}
     for sid in net.station_ids:
@@ -138,6 +142,7 @@ class RoadGraph:
 
 def load_roads(path: str) -> RoadGraph:
     """Street graph from GeoJSON LineStrings; consecutive vertices form edges."""
+    from .geo import great_circle_m
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     index: dict[tuple[float, float], int] = {}
@@ -204,6 +209,7 @@ def road_metrics(grid: HexGrid, roads: RoadGraph) -> dict[str, dict[str, float]]
     junctions located in each cell; road and highway densities use exact
     clipping of each segment against the hexagon in the projected plane.
     """
+    from .hexgrid import axial_center_xy, cell_id, locate
     members = grid.cell_set()
     proj = grid.projection
     area = grid.cell_area_km2
@@ -292,6 +298,7 @@ def poi_and_population(
     """Density columns: POI counts per km^2 per category, and the log of the
     population density (raster mass assigned to the hex holding each raster
     point, divided by cell area, plus one)."""
+    from .hexgrid import cell_id, locate
     members = grid.cell_set()
     area = grid.cell_area_km2
     counts = {cell_id(q, r): {c: 0 for c in POI_CATEGORIES} for q, r in grid.cells}
@@ -327,6 +334,8 @@ def tnc_travel_columns(
     """Per-cell ride columns anchored at the pickup ("origin") or dropoff
     ("destination") end: daily trip count, mean wait (when request times are
     present on every trip), mean duration, mean fare per km."""
+    from .hexgrid import cell_id, locate
+    from .ingest import has_request_times
     if side not in ("origin", "destination"):
         raise ValueError("side must be 'origin' or 'destination'")
     if days < 1:
@@ -386,6 +395,7 @@ def assemble_features(
     roads: Optional[RoadGraph] = None,
 ) -> FeatureMatrix:
     """Design matrix over cells where the chosen target ratio is defined."""
+    from .hexgrid import cell_id
     target = target.upper()
     if target not in ORIGIN_TARGETS + DESTINATION_TARGETS:
         raise ValueError(f"unknown target {target!r}")
@@ -514,15 +524,21 @@ def write_features(matrix: FeatureMatrix, path: str, schema_path: Optional[str] 
 
 
 def read_features(path: str) -> FeatureMatrix:
+    """Read a features artifact; every value must be a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         names, target = header[1:-1], header[-1]
         cell_ids, rows, ys = [], [], []
         for row in reader:
+            values = [float(v) for v in row[1:]]
+            for value, column in zip(values, header[1:]):
+                if not math.isfinite(value):
+                    raise InputError(f"features artifact has {value} in cell {row[0]}, "
+                                     f"column {column}; re-run 'features'")
             cell_ids.append(row[0])
-            rows.append([float(v) for v in row[1:-1]])
-            ys.append(float(row[-1]))
+            rows.append(values[:-1])
+            ys.append(values[-1])
     X = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
     return FeatureMatrix(target=target, cell_ids=cell_ids, names=names,
                          X=X, y=np.array(ys, dtype=float))

@@ -8,13 +8,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ridelink.boost import (
     PARAM_RANGES,
     TRIAL_COLUMNS,
     BoostParams,
     ParamSpace,
+    _best_split,
     _fit_core,
+    _partition,
     _segment_permutation,
     cross_validate,
     evaluate,
@@ -554,3 +558,163 @@ class TestGoldenModels:
         sizes = [_leaf_sizes(tree, X, np.arange(len(X))) for tree in model.trees]
         assert min(min(s) for s in sizes) == params.min_data_in_leaf
         assert max(len(s) for s in sizes) <= len(X) // params.min_data_in_leaf
+
+    def test_deep_partitions_digest(self):
+        # depth 8 over 320 rows with bagging, noise and a column subset: most
+        # trees reach full depth, so sorted views are partitioned 7 levels deep
+        rng = np.random.default_rng(808)
+        n = 320
+        X = np.column_stack([rng.normal(size=n), rng.integers(0, 6, size=n),
+                             rng.normal(size=n).round(1), rng.integers(0, 3, size=n),
+                             rng.normal(size=n), rng.uniform(size=n)]).astype(float)
+        y = (np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 3] - X[:, 2] ** 2
+             + 0.3 * rng.normal(size=n))
+        params = BoostParams(iterations=100, learning_rate=0.1, depth=8,
+                             random_strength=0.5, bagging_temperature=0.8,
+                             column_sample_ratio=0.7, min_data_in_leaf=10, seed=11)
+        model = fit(X, y, params, feature_names=[f"x{j}" for j in range(X.shape[1])])
+        assert (hashlib.sha256(model_to_json(model).encode()).hexdigest()
+                == "815256eccda39b8a28610a5fa406b150f96a417dd82c8a4848a0b6b8e5b5cb7d")
+
+        def depth(node):
+            return 0 if "value" in node else 1 + max(depth(node["left"]), depth(node["right"]))
+
+        assert sum(depth(tree) == 8 for tree in model.trees) > 50
+
+
+def _scan_split(X, g, w, rows, cols, min_leaf, noise_scale, rng):
+    """The per-column split scan that the one-pass search replaced, kept as
+    its oracle: each column is sorted on its own and scored in turn, noise is
+    drawn per column, and only a strictly larger gain moves the pick."""
+    best = None
+    parent_w = w[rows]
+    parent_g = g[rows]
+    sw = parent_w.sum()
+    swg = (parent_w * parent_g).sum()
+    swgg = (parent_w * parent_g * parent_g).sum()
+    parent_sse = swgg - swg * swg / sw
+    for j in cols:
+        xs = X[rows, j]
+        order = np.argsort(xs, kind="stable")
+        xs_s = xs[order]
+        w_s = parent_w[order]
+        g_s = parent_g[order]
+        cw = np.cumsum(w_s)
+        cwg = np.cumsum(w_s * g_s)
+        cwgg = np.cumsum(w_s * g_s * g_s)
+        boundary = np.nonzero(xs_s[:-1] != xs_s[1:])[0]
+        if boundary.size == 0:
+            continue
+        left_n = boundary + 1
+        right_n = len(rows) - left_n
+        feasible = (left_n >= min_leaf) & (right_n >= min_leaf)
+        boundary = boundary[feasible]
+        if boundary.size == 0:
+            continue
+        lw, lg, lgg = cw[boundary], cwg[boundary], cwgg[boundary]
+        rw, rg, rgg = sw - lw, swg - lg, swgg - lgg
+        sse = (lgg - lg * lg / lw) + (rgg - rg * rg / rw)
+        gains = parent_sse - sse
+        if noise_scale > 0.0:
+            gains = gains + rng.normal(size=gains.shape) * noise_scale
+        pick = int(np.argmax(gains))
+        gain = float(gains[pick])
+        threshold = float(xs_s[boundary[pick]])
+        if best is None or gain > best[0]:
+            best = (gain, int(j), threshold)
+    if best is None or best[0] <= 0.0:
+        return None
+    return best
+
+
+def _node_view(X, rows, cols):
+    """Each candidate column's rows sorted by a stable argsort of the node's
+    own values, and those values: what a per-node sort gives."""
+    orders = rows[np.argsort(X[np.ix_(rows, cols)], axis=0, kind="stable")].T
+    return orders, X[orders, np.asarray(cols)[:, None]]
+
+
+@st.composite
+def _split_cases(draw):
+    """A node of up to 40 rows: normal, tie-heavy integer, constant and
+    repeated columns; integer or normal gradients; unit or bagging weights;
+    an ascending row subset, a sorted column subset, and a min_leaf that
+    often binds."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["normal", "integer", "constant", "repeat"]),
+                          min_size=1, max_size=5))
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(kinds)))
+    for j, kind in enumerate(kinds):
+        if kind == "normal":
+            X[:, j] = rng.normal(size=n)
+        elif kind == "integer" or (kind == "repeat" and j == 0):
+            X[:, j] = rng.integers(0, 3, size=n)
+        elif kind == "constant":
+            X[:, j] = 1.5
+        else:
+            X[:, j] = X[:, rng.integers(j)]
+    if draw(st.booleans()):
+        g = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        g = rng.normal(size=n)
+    w = np.ones(n)
+    if draw(st.booleans()):
+        w = (-np.log(np.clip(rng.random(n), 1e-16, None))) ** draw(st.floats(0.1, 1.0))
+    rows = np.flatnonzero(rng.random(n) < draw(st.floats(0.3, 1.0)))
+    if rows.size == 0:
+        rows = np.arange(n)
+    cols = np.flatnonzero(rng.random(len(kinds)) < draw(st.floats(0.3, 1.0)))
+    if cols.size == 0:
+        cols = np.arange(len(kinds))
+    min_leaf = draw(st.integers(1, len(rows) // 2 + 2))
+    noise_scale = draw(st.sampled_from([0.0, 0.0, 0.3, 2.0]))
+    return X, g, w, rows, cols, min_leaf, noise_scale, seed
+
+
+class TestSplitSearch:
+    """The one-pass search over presorted views picks exactly what the
+    per-column scan picks and leaves the random stream where it left it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_split_cases())
+    def test_matches_per_column_scan(self, case):
+        X, g, w, rows, cols, min_leaf, noise_scale, seed = case
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _best_split(g, w, rows, *_node_view(X, rows, cols), cols, min_leaf,
+                          noise_scale, ours)
+        want = _scan_split(X, g, w, rows, cols, min_leaf, noise_scale, theirs)
+        assert got == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_equal_gains_fall_to_the_lower_feature(self):
+        X = np.repeat(np.arange(4.0), 5)[:, None].repeat(2, axis=1)
+        g = (X[:, 0] >= 2).astype(float)
+        rows, cols = np.arange(20), np.arange(2)
+        rng = np.random.default_rng(0)
+        found = _best_split(g, np.ones(20), rows, *_node_view(X, rows, cols), cols, 1,
+                            0.0, rng)
+        assert found == _scan_split(X, g, np.ones(20), rows, cols, 1, 0.0, rng)
+        assert found[1:] == (0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 30), st.integers(1, 4))
+    def test_partition_equals_a_fresh_sort(self, seed, n, d):
+        # a presorted view filtered to any row subset, then split again by
+        # any mask, is what a stable argsort of each subset gives
+        rng = np.random.default_rng(seed)
+        X = rng.integers(0, 4, size=(n, d)).astype(float)
+        orders = np.argsort(X, axis=0, kind="stable").T
+        view = (orders, np.take_along_axis(X.T, orders, axis=1))
+        rows = np.flatnonzero(rng.random(n) < 0.7)
+        keep = np.zeros(n, dtype=bool)
+        keep[rows] = True
+        node = _partition(*view, keep[view[0]])
+        cols = np.arange(d)
+        assert all(np.array_equal(a, b) for a, b in zip(node, _node_view(X, rows, cols)))
+        left = np.zeros(n, dtype=bool)
+        left[rows[rng.random(len(rows)) < 0.5]] = True
+        for side, child in ((left, rows[left[rows]]), (~left, rows[~left[rows]])):
+            got = _partition(*node, side[node[0]])
+            assert all(np.array_equal(a, b) for a, b in zip(got, _node_view(X, child, cols)))

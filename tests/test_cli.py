@@ -209,6 +209,18 @@ class TestPipelineArtifacts:
         assert len(lines) == CONFIG["train"]["trials"] + 1
         assert echoes["train"]["trials"] == CONFIG["train"]["trials"]
 
+    def test_train_echo_counts_trees_and_leaves(self, pipeline):
+        ws, _, echoes = pipeline
+        model = boost.load_model(str(ws / "model.json"))
+
+        def leaves(node):
+            return 1 if "value" in node else leaves(node["left"]) + leaves(node["right"])
+
+        assert echoes["train"]["trees"] == len(model.trees) > 0
+        assert echoes["train"]["leaves"] == sum(leaves(tree) for tree in model.trees)
+        assert not any("leaves" in path.read_text(errors="replace")
+                       for path in ws.rglob("*") if path.is_file())
+
     def test_elasticity_outputs(self, pipeline):
         ws, _, _ = pipeline
         lines = (ws / "elasticity.csv").read_text().splitlines()
@@ -639,21 +651,61 @@ class TestErrorContract:
         assert doc["kind"] == "config"
         assert "features.vif_threshold" in doc["error"]
 
+    @pytest.mark.parametrize("stage", ["train", "explain"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", [1, -1], ids=["feature", "target"])
+    def test_non_finite_features_value(self, pipeline, tmp_path, stage, value, column):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "features.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[3][column] = value
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        argv = [stage, "--workspace", str(copy)] + (["--seed", "7"] if stage == "train" else [])
+        code, out, err = run_cli(argv)
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert f"cell {rows[3][0]}, column {rows[0][column]}" in doc["error"]
+        assert out == ""
+        assert (copy / "model.json").read_bytes() == (ws / "model.json").read_bytes()
+
+    @pytest.mark.parametrize("argv, env, section", [
+        (["ingest", "--set", "ingest=5", "--bbox", "0,0,1,1"], {}, "ingest"),
+        (["train", "--seed", "7", "--set", "train.space=5"], {}, "train.space"),
+        (["plan", "--set", "planner=[1]"], {}, "planner"),
+        (["elasticity", "--set", "elasticity.values=null"], {}, "elasticity.values"),
+        (["classify"], {"RIDELINK_CLASSIFIER": "5"}, "classifier"),
+        (["gridify", "--side-km", "0.5"], {"RIDELINK_GRID": "x"}, "grid"),
+    ], ids=["ingest", "train_space", "planner", "elasticity_values", "env_classifier",
+            "env_grid_with_flag"])
+    def test_section_that_is_not_an_object(self, tmp_path, monkeypatch, argv, env, section):
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        code, _, err = run_cli(argv + ["--workspace", str(tmp_path / "w")])
+        assert code == 3, err
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert doc["error"].startswith(f"{section} must be a JSON object")
+
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,
 # then the modules the stage runs and what they import
-_LOADED_BY_EVERY_STAGE = {"ridelink", "ridelink.cli", "ridelink.errors", "ridelink.ingest"}
-_TRIP_LAYERS = {"ridelink.classify", "ridelink.geo", "ridelink.ptnet"}
+_LOADED_BY_EVERY_STAGE = {"ridelink", "ridelink.cli", "ridelink.errors"}
+_TRIP_LAYERS = {"ridelink.classify", "ridelink.geo", "ridelink.ingest", "ridelink.ptnet"}
 _FEATURE_LAYERS = _TRIP_LAYERS | {"ridelink.features", "ridelink.hexgrid"}
 STAGE_MODULES = {
     "synth": _TRIP_LAYERS | {"ridelink.synth"},
-    "ingest": set(),
-    "plan": {"ridelink.geo", "ridelink.ptnet"},
+    "ingest": {"ridelink.ingest"},
+    "plan": {"ridelink.geo", "ridelink.ingest", "ridelink.ptnet"},
     "classify": _TRIP_LAYERS,
     "gridify": _TRIP_LAYERS | {"ridelink.hexgrid"},
     "features": _FEATURE_LAYERS,
-    "train": _FEATURE_LAYERS | {"ridelink.boost"},
-    "explain": _FEATURE_LAYERS | {"ridelink.boost", "ridelink.explain", "ridelink.svgchart"},
+    "train": {"ridelink.boost", "ridelink.features"},
+    "explain": {"ridelink.boost", "ridelink.explain", "ridelink.features", "ridelink.svgchart"},
     "elasticity": _TRIP_LAYERS | {"ridelink.sensitivity", "ridelink.svgchart"},
     "report": _TRIP_LAYERS | {"ridelink.hexgrid", "ridelink.svgchart"},
 }
