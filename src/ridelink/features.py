@@ -88,22 +88,23 @@ def nearest_distances(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str,
     return out
 
 
+def _rows(grid: HexGrid, points: Sequence[tuple]) -> list[int]:
+    """Grid row of each ``(lon, lat, ...)`` point, or -1 off the grid."""
+    from .hexgrid import locate
+    return locate(grid, [p[0] for p in points], [p[1] for p in points]).tolist()
+
+
 def station_densities(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str, float]]:
     """Single-line bus stop and bus hub counts per km^2 for each cell."""
-    from .hexgrid import cell_id, locate
-    members = grid.cell_set()
-    counts: dict[str, list[int]] = {cell_id(q, r): [0, 0] for q, r in grid.cells}
-    for sid in net.station_ids:
-        s = net.stations[sid]
-        if s.mode != "bus":
-            continue
-        cell = locate(grid, s.lon, s.lat, members)
-        if cell is None:
-            continue
-        counts[cell_id(*cell)][1 if s.is_hub else 0] += 1
+    from .hexgrid import cell_id
+    bus = [s for s in (net.stations[sid] for sid in net.station_ids) if s.mode == "bus"]
+    counts = [[0, 0] for _ in grid.cells]
+    for s, row in zip(bus, _rows(grid, [(s.lon, s.lat) for s in bus])):
+        if row >= 0:
+            counts[row][1 if s.is_hub else 0] += 1
     area = grid.cell_area_km2
-    return {cid: {"bus_single_density": single / area, "bus_hub_density": hub / area}
-            for cid, (single, hub) in counts.items()}
+    return {cell_id(q, r): {"bus_single_density": single / area, "bus_hub_density": hub / area}
+            for (q, r), (single, hub) in zip(grid.cells, counts)}
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +144,6 @@ class RoadGraph:
 def load_roads(path: str) -> RoadGraph:
     """Street graph from GeoJSON LineStrings; consecutive vertices form edges."""
     from .geo import great_circle_m
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
     index: dict[tuple[float, float], int] = {}
     nodes: list[tuple[float, float]] = []
     seen: set = set()
@@ -157,22 +156,27 @@ def load_roads(path: str) -> RoadGraph:
             nodes.append((lon, lat))
         return index[key]
 
-    for feat in doc.get("features", []):
-        geom = feat.get("geometry", {})
-        if geom.get("type") != "LineString":
-            continue
-        highway = bool(feat.get("properties", {}).get("highway", False))
-        coords = geom["coordinates"]
-        for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
-            u, v = node_of(lon1, lat1), node_of(lon2, lat2)
-            if u == v:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        for feat in doc.get("features", []):
+            geom = feat.get("geometry", {})
+            if geom.get("type") != "LineString":
                 continue
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                continue
-            seen.add(key)
-            length_km = float(great_circle_m(lon1, lat1, lon2, lat2)) / 1000.0
-            edges.append((u, v, length_km, highway))
+            highway = bool(feat.get("properties", {}).get("highway", False))
+            coords = geom["coordinates"]
+            for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
+                u, v = node_of(lon1, lat1), node_of(lon2, lat2)
+                if u == v:
+                    continue
+                key = (min(u, v), max(u, v))
+                if key in seen:
+                    continue
+                seen.add(key)
+                length_km = float(great_circle_m(lon1, lat1, lon2, lat2)) / 1000.0
+                edges.append((u, v, length_km, highway))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed roads file {path}: {exc}") from None
     return RoadGraph(nodes=nodes, edges=edges)
 
 
@@ -209,25 +213,22 @@ def road_metrics(grid: HexGrid, roads: RoadGraph) -> dict[str, dict[str, float]]
     junctions located in each cell; road and highway densities use exact
     clipping of each segment against the hexagon in the projected plane.
     """
-    from .hexgrid import axial_center_xy, cell_id, locate
+    from .hexgrid import cell_id, corners_xy
     members = grid.cell_set()
     proj = grid.projection
     area = grid.cell_area_km2
-    node_cell: list = []
-    for lon, lat in roads.nodes:
-        node_cell.append(locate(grid, lon, lat, members))
-
     sums: dict[str, list[float]] = {cell_id(q, r): [0.0, 0.0, 0, 0.0, 0.0]
                                     for q, r in grid.cells}
-    for idx, cell in enumerate(node_cell):
-        if cell is None:
+    by_row = list(sums.values())
+    for idx, row in enumerate(_rows(grid, roads.nodes)):
+        if row < 0:
             continue
-        entry = sums[cell_id(*cell)]
+        entry = by_row[row]
         entry[0] += roads.clustering(idx)
         entry[1] += roads.degree(idx)
         entry[2] += 1
 
-    corners_xy: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    corners: dict[tuple[int, int], list[tuple[float, float]]] = {}
     s = grid.side_m
     for u, v, length_km, highway in roads.edges:
         lon1, lat1 = roads.nodes[u]
@@ -248,12 +249,9 @@ def road_metrics(grid: HexGrid, roads: RoadGraph) -> dict[str, dict[str, float]]
             for r in range(r_lo, r_hi + 1):
                 if (q, r) not in members:
                     continue
-                if (q, r) not in corners_xy:
-                    cx, cy = axial_center_xy(grid, q, r)
-                    corners_xy[(q, r)] = [
-                        (cx + s * math.cos(math.pi / 3.0 * k),
-                         cy + s * math.sin(math.pi / 3.0 * k)) for k in range(6)]
-                clipped_m = _clip_segment_to_hex(p0, p1, corners_xy[(q, r)])
+                if (q, r) not in corners:
+                    corners[(q, r)] = corners_xy(grid, q, r)
+                clipped_m = _clip_segment_to_hex(p0, p1, corners[(q, r)])
                 if clipped_m <= 0.0:
                     continue
                 clipped_km = clipped_m / 1000.0 * scale
@@ -281,12 +279,16 @@ def load_points(path: str, value_column: Optional[str] = None) -> list[tuple]:
     """CSV points: (lon, lat) plus either a category string or a mass value."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            lon, lat = float(row["lon"]), float(row["lat"])
-            if value_column is None:
-                points.append((lon, lat, row["category"]))
-            else:
-                points.append((lon, lat, float(row[value_column])))
+        reader = csv.DictReader(handle)
+        try:
+            for row in reader:
+                lon, lat = float(row["lon"]), float(row["lat"])
+                if value_column is None:
+                    points.append((lon, lat, row["category"]))
+                else:
+                    points.append((lon, lat, float(row[value_column])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"malformed point file {path}, line {reader.line_num}: {exc}") from None
     return points
 
 
@@ -298,27 +300,20 @@ def poi_and_population(
     """Density columns: POI counts per km^2 per category, and the log of the
     population density (raster mass assigned to the hex holding each raster
     point, divided by cell area, plus one)."""
-    from .hexgrid import cell_id, locate
-    members = grid.cell_set()
+    from .hexgrid import cell_id
     area = grid.cell_area_km2
-    counts = {cell_id(q, r): {c: 0 for c in POI_CATEGORIES} for q, r in grid.cells}
-    mass = {cell_id(q, r): 0.0 for q, r in grid.cells}
-    for lon, lat, category in pois:
-        if category not in POI_CATEGORIES:
-            continue
-        cell = locate(grid, lon, lat, members)
-        if cell is not None:
-            counts[cell_id(*cell)][category] += 1
-    for lon, lat, value in population:
-        cell = locate(grid, lon, lat, members)
-        if cell is not None:
-            mass[cell_id(*cell)] += value
-    out = {}
-    for cid in counts:
-        row = {f"{c}_density": counts[cid][c] / area for c in POI_CATEGORIES}
-        row["log_population_density"] = math.log(mass[cid] / area + 1.0)
-        out[cid] = row
-    return out
+    counts = [{c: 0 for c in POI_CATEGORIES} for _ in grid.cells]
+    mass = [0.0] * len(grid.cells)
+    pois = [p for p in pois if p[2] in POI_CATEGORIES]
+    for (_, _, category), row in zip(pois, _rows(grid, pois)):
+        if row >= 0:
+            counts[row][category] += 1
+    for (_, _, value), row in zip(population, _rows(grid, population)):
+        if row >= 0:
+            mass[row] += value
+    return {cell_id(q, r): {**{f"{c}_density": n[c] / area for c in POI_CATEGORIES},
+                            "log_population_density": math.log(m / area + 1.0)}
+            for (q, r), n, m in zip(grid.cells, counts, mass)}
 
 
 # ---------------------------------------------------------------------------
@@ -334,37 +329,30 @@ def tnc_travel_columns(
     """Per-cell ride columns anchored at the pickup ("origin") or dropoff
     ("destination") end: daily trip count, mean wait (when request times are
     present on every trip), mean duration, mean fare per km."""
-    from .hexgrid import cell_id, locate
+    from .hexgrid import cell_id
     from .ingest import has_request_times
     if side not in ("origin", "destination"):
         raise ValueError("side must be 'origin' or 'destination'")
     if days < 1:
         raise ValueError("days must be >= 1")
-    members = grid.cell_set()
     with_wait = has_request_times(trips)
-    acc: dict[str, list[float]] = {cell_id(q, r): [0, 0.0, 0.0, 0.0] for q, r in grid.cells}
-    for trip in trips:
-        lon, lat = ((trip.olon, trip.olat) if side == "origin"
-                    else (trip.dlon, trip.dlat))
-        cell = locate(grid, lon, lat, members)
-        if cell is None:
+    acc = [[0, 0.0, 0.0, 0.0] for _ in grid.cells]
+    ends = [(t.olon, t.olat) if side == "origin" else (t.dlon, t.dlat) for t in trips]
+    for trip, row in zip(trips, _rows(grid, ends)):
+        if row < 0:
             continue
-        entry = acc[cell_id(*cell)]
+        entry = acc[row]
         entry[0] += 1
         entry[1] += trip.duration_min
         entry[2] += trip.fare_per_km
         if with_wait:
             entry[3] += trip.wait_min
-    out = {}
-    for cid, (n, travel, fare, wait) in acc.items():
-        row: dict[str, Optional[float]] = {
-            "n_trips_daily": n / days,
-            "avg_travel_min": travel / n if n else 0.0,
-            "avg_fare_per_km": fare / n if n else 0.0,
-        }
-        row["avg_wait_min"] = (wait / n if n else 0.0) if with_wait else None
-        out[cid] = row
-    return out
+    return {cell_id(q, r): {
+        "n_trips_daily": n / days,
+        "avg_travel_min": travel / n if n else 0.0,
+        "avg_fare_per_km": fare / n if n else 0.0,
+        "avg_wait_min": (wait / n if n else 0.0) if with_wait else None,
+    } for (q, r), (n, travel, fare, wait) in zip(grid.cells, acc)}
 
 
 # ---------------------------------------------------------------------------
@@ -524,14 +512,21 @@ def write_features(matrix: FeatureMatrix, path: str, schema_path: Optional[str] 
 
 
 def read_features(path: str) -> FeatureMatrix:
-    """Read a features artifact; every value must be a finite number."""
+    """Read a features artifact; every row must be full width and every value
+    a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
         names, target = header[1:-1], header[-1]
         cell_ids, rows, ys = [], [], []
         for row in reader:
-            values = [float(v) for v in row[1:]]
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} fields, expected {len(header)}")
+                values = [float(v) for v in row[1:]]
+            except ValueError as exc:
+                raise InputError(f"features artifact line {reader.line_num}: {exc}; "
+                                 "re-run 'features'") from None
             for value, column in zip(values, header[1:]):
                 if not math.isfinite(value):
                     raise InputError(f"features artifact has {value} in cell {row[0]}, "

@@ -28,14 +28,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
+from .errors import InputError
 from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
 
 SQRT3 = math.sqrt(3.0)
-
-OFF_GRID = None  # sentinel returned by locate() for points outside the grid
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,17 @@ def cell_center(grid: HexGrid, q: int, r: int) -> tuple[float, float]:
     return grid.projection.to_lonlat(x, y)
 
 
-def cell_polygon(grid: HexGrid, q: int, r: int) -> list[tuple[float, float]]:
-    """Six corners (lon, lat), closed ring not included."""
+def corners_xy(grid: HexGrid, q: int, r: int) -> list[tuple[float, float]]:
+    """Six corners in the projected plane (metres), counter-clockwise."""
     cx, cy = axial_center_xy(grid, q, r)
     s = grid.side_m
-    proj = grid.projection
-    corners = []
-    for k in range(6):
-        ang = math.pi / 3.0 * k
-        corners.append(proj.to_lonlat(cx + s * math.cos(ang), cy + s * math.sin(ang)))
-    return corners
+    return [(cx + s * math.cos(math.pi / 3.0 * k), cy + s * math.sin(math.pi / 3.0 * k))
+            for k in range(6)]
+
+
+def cell_polygon(grid: HexGrid, q: int, r: int) -> list[tuple[float, float]]:
+    """Six corners (lon, lat), closed ring not included."""
+    return [grid.projection.to_lonlat(x, y) for x, y in corners_xy(grid, q, r)]
 
 
 def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
@@ -128,31 +130,37 @@ def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
                    bbox=(lon_min, lat_min, lon_max, lat_max), cells=tuple(cells))
 
 
-def _axial_round(qf: float, rf: float) -> tuple[int, int]:
-    # cube rounding: x=q, z=r, y=-x-z; fix the component with the largest error
-    xf, zf = qf, rf
-    yf = -xf - zf
-    rx, ry, rz = round(xf), round(yf), round(zf)
-    dx, dy, dz = abs(rx - xf), abs(ry - yf), abs(rz - zf)
-    if dx > dy and dx > dz:
-        rx = -ry - rz
-    elif dy > dz:
-        ry = -rx - rz
-    else:
-        rz = -rx - ry
-    return int(rx), int(rz)
+def locate(grid: HexGrid, lon, lat) -> np.ndarray:
+    """Row in ``grid.cells`` of the cell holding each point, or -1 off the grid.
 
-
-def locate(grid: HexGrid, lon: float, lat: float,
-           _cells: Optional[frozenset] = None) -> Optional[tuple[int, int]]:
-    """Axial cell containing the point, or the off-grid sentinel (None)."""
+    ``lon`` and ``lat`` are equal-length 1-d sequences. Cube rounding uses
+    ``np.rint`` (half to even, like ``round``), so shared edges and vertices
+    always resolve the same way. Raises ``ValueError`` on a non-finite coordinate.
+    """
+    lon, lat = (np.asarray(v, dtype=float) for v in (lon, lat))
+    bad = np.flatnonzero(~(np.isfinite(lon) & np.isfinite(lat)))
+    if bad.size:
+        raise ValueError(f"cannot locate the non-finite point ({lon[bad[0]]}, {lat[bad[0]]})")
     x, y = grid.projection.to_xy(lon, lat)
     s = grid.side_m
     qf = (2.0 / 3.0) * x / s
     rf = (-x / 3.0 + SQRT3 / 3.0 * y) / s
-    cell = _axial_round(qf, rf)
-    members = _cells if _cells is not None else grid.cell_set()
-    return cell if cell in members else OFF_GRID
+    # cube rounding: x=q, z=r, y=-x-z; fix the component with the largest error
+    yf = -qf - rf
+    rx, ry, rz = np.rint(qf), np.rint(yf), np.rint(rf)
+    dx, dy, dz = np.abs(rx - qf), np.abs(ry - yf), np.abs(rz - rf)
+    fix_x = (dx > dy) & (dx > dz)
+    q = np.where(fix_x, -ry - rz, rx).tolist()
+    r = np.where(~fix_x & ~(dy > dz), -rx - ry, rz).tolist()
+    # whole floats hash and compare equal to the ints in grid.cells
+    row_of = {cell: row for row, cell in enumerate(grid.cells)}
+    return np.array([row_of.get(cell, -1) for cell in zip(q, r)], dtype=np.intp)
+
+
+def _trip_rows(grid: HexGrid, trips: Sequence[TripRecord]) -> tuple[list[int], list[int]]:
+    """Grid rows of every trip's origin and destination (-1 off the grid)."""
+    return (locate(grid, [t.olon for t in trips], [t.olat for t in trips]).tolist(),
+            locate(grid, [t.dlon for t in trips], [t.dlat for t in trips]).tolist())
 
 
 @dataclass
@@ -225,20 +233,18 @@ def compute_ratios(
         raise ValueError("days must be >= 1")
     if len(trips) != len(results):
         raise ValueError("trips and results must align")
-    members = grid.cell_set()
     stats = {cell_id(q, r): GridCellStats(cell_id(q, r), days) for q, r in grid.cells}
-    for trip, res in zip(trips, results):
-        ocell = locate(grid, trip.olon, trip.olat, members)
-        dcell = locate(grid, trip.dlon, trip.dlat, members)
-        if ocell is not OFF_GRID:
-            cs = stats[cell_id(*ocell)]
+    by_row = list(stats.values())
+    for orow, drow, res in zip(*_trip_rows(grid, trips), results):
+        if orow >= 0:
+            cs = by_row[orow]
             cs.o_total += 1
             if res.label == FIRST_MILE:
                 cs.fc_total += 1
             elif res.label == SUBSTITUTIVE:
                 cs.ds_total += 1
-        if dcell is not OFF_GRID:
-            cs = stats[cell_id(*dcell)]
+        if drow >= 0:
+            cs = by_row[drow]
             cs.a_total += 1
             if res.label == LAST_MILE:
                 cs.lc_total += 1
@@ -301,16 +307,12 @@ def od_flows(
     rolled up to districts (name -> polygon ring of lon/lat pairs)."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    members = grid.cell_set()
+    ids = [cell_id(q, r) for q, r in grid.cells]
     counts: dict[tuple[str, str], int] = {}
-    for trip, res in zip(trips, results):
-        if trip_class is not None and res.label != trip_class:
+    for orow, drow, res in zip(*_trip_rows(grid, trips), results):
+        if (trip_class is not None and res.label != trip_class) or orow < 0 or drow < 0:
             continue
-        ocell = locate(grid, trip.olon, trip.olat, members)
-        dcell = locate(grid, trip.dlon, trip.dlat, members)
-        if ocell is OFF_GRID or dcell is OFF_GRID:
-            continue
-        key = (cell_id(*ocell), cell_id(*dcell))
+        key = (ids[orow], ids[drow])
         counts[key] = counts.get(key, 0) + 1
     label = trip_class if trip_class is not None else "all"
     flows = [OdFlow("grid", a, b, label, n / days) for (a, b), n in sorted(counts.items())]
@@ -340,16 +342,18 @@ def _district_of_cells(grid: HexGrid, districts: dict[str, list[tuple[float, flo
 
 def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
     """District polygons from a GeoJSON FeatureCollection (outer rings only)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
     out = {}
-    for feat in doc.get("features", []):
-        name = str(feat.get("properties", {}).get("name", f"d{len(out)}"))
-        geom = feat.get("geometry", {})
-        if geom.get("type") != "Polygon":
-            continue
-        ring = [(float(lon), float(lat)) for lon, lat in geom["coordinates"][0]]
-        out[name] = ring
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        for feat in doc.get("features", []):
+            name = str(feat.get("properties", {}).get("name", f"d{len(out)}"))
+            geom = feat.get("geometry", {})
+            if geom.get("type") != "Polygon":
+                continue
+            out[name] = [(float(lon), float(lat)) for lon, lat in geom["coordinates"][0]]
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed districts file {path}: {exc}") from None
     return out
 
 
@@ -557,7 +561,6 @@ __all__ = [
     "HexGrid",
     "Histogram",
     "OdFlow",
-    "OFF_GRID",
     "TemporalProfile",
     "axial_center_xy",
     "build_grid",
@@ -566,6 +569,7 @@ __all__ = [
     "cell_polygon",
     "complementary_breakdown",
     "compute_ratios",
+    "corners_xy",
     "load_districts",
     "locate",
     "od_flows",

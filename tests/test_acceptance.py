@@ -168,10 +168,11 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
         if actual != expected:
             mismatched.append(cid)
 
-    members = grid.cell_set()
+    sample = city.trips[::97]
+    rows = locate(grid, [t.olon for t in sample], [t.olat for t in sample]).tolist()
     outside = 0
-    for trip in city.trips[::97]:
-        cell = locate(grid, trip.olon, trip.olat, members)
+    for trip, row in zip(sample, rows):
+        cell = grid.cells[row] if row >= 0 else None
         if cell is None or not point_in_ring(trip.olon, trip.olat,
                                              cell_polygon(grid, *cell)):
             outside += 1

@@ -7,6 +7,7 @@ layering, and the error contract (JSON on stderr, exit codes 2/3/4).
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -163,7 +164,26 @@ class TestConfigLayers:
             cfg.classifier()
 
 
+# sha256 of the gridify and features artifacts in the fixture workspace
+GOLDEN_ARTIFACTS = {
+    "cells.csv": "a41e5602a705ad0d77e2a3746f9a18e4a2ae15f5762732403a981e5a962f6bf9",
+    "cells.geojson": "e68bedf2d778dfa9b3c640bd37af554dddcd63e2e5e2ea51d18b1812a393c2ab",
+    "od_flows.csv": "fd333b207bf17372118a98b9dd60c92a9cb79b85edfe3bacae546a98abf83e06",
+    "temporal.csv": "5bcd6b51b18d92791cfe01be9b854641c279a5defa5bb902b62a42b89395029b",
+    "trip_stats.json": "8a7404ccda575aa78f3d1176facfe21f401d46230a17fb85ce4854f08532bec5",
+    "breakdown.json": "5f5885ac1e8bf5865a895633311ff46940293cc67da8f5e286c0ca7a36d77dc7",
+    "features.csv": "42639430edc4e4ea6170dae8fd2d54c8e3dc0bde0688d6147f3c1c218be7ffd9",
+    "features_schema.json": "b1435e52f789a446da31fdd134c39a6c58caefd27474721012bbf996d211986f",
+    "vif_report.json": "1d59b26aca70213eb9e66a34239e6bd4fb578a0a828b90442f31a29a158f7930",
+}
+
+
 class TestPipelineArtifacts:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_ARTIFACTS))
+    def test_grid_and_feature_digests(self, pipeline, name):
+        ws, _, _ = pipeline
+        assert hashlib.sha256((ws / name).read_bytes()).hexdigest() == GOLDEN_ARTIFACTS[name]
+
     def test_all_artifacts_written(self, pipeline):
         ws, _, _ = pipeline
         for producer, filename in ARTIFACTS.values():
@@ -672,6 +692,96 @@ class TestErrorContract:
         assert f"cell {rows[3][0]}, column {rows[0][column]}" in doc["error"]
         assert out == ""
         assert (copy / "model.json").read_bytes() == (ws / "model.json").read_bytes()
+
+    @pytest.mark.parametrize("stage", ["train", "explain"])
+    @pytest.mark.parametrize("case", ["not_a_number", "short_row"])
+    def test_malformed_features_row(self, pipeline, tmp_path, stage, case):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "features.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        if case == "not_a_number":
+            rows[3][1] = "abc"
+        else:
+            del rows[3][-2:]
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        argv = [stage, "--workspace", str(copy)] + (["--seed", "7"] if stage == "train" else [])
+        code, out, err = run_cli(argv)
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert "line 4" in doc["error"] and "re-run 'features'" in doc["error"]
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("layer", ["poi", "population", "roads"])
+    def test_non_finite_context_coordinate(self, pipeline, tmp_path, layer, value):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        if layer == "roads":
+            path = copy / "city" / "roads.geojson"
+            doc = json.loads(path.read_text())
+            doc["features"][0]["geometry"]["coordinates"][0][0] = float(value)
+            path.write_text(json.dumps(doc))
+        else:
+            path = copy / "city" / f"{layer}.csv"
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            rows[0]["lon"] = value
+            _write_rows(path, rows)
+        code, out, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        assert json.loads(err)["kind"] == "input"
+        assert out == ""
+
+    @pytest.mark.parametrize("layer, column", [
+        ("poi", "lon"), ("population", "population"), ("roads", None),
+    ])
+    def test_malformed_context_file(self, pipeline, tmp_path, layer, column):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        if layer == "roads":
+            path = copy / "city" / "roads.geojson"
+            path.write_text("{not json")
+        else:
+            path = copy / "city" / f"{layer}.csv"
+            with open(path, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            rows[1][column] = "abc"
+            _write_rows(path, rows)
+        code, _, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"]
+        if column:
+            assert "line 3" in doc["error"]
+
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"name": "west"},
+            "geometry": {"type": "Polygon",
+                         "coordinates": [[[121.0, 31.0], [121.05], [121.0, 31.05]]]}}]}),
+    ], ids=["invalid_json", "top_level_list", "one_number_vertex"])
+    def test_malformed_districts_file(self, pipeline, tmp_path, content):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = tmp_path / "districts.geojson"
+        path.write_text(content)
+        code, _, err = run_cli(["gridify", "--workspace", str(copy),
+                                "--set", f"paths.districts={path}"])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"]
 
     @pytest.mark.parametrize("argv, env, section", [
         (["ingest", "--set", "ingest=5", "--bbox", "0,0,1,1"], {}, "ingest"),

@@ -183,12 +183,12 @@ class TestStationDensities:
         grid = build_grid(BBOX, 0.5)
         net = _full_net()
         dens = station_densities(grid, net)
-        members = grid.cell_set()
         area = grid.cell_area_km2
         singles = {"bs1": False, "bs2": False, "bh1": True}
         for sid, hub in singles.items():
             s = net.stations[sid]
-            cell = locate(grid, s.lon, s.lat, members)
+            (row,) = locate(grid, [s.lon], [s.lat])
+            cell = grid.cells[row]
             key = "bus_hub_density" if hub else "bus_single_density"
             assert dens[cell_id(*cell)][key] >= 1.0 / area - 1e-12
         total_single = sum(d["bus_single_density"] for d in dens.values()) * area

@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cityfix import build_city
+from locate_oracle import OFF_GRID
+from locate_oracle import locate as scalar_locate
 from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from ridelink.hexgrid import (
-    OFF_GRID,
     SQRT3,
     axial_center_xy,
     build_grid,
@@ -37,6 +40,12 @@ def _trip(olon, olat, dlon, dlat, pickup=480, duration=15, cost=20.0, request=No
         dlon=dlon, dlat=dlat, dropoff_label="B", dropoff_min=pickup + duration,
         distance_km=5.0, cost=cost, request_min=request,
     )
+
+
+def _locate_one(grid, lon, lat):
+    """One point through the array ``locate``: its axial cell, or OFF_GRID."""
+    (row,) = locate(grid, [lon], [lat]).tolist()
+    return grid.cells[row] if row >= 0 else OFF_GRID
 
 
 def _nearest_center_oracle(grid, lon, lat):
@@ -99,17 +108,17 @@ class TestLocate:
         grid = build_grid(BBOX, 0.5)
         for q, r in list(grid.cells)[::13]:
             lon, lat = cell_center(grid, q, r)
-            assert locate(grid, lon, lat) == (q, r)
+            assert _locate_one(grid, lon, lat) == (q, r)
 
     def test_epsilon_off_center_same_cell(self):
         grid = build_grid(BBOX, 0.5)
         q, r = grid.cells[len(grid.cells) // 2]
         lon, lat = cell_center(grid, q, r)
-        assert locate(grid, lon + 1e-7, lat - 1e-7) == (q, r)
+        assert _locate_one(grid, lon + 1e-7, lat - 1e-7) == (q, r)
 
     def test_far_point_is_off_grid(self):
         grid = build_grid(BBOX, 0.5)
-        assert locate(grid, 125.0, 35.0) is OFF_GRID
+        assert _locate_one(grid, 125.0, 35.0) is OFF_GRID
 
     def test_every_in_box_point_lands_in_a_cell(self):
         grid = build_grid(BBOX, 0.5)
@@ -117,7 +126,7 @@ class TestLocate:
         for _ in range(400):
             lon = float(rng.uniform(BBOX[0], BBOX[2]))
             lat = float(rng.uniform(BBOX[1], BBOX[3]))
-            assert locate(grid, lon, lat) is not OFF_GRID
+            assert _locate_one(grid, lon, lat) is not OFF_GRID
 
     def test_agrees_with_nearest_center_oracle(self):
         grid = build_grid(BBOX, 0.5)
@@ -138,7 +147,7 @@ class TestLocate:
             if second - d < 1e-6:
                 continue
             checked += 1
-            assert locate(grid, lon, lat) == oracle_cell
+            assert _locate_one(grid, lon, lat) == oracle_cell
         assert checked > 250
 
     def test_shared_edge_point_assigned_to_exactly_one_adjacent_cell(self):
@@ -153,9 +162,99 @@ class TestLocate:
             x1, y1 = axial_center_xy(grid, q, r)
             x2, y2 = axial_center_xy(grid, *neighbor)
             lon, lat = proj.to_lonlat((x1 + x2) / 2.0, (y1 + y2) / 2.0)
-            results = {locate(grid, lon, lat) for _ in range(5)}
+            results = {_locate_one(grid, lon, lat) for _ in range(5)}
             assert len(results) == 1
             assert results.pop() in {(q, r), neighbor}
+
+
+# axial steps to the six neighbors of a cell
+_NEIGHBOR_STEPS = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+
+
+@st.composite
+def _grid_and_points(draw):
+    """A grid anywhere on the globe and points on its centers, shared-edge
+    midpoints and three-cell corners (where cube rounding ties), nudged by
+    0 or 1e-9 degrees, plus points in and far outside the box."""
+    lon_min = draw(st.floats(-170.0, 170.0))
+    lat_min = draw(st.floats(-60.0, 60.0))
+    bbox = (lon_min, lat_min, lon_min + draw(st.floats(0.005, 0.06)),
+            lat_min + draw(st.floats(0.005, 0.06)))
+    grid = build_grid(bbox, draw(st.sampled_from([0.25, 0.5, 1.0, 1.7])))
+    s = grid.side_m
+    points = []
+    for kind in draw(st.lists(st.sampled_from(["center", "edge", "vertex", "box", "far"]),
+                              max_size=40)):
+        q, r = draw(st.sampled_from(grid.cells))
+        x, y = axial_center_xy(grid, q, r)
+        if kind == "edge":
+            dq, dr = draw(st.sampled_from(_NEIGHBOR_STEPS))
+            nx, ny = axial_center_xy(grid, q + dq, r + dr)
+            x, y = (x + nx) / 2.0, (y + ny) / 2.0
+        elif kind == "vertex":
+            angle = math.pi / 3.0 * draw(st.integers(0, 5))
+            x, y = x + s * math.cos(angle), y + s * math.sin(angle)
+        lon, lat = grid.projection.to_lonlat(x, y)
+        if kind == "box":
+            lon = draw(st.floats(bbox[0] - 0.02, bbox[2] + 0.02))
+            lat = draw(st.floats(bbox[1] - 0.02, bbox[3] + 0.02))
+        elif kind == "far":
+            lon += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.1, 9.0))
+            lat += draw(st.floats(-9.0, 9.0))
+        nudge = st.sampled_from([0.0, 1e-9, -1e-9])
+        points.append((lon + draw(nudge), lat + draw(nudge)))
+    return grid, points
+
+
+class TestLocateOracle:
+    """The array ``locate`` equals the scalar oracle point by point."""
+
+    @staticmethod
+    def _expected(grid, points):
+        row_of = {cell: row for row, cell in enumerate(grid.cells)}
+        return [row_of.get(scalar_locate(grid, lon, lat), -1) for lon, lat in points]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grid_and_points())
+    def test_matches_scalar_oracle(self, case):
+        grid, points = case
+        rows = locate(grid, [p[0] for p in points], [p[1] for p in points])
+        assert rows.shape == (len(points),)
+        assert rows.dtype.kind == "i"
+        assert rows.tolist() == self._expected(grid, points)
+
+    @pytest.mark.parametrize("target", [-1.5, -0.5, 0.5, 1.5])
+    def test_exact_half_integer_tie(self, target):
+        # on the anchor's meridian x is exactly 0, so q is exactly 0; pick a
+        # latitude and a side for which r is exactly ``target``, where the
+        # rounding mode (half to even) decides between two cells
+        base = build_grid(BBOX, 0.5)
+        for step in range(1, 400):
+            lat = base.lat0 + math.copysign(0.0007 * step, target)
+            _, y = base.projection.to_xy(base.lon0, lat)
+            grid = build_grid(BBOX, SQRT3 / 3.0 * y / target / 1000.0)
+            if (SQRT3 / 3.0 * y) / grid.side_m == target:
+                break
+        else:
+            pytest.fail("no exact tie found")
+        assert grid.lon0 == base.lon0 and grid.lat0 == base.lat0
+        rows = locate(grid, [base.lon0], [lat])
+        assert rows.tolist() == self._expected(grid, [(base.lon0, lat)])
+        assert grid.cells[rows[0]] in {(0, math.floor(target)), (0, math.ceil(target))}
+
+    def test_empty_input(self):
+        rows = locate(build_grid(BBOX, 0.5), [], [])
+        assert rows.shape == (0,)
+        assert rows.dtype.kind == "i"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["lon", "lat"])
+    def test_non_finite_coordinate_raises(self, bad, axis):
+        grid = build_grid(BBOX, 0.5)
+        points = [list(cell_center(grid, *grid.cells[i])) for i in range(3)]
+        points[1][axis] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            locate(grid, [p[0] for p in points], [p[1] for p in points])
 
 
 class TestComputeRatios:
