@@ -10,13 +10,13 @@ so its gradients stay anchored to the global mean; the geometric sizing keeps
 that segment small. ``ordered_segments=1`` disables the scheme and gives
 classic gradient boosting.
 
-Each main tree is built in two phases: its structure (splits) is chosen by
-fitting the prefix-based gradients, then its leaf outputs are refit as
-weighted means of the deployed model's own residuals. The second phase is the
+Growth chooses a tree's splits and records the rows of each leaf, and every
+leaf is then fit by one rule: the weighted mean of a target over its rows. A
+prefix tree's target is the gradient it was grown on. A main tree is grown on
+the prefix-based gradients but fit to the deployed model's own residuals, the
 classic per-leaf line-search step; without it the no-prefix segment's frozen
-gradients would leave a permanent training-loss floor. The global step size
-``gamma_m`` still comes from a one-dimensional line search on training loss,
-scaled by the learning rate.
+gradients would leave a permanent training-loss floor. The step ``gamma_m``
+is a one-dimensional line search on training loss, times the learning rate.
 
 Randomness is consumed in a fixed order so a fit can be replayed exactly:
 one permutation up front, then per iteration (a) bagging weights, drawn only
@@ -105,12 +105,6 @@ def schema_hash(feature_names: Sequence[str], target: str) -> str:
 # tree building
 
 
-def _leaf(g: np.ndarray, w: np.ndarray) -> dict:
-    sw = float(w.sum())
-    value = float((w * g).sum() / sw) if sw > 0.0 else 0.0
-    return {"value": value}
-
-
 def _best_split(g, w, rows, orders, xs, cols, min_leaf, noise_scale, rng):
     """Score every boundary of every candidate column in one pass; returns
     (gain, feature, threshold) or None. Row ``i`` of ``orders`` lists ``rows``
@@ -152,14 +146,23 @@ def _best_split(g, w, rows, orders, xs, cols, min_leaf, noise_scale, rng):
     return gain, int(cols[i]), float(xs[i, p])
 
 
-def _grow(X, g, w, rows, view, cols, depth, min_leaf, random_strength, rng) -> dict:
+def _grow(X, g, w, rows, view, cols, depth, min_leaf, random_strength, rng):
     """Grow one tree depth-first over ``rows``, whose sorted ``view`` (row
     order and values per column) comes from the fit's presort. A child's view
-    is a stable partition of its parent's, made once the child is to split."""
+    is a stable partition of its parent's, made once the child is to split.
+    Returns ``(tree, leaves)``: ``leaves`` pairs each leaf dict, left to right,
+    with the ascending rows growth sent to it, which are the rows of ``rows``
+    that ``_tree_predict`` routes there; ``_fit_leaves`` sets their values."""
+    leaves = []
+
+    def leaf(rows):
+        node = {}
+        leaves.append((node, rows))
+        return node
 
     def grow(rows, orders, xs, keep, depth_left):
         if depth_left == 0 or len(rows) < 2 * min_leaf:
-            return _leaf(g[rows], w[rows])
+            return leaf(rows)
         if keep is not None:
             orders, xs = _partition(orders, xs, keep)
         noise_scale = 0.0
@@ -171,17 +174,15 @@ def _grow(X, g, w, rows, view, cols, depth, min_leaf, random_strength, rng) -> d
             noise_scale = random_strength * math.sqrt(parent_sse / len(rows) + 1e-12)
         found = _best_split(g, w, rows, orders, xs, cols, min_leaf, noise_scale, rng)
         if found is None:
-            return _leaf(g[rows], w[rows])
+            return leaf(rows)
         _, feature, threshold = found
         mask = X[rows, feature] <= threshold
-        goes_left = np.zeros(len(X), dtype=bool)
-        goes_left[rows[mask]] = True
-        side = goes_left[orders]
+        side = X[orders, feature] <= threshold
         left = grow(rows[mask], orders, xs, side, depth_left - 1)
         right = grow(rows[~mask], orders, xs, ~side, depth_left - 1)
         return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
-    return grow(rows, view[0][cols], view[1][cols], None, depth)
+    return grow(rows, view[0][cols], view[1][cols], None, depth), leaves
 
 
 def _partition(orders, xs, keep):
@@ -205,18 +206,16 @@ def _tree_predict(node: dict, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _refit_leaves(node: dict, X: np.ndarray, r: np.ndarray, w: np.ndarray,
-                  rows: np.ndarray) -> None:
-    """Replace each leaf's output with the weighted mean of the deployed
-    model's residuals among the rows the leaf captures."""
-    if "value" in node:
+def _fit_leaves(leaves, target: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Set each leaf to the weighted mean of ``target`` over its rows (0.0 when
+    they weigh nothing); returns the tree's output on the grown rows, zero on
+    every other row."""
+    h = np.zeros(len(target))
+    for node, rows in leaves:
         sw = float(w[rows].sum())
-        if sw > 0.0:
-            node["value"] = float((w[rows] * r[rows]).sum() / sw)
-        return
-    mask = X[rows, node["feature"]] <= node["threshold"]
-    _refit_leaves(node["left"], X, r, w, rows[mask])
-    _refit_leaves(node["right"], X, r, w, rows[~mask])
+        node["value"] = float((w[rows] * target[rows]).sum() / sw) if sw > 0.0 else 0.0
+        h[rows] = node["value"]
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +264,16 @@ def _fit_core(X: np.ndarray, y: np.ndarray, params, feature_names, target) -> Bo
         for j in range(1, k):
             rows = prefix_rows[j - 1]
             g = y[rows] - prefix_pred[j - 1][rows]
-            tree = _grow(X, _scatter(g, rows, n), w, rows, prefix_views[j - 1], cols,
-                         params.depth, params.min_data_in_leaf, params.random_strength, rng)
-            h = _tree_predict(tree, X)
-            denom = float(h[rows] @ h[rows])
-            gamma = lr * float(g @ h[rows]) / denom if denom > 0.0 else 0.0
-            prefix_pred[j - 1] += gamma * h
+            g_full = np.zeros(n)
+            g_full[rows] = g
+            tree, leaves = _grow(X, g_full, w, rows, prefix_views[j - 1], cols, params.depth,
+                                 params.min_data_in_leaf, params.random_strength, rng)
+            h = _fit_leaves(leaves, g_full, w)[rows]
+            denom = float(h @ h)
+            gamma = lr * float(g @ h) / denom if denom > 0.0 else 0.0
+            # the prefix model is read only on its own rows and the next segment
+            prefix_pred[j - 1][rows] += gamma * h
+            prefix_pred[j - 1][segments[j]] += gamma * _tree_predict(tree, X[segments[j]])
 
         if k == 1:
             grad_base = main_pred
@@ -279,23 +282,16 @@ def _fit_core(X: np.ndarray, y: np.ndarray, params, feature_names, target) -> Bo
             for j in range(1, k):
                 grad_base[segments[j]] = prefix_pred[j - 1][segments[j]]
         g_main = y - grad_base
-        tree = _grow(X, g_main, w, np.arange(n), view, cols, params.depth,
-                     params.min_data_in_leaf, params.random_strength, rng)
+        tree, leaves = _grow(X, g_main, w, np.arange(n), view, cols, params.depth,
+                             params.min_data_in_leaf, params.random_strength, rng)
         r = y - main_pred
-        _refit_leaves(tree, X, r, w, np.arange(n))
-        h = _tree_predict(tree, X)
+        h = _fit_leaves(leaves, r, w)
         denom = float(h @ h)
         gamma = lr * float(r @ h) / denom if denom > 0.0 else 0.0
         main_pred += gamma * h
         model.trees.append(tree)
         model.gammas.append(gamma)
     return model
-
-
-def _scatter(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros(n)
-    out[rows] = values
-    return out
 
 
 def _segment_permutation(perm: np.ndarray, k: int) -> list[np.ndarray]:

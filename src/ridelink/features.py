@@ -159,12 +159,14 @@ def load_roads(path: str) -> RoadGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        for feat in doc.get("features", []):
+        for number, feat in enumerate(doc.get("features", [])):
             geom = feat.get("geometry", {})
             if geom.get("type") != "LineString":
                 continue
             highway = bool(feat.get("properties", {}).get("highway", False))
             coords = geom["coordinates"]
+            if not all(math.isfinite(c) for vertex in coords for c in vertex):
+                raise ValueError(f"feature {number} has a non-finite vertex")
             for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
                 u, v = node_of(lon1, lat1), node_of(lon2, lat2)
                 if u == v:
@@ -283,10 +285,11 @@ def load_points(path: str, value_column: Optional[str] = None) -> list[tuple]:
         try:
             for row in reader:
                 lon, lat = float(row["lon"]), float(row["lat"])
-                if value_column is None:
-                    points.append((lon, lat, row["category"]))
-                else:
-                    points.append((lon, lat, float(row[value_column])))
+                value = row["category"] if value_column is None else float(row[value_column])
+                numbers = (lon, lat) if value_column is None else (lon, lat, value)
+                if not all(map(math.isfinite, numbers)):
+                    raise ValueError(f"non-finite number in {numbers}")
+                points.append((lon, lat, value))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed point file {path}, line {reader.line_num}: {exc}") from None
     return points
@@ -516,7 +519,9 @@ def read_features(path: str) -> FeatureMatrix:
     a finite number."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
+        header = next(reader, [])
+        if not header:
+            raise InputError(f"features artifact {path} has no header row; re-run 'features'")
         names, target = header[1:-1], header[-1]
         cell_ids, rows, ys = [], [], []
         for row in reader:

@@ -18,8 +18,11 @@ from ridelink.boost import (
     ParamSpace,
     _best_split,
     _fit_core,
+    _fit_leaves,
+    _grow,
     _partition,
     _segment_permutation,
+    _tree_predict,
     cross_validate,
     evaluate,
     evaluate_model,
@@ -718,3 +721,110 @@ class TestSplitSearch:
         for side, child in ((left, rows[left[rows]]), (~left, rows[~left[rows]])):
             got = _partition(*node, side[node[0]])
             assert all(np.array_equal(a, b) for a, b in zip(got, _node_view(X, child, cols)))
+
+
+def _refit_leaves(node: dict, X: np.ndarray, r: np.ndarray, w: np.ndarray,
+                  rows: np.ndarray) -> None:
+    """Replace each leaf's output with the weighted mean of the deployed
+    model's residuals among the rows the leaf captures. The re-walk of each
+    tree that leaf fitting from growth's own rows replaced, kept as its
+    oracle."""
+    if "value" in node:
+        sw = float(w[rows].sum())
+        if sw > 0.0:
+            node["value"] = float((w[rows] * r[rows]).sum() / sw)
+        return
+    mask = X[rows, node["feature"]] <= node["threshold"]
+    _refit_leaves(node["left"], X, r, w, rows[mask])
+    _refit_leaves(node["right"], X, r, w, rows[~mask])
+
+
+def _walk(tree, x):
+    node = tree
+    while "feature" in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    return node
+
+
+def _with_zero_leaves(node):
+    """A copy of a grown tree whose every leaf reads 0.0, the value growth gave
+    a leaf whose rows weigh nothing."""
+    if "feature" not in node:
+        return {"value": 0.0}
+    return {**node, "left": _with_zero_leaves(node["left"]),
+            "right": _with_zero_leaves(node["right"])}
+
+
+@st.composite
+def _grow_cases(draw):
+    """One tree as a fit grows it: tie-heavy integer columns (one repeated),
+    the rows of a prefix model (``ordered_segments`` 4) or all rows (1), unit
+    or bagging weights, integer or normal gradients scattered over those rows,
+    and a leaf-fitting target that is that gradient or another array."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    n = draw(st.integers(15, 60))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, draw(st.integers(2, 5)), size=(n, d)).astype(float)
+    if d > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    segments = _segment_permutation(rng.permutation(n), draw(st.sampled_from([1, 4])))
+    if len(segments) == 1:
+        rows = np.arange(n)
+    else:
+        rows = np.sort(np.concatenate(segments[:draw(st.integers(1, 3))]))
+    w = np.ones(n)
+    if draw(st.booleans()):
+        w = (-np.log(np.clip(rng.random(n), 1e-16, None))) ** draw(st.floats(0.1, 1.0))
+    g = np.zeros(n)
+    if draw(st.booleans()):
+        g[rows] = rng.integers(-2, 3, size=len(rows))
+    else:
+        g[rows] = rng.normal(size=len(rows))
+    target = g if draw(st.booleans()) else rng.normal(size=n)
+    cols = np.flatnonzero(rng.random(d) < 0.7)
+    if cols.size == 0:
+        cols = np.arange(d)
+    depth = draw(st.integers(1, 5))
+    min_leaf = draw(st.integers(1, 6))
+    random_strength = draw(st.sampled_from([0.0, 0.0, 0.5]))
+    return X, g, w, rows, cols, depth, min_leaf, random_strength, target, seed
+
+
+class TestLeafRows:
+    """Growth hands each leaf the rows a root-to-leaf walk sends there, and
+    fitting leaves from those rows gives the bits of the tree re-walk."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_grow_cases())
+    def test_leaf_rows_match_the_tree_walk(self, case):
+        X, g, w, rows, cols, depth, min_leaf, random_strength, target, seed = case
+        orders = np.argsort(X, axis=0, kind="stable").T
+        view = _partition(orders, np.take_along_axis(X.T, orders, axis=1),
+                          np.isin(orders, rows))
+        tree, leaves = _grow(X, g, w, rows, view, cols, depth, min_leaf, random_strength,
+                             np.random.default_rng(seed))
+        grown = [leaf_rows for _, leaf_rows in leaves]
+        assert all(np.all(np.diff(leaf_rows) > 0) for leaf_rows in grown)
+        assert np.array_equal(np.sort(np.concatenate(grown)), rows)
+        for node, leaf_rows in leaves:
+            assert all(_walk(tree, X[i]) is node for i in leaf_rows)
+
+        oracle = _with_zero_leaves(tree)
+        _refit_leaves(oracle, X, target, w, rows)
+        h = _fit_leaves(leaves, target, w)
+        assert json.dumps(tree) == json.dumps(oracle)
+        assert h[rows].tobytes() == _tree_predict(tree, X[rows]).tobytes()
+        assert not np.delete(h, rows).any()
+
+    def test_weightless_leaf_reads_zero(self):
+        X = np.repeat(np.arange(2.0), 10)[:, None]
+        g = X[:, 0].copy()
+        rows = np.arange(20)
+        orders = np.argsort(X, axis=0, kind="stable").T
+        view = (orders, np.take_along_axis(X.T, orders, axis=1))
+        tree, leaves = _grow(X, g, np.ones(20), rows, view, np.arange(1), 1, 1, 0.0, None)
+        w = np.where(X[:, 0] == 0.0, 0.0, 2.0)
+        h = _fit_leaves(leaves, g + 5.0, w)
+        assert (tree["left"], tree["right"]) == ({"value": 0.0}, {"value": 6.0})
+        assert h.tolist() == [0.0] * 10 + [6.0] * 10

@@ -693,6 +693,19 @@ class TestErrorContract:
         assert out == ""
         assert (copy / "model.json").read_bytes() == (ws / "model.json").read_bytes()
 
+    def test_train_empty_features(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "features.csv").write_text("")
+        code, out, err = run_cli(["train", "--seed", "7", "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(copy / "features.csv") in doc["error"]
+        assert "re-run 'features'" in doc["error"]
+        assert out == ""
+
     @pytest.mark.parametrize("stage", ["train", "explain"])
     @pytest.mark.parametrize("case", ["not_a_number", "short_row"])
     def test_malformed_features_row(self, pipeline, tmp_path, stage, case):
@@ -737,6 +750,37 @@ class TestErrorContract:
         assert code == 2, err
         assert json.loads(err)["kind"] == "input"
         assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("layer, column", [("population", "population")])
+    def test_non_finite_context_value(self, pipeline, tmp_path, layer, column, value):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / f"{layer}.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[1][column] = value
+        _write_rows(path, rows)
+        code, out, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"] and "line 3" in doc["error"]
+        assert out == ""
+
+    def test_roads_non_finite_vertex_names_feature(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / "roads.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["geometry"]["coordinates"][-1][1] = float("inf")
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert str(path) in error and "feature 1" in error
 
     @pytest.mark.parametrize("layer, column", [
         ("poi", "lon"), ("population", "population"), ("roads", None),
