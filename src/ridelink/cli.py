@@ -63,7 +63,7 @@ DEFAULTS: dict = {
     "grid": {"side_km": 0.5},
     "features": {"vif_threshold": 10.0},
     "train": {"trials": 12, "folds": 5, "space": {}},
-    "explain": {"mode": "tree", "background_size": 100, "seed": 0},
+    "explain": {"background_size": 100, "seed": 0},
     "elasticity": {
         "parameters": ["walk_threshold_m", "time_gate_min"],
         "values": {
@@ -339,7 +339,6 @@ FLAG_PATHS = {
     "target": ["target"],
     "trials": ["train", "trials"],
     "folds": ["train", "folds"],
-    "mode": ["explain", "mode"],
     "iqr_k": ["ingest", "iqr_k"],
 }
 
@@ -611,23 +610,21 @@ def _leaf_count(node: dict) -> int:
 def cmd_explain(cfg: RunConfig, args) -> None:
     from . import boost, explain, features
     model = boost.load_model(str(cfg.need_artifact("model")))
-    matrix = features.read_features(str(cfg.need_artifact("features")))
+    path = cfg.need_artifact("features")
+    matrix = features.read_features(str(path))
+    if len(matrix.y) == 0:
+        raise InputError(f"features artifact {path} has no rows; re-run 'features'")
     if list(model.feature_names) != list(matrix.names):
         raise InputError("features artifact no longer matches the trained "
                          "model; re-run 'features' and 'train' together")
     seed = cfg.int_setting("explain", "seed", 0)
     background = explain.sample_background(
         matrix.X, cfg.int_setting("explain", "background_size", 1), seed)
-    mode = str(cfg.data["explain"]["mode"])
-    try:
-        shap = explain.shap_values(model, matrix.X, background, mode=mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    shap = explain.shap_values(model, matrix.X, background)
     curves = [explain.pdp(model, matrix.X, name) for name in matrix.names]
     out_dir = cfg.workspace / "explain"
     written = explain.export_plots(out_dir, shap, matrix.X, curves, seed=seed)
-    _echo({"command": "explain", "mode": shap.mode,
-           "samples": len(matrix.y), "background": shap.n_background,
+    _echo({"command": "explain", "samples": len(matrix.y), "background": shap.n_background,
            "pdp_tree_rows": sum(c.tree_rows for c in curves),
            "files": sorted(str(p) for p in written)})
 
@@ -797,10 +794,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="ratio to model: FCR, LCR, DSR, or ASR")
     p.add_argument("--trials", type=int, help="random search trial count")
     p.add_argument("--folds", type=int, help="spatial cross-validation folds")
-    p = sub.add_parser("explain", parents=[common],
-                       help="attribution values, importance, dependence curves")
-    p.add_argument("--mode", choices=("tree", "exact"),
-                   help="attribution algorithm")
+    sub.add_parser("explain", parents=[common],
+                   help="attribution values, importance, dependence curves")
     p = sub.add_parser("elasticity", parents=[common],
                        help="threshold sweeps with arc elasticities")
     p.add_argument("--parameter", action="append",

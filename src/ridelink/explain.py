@@ -4,13 +4,12 @@ Three pieces:
 
 * interventional Shapley attributions (``shap_values``), where the value of a
   coalition S is the mean model output over a background sample with the
-  explained row's values spliced in on S. Two evaluation routes are provided:
-  ``mode="exact"`` enumerates all 2^d coalitions (capped at 20 features) and
-  ``mode="tree"`` walks root-to-leaf paths once per (row, background row)
-  pair, classifying each constrained feature as forced-in, forced-out, or
-  free and applying the closed-form Shapley weight of that restricted game.
-  Both routes satisfy local accuracy: base_value + sum(phi) equals the model
-  output for every row.
+  explained row's values spliced in on S. Root-to-leaf paths are walked once
+  per (row, background row) pair, classifying each constrained feature as
+  forced-in, forced-out, or free and applying the closed-form Shapley weight
+  of that restricted game, so no coalition is ever enumerated. Local
+  accuracy holds: base_value + sum(phi) equals the model output for every
+  row.
 * importance shares (``importance``): mean absolute attribution per feature,
   normalized to percentages that sum to 100.
 * partial dependence (``pdp``): the mean prediction as one feature is swept
@@ -36,7 +35,6 @@ import numpy as np
 from . import svgchart
 from .boost import BoostModel, _tree_predict, predict
 
-EXACT_FEATURE_LIMIT = 20
 DEFAULT_BACKGROUND_SIZE = 100
 PDP_GRID_INTERVALS = 100
 DENSITY_PERCENTILE = 95.0
@@ -48,7 +46,6 @@ class ShapMatrix:
     values: np.ndarray          # (n_rows, n_features) attributions
     base_value: float           # mean model output over the background
     feature_names: list[str]
-    mode: str                   # "exact" or "tree"
     n_background: int
 
 
@@ -100,53 +97,17 @@ def _as_matrix(model: BoostModel, X: np.ndarray, what: str) -> np.ndarray:
 # Shapley attributions
 
 
-def shap_values(model: BoostModel, X: np.ndarray, background: np.ndarray,
-                mode: str = "tree") -> ShapMatrix:
+def shap_values(model: BoostModel, X: np.ndarray,
+                background: np.ndarray) -> ShapMatrix:
     X = _as_matrix(model, X, "X")
     background = _as_matrix(model, background, "background")
     if len(background) == 0:
         raise ValueError("background must contain at least one row")
-    if mode == "exact":
-        values = _shap_exact(model, X, background)
-    elif mode == "tree":
-        values = _shap_tree(model, X, background)
-    else:
-        raise ValueError(f"unknown attribution mode {mode!r}; "
-                         f"expected 'exact' or 'tree'")
+    values = _shap_tree(model, X, background)
     base = float(predict(model, background).mean())
     return ShapMatrix(values=values, base_value=base,
-                      feature_names=list(model.feature_names), mode=mode,
+                      feature_names=list(model.feature_names),
                       n_background=len(background))
-
-
-def _shap_exact(model: BoostModel, X: np.ndarray,
-                background: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    if d > EXACT_FEATURE_LIMIT:
-        raise ValueError(
-            f"exact attribution enumerates 2^d coalitions and supports at "
-            f"most {EXACT_FEATURE_LIMIT} features; got {d}. Use mode='tree'.")
-    m = len(background)
-    if n == 0:
-        return np.zeros((0, d))
-    # coalition values: v[i, S] = mean_b F(x_i on S, b elsewhere)
-    tiled = np.tile(background, (n, 1))
-    xrep = np.repeat(X, m, axis=0)
-    vals = np.empty((n, 1 << d))
-    for mask in range(1 << d):
-        on = np.array([(mask >> j) & 1 for j in range(d)], dtype=bool)
-        mix = np.where(on[None, :], xrep, tiled)
-        vals[:, mask] = predict(model, mix).reshape(n, m).mean(axis=1)
-    fact = [math.factorial(i) for i in range(d + 1)]
-    weight = [fact[s] * fact[d - s - 1] / fact[d] for s in range(d)]
-    phi = np.zeros((n, d))
-    for mask in range(1 << d):
-        w = weight[bin(mask).count("1")] if bin(mask).count("1") < d else 0.0
-        for j in range(d):
-            bit = 1 << j
-            if not mask & bit:
-                phi[:, j] += w * (vals[:, mask | bit] - vals[:, mask])
-    return phi
 
 
 def _leaf_paths(tree: dict) -> list[tuple[float, dict]]:
@@ -392,7 +353,7 @@ def export_plots(out_dir, shap: ShapMatrix, X: np.ndarray,
 
 
 __all__ = [
-    "EXACT_FEATURE_LIMIT", "DEFAULT_BACKGROUND_SIZE", "PDP_GRID_INTERVALS",
+    "DEFAULT_BACKGROUND_SIZE", "PDP_GRID_INTERVALS",
     "ShapMatrix", "ImportanceReport", "PdpCurve",
     "sample_background", "shap_values", "importance", "top_order", "pdp",
     "value_ranks", "write_beeswarm_csv", "write_importance_csv",

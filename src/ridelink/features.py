@@ -167,7 +167,8 @@ def load_roads(path: str) -> RoadGraph:
             coords = geom["coordinates"]
             if not all(math.isfinite(c) for vertex in coords for c in vertex):
                 raise ValueError(f"feature {number} has a non-finite vertex")
-            for (lon1, lat1), (lon2, lat2) in zip(coords, coords[1:]):
+            # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
+            for (lon1, lat1, *_), (lon2, lat2, *_) in zip(coords, coords[1:]):
                 u, v = node_of(lon1, lat1), node_of(lon2, lat2)
                 if u == v:
                     continue

@@ -49,6 +49,7 @@ from ridelink.ingest import parse_trips
 from ridelink.ptnet import NetworkPlanner, load_network, station_lexicon
 from ridelink.sensitivity import elasticity_sweep, sweep_base
 from ridelink.synth import ScenarioSpec, bbox_of, generate, read_ground_truth
+from shap_oracle import _shap_exact
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -223,7 +224,8 @@ def test_criterion_04_boosting_recovers_step_target():
 
 def test_criterion_05_attribution_axioms():
     """Attributions satisfy local accuracy at 1e-9, give untouched features
-    exactly zero, and the path-walking mode matches exhaustive enumeration."""
+    exactly zero, and the path-walking route matches exhaustive 2^d
+    enumeration, which is kept as the test oracle ``tests/shap_oracle.py``."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(150, 5))
     y = (np.sin(X[:, 0]) + 0.5 * X[:, 1] * X[:, 2] + (X[:, 4] > 0.3)
@@ -232,7 +234,7 @@ def test_criterion_05_attribution_axioms():
                                   ordered_segments=2, seed=11))
     background = sample_background(X, size=20, seed=3)
     rows = X[:50]
-    shap = shap_values(model, rows, background, mode="tree")
+    shap = shap_values(model, rows, background)
     pred = predict(model, rows)
     recon = shap.base_value + shap.values.sum(axis=1)
     local_err = float(np.max(np.abs(recon - pred)
@@ -244,8 +246,9 @@ def test_criterion_05_attribution_axioms():
     Xd = rng.normal(size=(12, 4))
     bgd = rng.normal(size=(6, 4))
     dummy_ok = all(
-        np.all(shap_values(dummy_model, Xd, bgd, mode=mode).values[:, 2:] == 0.0)
-        for mode in ("exact", "tree"))
+        np.all(values[:, 2:] == 0.0)
+        for values in (_shap_exact(dummy_model, Xd, bgd),
+                       shap_values(dummy_model, Xd, bgd).values))
 
     Xs = rng.normal(size=(60, 6))
     ys = Xs[:, 0] + Xs[:, 1] * (Xs[:, 2] > 0) - Xs[:, 5] + 0.1 * rng.normal(size=60)
@@ -253,8 +256,8 @@ def test_criterion_05_attribution_axioms():
                                      depth=3, seed=2))
     bgs = sample_background(Xs, size=8, seed=4)
     sample = Xs[:10]
-    exact = shap_values(narrow, sample, bgs, mode="exact").values
-    tree = shap_values(narrow, sample, bgs, mode="tree").values
+    exact = _shap_exact(narrow, sample, bgs)
+    tree = shap_values(narrow, sample, bgs).values
     mode_gap = float(np.max(np.abs(exact - tree)))
     modes_ok = mode_gap <= 1e-6
 

@@ -358,6 +358,36 @@ class TestRetiredJobs:
         assert trees["plain"] == trees["jobs"]
 
 
+class TestRetiredExplainMode:
+    """``explain.mode`` is no longer a setting: there is one attribution
+    route, and a stray key, set on the command line or in the environment,
+    is an unknown key like any other and changes nothing."""
+
+    def test_mode_key_changes_nothing(self, pipeline, tmp_path, monkeypatch):
+        ws, config_path, echoes = pipeline
+        assert set(echoes["explain"]) == {"command", "samples", "background",
+                                          "pdp_tree_rows", "files"}
+        trees = {}
+        for name, extra, env in (("plain", [], None),
+                                 ("set", ["--set", "explain.mode=exact"], None),
+                                 ("env", [], "exact")):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            if env is None:
+                monkeypatch.delenv("RIDELINK_EXPLAIN__MODE", raising=False)
+            else:
+                monkeypatch.setenv("RIDELINK_EXPLAIN__MODE", env)
+            code, out, err = run_cli(["explain", "--config", str(config_path),
+                                      "--workspace", str(copy)] + extra)
+            assert code == 0, f"{name} failed: {err}"
+            assert set(json.loads(out)) == set(echoes["explain"])
+            trees[name] = {path.relative_to(copy).as_posix(): path.read_bytes()
+                           for path in sorted((copy / "explain").rglob("*"))
+                           if path.is_file()}
+        assert trees["plain"]
+        assert trees["plain"] == trees["set"] == trees["env"]
+
+
 class TestErrorContract:
     def test_report_before_anything(self, tmp_path):
         code, _, err = run_cli(["report", "--workspace", str(tmp_path / "w")])
@@ -704,6 +734,37 @@ class TestErrorContract:
         assert doc["kind"] == "input"
         assert str(copy / "features.csv") in doc["error"]
         assert "re-run 'features'" in doc["error"]
+        assert out == ""
+
+    @pytest.mark.parametrize("stage", ["train", "explain"])
+    def test_header_only_features(self, pipeline, tmp_path, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "features.csv"
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        argv = [stage, "--workspace", str(copy)] + (["--seed", "7"] if stage == "train" else [])
+        code, out, err = run_cli(argv)
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        if stage == "explain":
+            assert str(path) in doc["error"] and "re-run 'features'" in doc["error"]
+        assert out == ""
+
+    def test_roads_position_with_one_number(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / "roads.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][0]["geometry"]["coordinates"][0] = [121.0]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"]
         assert out == ""
 
     @pytest.mark.parametrize("stage", ["train", "explain"])

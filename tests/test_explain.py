@@ -25,6 +25,7 @@ from ridelink.explain import (
     top_order,
     value_ranks,
 )
+from shap_oracle import _shap_exact
 
 
 def _stump(feature, threshold, left, right):
@@ -38,6 +39,15 @@ def _model(trees, gammas, f0=0.0, names=("x0", "x1")):
                       feature_names=names, target="y",
                       schema_hash=boost.schema_hash(names, "y"),
                       permutation=[], params=None)
+
+
+def _oracle(model, X, bg):
+    """Exact 2^d attributions as a ShapMatrix; the base value is the mean
+    background prediction, as ``shap_values`` defines it."""
+    return ShapMatrix(values=_shap_exact(model, X, bg),
+                      base_value=float(predict(model, bg).mean()),
+                      feature_names=list(model.feature_names),
+                      n_background=len(bg))
 
 
 def _fitted(n=120, d=5, seed=0, **overrides):
@@ -65,12 +75,10 @@ class TestExactEnumeration:
         model = _model([_stump(0, 0.5, -1.0, 1.0)], [1.0])
         X = np.array([[1.0, 0.0]])
         bg = np.array([[0.0, 0.0], [1.0, 1.0]])
-        for mode in ("exact", "tree"):
-            shap = shap_values(model, X, bg, mode=mode)
+        for shap in (_oracle(model, X, bg), shap_values(model, X, bg)):
             assert shap.values[0, 0] == pytest.approx(1.0, abs=1e-15)
             assert shap.values[0, 1] == 0.0
             assert shap.base_value == pytest.approx(0.0, abs=1e-15)
-            assert shap.mode == mode
             assert shap.n_background == 2
 
     def test_feature_limit_advises_tree_mode(self):
@@ -78,16 +86,10 @@ class TestExactEnumeration:
         model = _model([_stump(0, 0.0, -1.0, 1.0)], [1.0], names=names)
         X = np.zeros((1, 21))
         with pytest.raises(ValueError, match="tree"):
-            shap_values(model, X, X, mode="exact")
+            _shap_exact(model, X, X)
         # tree mode itself is fine at this width
-        shap = shap_values(model, X, X, mode="tree")
+        shap = shap_values(model, X, X)
         assert shap.values.shape == (1, 21)
-
-    def test_unknown_mode_rejected(self):
-        model = _model([_stump(0, 0.0, -1.0, 1.0)], [1.0])
-        X = np.zeros((1, 2))
-        with pytest.raises(ValueError, match="mode"):
-            shap_values(model, X, X, mode="kernel")
 
     def test_column_count_validated(self):
         model = _model([_stump(0, 0.0, -1.0, 1.0)], [1.0])
@@ -107,7 +109,7 @@ class TestAxioms:
         model, X = _fitted(n=150, d=5, seed=11)
         bg = sample_background(X, size=20, seed=3)
         rows = X[:50]
-        shap = shap_values(model, rows, bg, mode="tree")
+        shap = shap_values(model, rows, bg)
         pred = predict(model, rows)
         recon = shap.base_value + shap.values.sum(axis=1)
         for i in range(len(rows)):
@@ -118,7 +120,7 @@ class TestAxioms:
         model, X = _fitted(n=80, d=4, seed=5, iterations=100)
         bg = sample_background(X, size=10, seed=1)
         rows = X[:8]
-        shap = shap_values(model, rows, bg, mode="exact")
+        shap = _oracle(model, rows, bg)
         pred = predict(model, rows)
         recon = shap.base_value + shap.values.sum(axis=1)
         assert np.allclose(recon, pred, rtol=1e-9, atol=1e-9)
@@ -128,8 +130,7 @@ class TestAxioms:
         model = _model([_stump(0, 0.0, -2.0, 3.0)], [0.5], f0=5.0)
         X = np.array([[1.0, 7.0], [-1.0, -7.0]])
         bg = np.array([[0.5, 0.0], [-0.5, 1.0], [2.0, -1.0]])
-        for mode in ("exact", "tree"):
-            shap = shap_values(model, X, bg, mode=mode)
+        for shap in (_oracle(model, X, bg), shap_values(model, X, bg)):
             recon = shap.base_value + shap.values.sum(axis=1)
             assert np.allclose(recon, predict(model, X), rtol=0, atol=1e-12)
 
@@ -142,8 +143,7 @@ class TestAxioms:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, 4))
         bg = rng.normal(size=(6, 4))
-        for mode in ("exact", "tree"):
-            shap = shap_values(model, X, bg, mode=mode)
+        for shap in (_oracle(model, X, bg), shap_values(model, X, bg)):
             assert np.all(shap.values[:, 2] == 0.0)
             assert np.all(shap.values[:, 3] == 0.0)
 
@@ -156,8 +156,7 @@ class TestAxioms:
         X = np.column_stack([col, col])
         bcol = rng.normal(size=7)
         bg = np.column_stack([bcol, bcol])
-        for mode in ("exact", "tree"):
-            shap = shap_values(model, X, bg, mode=mode)
+        for shap in (_oracle(model, X, bg), shap_values(model, X, bg)):
             assert np.max(np.abs(shap.values[:, 0] - shap.values[:, 1])) <= 1e-9
             report = importance(shap)
             assert abs(report.mean_abs[0] - report.mean_abs[1]) <= 1e-9
@@ -166,8 +165,8 @@ class TestAxioms:
         model, X = _fitted(n=90, d=6, seed=23, iterations=100, depth=4)
         bg = sample_background(X, size=8, seed=9)
         rows = X[:12]
-        tree = shap_values(model, rows, bg, mode="tree")
-        exact = shap_values(model, rows, bg, mode="exact")
+        tree = shap_values(model, rows, bg)
+        exact = _oracle(model, rows, bg)
         assert np.allclose(tree.values, exact.values, rtol=0, atol=1e-6)
         assert tree.base_value == exact.base_value
 
@@ -186,8 +185,7 @@ class TestAxioms:
         def g1(v):
             return 1.0 * np.where(v <= 0.5, 0.0, 3.0)
 
-        for mode in ("exact", "tree"):
-            shap = shap_values(model, X, bg, mode=mode)
+        for shap in (_oracle(model, X, bg), shap_values(model, X, bg)):
             want0 = g0(X[:, 0]) - g0(bg[:, 0]).mean()
             want1 = g1(X[:, 1]) - g1(bg[:, 1]).mean()
             assert np.allclose(shap.values[:, 0], want0, rtol=0, atol=1e-12)
@@ -216,8 +214,8 @@ class TestLeafPaths:
         rng = np.random.default_rng(8)
         X = rng.uniform(-4, 8, size=(10, 2))
         bg = rng.uniform(-4, 8, size=(5, 2))
-        tree_shap = shap_values(model, X, bg, mode="tree")
-        exact_shap = shap_values(model, X, bg, mode="exact")
+        tree_shap = shap_values(model, X, bg)
+        exact_shap = _oracle(model, X, bg)
         assert np.allclose(tree_shap.values, exact_shap.values,
                            rtol=0, atol=1e-12)
 
@@ -234,12 +232,49 @@ class TestLeafPaths:
         assert leaves[30.0][0] == (4.0, math.inf)
 
 
+@st.composite
+def _ensemble_cases(draw):
+    """A hand-built ensemble over 1-5 features: trees of depth at most 3 with
+    integer thresholds, features free to repeat along a path, zero leaves and
+    zero gammas, and explained and background rows on the same integer grid,
+    so that rows sit exactly on thresholds."""
+    d = draw(st.integers(1, 5))
+    grid = st.integers(-3, 3).map(float)
+
+    def grow(depth):
+        if depth == 0 or draw(st.booleans()):
+            return {"value": draw(st.just(0.0) | st.floats(-2.0, 2.0))}
+        return {"feature": draw(st.integers(0, d - 1)), "threshold": draw(grid),
+                "left": grow(depth - 1), "right": grow(depth - 1)}
+
+    trees = [grow(draw(st.integers(0, 3))) for _ in range(draw(st.integers(1, 6)))]
+    gammas = [draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])) for _ in trees]
+    model = _model(trees, gammas, f0=draw(st.floats(-1.0, 1.0)),
+                   names=[f"x{j}" for j in range(d)])
+
+    def rows(most):
+        return np.array(draw(st.lists(st.lists(grid, min_size=d, max_size=d),
+                                      min_size=1, max_size=most)))
+
+    return model, rows(8), rows(5)
+
+
+class TestTreeMatchesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_ensemble_cases())
+    def test_random_ensembles(self, case):
+        model, X, bg = case
+        shap = shap_values(model, X, bg)
+        assert np.max(np.abs(shap.values - _shap_exact(model, X, bg))) <= 1e-12
+        recon = shap.base_value + shap.values.sum(axis=1)
+        assert np.max(np.abs(recon - predict(model, X))) <= 1e-12
+
+
 class TestImportance:
     def test_mean_abs_and_shares(self):
         values = np.array([[1.0, -3.0, 0.0], [-1.0, 1.0, 0.0]])
         shap = ShapMatrix(values=values, base_value=0.0,
-                          feature_names=["a", "b", "c"], mode="tree",
-                          n_background=4)
+                          feature_names=["a", "b", "c"], n_background=4)
         report = importance(shap)
         assert np.allclose(report.mean_abs, [1.0, 2.0, 0.0], rtol=0, atol=0)
         assert np.allclose(report.share_percent, [100 / 3, 200 / 3, 0.0],
@@ -252,7 +287,7 @@ class TestImportance:
         names = model.feature_names + ["inert"]
         wide = _model(model.trees, model.gammas, f0=model.f0, names=names)
         bg = sample_background(X5, size=12, seed=0)
-        shap = shap_values(wide, X5[:20], bg, mode="tree")
+        shap = shap_values(wide, X5[:20], bg)
         report = importance(shap)
         assert report.mean_abs[3] == 0.0
         assert report.share_percent[3] == 0.0
@@ -260,8 +295,7 @@ class TestImportance:
 
     def test_all_zero_attributions_degenerate(self):
         shap = ShapMatrix(values=np.zeros((4, 2)), base_value=1.0,
-                          feature_names=["a", "b"], mode="tree",
-                          n_background=1)
+                          feature_names=["a", "b"], n_background=1)
         report = importance(shap)
         assert np.all(report.share_percent == 0.0)
         assert not np.any(np.isnan(report.share_percent))
@@ -275,8 +309,7 @@ class TestImportance:
 
     def test_empty_matrix_importance(self):
         shap = ShapMatrix(values=np.zeros((0, 3)), base_value=0.0,
-                          feature_names=["a", "b", "c"], mode="tree",
-                          n_background=1)
+                          feature_names=["a", "b", "c"], n_background=1)
         report = importance(shap)
         assert np.all(report.mean_abs == 0.0)
         assert not np.any(np.isnan(report.share_percent))
@@ -344,7 +377,7 @@ class TestPdp:
         model = _model(trees, [2.0, 1.0], f0=0.7)
         rng = np.random.default_rng(12)
         X = rng.normal(size=(40, 2))
-        shap = shap_values(model, X, X, mode="tree")
+        shap = shap_values(model, X, X)
         for j in range(2):
             dep = np.empty(len(X))
             for i in range(len(X)):
@@ -470,7 +503,7 @@ class TestRanksAndCsv:
     def test_beeswarm_csv_layout(self, tmp_path):
         shap = ShapMatrix(values=np.array([[0.5, -1.5], [2.5, 0.0]]),
                           base_value=1.0, feature_names=["a", "b"],
-                          mode="tree", n_background=3)
+                          n_background=3)
         X = np.array([[10.0, 5.0], [7.0, 6.0]])
         path = tmp_path / "shap.csv"
         explain.write_beeswarm_csv(shap, X, path)
@@ -514,7 +547,7 @@ class TestExportPlots:
         model = _model(trees, gammas, names=names)
         X = rng.normal(size=(n, d))
         bg = rng.normal(size=(8, d))
-        shap = shap_values(model, X, bg, mode="tree")
+        shap = shap_values(model, X, bg)
         curves = [pdp(model, X, j, n_grid=10)
                   for j in top_order(importance(shap), 10)]
         return shap, X, curves
@@ -583,7 +616,7 @@ class TestEndToEnd:
     def test_fitted_model_full_explain_cycle(self, tmp_path):
         model, X = _fitted(n=100, d=5, seed=31)
         bg = sample_background(X, size=25, seed=0)
-        shap = shap_values(model, X, bg, mode="tree")
+        shap = shap_values(model, X, bg)
         report = importance(shap)
         assert abs(report.share_percent.sum() - 100.0) <= 1e-6
         curves = [pdp(model, X, j) for j in top_order(report, 10)]
@@ -608,7 +641,7 @@ class TestGoldenExplain:
                              ordered_segments=2, seed=5)
         model = fit(X, y, params, feature_names=[f"x{j}" for j in range(d)])
         bg = sample_background(X, size=100, seed=0)
-        shap = shap_values(model, X, bg, mode="tree")
+        shap = shap_values(model, X, bg)
         curves = [pdp(model, X, j) for j in range(d)]
         paths = export_plots(tmp_path, shap, X, curves, seed=0)
         lines = [f"{Path(p).name} {hashlib.sha256(Path(p).read_bytes()).hexdigest()}"

@@ -131,6 +131,18 @@ class TestLoadRoads:
         expected = great_circle_m(121.03, 31.02, 121.04, 31.02) / 1000.0
         assert g.edges[2][2] == pytest.approx(expected)
 
+    def test_altitude_in_positions_is_ignored(self, tmp_path):
+        line = [[121.01, 31.01], [121.02, 31.01], [121.02, 31.02], [121.01, 31.01]]
+        graphs = []
+        for name, coords in (("flat", line), ("alt", [p + [4.0 + i] for i, p in enumerate(line)])):
+            path = tmp_path / f"{name}.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+                {"type": "Feature", "properties": {"highway": True},
+                 "geometry": {"type": "LineString", "coordinates": coords}}]}))
+            graphs.append(load_roads(str(path)))
+        assert graphs[0] == graphs[1]
+        assert len(graphs[0].edges) == 3
+
 
 class TestNearestDistances:
     def test_station_at_cell_center_gives_zero(self):
