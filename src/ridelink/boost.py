@@ -327,20 +327,12 @@ def fit(X: np.ndarray, y: np.ndarray, params: BoostParams,
     return _fit_core(X, y, params, feature_names, target)
 
 
-def predict(model: BoostModel, X: np.ndarray,
-            feature_names: Optional[Sequence[str]] = None) -> np.ndarray:
-    """Evaluate F(x) = F0 + sum gamma_m h_m(x); columns are remapped by name
-    when the caller's layout differs from the training schema."""
+def predict(model: BoostModel, X: np.ndarray) -> np.ndarray:
+    """Evaluate F(x) = F0 + sum gamma_m h_m(x); X's columns follow the
+    training schema."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
-    if feature_names is not None:
-        names = list(feature_names)
-        if names != model.feature_names:
-            if sorted(names) != sorted(model.feature_names):
-                raise ValueError("feature names do not match the model schema")
-            order = [names.index(n) for n in model.feature_names]
-            X = X[:, order]
     out = np.full(len(X), model.f0)
     for tree, gamma in zip(model.trees, model.gammas):
         if gamma != 0.0:
@@ -369,7 +361,7 @@ def model_to_json(model: BoostModel) -> str:
 
 def model_from_json(text: str) -> BoostModel:
     doc = json.loads(text)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("unrecognized model format")
     return BoostModel(
         f0=doc["f0"], trees=doc["trees"], gammas=doc["gammas"],
@@ -415,10 +407,6 @@ def evaluate(y_true: np.ndarray, y_pred: np.ndarray) -> EvalReport:
     else:
         r2 = 1.0 - ss_res / ss_tot
     return EvalReport(r2=r2, mae=mae, mse=mse, rmse=math.sqrt(mse))
-
-
-def evaluate_model(model: BoostModel, X: np.ndarray, y: np.ndarray) -> EvalReport:
-    return evaluate(y, predict(model, X))
 
 
 def spatial_kfold(cells: Sequence[str], k: int = 5) -> np.ndarray:
@@ -579,7 +567,6 @@ __all__ = [
     "Trial",
     "cross_validate",
     "evaluate",
-    "evaluate_model",
     "fit",
     "load_model",
     "model_from_json",

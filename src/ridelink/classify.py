@@ -40,9 +40,10 @@ ALL_LABELS = (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT)
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 
-# Trailing tokens treated as station designators rather than name words.
-DEFAULT_SUFFIX_WORDS = ("exit", "gate", "entrance")
-DEFAULT_SUFFIX_PHRASES = ("bus stop",)
+# Trailing tokens treated as station designators rather than name words;
+# phrases are token lists, longest first.
+_SUFFIX_WORDS = frozenset(("exit", "gate", "entrance"))
+_SUFFIX_PHRASES = (["bus", "stop"],)
 
 _CODE_RE = re.compile(r"[a-z]|\d{1,3}|[a-z]\d{1,2}|\d{1,2}[a-z]")
 _APOSTROPHE_RE = re.compile(r"['’]")
@@ -55,11 +56,7 @@ class NormalizedLabel(NamedTuple):
     suffix: str
 
 
-def normalize_label(
-    raw: str,
-    suffix_words: Sequence[str] = DEFAULT_SUFFIX_WORDS,
-    suffix_phrases: Sequence[str] = DEFAULT_SUFFIX_PHRASES,
-) -> NormalizedLabel:
+def normalize_label(raw: str) -> NormalizedLabel:
     """Lowercase, strip punctuation, collapse whitespace, peel station suffixes.
 
     Suffix designators (exit/gate codes, trailing phrases like "bus stop") move
@@ -69,13 +66,11 @@ def normalize_label(
     """
     text = _PUNCT_RE.sub(" ", _APOSTROPHE_RE.sub("", raw.lower()))
     tokens = _SPACE_RE.sub(" ", text).strip().split()
-    phrases = sorted((p.lower().split() for p in suffix_phrases), key=len, reverse=True)
-    words = {w.lower() for w in suffix_words}
     suffix_parts: list[str] = []
     changed = True
     while changed and len(tokens) > 1:
         changed = False
-        for phrase in phrases:
+        for phrase in _SUFFIX_PHRASES:
             if len(tokens) > len(phrase) and tokens[-len(phrase):] == phrase:
                 suffix_parts.insert(0, " ".join(phrase))
                 tokens = tokens[:-len(phrase)]
@@ -83,11 +78,11 @@ def normalize_label(
                 break
         if changed:
             continue
-        if len(tokens) > 2 and tokens[-2] in words and _CODE_RE.fullmatch(tokens[-1]):
+        if len(tokens) > 2 and tokens[-2] in _SUFFIX_WORDS and _CODE_RE.fullmatch(tokens[-1]):
             suffix_parts.insert(0, f"{tokens[-2]} {tokens[-1]}")
             tokens = tokens[:-2]
             changed = True
-        elif tokens[-1] in words:
+        elif tokens[-1] in _SUFFIX_WORDS:
             suffix_parts.insert(0, tokens[-1])
             tokens = tokens[:-1]
             changed = True
@@ -287,8 +282,6 @@ __all__ = [
     "CLASSIFIED_EXTRA_COLUMNS",
     "CONDITIONS",
     "ClassifierConfig",
-    "DEFAULT_SUFFIX_PHRASES",
-    "DEFAULT_SUFFIX_WORDS",
     "FIRST_MILE",
     "INDEPENDENT",
     "LAST_MILE",

@@ -394,6 +394,28 @@ def _read_classified(cfg: RunConfig):
         raise InputError(f"classified artifact is corrupt: {exc}; re-run 'classify'") from None
 
 
+def _corrupt(cfg: RunConfig, name: str, exc: Exception) -> InputError:
+    """The input error for a workspace artifact that exists but does not parse."""
+    return InputError(f"{name} artifact {cfg.artifact(name)} is corrupt "
+                      f"({type(exc).__name__}: {exc}); re-run '{ARTIFACTS[name][0]}'")
+
+
+def _load_alternatives(cfg: RunConfig, planner=None):
+    from .ptnet import CachedPlanner
+    try:
+        return CachedPlanner.load(str(cfg.need_artifact("alternatives")), planner)
+    except ValueError as exc:
+        raise _corrupt(cfg, "alternatives", exc) from None
+
+
+def _read_cells(cfg: RunConfig):
+    from .hexgrid import read_cell_stats
+    try:
+        return read_cell_stats(str(cfg.need_artifact("cells")))
+    except (KeyError, ValueError) as exc:
+        raise _corrupt(cfg, "cells", exc) from None
+
+
 def _grid(cfg: RunConfig):
     from . import hexgrid
     try:
@@ -466,10 +488,10 @@ def cmd_plan(cfg: RunConfig, args) -> None:
 
 def cmd_classify(cfg: RunConfig, args) -> None:
     from .classify import CONDITIONS, classify_all, write_classified, write_summary
-    from .ptnet import CachedPlanner, station_lexicon
+    from .ptnet import station_lexicon
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
-    cache = CachedPlanner.load(str(cfg.need_artifact("alternatives")))
+    cache = _load_alternatives(cfg)
     lexicon = station_lexicon(net)
     try:
         results, summary = classify_all(trips, cache, net, lexicon,
@@ -500,7 +522,7 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
     districts_path = cfg.data["paths"].get("districts")
     if districts_path:
         districts = hexgrid.load_districts(str(cfg.input_file("districts")))
-    flows = hexgrid.od_flows(trips, results, grid, days, districts=districts)
+    flows = hexgrid.od_flows(trips, grid, days, districts=districts)
     profile = hexgrid.temporal_profile(trips, results)
     stats_by_class = hexgrid.trip_stats(trips, results)
     breakdown = hexgrid.complementary_breakdown(trips, results, net)
@@ -519,7 +541,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
     trips, _ = _read_classified(cfg)
     net = _load_city_network(cfg)
     grid = _grid(cfg)
-    stats = hexgrid.read_cell_stats(str(cfg.need_artifact("cells")))
+    stats = _read_cells(cfg)
     expected = {hexgrid.cell_id(q, r) for q, r in grid.cells}
     if set(stats) != expected:
         raise InputError("grid settings do not match the cells artifact; "
@@ -582,7 +604,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
         raise ConfigError(str(exc)) from None
     cv = next(t.cv for t in log if t.params == best)
     model = boost.fit(matrix.X, matrix.y, best, matrix.names, matrix.target)
-    fit_eval = boost.evaluate_model(model, matrix.X, matrix.y)
+    fit_eval = boost.evaluate(matrix.y, boost.predict(model, matrix.X))
     boost.save_model(model, str(cfg.artifact("model")))
     boost.write_trial_log(log, str(cfg.artifact("trials")))
     boost.write_cv_report(cv, str(cfg.artifact("cv_report")))
@@ -609,7 +631,10 @@ def _leaf_count(node: dict) -> int:
 
 def cmd_explain(cfg: RunConfig, args) -> None:
     from . import boost, explain, features
-    model = boost.load_model(str(cfg.need_artifact("model")))
+    try:
+        model = boost.load_model(str(cfg.need_artifact("model")))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(cfg, "model", exc) from None
     path = cfg.need_artifact("features")
     matrix = features.read_features(str(path))
     if len(matrix.y) == 0:
@@ -631,7 +656,7 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
     from . import sensitivity
-    from .ptnet import CachedPlanner, station_lexicon
+    from .ptnet import station_lexicon
     parameters = args.parameter or cfg.data["elasticity"]["parameters"]
     sweeps = cfg.data["elasticity"]["values"]
     if not (isinstance(parameters, list) and all(isinstance(p, str) for p in parameters)):
@@ -646,8 +671,7 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     planner = cfg.planner(net)
-    alts = cfg.artifact("alternatives")
-    plan = CachedPlanner.load(str(alts), planner) if alts.exists() else planner
+    plan = _load_alternatives(cfg, planner) if cfg.artifact("alternatives").exists() else planner
     classifier = cfg.classifier()
     base = sensitivity.sweep_base(trips, plan, net, station_lexicon(net), classifier)
     reports = []
@@ -671,35 +695,31 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
 def cmd_report(cfg: RunConfig, args) -> None:
     import hashlib
 
-    from . import hexgrid, svgchart
+    from . import svgchart
     from .classify import ALL_LABELS
-    summary_path = cfg.need_artifact("summary")
-    cells_path = cfg.need_artifact("cells")
-    temporal_path = cfg.need_artifact("temporal")
-    summary = json.loads(summary_path.read_text())
-    stats = hexgrid.read_cell_stats(str(cells_path))
+    try:
+        summary = json.loads(cfg.need_artifact("summary").read_text())
+        shares = [100.0 * summary["shares"][label] for label in ALL_LABELS]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(cfg, "summary", exc) from None
+    stats = _read_cells(cfg)
+    # hourly profile small multiples
+    try:
+        with open(cfg.need_artifact("temporal"), newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        hours = [float(int(r["hour"])) for r in rows]
+        panels = [(label, hours, [float(r[column]) for r in rows], [True] * len(rows))
+                  for label, column in (("first mile", "first_mile"),
+                                        ("last mile", "last_mile"),
+                                        ("substitutive", "substitutive"),
+                                        ("independent", "independent"))]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _corrupt(cfg, "temporal", exc) from None
 
     report_dir = cfg.workspace / "report"
     report_dir.mkdir(parents=True, exist_ok=True)
-
-    # class share bars
-    shares = summary["shares"]
-    share_svg = svgchart.bar_chart(
-        list(ALL_LABELS), [100.0 * shares[label] for label in ALL_LABELS],
-        "trip class shares", unit="%")
+    share_svg = svgchart.bar_chart(list(ALL_LABELS), shares, "trip class shares", unit="%")
     (report_dir / "shares.svg").write_text(share_svg, encoding="utf-8")
-
-    # hourly profile small multiples
-    with open(temporal_path, newline="") as handle:
-        rows = list(csv.DictReader(handle))
-    hours = [int(r["hour"]) for r in rows]
-    panels = []
-    for label, column in (("first mile", "first_mile"),
-                          ("last mile", "last_mile"),
-                          ("substitutive", "substitutive"),
-                          ("independent", "independent")):
-        ys = [float(r[column]) for r in rows]
-        panels.append((label, [float(h) for h in hours], ys, [True] * len(ys)))
     temporal_svg = svgchart.line_panels(panels, "hourly trips by class")
     (report_dir / "temporal.svg").write_text(temporal_svg, encoding="utf-8")
 

@@ -117,13 +117,12 @@ class RoadGraph:
 
     nodes: list[tuple[float, float]]                     # lon, lat
     edges: list[tuple[int, int, float, bool]]            # u, v, length_km, highway
-    adjacency: dict[int, set] = field(default_factory=dict)
+    adjacency: dict[int, set] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
-        if not self.adjacency:
-            for u, v, _, _ in self.edges:
-                self.adjacency.setdefault(u, set()).add(v)
-                self.adjacency.setdefault(v, set()).add(u)
+        for u, v, _, _ in self.edges:
+            self.adjacency.setdefault(u, set()).add(v)
+            self.adjacency.setdefault(v, set()).add(u)
 
     def degree(self, node: int) -> int:
         return len(self.adjacency.get(node, ()))

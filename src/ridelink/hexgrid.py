@@ -13,8 +13,8 @@ coordinates and applies cube rounding, so every in-box point lands in exactly
 one cell and shared edges resolve deterministically.
 
 Aggregations: per-cell ratio surfaces (first-mile / last-mile complementary,
-departure / arrival substitutive), hourly profiles, OD flows with optional
-district rollup, per-class trip statistics, and the complementary-trip
+departure / arrival substitutive), hourly profiles, OD flows of all trips with
+optional district rollup, per-class trip statistics, and the complementary-trip
 breakdown by connecting mode and directness. Counts are reported as daily
 averages (totals divided by the observation-day count); ratios are left
 undefined, never zeroed, when their denominator is empty.
@@ -37,6 +37,7 @@ from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
 
 SQRT3 = math.sqrt(3.0)
+HISTOGRAM_BINS = 20  # equal-width bins per trip_stats histogram
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,6 @@ class HexGrid:
     lon0: float
     lat0: float
     side_km: float
-    bbox: tuple[float, float, float, float]  # lon_min, lat_min, lon_max, lat_max
     cells: tuple[tuple[int, int], ...]       # sorted axial indices
 
     @property
@@ -126,8 +126,7 @@ def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
             if (x_min - pad <= x <= x_max + pad) and (y_min - pad <= y <= y_max + pad):
                 cells.append((q, r))
     cells.sort()
-    return HexGrid(lon0=lon0, lat0=lat0, side_km=side_km,
-                   bbox=(lon_min, lat_min, lon_max, lat_max), cells=tuple(cells))
+    return HexGrid(lon0=lon0, lat0=lat0, side_km=side_km, cells=tuple(cells))
 
 
 def locate(grid: HexGrid, lon, lat) -> np.ndarray:
@@ -263,14 +262,6 @@ class TemporalProfile:
     substitutive: list[int]
     independent: list[int]
 
-    def ratio(self, kind: str, hour: int) -> Optional[float]:
-        total = self.totals[hour]
-        if not total:
-            return None
-        counts = {"fcr": self.first_mile, "lcr": self.last_mile,
-                  "dsr": self.substitutive, "asr": self.substitutive}[kind]
-        return counts[hour] / total
-
 
 def temporal_profile(trips: Sequence[TripRecord], results: Sequence[TripClass]) -> TemporalProfile:
     if len(trips) != len(results):
@@ -291,31 +282,27 @@ class OdFlow:
     level: str        # "grid" or "district"
     from_id: str
     to_id: str
-    trip_class: str   # one of the class labels or "all"
     flow: float       # daily average count
 
 
 def od_flows(
     trips: Sequence[TripRecord],
-    results: Sequence[TripClass],
     grid: HexGrid,
     days: int,
-    trip_class: Optional[str] = None,
     districts: Optional[dict[str, list[tuple[float, float]]]] = None,
 ) -> list[OdFlow]:
-    """Daily OD flows between grid cells, optionally filtered by class and
-    rolled up to districts (name -> polygon ring of lon/lat pairs)."""
+    """Daily OD flows of all trips between grid cells, optionally rolled up to
+    districts (name -> polygon ring of lon/lat pairs)."""
     if days < 1:
         raise ValueError("days must be >= 1")
     ids = [cell_id(q, r) for q, r in grid.cells]
     counts: dict[tuple[str, str], int] = {}
-    for orow, drow, res in zip(*_trip_rows(grid, trips), results):
-        if (trip_class is not None and res.label != trip_class) or orow < 0 or drow < 0:
+    for orow, drow in zip(*_trip_rows(grid, trips)):
+        if orow < 0 or drow < 0:
             continue
         key = (ids[orow], ids[drow])
         counts[key] = counts.get(key, 0) + 1
-    label = trip_class if trip_class is not None else "all"
-    flows = [OdFlow("grid", a, b, label, n / days) for (a, b), n in sorted(counts.items())]
+    flows = [OdFlow("grid", a, b, n / days) for (a, b), n in sorted(counts.items())]
     if districts is None:
         return flows
     assignment = _district_of_cells(grid, districts)
@@ -325,7 +312,7 @@ def od_flows(
         if da is None or db is None:
             continue
         rolled[(da, db)] = rolled.get((da, db), 0.0) + f.flow
-    flows.extend(OdFlow("district", a, b, label, v) for (a, b), v in sorted(rolled.items()))
+    flows.extend(OdFlow("district", a, b, v) for (a, b), v in sorted(rolled.items()))
     return flows
 
 
@@ -367,7 +354,8 @@ class Histogram:
         return sum(self.counts)
 
 
-def _histogram(values: list[float], bins: int) -> Histogram:
+def _histogram(values: list[float]) -> Histogram:
+    bins = HISTOGRAM_BINS
     if not values:
         return Histogram(edges=[], counts=[])
     lo, hi = min(values), max(values)
@@ -385,7 +373,6 @@ def _histogram(values: list[float], bins: int) -> Histogram:
 def trip_stats(
     trips: Sequence[TripRecord],
     results: Sequence[TripClass],
-    bins: int = 20,
 ) -> dict[str, dict[str, Histogram]]:
     """Per-class histograms of travel time and fare per km, plus waiting time
     when the input schema carries request timestamps on every trip."""
@@ -403,11 +390,11 @@ def trip_stats(
     for label in (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT):
         values = per_class.get(label, {"travel_min": [], "fare_per_km": [], "wait_min": []})
         entry = {
-            "travel_min": _histogram(values["travel_min"], bins),
-            "fare_per_km": _histogram(values["fare_per_km"], bins),
+            "travel_min": _histogram(values["travel_min"]),
+            "fare_per_km": _histogram(values["fare_per_km"]),
         }
         if with_wait:
-            entry["wait_min"] = _histogram(values["wait_min"], bins)
+            entry["wait_min"] = _histogram(values["wait_min"])
         out[label] = entry
     return out
 
@@ -526,7 +513,7 @@ def write_od_flows(flows: Sequence[OdFlow], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(["level", "from", "to", "class", "flow"])
         for f in flows:
-            writer.writerow([f.level, f.from_id, f.to_id, f.trip_class, repr(f.flow)])
+            writer.writerow([f.level, f.from_id, f.to_id, "all", repr(f.flow)])
 
 
 def write_temporal_profile(profile: TemporalProfile, path: str) -> None:

@@ -89,10 +89,6 @@ class TripRecord:
     def pickup_hour(self) -> int:
         return (self.pickup_min % 1440) // 60
 
-    @property
-    def dropoff_hour(self) -> int:
-        return (self.dropoff_min % 1440) // 60
-
 
 @dataclass(frozen=True)
 class Rejection:

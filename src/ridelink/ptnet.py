@@ -8,7 +8,7 @@ The planner minimises a generalized cost
     gen_cost = t_pt + transfer_penalty * transfers
 
 where ``t_pt`` is the door-to-door time (access walk + waits + rides + egress
-walk) in minutes. Walking is straight-line at a configurable speed. Service
+walk) in minutes. Walking is straight-line at a constant 4.8 km/h. Service
 windows are not part of planning; they are checked separately against a trip's
 start time via :func:`is_in_service`. A journey therefore depends only on its
 origin and destination coordinates, which are all that
@@ -29,7 +29,8 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .geo import great_circle_m
 
 MODES = ("metro", "bus")
 
-DEFAULT_WALK_SPEED_KMH = 4.8
+WALK_SPEED_KMH = 4.8
 DEFAULT_SEARCH_RADIUS_M = 800.0
 DEFAULT_TRANSFER_PENALTY_MIN = 5.0
 
@@ -68,7 +69,6 @@ class Route:
     service_start: int  # minutes of day
     service_end: int
     speed_kmh: float
-    fare_class: str = ""  # defaults to the mode at load time
     leg_times_min: Optional[tuple[float, ...]] = None  # overrides speed when given
 
 
@@ -79,6 +79,14 @@ class FareRules:
     metro_base_km: float = 6.0
     metro_step_rmb: float = 1.0
     metro_step_km: float = 10.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, positive = getattr(self, f.name), f.name == "metro_step_km"
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (number and (0 < value if positive else 0 <= value) and value < math.inf):
+                raise ValueError(f"fare rule {f.name!r} must be a finite number "
+                                 f"{'>' if positive else '>='} 0, got {value!r}")
 
     def metro_fare(self, ride_km: float) -> float:
         if ride_km <= self.metro_base_km:
@@ -96,7 +104,6 @@ class TransitNetwork:
     stations: dict[str, Station]
     routes: dict[str, Route]
     fares: FareRules = field(default_factory=FareRules)
-    walk_speed_kmh: float = DEFAULT_WALK_SPEED_KMH
 
     def routes_at(self, station_id: str) -> list[str]:
         return self._routes_at.get(station_id, [])
@@ -249,12 +256,14 @@ def load_network(
                 service_start=parse_hhmm(row["service_start"]),
                 service_end=parse_hhmm(row["service_end"]),
                 speed_kmh=float(row["speed_kmh"]),
-                fare_class=mode,
             )
     fare_rules = FareRules()
     if fares is not None:
         with open(fares, "r", encoding="utf-8") as handle:
-            fare_rules = FareRules(**json.load(handle))
+            try:
+                fare_rules = FareRules(**json.load(handle))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"invalid fares file {fares}: {exc}") from None
     net = TransitNetwork(stations=stations, routes=routes, fares=fare_rules)
     validate_network(net)
     return net
@@ -331,8 +340,8 @@ def leg_km(net: TransitNetwork, route: Route, i: int) -> float:
     return great_circle_m(a.lon, a.lat, b.lon, b.lat) / 1000.0
 
 
-def walk_minutes(walk_m: float, walk_speed_kmh: float) -> float:
-    return walk_m / 1000.0 / walk_speed_kmh * 60.0
+def walk_minutes(walk_m: float) -> float:
+    return walk_m / 1000.0 / WALK_SPEED_KMH * 60.0
 
 
 def leg_fare(net: TransitNetwork, leg: Leg) -> float:
@@ -418,14 +427,14 @@ class NetworkPlanner:
         egress = self._stations_within(dlon, dlat)
         if not access or not egress:
             return UNAVAILABLE
-        egress_walk_min = {sid: walk_minutes(m, net.walk_speed_kmh) for sid, m in egress}
+        egress_walk_min = {sid: walk_minutes(m) for sid, m in egress}
 
         # state = (station, route, ridden, boarding station)
         dist: dict[tuple, float] = {}
         prev: dict[tuple, tuple] = {}
         heap: list[tuple[float, tuple]] = []
         for sid, walk_m in access:
-            walk = walk_minutes(walk_m, net.walk_speed_kmh)
+            walk = walk_minutes(walk_m)
             for rid in net.routes_at(sid):
                 cost = walk + net.routes[rid].headway_min / 2.0
                 state = (sid, rid, False, sid)
@@ -588,14 +597,18 @@ class CachedPlanner:
 
     @classmethod
     def load(cls, path: str, planner: Optional[NetworkPlanner] = None) -> "CachedPlanner":
+        """Read a saved cache; a malformed entry raises ``ValueError`` naming its line."""
         cache = cls(planner)
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
                     continue
-                entry = json.loads(line)
-                cache._table[cls.key(*entry["key"])] = PtAlternative.from_dict(entry["alt"])
+                try:
+                    entry = json.loads(line)
+                    cache._table[cls.key(*entry["key"])] = PtAlternative.from_dict(entry["alt"])
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"line {number}: malformed entry "
+                                     f"({type(exc).__name__}: {exc})") from None
         return cache
 
 
@@ -603,7 +616,6 @@ __all__ = [
     "CachedPlanner",
     "DEFAULT_SEARCH_RADIUS_M",
     "DEFAULT_TRANSFER_PENALTY_MIN",
-    "DEFAULT_WALK_SPEED_KMH",
     "FareRules",
     "Leg",
     "MODES",
@@ -613,6 +625,7 @@ __all__ = [
     "Station",
     "TransitNetwork",
     "UNAVAILABLE",
+    "WALK_SPEED_KMH",
     "alternative_fare",
     "format_hhmm",
     "is_in_service",

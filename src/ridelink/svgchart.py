@@ -7,7 +7,7 @@ renderer is involved; the functions return complete SVG documents as strings.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,9 +114,11 @@ def beeswarm(rows: Sequence[tuple], title: str, seed: int = 0) -> str:
     return "\n".join(lines) + "\n"
 
 
-def line_panels(panels: Sequence[tuple], title: str, columns: int = 2) -> str:
-    """Small-multiple line charts. Each panel is (label, xs, ys, solid_flags);
-    a segment is drawn dashed when either endpoint is flagged sparse."""
+def line_panels(panels: Sequence[tuple], title: str) -> str:
+    """Small-multiple line charts, two panels to a row. Each panel is
+    (label, xs, ys, solid_flags); a segment is drawn dashed when either
+    endpoint is flagged sparse."""
+    columns = 2
     lines = _header(title)
     if not panels:
         return _empty(lines)
@@ -162,9 +164,8 @@ def line_panels(panels: Sequence[tuple], title: str, columns: int = 2) -> str:
 
 
 def line_chart(xs: Sequence[float], ys: Sequence[float], title: str,
-               x_label: str = "", y_label: str = "",
-               markers: Optional[Sequence[float]] = None) -> str:
-    """Single line chart with optional x-axis marker ticks."""
+               x_label: str = "", y_label: str = "") -> str:
+    """Single line chart with a tick label at each x."""
     lines = _header(title)
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -193,10 +194,10 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], title: str,
                  f'stroke-width="2"/>')
     for x, y in zip(xs, ys):
         lines.append(f'<circle cx="{_f(sx(x))}" cy="{_f(sy(y))}" r="3" fill="{SOLID}"/>')
-    for value in (markers if markers is not None else xs):
-        lines.append(f'<text x="{_f(sx(float(value)))}" y="{_f(bottom + 16)}" '
+    for value in xs.tolist():
+        lines.append(f'<text x="{_f(sx(value))}" y="{_f(bottom + 16)}" '
                      f'text-anchor="middle" font-size="10" fill="{AXIS}" {FONT}>'
-                     f'{_esc(_trim(float(value)))}</text>')
+                     f'{_esc(f"{value:g}")}</text>')
     if x_label:
         lines.append(f'<text x="{_f((left + right) / 2)}" y="580" text-anchor="middle" '
                      f'font-size="12" fill="{AXIS}" {FONT}>{_esc(x_label)}</text>')
@@ -206,11 +207,6 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], title: str,
                      f'{_f((top + bottom) / 2)})" text-anchor="middle">{_esc(y_label)}</text>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _trim(value: float) -> str:
-    text = f"{value:g}"
-    return text
 
 
 __all__ = ["WIDTH", "HEIGHT", "bar_chart", "beeswarm", "line_chart", "line_panels"]

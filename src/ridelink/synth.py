@@ -227,8 +227,7 @@ def build_network(spec: ScenarioSpec) -> tuple[TransitNetwork, dict]:
                             station_ids=tuple(sids),
                             headway_min=spec.metro_headway_min,
                             service_start=330, service_end=1410,
-                            speed_kmh=spec.metro_speed_kmh,
-                            fare_class="metro")
+                            speed_kmh=spec.metro_speed_kmh)
 
     bus_layouts = [
         [(-4.5 + 1.5 * i, -1.8) for i in range(6)],            # east-west
@@ -252,7 +251,7 @@ def build_network(spec: ScenarioSpec) -> tuple[TransitNetwork, dict]:
                             station_ids=tuple(sids),
                             headway_min=spec.bus_headway_min,
                             service_start=360, service_end=1380,
-                            speed_kmh=spec.bus_speed_kmh, fare_class="bus")
+                            speed_kmh=spec.bus_speed_kmh)
 
     net = TransitNetwork(stations=stations, routes=routes, fares=FareRules())
     validate_network(net)
@@ -294,9 +293,9 @@ class _Factory:
 
     # drawing helpers ------------------------------------------------------
 
-    def _day_minute(self, lo_hour=7, hi_hour=21) -> int:
+    def _day_minute(self) -> int:
         day = int(self.rng.integers(self.spec.days))
-        hours = np.arange(lo_hour, hi_hour + 1)
+        hours = np.arange(7, 22)
         weights = 1.0 + 2.0 * np.exp(-0.5 * ((hours - 8.5) / 1.2) ** 2) \
             + 2.0 * np.exp(-0.5 * ((hours - 18.0) / 1.2) ** 2)
         hour = int(self.rng.choice(hours, p=weights / weights.sum()))
@@ -312,9 +311,9 @@ class _Factory:
         word = METRO_WORDS[int(self.rng.integers(len(METRO_WORDS)))]
         return f"{word} {kind} {int(self.rng.integers(1, 90))}"
 
-    def _near(self, sid: str, max_m: float, min_m: float = 20.0):
+    def _near(self, sid: str, max_m: float):
         angle = self.rng.uniform(0.0, 2.0 * math.pi)
-        radius = self.rng.uniform(min_m, max_m) / 1000.0
+        radius = self.rng.uniform(20.0, max_m) / 1000.0
         x, y = self.xy[sid]
         return (x + radius * math.cos(angle), y + radius * math.sin(angle))
 

@@ -30,15 +30,15 @@ def build_city() -> TransitNetwork:
         "M1": Route(id="M1", line_id="M1", mode="metro",
                     station_ids=("m1", "m2", "m3", "m4"),
                     headway_min=8.0, service_start=330, service_end=1410,
-                    speed_kmh=35.0, fare_class="metro"),
+                    speed_kmh=35.0),
         "M2": Route(id="M2", line_id="M2", mode="metro",
                     station_ids=("m3", "m5", "m6"),
                     headway_min=8.0, service_start=330, service_end=1410,
-                    speed_kmh=35.0, fare_class="metro"),
+                    speed_kmh=35.0),
         "B1": Route(id="B1", line_id="B1", mode="bus",
                     station_ids=("b1", "b2", "b3"),
                     headway_min=12.0, service_start=360, service_end=1380,
-                    speed_kmh=20.0, fare_class="bus"),
+                    speed_kmh=20.0),
     }
     return TransitNetwork(stations=stations, routes=routes, fares=FareRules())
 
@@ -73,6 +73,6 @@ def build_lattice(rng, nodes: int = 7, spacing_deg: float = 0.006) -> TransitNet
         sids = tuple(f"N{i}{j}" for i, j in path)
         routes[rid] = Route(id=rid, line_id=rid, mode=mode, station_ids=sids,
                             headway_min=headway[mode], service_start=330,
-                            service_end=1410, speed_kmh=30.0, fare_class=mode,
+                            service_end=1410, speed_kmh=30.0,
                             leg_times_min=(2.0,) * (len(sids) - 1))
     return TransitNetwork(stations=stations, routes=routes, fares=FareRules())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ridelink.geo import great_circle_m
-from ridelink.ptnet import TransitNetwork
+from ridelink.ptnet import WALK_SPEED_KMH, TransitNetwork
 
 
 @dataclass
@@ -32,7 +32,7 @@ class OracleJourney:
 
 
 def _walk_min(net: TransitNetwork, metres: float) -> float:
-    return metres / 1000.0 / net.walk_speed_kmh * 60.0
+    return metres / 1000.0 / WALK_SPEED_KMH * 60.0
 
 
 def _hop_min(net: TransitNetwork, route, i: int) -> float:
@@ -137,6 +137,5 @@ def random_network(rng, n_stations: int = None, modes=("metro", "bus")) -> Trans
             headway_min=float(rng.uniform(4, 15)),
             service_start=330, service_end=1410,
             speed_kmh=float(rng.uniform(15, 40)),
-            fare_class=mode,
         )
     return TransitNetwork(stations=stations, routes=routes, fares=FareRules())

@@ -25,7 +25,6 @@ from ridelink.boost import (
     _tree_predict,
     cross_validate,
     evaluate,
-    evaluate_model,
     fit,
     load_model,
     model_from_json,
@@ -183,16 +182,6 @@ class TestPredict:
                     manual += gamma * walk(tree, X[i])
             assert got[i] == manual
 
-    def test_schema_remap(self):
-        X, y = _blob(50, 3, 9)
-        names = ["alpha", "beta", "gamma"]
-        model = fit(X, y, BoostParams(iterations=100, depth=2, seed=1), names)
-        shuffled = ["gamma", "alpha", "beta"]
-        Xs = X[:, [2, 0, 1]]
-        assert np.array_equal(predict(model, Xs, shuffled), predict(model, X))
-        with pytest.raises(ValueError, match="schema"):
-            predict(model, X, ["a", "b", "c"])
-
     def test_single_row_shape(self):
         X, y = _blob(40, 2, 10)
         model = fit(X, y, BoostParams(iterations=100, depth=2, seed=0))
@@ -344,7 +333,7 @@ class TestEvaluate:
         X = np.random.default_rng(14).normal(size=(40, 2))
         y = np.full(40, 1.5)
         model = fit(X, y, BoostParams())
-        rep = evaluate_model(model, X, y)
+        rep = evaluate(y, predict(model, X))
         assert rep.r2 == 1.0 and rep.mse == 0.0
 
 

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,6 +78,15 @@ def _write_rows(path, rows) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _set_csv_field(text: str, column: str, value: str) -> str:
+    """``text`` with ``column`` of its first data row set to ``value``."""
+    rows = list(csv.reader(io.StringIO(text)))
+    rows[1][rows[0].index(column)] = value
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -905,6 +915,80 @@ class TestErrorContract:
         doc = json.loads(err)
         assert doc["kind"] == "config"
         assert doc["error"].startswith(f"{section} must be a JSON object")
+
+    @pytest.mark.parametrize("content", [
+        '{"metro_base": NaN}', '{"bus_flat": -2}', '{"bus_fare": 2.0}', "[2.0, 3.0]",
+        '{"metro_step_km": 0}',
+    ], ids=["nan_fare", "negative_fare", "unknown_key", "list", "zero_step"])
+    @pytest.mark.parametrize("stage", ["plan", "classify"])
+    def test_invalid_fares_file(self, pipeline, tmp_path, content, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "city" / "fares.json").write_text(content)
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert "fares" in doc["error"]
+        assert out == ""
+
+    @pytest.mark.parametrize("case", ["garbage_line", "three_number_key", "alt_missing_fields"])
+    @pytest.mark.parametrize("stage", ["classify", "elasticity"])
+    def test_corrupt_alternatives(self, pipeline, tmp_path, case, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "alternatives.jsonl"
+        lines = path.read_text().splitlines()
+        if case == "garbage_line":
+            lines.append("garbage")
+            number = len(lines)
+        else:
+            number = next(i for i, line in enumerate(lines, 1)
+                          if json.loads(line)["alt"]["available"])
+            entry = json.loads(lines[number - 1])
+            if case == "three_number_key":
+                entry["key"] = entry["key"][:3]
+            else:
+                del entry["alt"]["t_pt_min"]
+            lines[number - 1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert f"line {number}:" in doc["error"] and "re-run 'plan'" in doc["error"]
+        assert out == ""
+
+    @pytest.mark.parametrize("stage, name, producer, corrupt", [
+        ("explain", "model.json", "train", lambda text: "{}"),
+        ("explain", "model.json", "train", lambda text: "not json"),
+        ("explain", "model.json", "train", lambda text: re.sub(r'"depth":\d+', '"depth":99', text)),
+        ("features", "cells.csv", "gridify", lambda text: _set_csv_field(text, "o_total", "2.5")),
+        ("features", "cells.csv", "gridify", lambda text: text.replace("o_total", "o_count", 1)),
+        ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "o_total", "2.5")),
+        ("report", "cells.csv", "gridify", lambda text: text.replace("o_total", "o_count", 1)),
+        ("report", "summary.json", "classify", lambda text: "{}"),
+        ("report", "summary.json", "classify", lambda text: "not json"),
+        ("report", "temporal.csv", "gridify", lambda text: _set_csv_field(text, "hour", "x")),
+    ], ids=["model_empty_object", "model_not_json", "model_depth_99",
+            "features_cells_float_count", "features_cells_renamed_column",
+            "report_cells_float_count", "report_cells_renamed_column",
+            "summary_empty_object", "summary_not_json", "temporal_hour_x"])
+    def test_corrupt_artifact_names_its_producer(self, pipeline, tmp_path, stage, name,
+                                                 producer, corrupt):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / name
+        path.write_text(corrupt(path.read_text()))
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"] and f"re-run '{producer}'" in doc["error"]
+        assert out == ""
 
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,

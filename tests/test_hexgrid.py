@@ -349,12 +349,10 @@ class TestTemporalProfile:
         assert profile.totals[8] == 5
         assert sum(profile.totals) == 5
         assert profile.first_mile[8] == 5
-        assert profile.ratio("fcr", 8) == 1.0
 
     def test_empty_profile(self):
         profile = temporal_profile([], [])
         assert profile.totals == [0] * 24
-        assert profile.ratio("fcr", 12) is None
 
     def test_bins_sum_to_total(self):
         rng = np.random.default_rng(3)
@@ -374,23 +372,12 @@ class TestOdFlows:
         grid = build_grid(BBOX, 0.5)
         a = cell_center(grid, *grid.cells[5])
         b = cell_center(grid, *grid.cells[25])
-        flows = od_flows([_trip(a[0], a[1], b[0], b[1])], [TripClass(FIRST_MILE)],
-                         grid, days=2)
+        flows = od_flows([_trip(a[0], a[1], b[0], b[1])], grid, days=2)
         assert len(flows) == 1
         f = flows[0]
         assert f.level == "grid"
         assert f.flow == 0.5
         assert (f.from_id, f.to_id) == (cell_id(*grid.cells[5]), cell_id(*grid.cells[25]))
-
-    def test_class_filter(self):
-        grid = build_grid(BBOX, 0.5)
-        a = cell_center(grid, *grid.cells[5])
-        b = cell_center(grid, *grid.cells[25])
-        trips = [_trip(a[0], a[1], b[0], b[1])] * 3
-        results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE), TripClass(FIRST_MILE)]
-        flows = od_flows(trips, results, grid, days=1, trip_class=FIRST_MILE)
-        assert len(flows) == 1 and flows[0].flow == 2.0
-        assert flows[0].trip_class == FIRST_MILE
 
     def test_district_rollup_conserves_grid_flows(self):
         grid = build_grid(BBOX, 0.5)
@@ -399,7 +386,6 @@ class TestOdFlows:
                        float(rng.uniform(BBOX[1], BBOX[3])),
                        float(rng.uniform(BBOX[0], BBOX[2])),
                        float(rng.uniform(BBOX[1], BBOX[3]))) for _ in range(120)]
-        results = [TripClass(SUBSTITUTIVE)] * 120
         mid_lon = (BBOX[0] + BBOX[2]) / 2
         # two half-plane districts covering the whole padded area
         districts = {
@@ -408,7 +394,7 @@ class TestOdFlows:
             "east": [(mid_lon, BBOX[1] - 1), (BBOX[2] + 1, BBOX[1] - 1),
                      (BBOX[2] + 1, BBOX[3] + 1), (mid_lon, BBOX[3] + 1)],
         }
-        flows = od_flows(trips, results, grid, days=2, districts=districts)
+        flows = od_flows(trips, grid, days=2, districts=districts)
         grid_total = sum(f.flow for f in flows if f.level == "grid")
         district_total = sum(f.flow for f in flows if f.level == "district")
         assert district_total == pytest.approx(grid_total, rel=1e-12)
@@ -507,7 +493,7 @@ class TestWriters:
         b = cell_center(grid, *grid.cells[25])
         trips = [_trip(a[0], a[1], b[0], b[1])]
         results = [TripClass(FIRST_MILE)]
-        flows = od_flows(trips, results, grid, days=1)
+        flows = od_flows(trips, grid, days=1)
         profile = temporal_profile(trips, results)
         p1, p2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
         write_od_flows(flows, str(p1))

@@ -23,6 +23,7 @@ from ridelink.ptnet import (
     Station,
     TransitNetwork,
     UNAVAILABLE,
+    WALK_SPEED_KMH,
     alternative_fare,
     is_in_service,
     load_network,
@@ -46,7 +47,7 @@ def two_stop_net(leg_minutes=10.0, headway=10.0, ride_km=5000.0):
     }
     routes = {
         "R1": Route("R1", "L1", "metro", ("A", "B"), headway, 330, 1410, 30.0,
-                    "metro", leg_times_min=(leg_minutes,)),
+                    leg_times_min=(leg_minutes,)),
     }
     return TransitNetwork(stations=stations, routes=routes, fares=FareRules()), a_lat, b_lat
 
@@ -100,7 +101,7 @@ class TestPlanner:
             alt = city_planner.plan(o[0], o[1], d[0], d[1])
             if not alt.available:
                 continue
-            walk = (alt.access_walk_m + alt.egress_walk_m) / 1000.0 / city_net.walk_speed_kmh * 60.0
+            walk = (alt.access_walk_m + alt.egress_walk_m) / 1000.0 / WALK_SPEED_KMH * 60.0
             waits = sum(city_net.routes[l.route_id].headway_min / 2.0 for l in alt.legs)
             rides = sum(l.ride_min for l in alt.legs)
             assert alt.t_pt_min == pytest.approx(walk + waits + rides, rel=1e-9)
@@ -135,7 +136,7 @@ class TestPlanner:
             net = random_network(rng)
             scaled_routes = {
                 rid: Route(r.id, r.line_id, r.mode, r.station_ids, r.headway_min * 1.5,
-                           r.service_start, r.service_end, r.speed_kmh, r.fare_class,
+                           r.service_start, r.service_end, r.speed_kmh,
                            r.leg_times_min)
                 for rid, r in net.routes.items()
             }
@@ -225,6 +226,17 @@ class TestFares:
         ]
         assert alternative_fare(city_net, legs) == 5.0  # 3 metro + 2 bus flat
 
+    @pytest.mark.parametrize("rule, value", [
+        ("metro_base", math.nan), ("metro_base", math.inf), ("bus_flat", -2.0),
+        ("bus_flat", True), ("bus_flat", "2"), ("bus_flat", None), ("metro_step_km", 0),
+    ])
+    def test_rejects_bad_rule(self, rule, value):
+        with pytest.raises(ValueError, match=f"fare rule '{rule}'"):
+            FareRules(**{rule: value})
+
+    def test_zero_fares_allowed(self):
+        assert FareRules(bus_flat=0, metro_base=0, metro_base_km=0, metro_step_rmb=0).bus_flat == 0
+
 
 class TestServiceWindows:
     def _alt_on(self, route_id):
@@ -277,35 +289,35 @@ class TestNetworkIO:
 
     def test_route_with_missing_station(self, city_net, tmp_path):
         routes = dict(city_net.routes)
-        routes["BAD"] = Route("BAD", "LX", "bus", ("b1", "ghost"), 10.0, 360, 1380, 20.0, "bus")
+        routes["BAD"] = Route("BAD", "LX", "bus", ("b1", "ghost"), 10.0, 360, 1380, 20.0)
         with pytest.raises(ValueError, match="'BAD'.*'ghost'"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
 
     def test_route_too_short(self, city_net):
-        routes = {"R": Route("R", "L", "bus", ("b1",), 10.0, 360, 1380, 20.0, "bus")}
+        routes = {"R": Route("R", "L", "bus", ("b1",), 10.0, 360, 1380, 20.0)}
         with pytest.raises(ValueError, match="fewer than 2"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
 
     def test_bad_headway_and_window(self, city_net):
         for headway in (0.0, math.nan, math.inf):
-            routes = {"R": Route("R", "L", "bus", ("b1", "b2"), headway, 360, 1380, 20.0, "bus")}
+            routes = {"R": Route("R", "L", "bus", ("b1", "b2"), headway, 360, 1380, 20.0)}
             with pytest.raises(ValueError, match="headway"):
                 validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
-        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 360, 1380, math.nan, "bus")}
+        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 360, 1380, math.nan)}
         with pytest.raises(ValueError, match="speed"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
-        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 1380, 360, 20.0, "bus")}
+        routes = {"R": Route("R", "L", "bus", ("b1", "b2"), 10.0, 1380, 360, 20.0)}
         with pytest.raises(ValueError, match="service window"):
             validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
 
     def test_bad_leg_times(self, city_net):
         for leg in (-1.0, -1e-9, math.nan, math.inf):
             routes = {"R": Route("R", "L", "bus", ("b1", "b2", "b3"), 10.0, 360, 1380, 20.0,
-                                 "bus", leg_times_min=(2.0, leg))}
+                                 leg_times_min=(2.0, leg))}
             with pytest.raises(ValueError, match="'R'.*leg time"):
                 validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
         routes = {"R": Route("R", "L", "bus", ("b1", "b2", "b3"), 10.0, 360, 1380, 20.0,
-                             "bus", leg_times_min=(0.0, 2.0))}
+                             leg_times_min=(0.0, 2.0))}
         validate_network(TransitNetwork(stations=city_net.stations, routes=routes))
 
     def test_non_finite_station_coordinate(self, city_net):

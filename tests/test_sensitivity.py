@@ -241,7 +241,7 @@ class TestTransferSweep:
             return Route(id=rid, line_id=rid, mode="metro",
                          station_ids=tuple(sids), headway_min=6.0,
                          service_start=330, service_end=1410,
-                         speed_kmh=35.0, fare_class="metro")
+                         speed_kmh=35.0)
 
         net = TransitNetwork(stations=stations,
                              routes={"L1": route("L1", ["j1", "j2"]),
