@@ -359,13 +359,39 @@ def model_to_json(model: BoostModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_node(node, n_features: int) -> None:
+    """Raise ``ValueError`` unless ``node`` is a finite leaf, or a split of a
+    column below ``n_features`` at a finite threshold into two such nodes."""
+    leaf = isinstance(node, dict) and "value" in node
+    split = (isinstance(node, dict) and type(node.get("feature")) is int
+             and 0 <= node["feature"] < n_features and _finite(node.get("threshold")))
+    if not (_finite(node["value"]) if leaf else split):
+        raise ValueError(f"malformed tree node {json.dumps(node)[:80]}")
+    if not leaf:
+        _check_node(node.get("left"), n_features)
+        _check_node(node.get("right"), n_features)
+
+
 def model_from_json(text: str) -> BoostModel:
+    """The model in ``text``; raises ``ValueError`` when its structure is
+    broken, so that no malformed tree reaches prediction or attribution."""
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError("unrecognized model format")
+    names, trees, gammas = doc["feature_names"], doc["trees"], doc["gammas"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and isinstance(trees, list) and isinstance(gammas, list)
+            and len(gammas) == len(trees) and all(map(_finite, [doc["f0"], *gammas]))):
+        raise ValueError("need feature_names as strings, and a finite f0 and one "
+                         "finite gamma per tree")
+    for tree in trees:
+        _check_node(tree, len(names))
     return BoostModel(
-        f0=doc["f0"], trees=doc["trees"], gammas=doc["gammas"],
-        feature_names=doc["feature_names"], target=doc["target"],
+        f0=doc["f0"], trees=trees, gammas=gammas, feature_names=names, target=doc["target"],
         schema_hash=doc["schema_hash"], permutation=doc["permutation"],
         params=BoostParams(**doc["params"]),
     )

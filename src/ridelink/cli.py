@@ -78,6 +78,9 @@ DEFAULTS: dict = {
 
 ENV_PREFIX = "RIDELINK_"
 
+# the ratios a model can explain: hexgrid.RATIOS, upper-cased
+TARGETS = ("FCR", "LCR", "DSR", "ASR")
+
 # workspace artifact name -> (producing subcommand, file name)
 ARTIFACTS = {
     "trips_clean": ("ingest", "trips_clean.csv"),
@@ -198,8 +201,8 @@ class RunConfig:
     @property
     def target(self) -> str:
         target = str(self.data["target"]).upper()
-        if target not in ("FCR", "LCR", "DSR", "ASR"):
-            raise ConfigError(f"target must be one of FCR/LCR/DSR/ASR, "
+        if target not in TARGETS:
+            raise ConfigError(f"target must be one of {'/'.join(TARGETS)}, "
                               f"got {self.data['target']!r}")
         return target
 
@@ -252,7 +255,11 @@ class RunConfig:
         if box is None:
             manifest = self.workspace / "city" / CITY_FILES["scenario"]
             if manifest.exists():
-                box = json.loads(manifest.read_text())["bbox"]
+                try:
+                    box = json.loads(manifest.read_text())["bbox"]
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise InputError(f"scenario manifest {manifest} has no readable bbox "
+                                     f"({exc!r}); re-run 'synth' or set bbox") from None
         if box is None:
             raise ConfigError(
                 "bbox is not configured and no scenario manifest exists; set "
@@ -697,6 +704,7 @@ def cmd_report(cfg: RunConfig, args) -> None:
 
     from . import svgchart
     from .classify import ALL_LABELS
+    from .hexgrid import RATIOS
     try:
         summary = json.loads(cfg.need_artifact("summary").read_text())
         shares = [100.0 * summary["shares"][label] for label in ALL_LABELS]
@@ -723,12 +731,8 @@ def cmd_report(cfg: RunConfig, args) -> None:
     temporal_svg = svgchart.line_panels(panels, "hourly trips by class")
     (report_dir / "temporal.svg").write_text(temporal_svg, encoding="utf-8")
 
-    defined = {
-        "fcr": sum(1 for s in stats.values() if s.fcr is not None),
-        "lcr": sum(1 for s in stats.values() if s.lcr is not None),
-        "dsr": sum(1 for s in stats.values() if s.dsr is not None),
-        "asr": sum(1 for s in stats.values() if s.asr is not None),
-    }
+    defined = {name: sum(1 for s in stats.values() if s.ratio(name) is not None)
+               for name in RATIOS}
     inventory = {}
     for name in sorted(ARTIFACTS):
         path = cfg.artifact(name)
@@ -806,12 +810,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="hexagon side length in km")
     p = sub.add_parser("features", parents=[common],
                        help="assemble per-cell features with VIF screening")
-    p.add_argument("--target", help="ratio to model: FCR, LCR, DSR, or ASR")
+    p.add_argument("--target", help=f"ratio to model: {', '.join(TARGETS)}")
     p = sub.add_parser("train", parents=[common],
                        help="cross-validated hyperparameter search + final fit")
     p.add_argument("--seed", type=int, required=True,
                    help="search seed (required for reproducibility)")
-    p.add_argument("--target", help="ratio to model: FCR, LCR, DSR, or ASR")
+    p.add_argument("--target", help=f"ratio to model: {', '.join(TARGETS)}")
     p.add_argument("--trials", type=int, help="random search trial count")
     p.add_argument("--folds", type=int, help="spatial cross-validation folds")
     sub.add_parser("explain", parents=[common],

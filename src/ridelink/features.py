@@ -62,10 +62,6 @@ COLUMN_SCHEMA = {
     "enterprise_density": ("points/km^2", "enterprise points of interest per unit area"),
 }
 
-ORIGIN_TARGETS = ("FCR", "DSR")
-DESTINATION_TARGETS = ("LCR", "ASR")
-
-
 # ---------------------------------------------------------------------------
 # station accessibility
 
@@ -386,11 +382,11 @@ def assemble_features(
     roads: Optional[RoadGraph] = None,
 ) -> FeatureMatrix:
     """Design matrix over cells where the chosen target ratio is defined."""
-    from .hexgrid import cell_id
-    target = target.upper()
-    if target not in ORIGIN_TARGETS + DESTINATION_TARGETS:
+    from .hexgrid import RATIOS, cell_id
+    target, ratio = target.upper(), target.lower()
+    if ratio not in RATIOS:
         raise ValueError(f"unknown target {target!r}")
-    side = "origin" if target in ORIGIN_TARGETS else "destination"
+    side = "origin" if RATIOS[ratio][1] == "o_total" else "destination"
     distances = nearest_distances(grid, net)
     densities = station_densities(grid, net)
     road_cols = road_metrics(grid, roads if roads is not None else RoadGraph([], []))
@@ -400,14 +396,10 @@ def assemble_features(
     with_wait = any(row["avg_wait_min"] is not None for row in ride_cols.values())
     names = [n for n in COLUMN_SCHEMA if with_wait or n != "avg_wait_min"]
 
-    getter = {
-        "FCR": lambda cs: cs.fcr, "LCR": lambda cs: cs.lcr,
-        "DSR": lambda cs: cs.dsr, "ASR": lambda cs: cs.asr,
-    }[target]
     cell_ids, rows, targets = [], [], []
     for q, r in grid.cells:
         cid = cell_id(q, r)
-        value = getter(stats[cid])
+        value = stats[cid].ratio(ratio)
         if value is None:
             continue
         merged = {}

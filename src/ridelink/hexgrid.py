@@ -162,13 +162,20 @@ def _trip_rows(grid: HexGrid, trips: Sequence[TripRecord]) -> tuple[list[int], l
             locate(grid, [t.dlon for t in trips], [t.dlat for t in trips]).tolist())
 
 
+# per-cell trip counts, and each ratio as (numerator, denominator): first-mile and
+# departure substitutive trips per origin, last-mile and arrival substitutive per arrival
+COUNTS = ("o_total", "a_total", "fc_total", "lc_total", "ds_total", "as_total")
+RATIOS = {"fcr": ("fc_total", "o_total"), "lcr": ("lc_total", "a_total"),
+          "dsr": ("ds_total", "o_total"), "asr": ("as_total", "a_total")}
+
+
 @dataclass
 class GridCellStats:
     """Counts and ratio surface for one hexagonal cell.
 
-    Totals are raw trip counts over the whole observation period; the ``*_daily``
-    properties divide by the day count. Ratios are None when their denominator
-    is zero (a cell without departures has no defined departure ratio).
+    Totals are raw trip counts over the whole observation period; ``daily``
+    divides one by the day count. A ratio is None when its denominator is zero
+    (a cell without departures has no defined departure ratio).
     """
 
     cell_id: str
@@ -180,45 +187,12 @@ class GridCellStats:
     ds_total: int = 0   # substitutive, by origin cell
     as_total: int = 0   # substitutive, by destination cell
 
-    @property
-    def o_daily(self) -> float:
-        return self.o_total / self.days
+    def daily(self, count: str) -> float:
+        return getattr(self, count) / self.days
 
-    @property
-    def a_daily(self) -> float:
-        return self.a_total / self.days
-
-    @property
-    def fc_daily(self) -> float:
-        return self.fc_total / self.days
-
-    @property
-    def lc_daily(self) -> float:
-        return self.lc_total / self.days
-
-    @property
-    def ds_daily(self) -> float:
-        return self.ds_total / self.days
-
-    @property
-    def as_daily(self) -> float:
-        return self.as_total / self.days
-
-    @property
-    def fcr(self) -> Optional[float]:
-        return self.fc_total / self.o_total if self.o_total else None
-
-    @property
-    def lcr(self) -> Optional[float]:
-        return self.lc_total / self.a_total if self.a_total else None
-
-    @property
-    def dsr(self) -> Optional[float]:
-        return self.ds_total / self.o_total if self.o_total else None
-
-    @property
-    def asr(self) -> Optional[float]:
-        return self.as_total / self.a_total if self.a_total else None
+    def ratio(self, name: str) -> Optional[float]:
+        numerator, denominator = (getattr(self, count) for count in RATIOS[name])
+        return numerator / denominator if denominator else None
 
 
 def compute_ratios(
@@ -444,11 +418,14 @@ def complementary_breakdown(
 # ---------------------------------------------------------------------------
 # serialization
 
-CELL_STATS_COLUMNS = (
-    "cell_id", "days", "o_total", "a_total", "fc_total", "lc_total", "ds_total", "as_total",
-    "o_daily", "a_daily", "fc_daily", "lc_daily", "ds_daily", "as_daily",
-    "fcr", "lcr", "dsr", "asr",
-)
+_DAILY_COLUMNS = tuple(count.replace("_total", "_daily") for count in COUNTS)
+CELL_STATS_COLUMNS = ("cell_id", "days", *COUNTS, *_DAILY_COLUMNS, *RATIOS)
+
+
+def _derived(cs: GridCellStats) -> dict[str, Optional[float]]:
+    """Daily averages, then ratios, keyed by their column names."""
+    return {**{column: cs.daily(count) for column, count in zip(_DAILY_COLUMNS, COUNTS)},
+            **{name: cs.ratio(name) for name in RATIOS}}
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -461,25 +438,24 @@ def write_cell_stats(stats: dict[str, GridCellStats], path: str) -> None:
         writer.writerow(CELL_STATS_COLUMNS)
         for cid in sorted(stats, key=parse_cell_id):
             cs = stats[cid]
-            writer.writerow([
-                cs.cell_id, cs.days, cs.o_total, cs.a_total, cs.fc_total,
-                cs.lc_total, cs.ds_total, cs.as_total,
-                repr(cs.o_daily), repr(cs.a_daily), repr(cs.fc_daily),
-                repr(cs.lc_daily), repr(cs.ds_daily), repr(cs.as_daily),
-                _fmt(cs.fcr), _fmt(cs.lcr), _fmt(cs.dsr), _fmt(cs.asr),
-            ])
+            writer.writerow([cs.cell_id, cs.days, *(getattr(cs, count) for count in COUNTS),
+                             *map(_fmt, _derived(cs).values())])
 
 
 def read_cell_stats(path: str) -> dict[str, GridCellStats]:
+    """Cell stats back from ``cells.csv``. Raises ``ValueError`` naming the
+    cell when its counts are impossible: fewer than one day, a negative count,
+    or a ratio numerator above its denominator."""
     stats = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         for row in csv.DictReader(handle):
-            stats[row["cell_id"]] = GridCellStats(
-                cell_id=row["cell_id"], days=int(row["days"]),
-                o_total=int(row["o_total"]), a_total=int(row["a_total"]),
-                fc_total=int(row["fc_total"]), lc_total=int(row["lc_total"]),
-                ds_total=int(row["ds_total"]), as_total=int(row["as_total"]),
-            )
+            counts = {count: int(row[count]) for count in COUNTS}
+            cs = GridCellStats(cell_id=row["cell_id"], days=int(row["days"]), **counts)
+            if cs.days < 1 or min(counts.values()) < 0 or any(
+                    counts[num] > counts[den] for num, den in RATIOS.values()):
+                raise ValueError(f"cell {cs.cell_id} has impossible counts: days "
+                                 f"{cs.days}, {counts}")
+            stats[cs.cell_id] = cs
     return stats
 
 
@@ -487,20 +463,13 @@ def write_cell_stats_geojson(grid: HexGrid, stats: dict[str, GridCellStats], pat
     features = []
     for q, r in grid.cells:
         cid = cell_id(q, r)
-        cs = stats[cid]
         ring = cell_polygon(grid, q, r)
         ring.append(ring[0])
         features.append({
             "type": "Feature",
             "geometry": {"type": "Polygon",
                          "coordinates": [[[lon, lat] for lon, lat in ring]]},
-            "properties": {
-                "cell_id": cid,
-                "o_daily": cs.o_daily, "a_daily": cs.a_daily,
-                "fc_daily": cs.fc_daily, "lc_daily": cs.lc_daily,
-                "ds_daily": cs.ds_daily, "as_daily": cs.as_daily,
-                "fcr": cs.fcr, "lcr": cs.lcr, "dsr": cs.dsr, "asr": cs.asr,
-            },
+            "properties": {"cell_id": cid, **_derived(stats[cid])},
         })
     doc = {"type": "FeatureCollection", "features": features}
     with open(path, "w", encoding="utf-8") as handle:
@@ -544,10 +513,12 @@ def write_breakdown(breakdown: dict, path: str) -> None:
 
 __all__ = [
     "CELL_STATS_COLUMNS",
+    "COUNTS",
     "GridCellStats",
     "HexGrid",
     "Histogram",
     "OdFlow",
+    "RATIOS",
     "TemporalProfile",
     "axial_center_xy",
     "build_grid",

@@ -338,24 +338,16 @@ def iqr_filter(
     """
     if k <= 0.0:
         raise ValueError("k must be positive")
-    if per_day:
-        by_day: dict[int, list[int]] = {}
-        for i, t in enumerate(trips):
-            by_day.setdefault(t.pickup_day, []).append(i)
-        keep_mask = np.ones(len(trips), dtype=bool)
-        reports: list[IqrFilterReport] = []
-        for day in sorted(by_day):
-            idx = by_day[day]
-            day_trips = [trips[i] for i in idx]
-            kept_local_mask, day_reports = _filter_once(day_trips, k, day)
-            for local_pos, i in enumerate(idx):
-                keep_mask[i] = kept_local_mask[local_pos]
-            reports.extend(day_reports)
-        kept = [t for i, t in enumerate(trips) if keep_mask[i]]
-        return kept, reports
-    keep_mask, reports = _filter_once(list(trips), k, None)
-    kept = [t for i, t in enumerate(trips) if keep_mask[i]]
-    return kept, reports
+    groups: dict[Optional[int], list[int]] = {} if per_day else {None: []}
+    for i, t in enumerate(trips):
+        groups.setdefault(t.pickup_day if per_day else None, []).append(i)
+    keep_mask = np.ones(len(trips), dtype=bool)
+    reports: list[IqrFilterReport] = []
+    for day in sorted(groups):
+        idx = groups[day]
+        keep_mask[idx], day_reports = _filter_once([trips[i] for i in idx], k, day)
+        reports.extend(day_reports)
+    return [t for t, kept in zip(trips, keep_mask) if kept], reports
 
 
 def _filter_once(trips: list[TripRecord], k: float, day: Optional[int]) -> tuple[np.ndarray, list[IqrFilterReport]]:

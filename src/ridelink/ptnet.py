@@ -30,7 +30,7 @@ import heapq
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -315,13 +315,7 @@ def write_routes(routes: Iterable[Route], path: str) -> None:
 
 def write_fares(rules: FareRules, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump({
-            "bus_flat": rules.bus_flat,
-            "metro_base": rules.metro_base,
-            "metro_base_km": rules.metro_base_km,
-            "metro_step_rmb": rules.metro_step_rmb,
-            "metro_step_km": rules.metro_step_km,
-        }, handle, indent=2)
+        json.dump(asdict(rules), handle, indent=2)
         handle.write("\n")
 
 

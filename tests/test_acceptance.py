@@ -165,7 +165,8 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
                     fc / o if o else None, lc / a if a else None,
                     ds / o if o else None, as_ / a if a else None)
         actual = (cs.o_total, cs.a_total, cs.fc_total, cs.lc_total,
-                  cs.ds_total, cs.as_total, cs.fcr, cs.lcr, cs.dsr, cs.asr)
+                  cs.ds_total, cs.as_total, cs.ratio("fcr"), cs.ratio("lcr"),
+                  cs.ratio("dsr"), cs.ratio("asr"))
         if actual != expected:
             mismatched.append(cid)
 
@@ -182,7 +183,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
     total_a = sum(cs.a_total for cs in stats.values())
     conserved = (total_o == len(city.trips) == total_a
                  and total_o / days == len(city.trips) / days
-                 and abs(math.fsum(cs.o_daily for cs in stats.values())
+                 and abs(math.fsum(cs.daily("o_total") for cs in stats.values())
                          - len(city.trips) / days) <= 1e-9)
     ok = not mismatched and outside == 0 and conserved
     _verdict(3, "cell ratio surfaces", ok,

@@ -213,6 +213,29 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="format"):
             model_from_json(json.dumps({"format": "other"}))
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(f0=math.nan),
+        lambda doc: doc["gammas"].__setitem__(0, math.inf),
+        lambda doc: doc["gammas"].pop(),
+        lambda doc: doc.update(feature_names=[0, 1, 2]),
+        lambda doc: doc["trees"][0].update(feature=True),
+        lambda doc: doc["trees"][0].update(feature=3),
+        lambda doc: doc["trees"][0].update(feature=-1),
+        lambda doc: doc["trees"][0].update(threshold=None),
+        lambda doc: doc["trees"][0].pop("right"),
+        lambda doc: doc["trees"].__setitem__(0, {"value": "x"}),
+        lambda doc: doc["trees"].__setitem__(0, []),
+    ], ids=["nan_f0", "inf_gamma", "short_gammas", "numeric_names", "bool_feature",
+            "feature_past_end", "negative_feature", "no_threshold", "no_right_child",
+            "text_leaf", "list_node"])
+    def test_malformed_structure_rejected(self, corrupt):
+        X, y = _blob(50, 3, 12)
+        doc = json.loads(model_to_json(fit(X, y, BoostParams(iterations=100, depth=3, seed=2))))
+        assert "feature" in doc["trees"][0]
+        corrupt(doc)
+        with pytest.raises(ValueError, match="feature_names|tree node"):
+            model_from_json(json.dumps(doc))
+
 
 def _replica_stump(X, g, rows, min_leaf):
     """Independent exact-greedy depth-1 builder following the documented scan:

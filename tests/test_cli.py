@@ -22,10 +22,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ridelink import boost, features
+from ridelink import boost, features, hexgrid
 from ridelink.cli import (
     ARTIFACTS,
     DEFAULTS,
+    TARGETS,
     RunConfig,
     env_overrides,
     load_config,
@@ -78,6 +79,27 @@ def _write_rows(path, rows) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
+
+
+def _edit_json(edit):
+    """A corruption that applies ``edit`` to the parsed JSON document."""
+    def corrupt(text: str) -> str:
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+def _split_on(feature):
+    """A model corruption: the first tree rooted at a split splits on ``feature``."""
+    return _edit_json(lambda doc: next(tree for tree in doc["trees"] if "feature" in tree)
+                      .update(feature=feature))
+
+
+def _fc_above_o(text: str) -> str:
+    """``cells.csv`` text with its first row's ``fc_total`` 5 above ``o_total``."""
+    o_total = next(csv.DictReader(io.StringIO(text)))["o_total"]
+    return _set_csv_field(text, "fc_total", str(int(o_total) + 5))
 
 
 def _set_csv_field(text: str, column: str, value: str) -> str:
@@ -167,6 +189,10 @@ class TestConfigLayers:
         cfg = load_config(_args(set=["target=XYZ"]))
         with pytest.raises(ConfigError, match="FCR/LCR/DSR/ASR"):
             _ = cfg.target
+
+    def test_targets_are_the_grid_ratios(self):
+        # cli names the targets without importing hexgrid, which defines them
+        assert set(TARGETS) == {r.upper() for r in hexgrid.RATIOS}
 
     def test_bad_classifier_threshold(self):
         cfg = load_config(_args(set=["classifier.cost_ratio=7"]))
@@ -972,10 +998,33 @@ class TestErrorContract:
         ("report", "summary.json", "classify", lambda text: "{}"),
         ("report", "summary.json", "classify", lambda text: "not json"),
         ("report", "temporal.csv", "gridify", lambda text: _set_csv_field(text, "hour", "x")),
+        ("explain", "model.json", "train", _edit_json(lambda d: d.update(gammas=d["gammas"][:1]))),
+        ("explain", "model.json", "train", _edit_json(lambda d: d["trees"].__setitem__(0, {}))),
+        ("explain", "model.json", "train", _split_on("f0")),
+        ("explain", "model.json", "train", _split_on(99)),
+        ("features", "cells.csv", "gridify", lambda text: _set_csv_field(text, "fc_total", "-3")),
+        ("features", "cells.csv", "gridify", _fc_above_o),
+        ("features", "cells.csv", "gridify", lambda text: _set_csv_field(text, "days", "0")),
+        ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "fc_total", "-3")),
+        ("report", "cells.csv", "gridify", _fc_above_o),
+        ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "days", "0")),
+        ("gridify", "city/scenario.json", "synth", lambda text: "{}"),
+        ("gridify", "city/scenario.json", "synth", lambda text: "garbage"),
+        ("gridify", "city/scenario.json", "synth", lambda text: "[1,2]"),
+        ("features", "city/scenario.json", "synth", lambda text: "{}"),
+        ("features", "city/scenario.json", "synth", lambda text: "garbage"),
+        ("features", "city/scenario.json", "synth", lambda text: "[1,2]"),
     ], ids=["model_empty_object", "model_not_json", "model_depth_99",
             "features_cells_float_count", "features_cells_renamed_column",
             "report_cells_float_count", "report_cells_renamed_column",
-            "summary_empty_object", "summary_not_json", "temporal_hour_x"])
+            "summary_empty_object", "summary_not_json", "temporal_hour_x",
+            "model_one_gamma", "model_empty_node", "model_feature_name", "model_feature_99",
+            "features_cells_negative_count", "features_cells_numerator_above_denominator",
+            "features_cells_zero_days", "report_cells_negative_count",
+            "report_cells_numerator_above_denominator", "report_cells_zero_days",
+            "gridify_manifest_empty_object", "gridify_manifest_not_json",
+            "gridify_manifest_list", "features_manifest_empty_object",
+            "features_manifest_not_json", "features_manifest_list"])
     def test_corrupt_artifact_names_its_producer(self, pipeline, tmp_path, stage, name,
                                                  producer, corrupt):
         ws, _, _ = pipeline
@@ -989,6 +1038,18 @@ class TestErrorContract:
         assert doc["kind"] == "input"
         assert str(path) in doc["error"] and f"re-run '{producer}'" in doc["error"]
         assert out == ""
+
+    def test_configured_bbox_skips_the_manifest(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        manifest = copy / "city" / "scenario.json"
+        bbox = json.loads(manifest.read_text())["bbox"]
+        manifest.write_text("garbage")
+        code, _, err = run_cli(["gridify", "--workspace", str(copy),
+                                "--bbox", ",".join(map(repr, bbox))])
+        assert code == 0, err
+        assert (copy / "cells.csv").read_bytes() == (ws / "cells.csv").read_bytes()
 
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,

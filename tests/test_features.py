@@ -532,7 +532,7 @@ class TestAssembleFeatures:
         grid, net, trips, results, stats, pois, population, roads = _mini_world()
         m = assemble_features(grid, stats, net, trips, 1, "FCR",
                               pois, population, roads)
-        defined = [cid for cid in stats if stats[cid].fcr is not None]
+        defined = [cid for cid in stats if stats[cid].ratio("fcr") is not None]
         assert m.cell_ids == defined
         assert np.all(m.y >= 0.0) and np.all(m.y <= 1.0)
 
@@ -546,7 +546,7 @@ class TestAssembleFeatures:
         assert fcr.column("n_trips_daily")[row_a] == pytest.approx(8.0)
         lcr = assemble_features(grid, stats, net, trips, 1, "LCR",
                                 pois, population, roads)
-        assert set(lcr.cell_ids) == {cid for cid in stats if stats[cid].lcr is not None}
+        assert set(lcr.cell_ids) == {cid for cid in stats if stats[cid].ratio("lcr") is not None}
         row_a_dest = lcr.cell_ids.index(cid_a)
         assert lcr.y[row_a_dest] == pytest.approx(2.0 / 5.0)
         assert lcr.column("n_trips_daily")[row_a_dest] == pytest.approx(5.0)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -11,6 +12,8 @@ from locate_oracle import OFF_GRID
 from locate_oracle import locate as scalar_locate
 from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from ridelink.hexgrid import (
+    CELL_STATS_COLUMNS,
+    COUNTS,
     SQRT3,
     axial_center_xy,
     build_grid,
@@ -279,19 +282,19 @@ class TestComputeRatios:
         assert (ca.o_total, ca.a_total) == (3, 1)
         assert (ca.fc_total, ca.ds_total) == (1, 1)
         assert ca.lc_total == 1 and ca.as_total == 0  # LM counts at its dest cell
-        assert ca.fcr == 1 / 3 and ca.dsr == 1 / 3
-        assert ca.lcr == 1.0 and ca.asr == 0.0
-        assert ca.o_daily == 1.5
+        assert ca.ratio("fcr") == 1 / 3 and ca.ratio("dsr") == 1 / 3
+        assert ca.ratio("lcr") == 1.0 and ca.ratio("asr") == 0.0
+        assert ca.daily("o_total") == 1.5
         assert (cb.o_total, cb.a_total) == (1, 3)
         assert cb.lc_total == 0 and cb.as_total == 1
-        assert cb.asr == 1 / 3
+        assert cb.ratio("asr") == 1 / 3
 
     def test_empty_cell_has_undefined_ratios(self):
         grid = self._grid()
         stats = compute_ratios([], [], grid, days=1)
         empty = stats[cell_id(*grid.cells[0])]
-        assert empty.fcr is None and empty.lcr is None
-        assert empty.dsr is None and empty.asr is None
+        assert empty.ratio("fcr") is None and empty.ratio("lcr") is None
+        assert empty.ratio("dsr") is None and empty.ratio("asr") is None
 
     def test_conservation_and_brute_force_recount(self):
         grid = self._grid()
@@ -310,7 +313,7 @@ class TestComputeRatios:
 
         assert sum(cs.o_total for cs in stats.values()) == 300
         assert sum(cs.a_total for cs in stats.values()) == 300
-        assert sum(cs.o_daily for cs in stats.values()) == pytest.approx(300 / days, rel=1e-12)
+        assert sum(cs.daily("o_total") for cs in stats.values()) == pytest.approx(300 / days, rel=1e-12)
 
         # independent recount: assign each trip end by nearest hex center
         recount = {cid: [0, 0, 0, 0, 0, 0] for cid in stats}
@@ -332,9 +335,9 @@ class TestComputeRatios:
             assert (cs.o_total, cs.a_total, cs.fc_total,
                     cs.lc_total, cs.ds_total, cs.as_total) == (o, a, fc, lc, ds, asub)
             if o:
-                assert cs.fcr == fc / o and cs.dsr == ds / o
+                assert cs.ratio("fcr") == fc / o and cs.ratio("dsr") == ds / o
             if a:
-                assert cs.lcr == lc / a and cs.asr == asub / a
+                assert cs.ratio("lcr") == lc / a and cs.ratio("asr") == asub / a
 
     def test_bad_days_rejected(self):
         with pytest.raises(ValueError, match="days"):
@@ -472,7 +475,7 @@ class TestWriters:
                     bs.ds_total, bs.as_total) == (cs.days, cs.o_total, cs.a_total,
                                                   cs.fc_total, cs.lc_total,
                                                   cs.ds_total, cs.as_total)
-            assert bs.fcr == cs.fcr and bs.asr == cs.asr
+            assert bs.ratio("fcr") == cs.ratio("fcr") and bs.ratio("asr") == cs.ratio("asr")
 
     def test_geojson_output(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
@@ -486,6 +489,38 @@ class TestWriters:
         assert first["geometry"]["type"] == "Polygon"
         assert len(first["geometry"]["coordinates"][0]) == 7  # closed ring
         assert first["properties"]["fcr"] is None
+
+    def test_columns_follow_the_count_and_ratio_tables(self, tmp_path):
+        grid = build_grid(BBOX, 0.5)
+        stats = compute_ratios([], [], grid, days=1)
+        derived = ["o_daily", "a_daily", "fc_daily", "lc_daily", "ds_daily", "as_daily",
+                   "fcr", "lcr", "dsr", "asr"]
+        assert CELL_STATS_COLUMNS == ("cell_id", "days", *COUNTS, *derived)
+        path = tmp_path / "cells.geojson"
+        write_cell_stats_geojson(grid, stats, str(path))
+        properties = json.loads(path.read_text())["features"][0]["properties"]
+        assert list(properties) == ["cell_id", *derived]
+
+    @pytest.mark.parametrize("column, value", [
+        ("days", "0"), ("a_total", "-1"), ("fc_total", "4"), ("as_total", "4"),
+    ])
+    def test_reader_rejects_impossible_counts(self, tmp_path, column, value):
+        grid = build_grid(BBOX, 0.5)
+        a = cell_center(grid, *grid.cells[10])
+        trips = [_trip(a[0], a[1], a[0], a[1])] * 3
+        results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE), TripClass(LAST_MILE)]
+        stats = compute_ratios(trips, results, grid, days=2)
+        path = tmp_path / "cells.csv"
+        write_cell_stats(stats, str(path))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        cid = cell_id(*grid.cells[10])
+        row = next(r for r in rows if r[0] == cid)
+        row[rows[0].index(column)] = value
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=f"cell {cid} has impossible counts"):
+            read_cell_stats(str(path))
 
     def test_flow_and_profile_writers_deterministic(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
