@@ -45,7 +45,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -345,17 +345,7 @@ def predict(model: BoostModel, X: np.ndarray) -> np.ndarray:
 
 
 def model_to_json(model: BoostModel) -> str:
-    doc = {
-        "format": MODEL_FORMAT,
-        "f0": model.f0,
-        "trees": model.trees,
-        "gammas": model.gammas,
-        "feature_names": model.feature_names,
-        "target": model.target,
-        "schema_hash": model.schema_hash,
-        "permutation": model.permutation,
-        "params": asdict(model.params),
-    }
+    doc = {"format": MODEL_FORMAT, **vars(model), "params": asdict(model.params)}
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -390,11 +380,9 @@ def model_from_json(text: str) -> BoostModel:
                          "finite gamma per tree")
     for tree in trees:
         _check_node(tree, len(names))
-    return BoostModel(
-        f0=doc["f0"], trees=trees, gammas=gammas, feature_names=names, target=doc["target"],
-        schema_hash=doc["schema_hash"], permutation=doc["permutation"],
-        params=BoostParams(**doc["params"]),
-    )
+    values = {f.name: doc[f.name] for f in fields(BoostModel)}
+    values["params"] = BoostParams(**values["params"])
+    return BoostModel(**values)
 
 
 def save_model(model: BoostModel, path: str) -> None:
@@ -515,18 +503,15 @@ class ParamSpace:
                 raise ValueError(f"{name} range must sit inside [{full_lo}, {full_hi}]")
 
     def sample(self, rng: np.random.Generator) -> BoostParams:
-        return BoostParams(
-            iterations=int(rng.integers(self.iterations[0], self.iterations[1] + 1)),
-            learning_rate=float(rng.uniform(*self.learning_rate)),
-            depth=int(rng.integers(self.depth[0], self.depth[1] + 1)),
-            bagging_temperature=float(rng.uniform(*self.bagging_temperature)),
-            random_strength=float(rng.uniform(*self.random_strength)),
-            column_sample_ratio=float(rng.uniform(*self.column_sample_ratio)),
-            min_data_in_leaf=int(rng.integers(self.min_data_in_leaf[0],
-                                              self.min_data_in_leaf[1] + 1)),
-            ordered_segments=self.ordered_segments,
-            seed=int(rng.integers(2 ** 31)),
-        )
+        """One draw per ``PARAM_RANGES`` entry in its order, integral where the
+        full range is, then the seed."""
+        draws = {}
+        for name, (full_lo, _) in PARAM_RANGES.items():
+            lo, hi = getattr(self, name)
+            draws[name] = (int(rng.integers(lo, hi + 1)) if isinstance(full_lo, int)
+                           else float(rng.uniform(lo, hi)))
+        return BoostParams(**draws, ordered_segments=self.ordered_segments,
+                           seed=int(rng.integers(2 ** 31)))
 
 
 @dataclass
@@ -562,9 +547,7 @@ def random_search(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
     return best.params, log
 
 
-TRIAL_COLUMNS = ["trial", "iterations", "learning_rate", "depth",
-                 "bagging_temperature", "random_strength", "column_sample_ratio",
-                 "min_data_in_leaf", "ordered_segments", "seed", "cv_mse", "cv_r2"]
+TRIAL_COLUMNS = ["trial", *(f.name for f in fields(BoostParams)), "cv_mse", "cv_r2"]
 
 
 def write_trial_log(log: Sequence[Trial], path: str) -> None:
@@ -572,13 +555,8 @@ def write_trial_log(log: Sequence[Trial], path: str) -> None:
         writer = csv.writer(handle)
         writer.writerow(TRIAL_COLUMNS)
         for t in log:
-            p = t.params
-            writer.writerow([
-                t.index, p.iterations, repr(p.learning_rate), p.depth,
-                repr(p.bagging_temperature), repr(p.random_strength),
-                repr(p.column_sample_ratio), p.min_data_in_leaf,
-                p.ordered_segments, p.seed, repr(t.cv_mse), repr(t.cv_r2),
-            ])
+            writer.writerow([t.index, *map(repr, astuple(t.params)),
+                             repr(t.cv_mse), repr(t.cv_r2)])
 
 
 __all__ = [

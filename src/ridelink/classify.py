@@ -25,7 +25,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .ingest import (DEFAULT_EPOCH, TripRecord, has_request_times, parse_trip_row,
@@ -125,7 +125,16 @@ class TripClass:
     failed_condition: Optional[str] = None
     matched_station: Optional[str] = None
     both_ends_station: bool = False
-    trace: dict[str, bool] = field(default_factory=dict)
+
+    @property
+    def trace(self) -> dict[str, bool]:
+        """Each condition evaluated, in order, and its outcome. C2 records a
+        label match, which ends the checks; every other condition is True
+        except the failed one, where the checks stop."""
+        if self.label in (FIRST_MILE, LAST_MILE):
+            return {"C1": True, "C2": True}
+        last = CONDITIONS.index(self.failed_condition or CONDITIONS[-1])
+        return {c: c not in ("C2", self.failed_condition) for c in CONDITIONS[:last + 1]}
 
 
 def classify_trip(
@@ -137,57 +146,45 @@ def classify_trip(
 ) -> TripClass:
     if alt is None:
         raise ValueError("alternative not prepared for trip; run the planner first")
-    trace: dict[str, bool] = {}
 
-    c1 = is_in_service(net, alt, (trip.pickup_min, trip.dropoff_min))
-    trace["C1"] = c1
-    if not c1:
-        return TripClass(INDEPENDENT, "C1", trace=trace)
+    if not is_in_service(net, alt, (trip.pickup_min, trip.dropoff_min)):
+        return TripClass(INDEPENDENT, "C1")
 
     dest_hits = match_label(trip.dropoff_label, lexicon)
     orig_hits = match_label(trip.pickup_label, lexicon)
-    trace["C2"] = bool(dest_hits or orig_hits)
     if dest_hits:
         matched = net.nearest_station(trip.dlon, trip.dlat, dest_hits)
         return TripClass(FIRST_MILE, matched_station=matched,
-                         both_ends_station=bool(orig_hits), trace=trace)
+                         both_ends_station=bool(orig_hits))
     if orig_hits:
         matched = net.nearest_station(trip.olon, trip.olat, orig_hits)
-        return TripClass(LAST_MILE, matched_station=matched, trace=trace)
+        return TripClass(LAST_MILE, matched_station=matched)
 
-    return classify_thresholds(trip, alt, cfg, trace)
+    return classify_thresholds(trip, alt, cfg)
 
 
-def classify_thresholds(trip: TripRecord, alt: PtAlternative, cfg: ClassifierConfig,
-                        trace: dict[str, bool]) -> TripClass:
+def classify_thresholds(trip: TripRecord, alt: PtAlternative,
+                        cfg: ClassifierConfig) -> TripClass:
     """C3-C6, the only conditions that read ``cfg``, for a trip that passed C1
-    and matched no station label in C2; records them in ``trace``."""
-    c3 = bool(alt.available
-              and alt.access_walk_m <= cfg.walk_threshold_m
-              and alt.egress_walk_m <= cfg.walk_threshold_m)
-    trace["C3"] = c3
-    if not c3:
-        return TripClass(INDEPENDENT, "C3", trace=trace)
+    and matched no station label in C2."""
+    if not (alt.available and alt.access_walk_m <= cfg.walk_threshold_m
+            and alt.egress_walk_m <= cfg.walk_threshold_m):
+        return TripClass(INDEPENDENT, "C3")
 
     t_tnc = trip.duration_min
     if t_tnc <= cfg.time_gate_min:
         c4 = (alt.t_pt_min - t_tnc) <= cfg.time_gate_min
     else:
         c4 = alt.t_pt_min <= cfg.time_ratio * t_tnc
-    trace["C4"] = c4
     if not c4:
-        return TripClass(INDEPENDENT, "C4", trace=trace)
+        return TripClass(INDEPENDENT, "C4")
 
-    c5 = alt.transfers <= cfg.max_transfers
-    trace["C5"] = c5
-    if not c5:
-        return TripClass(INDEPENDENT, "C5", trace=trace)
+    if not (alt.transfers <= cfg.max_transfers):
+        return TripClass(INDEPENDENT, "C5")
 
-    c6 = alt.fare_rmb <= cfg.cost_ratio * trip.cost
-    trace["C6"] = c6
-    if not c6:
-        return TripClass(INDEPENDENT, "C6", trace=trace)
-    return TripClass(SUBSTITUTIVE, trace=trace)
+    if not (alt.fare_rmb <= cfg.cost_ratio * trip.cost):
+        return TripClass(INDEPENDENT, "C6")
+    return TripClass(SUBSTITUTIVE)
 
 
 def classify_all(
@@ -246,7 +243,7 @@ def read_classified(path: str, bbox: tuple[float, float, float, float],
                     epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
     """Reload a classified-trip CSV in one pass: each row's trip columns are
     checked as ``ingest`` checks ``trips_clean.csv``. The first bad row raises a
-    ``ValueError`` naming its line. Traces are not persisted, so come back empty."""
+    ``ValueError`` naming its line."""
     trips: list[TripRecord] = []
     results: list[TripClass] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:

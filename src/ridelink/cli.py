@@ -251,26 +251,23 @@ class RunConfig:
             raise ConfigError(f"invalid planner settings: {exc}") from None
 
     def bbox(self) -> tuple[float, float, float, float]:
-        box = self.data["bbox"]
-        if box is None:
-            manifest = self.workspace / "city" / CITY_FILES["scenario"]
-            if manifest.exists():
-                try:
-                    box = json.loads(manifest.read_text())["bbox"]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise InputError(f"scenario manifest {manifest} has no readable bbox "
-                                     f"({exc!r}); re-run 'synth' or set bbox") from None
-        if box is None:
+        """The configured bbox, else the scenario manifest's; a bad box is a
+        config error when configured and an input error when read."""
+        if self.data["bbox"] is not None:
+            try:
+                return _four_numbers(self.data["bbox"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        manifest = self.workspace / "city" / CITY_FILES["scenario"]
+        if not manifest.exists():
             raise ConfigError(
                 "bbox is not configured and no scenario manifest exists; set "
                 "bbox in the config or generate a city with 'synth'")
         try:
-            lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bbox must be four numbers, got {box!r}") from None
-        if not (lon_min < lon_max and lat_min < lat_max):
-            raise ConfigError(f"bbox is degenerate: {box!r}")
-        return (lon_min, lat_min, lon_max, lat_max)
+            return _four_numbers(json.loads(manifest.read_text())["bbox"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputError(f"scenario manifest {manifest} has no readable bbox "
+                             f"({exc!r}); re-run 'synth' or set bbox") from None
 
     # artifact and input paths ------------------------------------------
 
@@ -356,6 +353,18 @@ def _parse_bbox_flag(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(
             "bbox must be lon_min,lat_min,lon_max,lat_max")
     return [float(p) for p in parts]
+
+
+def _four_numbers(box) -> tuple[float, float, float, float]:
+    """``box`` as (lon_min, lat_min, lon_max, lat_max); raises ``ValueError``
+    unless it is four numbers spanning a nonempty area."""
+    try:
+        lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
+    except (TypeError, ValueError):
+        raise ValueError(f"bbox must be four numbers, got {box!r}") from None
+    if not (lon_min < lon_max and lat_min < lat_max):
+        raise ValueError(f"bbox is degenerate: {box!r}")
+    return (lon_min, lat_min, lon_max, lat_max)
 
 
 # ---------------------------------------------------------------------------

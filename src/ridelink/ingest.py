@@ -21,7 +21,7 @@ import datetime as _dt
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -98,7 +98,7 @@ class Rejection:
 
 @dataclass(frozen=True)
 class IqrFilterReport:
-    field_name: str  # "travel_time_min" or "distance_km"
+    field: str  # "travel_time_min" or "distance_km"
     q1: float
     q3: float
     lo: float
@@ -368,18 +368,7 @@ def _filter_once(trips: list[TripRecord], k: float, day: Optional[int]) -> tuple
 
 
 def write_iqr_reports(reports: Iterable[IqrFilterReport], target: str) -> None:
-    payload = [
-        {
-            "field": r.field_name,
-            "q1": r.q1,
-            "q3": r.q3,
-            "lo": r.lo,
-            "hi": r.hi,
-            "removed_count": r.removed_count,
-            **({"day": r.day} if r.day is not None else {}),
-        }
-        for r in reports
-    ]
+    payload = [{k: v for k, v in asdict(r).items() if v is not None} for r in reports]
     with open(target, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")

@@ -138,8 +138,8 @@ class Leg:
     mode: str
     line_id: str
     route_id: str
-    board_station: str
-    alight_station: str
+    board: str
+    alight: str
     ride_min: float
     ride_km: float
 
@@ -156,48 +156,30 @@ class PtAlternative:
     legs: tuple[Leg, ...] = ()
 
     def to_dict(self) -> dict:
-        if not self.available:
-            return {"available": False}
-        return {
-            "available": True,
-            "access_walk_m": self.access_walk_m,
-            "egress_walk_m": self.egress_walk_m,
-            "t_pt_min": self.t_pt_min,
-            "transfers": self.transfers,
-            "fare_rmb": self.fare_rmb,
-            "gen_cost_min": self.gen_cost_min,
-            "legs": [
-                {
-                    "mode": l.mode,
-                    "line_id": l.line_id,
-                    "route_id": l.route_id,
-                    "board": l.board_station,
-                    "alight": l.alight_station,
-                    "ride_min": l.ride_min,
-                    "ride_km": l.ride_km,
-                }
-                for l in self.legs
-            ],
-        }
+        return asdict(self) if self.available else {"available": False}
 
     @staticmethod
     def from_dict(data: dict) -> "PtAlternative":
+        """The alternative ``to_dict`` wrote. Every field must be present, and
+        no default fills one in; a bad number raises ``ValueError``."""
         if not data.get("available"):
             return UNAVAILABLE
-        return PtAlternative(
-            available=True,
-            access_walk_m=data["access_walk_m"],
-            egress_walk_m=data["egress_walk_m"],
-            t_pt_min=data["t_pt_min"],
-            transfers=data["transfers"],
-            fare_rmb=data["fare_rmb"],
-            gen_cost_min=data["gen_cost_min"],
-            legs=tuple(
-                Leg(d["mode"], d["line_id"], d["route_id"], d["board"], d["alight"],
-                    d["ride_min"], d["ride_km"])
-                for d in data["legs"]
-            ),
-        )
+        values = {f.name: data[f.name] for f in fields(PtAlternative)}
+        values["legs"] = tuple(Leg(**leg) for leg in values["legs"])
+        alt = PtAlternative(**values)
+        for record in (alt, *alt.legs):
+            _check_numbers(record)
+        return alt
+
+
+def _check_numbers(record) -> None:
+    """Raise ``ValueError`` unless each ``float`` field of ``record`` holds a
+    finite JSON number >= 0 and each ``int`` field a JSON integer >= 0 (the
+    annotations are strings, as this module postpones them)."""
+    for f in fields(record):
+        value, types = getattr(record, f.name), {"float": (int, float), "int": (int,)}.get(f.type)
+        if types and not (type(value) in types and 0 <= value < math.inf):
+            raise ValueError(f"{f.name} must be a finite {f.type} >= 0, got {value!r}")
 
 
 UNAVAILABLE = PtAlternative(available=False)

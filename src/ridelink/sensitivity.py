@@ -112,7 +112,7 @@ def elasticity_sweep(
 
     ratios = []
     for swept in configs:
-        count = sum(classify_thresholds(trip, alt, swept, {}).label == SUBSTITUTIVE
+        count = sum(classify_thresholds(trip, alt, swept).label == SUBSTITUTIVE
                     for trip, alt in base.reaching)
         ratios.append(count / base.total if base.total else 0.0)
 

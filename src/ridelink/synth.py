@@ -70,6 +70,12 @@ PLACE_KINDS = ("Court", "Block", "Plaza", "Garden", "Market", "Tower")
 
 GROUND_TRUTH_COLUMNS = ("trip_index", "intended_class", "violated_condition")
 
+# daytime pickup hours, drawn with weights that peak at 08:30 and 18:00
+_PICKUP_HOURS = np.arange(7, 22)
+_HOUR_WEIGHTS = 1.0 + 2.0 * np.exp(-0.5 * ((_PICKUP_HOURS - 8.5) / 1.2) ** 2) \
+    + 2.0 * np.exp(-0.5 * ((_PICKUP_HOURS - 18.0) / 1.2) ** 2)
+_PICKUP_HOUR_P = _HOUR_WEIGHTS / _HOUR_WEIGHTS.sum()
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -99,16 +105,7 @@ class ScenarioSpec:
     max_attempts: int = 80
 
     def planted_counts(self) -> dict[str, int]:
-        return {
-            "first_mile": self.first_mile,
-            "last_mile": self.last_mile,
-            "substitutive": self.substitutive,
-            "independent_c1": self.independent_c1,
-            "independent_c3": self.independent_c3,
-            "independent_c4": self.independent_c4,
-            "independent_c5": self.independent_c5,
-            "independent_c6": self.independent_c6,
-        }
+        return {recipe: getattr(self, recipe) for recipe in _Factory.RECIPES}
 
     def total_trips(self) -> int:
         return sum(self.planted_counts().values())
@@ -295,10 +292,7 @@ class _Factory:
 
     def _day_minute(self) -> int:
         day = int(self.rng.integers(self.spec.days))
-        hours = np.arange(7, 22)
-        weights = 1.0 + 2.0 * np.exp(-0.5 * ((hours - 8.5) / 1.2) ** 2) \
-            + 2.0 * np.exp(-0.5 * ((hours - 18.0) / 1.2) ** 2)
-        hour = int(self.rng.choice(hours, p=weights / weights.sum()))
+        hour = int(self.rng.choice(_PICKUP_HOURS, p=_PICKUP_HOUR_P))
         minute = int(self.rng.integers(60))
         return day * 1440 + hour * 60 + minute
 

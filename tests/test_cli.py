@@ -200,8 +200,11 @@ class TestConfigLayers:
             cfg.classifier()
 
 
-# sha256 of the gridify and features artifacts in the fixture workspace
+# sha256 of the ingest, plan, gridify, features and train artifacts in the
+# fixture workspace
 GOLDEN_ARTIFACTS = {
+    "iqr_report.csv": "66f35f88b95d5a08ded25925015d373cb808877edfb2d00044153dd78f13d84e",
+    "alternatives.jsonl": "4da19f7c16d910d5dceb0e9eab9319780ac23d2d50c9879378de1874f8586ab5",
     "cells.csv": "a41e5602a705ad0d77e2a3746f9a18e4a2ae15f5762732403a981e5a962f6bf9",
     "cells.geojson": "e68bedf2d778dfa9b3c640bd37af554dddcd63e2e5e2ea51d18b1812a393c2ab",
     "od_flows.csv": "fd333b207bf17372118a98b9dd60c92a9cb79b85edfe3bacae546a98abf83e06",
@@ -211,6 +214,8 @@ GOLDEN_ARTIFACTS = {
     "features.csv": "42639430edc4e4ea6170dae8fd2d54c8e3dc0bde0688d6147f3c1c218be7ffd9",
     "features_schema.json": "b1435e52f789a446da31fdd134c39a6c58caefd27474721012bbf996d211986f",
     "vif_report.json": "1d59b26aca70213eb9e66a34239e6bd4fb578a0a828b90442f31a29a158f7930",
+    "model.json": "2c667d118f96135da00d8021a81268a03d0af803243a3eb0a94f81980429a4b8",
+    "trials.csv": "381042de525ece18ea020343d79d721a4bb43cf51a2c1dd652dd734c6453b8e4",
 }
 
 
@@ -330,6 +335,22 @@ class TestPipelineArtifacts:
         assert sum(failed.values()) == sum(row["label"] == "independent" for row in rows)
         assert not any("failed_conditions" in path.read_text(errors="replace")
                        for path in ws.rglob("*") if path.is_file())
+
+    def test_reread_traces_match_the_classifier(self, pipeline):
+        from ridelink.classify import classify_all, read_classified
+        from ridelink.ingest import parse_trips
+        from ridelink.ptnet import CachedPlanner, load_network, station_lexicon
+
+        ws, _, _ = pipeline
+        bbox = json.loads((ws / "city" / "scenario.json").read_text())["bbox"]
+        trips, _ = parse_trips(str(ws / "trips_clean.csv"), bbox)
+        net = load_network(*(str(ws / "city" / name)
+                             for name in ("stations.csv", "routes.csv", "fares.json")))
+        cache = CachedPlanner.load(str(ws / "alternatives.jsonl"))
+        results, _ = classify_all(trips, cache, net, station_lexicon(net))
+        _, reread = read_classified(str(ws / "classified.csv"), bbox)
+        assert [r.trace for r in reread] == [r.trace for r in results]
+        assert {len(r.trace) for r in results} == {1, 2, 3, 4, 5, 6}
 
     def test_explain_echo_counts_pdp_tree_rows(self, pipeline):
         ws, _, echoes = pipeline
@@ -959,7 +980,11 @@ class TestErrorContract:
         assert "fares" in doc["error"]
         assert out == ""
 
-    @pytest.mark.parametrize("case", ["garbage_line", "three_number_key", "alt_missing_fields"])
+    _BAD_NUMBERS = {"string_time": {"t_pt_min": "x"}, "string_transfers": {"transfers": "2"},
+                    "nan_walk": {"access_walk_m": float("nan")}}
+
+    @pytest.mark.parametrize("case", ["garbage_line", "three_number_key", "alt_missing_fields",
+                                      *_BAD_NUMBERS])
     @pytest.mark.parametrize("stage", ["classify", "elasticity"])
     def test_corrupt_alternatives(self, pipeline, tmp_path, case, stage):
         ws, _, _ = pipeline
@@ -976,8 +1001,10 @@ class TestErrorContract:
             entry = json.loads(lines[number - 1])
             if case == "three_number_key":
                 entry["key"] = entry["key"][:3]
-            else:
+            elif case == "alt_missing_fields":
                 del entry["alt"]["t_pt_min"]
+            else:
+                entry["alt"].update(self._BAD_NUMBERS[case])
             lines[number - 1] = json.dumps(entry)
         path.write_text("\n".join(lines) + "\n")
         code, out, err = run_cli([stage, "--workspace", str(copy)])
@@ -1014,6 +1041,12 @@ class TestErrorContract:
         ("features", "city/scenario.json", "synth", lambda text: "{}"),
         ("features", "city/scenario.json", "synth", lambda text: "garbage"),
         ("features", "city/scenario.json", "synth", lambda text: "[1,2]"),
+        ("gridify", "city/scenario.json", "synth", lambda text: '{"bbox": "x"}'),
+        ("gridify", "city/scenario.json", "synth", lambda text: '{"bbox": [1, 2, 3]}'),
+        ("gridify", "city/scenario.json", "synth", lambda text: '{"bbox": [3, 1, 3, 2]}'),
+        ("features", "city/scenario.json", "synth", lambda text: '{"bbox": "x"}'),
+        ("features", "city/scenario.json", "synth", lambda text: '{"bbox": [1, 2, 3]}'),
+        ("features", "city/scenario.json", "synth", lambda text: '{"bbox": [3, 1, 3, 2]}'),
     ], ids=["model_empty_object", "model_not_json", "model_depth_99",
             "features_cells_float_count", "features_cells_renamed_column",
             "report_cells_float_count", "report_cells_renamed_column",
@@ -1024,7 +1057,10 @@ class TestErrorContract:
             "report_cells_numerator_above_denominator", "report_cells_zero_days",
             "gridify_manifest_empty_object", "gridify_manifest_not_json",
             "gridify_manifest_list", "features_manifest_empty_object",
-            "features_manifest_not_json", "features_manifest_list"])
+            "features_manifest_not_json", "features_manifest_list",
+            "gridify_manifest_bbox_string", "gridify_manifest_bbox_three_numbers",
+            "gridify_manifest_bbox_degenerate", "features_manifest_bbox_string",
+            "features_manifest_bbox_three_numbers", "features_manifest_bbox_degenerate"])
     def test_corrupt_artifact_names_its_producer(self, pipeline, tmp_path, stage, name,
                                                  producer, corrupt):
         ws, _, _ = pipeline

@@ -240,7 +240,7 @@ class TestIqrFilter:
         durations = [10, 12, 14, 16, 18, 20, 200]
         trips = [make_trip(duration_min=d) for d in durations]
         kept, reports = iqr_filter(trips, k=3.0)
-        time_report = next(r for r in reports if r.field_name == "travel_time_min")
+        time_report = next(r for r in reports if r.field == "travel_time_min")
         assert (time_report.q1, time_report.q3) == (13.0, 19.0)
         assert (time_report.lo, time_report.hi) == (-5.0, 37.0)
         assert time_report.removed_count == 1
@@ -260,7 +260,7 @@ class TestIqrFilter:
             durations = sorted(int(v) for v in rng.integers(1, 300, size=n))
             trips = [make_trip(duration_min=d) for d in durations]
             _, reports = iqr_filter(trips, k=3.0)
-            r = next(rep for rep in reports if rep.field_name == "travel_time_min")
+            r = next(rep for rep in reports if rep.field == "travel_time_min")
             assert r.q1 == pytest.approx(quartile(durations, 0.25), abs=1e-12)
             assert r.q3 == pytest.approx(quartile(durations, 0.75), abs=1e-12)
 
@@ -270,7 +270,7 @@ class TestIqrFilter:
         trips.append(make_trip(duration_min=20, distance_km=500.0))  # distance outlier
         kept, reports = iqr_filter(trips, k=3.0)
         assert len(kept) == 20
-        by_field = {r.field_name: r.removed_count for r in reports}
+        by_field = {r.field: r.removed_count for r in reports}
         assert by_field == {"travel_time_min": 1, "distance_km": 1}
 
     def test_bounds_come_from_prefilter_population(self):
@@ -320,5 +320,5 @@ class TestIqrFilter:
         assert len(kept) == 11
         days = {r.day for r in reports}
         assert days == {0, 1}
-        day1_time = next(r for r in reports if r.day == 1 and r.field_name == "travel_time_min")
+        day1_time = next(r for r in reports if r.day == 1 and r.field == "travel_time_min")
         assert day1_time.removed_count == 1

@@ -66,7 +66,7 @@ class TestPlanner:
         assert alt.access_walk_m == pytest.approx(200.0, abs=1e-6)
         assert alt.egress_walk_m == pytest.approx(200.0, abs=1e-6)
         assert alt.fare_rmb == 3.0  # one metro leg of ~5 km
-        assert len(alt.legs) == 1 and alt.legs[0].board_station == "A"
+        assert len(alt.legs) == 1 and alt.legs[0].board == "A"
 
     def test_unreachable_origin(self):
         net, a_lat, b_lat = two_stop_net()
@@ -89,7 +89,7 @@ class TestPlanner:
         assert alt.available
         assert alt.transfers == 1
         assert [l.route_id for l in alt.legs] == ["M1", "M2"]
-        assert alt.legs[0].alight_station == "m3" and alt.legs[1].board_station == "m3"
+        assert alt.legs[0].alight == "m3" and alt.legs[1].board == "m3"
         assert alt.gen_cost_min == pytest.approx(alt.t_pt_min + 5.0, rel=1e-12)
         assert city_net.stations["m3"].is_hub
 
