@@ -357,11 +357,11 @@ def _parse_bbox_flag(text: str) -> list[float]:
 
 def _four_numbers(box) -> tuple[float, float, float, float]:
     """``box`` as (lon_min, lat_min, lon_max, lat_max); raises ``ValueError``
-    unless it is four numbers spanning a nonempty area."""
-    try:
-        lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
-    except (TypeError, ValueError):
-        raise ValueError(f"bbox must be four numbers, got {box!r}") from None
+    unless it is a list of four finite numbers spanning a nonempty area."""
+    if not (isinstance(box, list) and len(box) == 4 and all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in box)):
+        raise ValueError(f"bbox must be a list of four finite numbers, got {box!r}")
+    lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
     if not (lon_min < lon_max and lat_min < lat_max):
         raise ValueError(f"bbox is degenerate: {box!r}")
     return (lon_min, lat_min, lon_max, lat_max)
@@ -436,7 +436,7 @@ def _grid(cfg: RunConfig):
     from . import hexgrid
     try:
         return hexgrid.build_grid(cfg.bbox(), float(cfg.data["grid"]["side_km"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid grid settings: {exc}") from None
 
 

@@ -38,6 +38,7 @@ from .ptnet import TransitNetwork
 
 SQRT3 = math.sqrt(3.0)
 HISTOGRAM_BINS = 20  # equal-width bins per trip_stats histogram
+MAX_GRID_CELLS = 1_000_000  # build_grid refuses a grid that would walk more
 
 
 @dataclass(frozen=True)
@@ -101,8 +102,8 @@ def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
     The cell set contains every hexagon whose center lies within the box padded
     by one side length, which guarantees full coverage of the box itself.
     """
-    if side_km <= 0:
-        raise ValueError("side_km must be positive")
+    if not 0 < side_km < math.inf:
+        raise ValueError(f"side_km must be a finite number > 0, got {side_km!r}")
     lon_min, lat_min, lon_max, lat_max = (float(v) for v in bbox)
     if not (lon_max > lon_min and lat_max > lat_min):
         raise ValueError("degenerate bounding box")
@@ -113,6 +114,11 @@ def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
     x_max, y_max = proj.to_xy(lon_max, lat_max)
     s = side_km * 1000.0
     pad = s
+    # the q range and each r range below span at most 5 steps more than these
+    walk = ((x_max - x_min + 2 * pad) / (1.5 * s) + 5) * ((y_max - y_min + 2 * pad) / (s * SQRT3) + 5)
+    if not walk <= MAX_GRID_CELLS:
+        raise ValueError(f"a grid of side {side_km} km over bbox {tuple(bbox)} would walk up to "
+                         f"{walk:.3g} cells, more than {MAX_GRID_CELLS:,}; raise grid.side_km")
     cells = []
     q_lo = math.floor((x_min - pad) / (1.5 * s)) - 1
     q_hi = math.ceil((x_max + pad) / (1.5 * s)) + 1

@@ -156,7 +156,11 @@ class PtAlternative:
     legs: tuple[Leg, ...] = ()
 
     def to_dict(self) -> dict:
-        return asdict(self) if self.available else {"available": False}
+        """The fields as JSON values, legs as dicts; shallow, since every
+        value but ``legs`` is a number or a string."""
+        if not self.available:
+            return {"available": False}
+        return {**vars(self), "legs": [vars(leg) for leg in self.legs]}
 
     @staticmethod
     def from_dict(data: dict) -> "PtAlternative":
@@ -176,12 +180,16 @@ def _check_numbers(record) -> None:
     """Raise ``ValueError`` unless each ``float`` field of ``record`` holds a
     finite JSON number >= 0 and each ``int`` field a JSON integer >= 0 (the
     annotations are strings, as this module postpones them)."""
-    for f in fields(record):
-        value, types = getattr(record, f.name), {"float": (int, float), "int": (int,)}.get(f.type)
-        if types and not (type(value) in types and 0 <= value < math.inf):
-            raise ValueError(f"{f.name} must be a finite {f.type} >= 0, got {value!r}")
+    for name, kind in _NUMBER_FIELDS[type(record)]:
+        value = getattr(record, name)
+        if not (type(value) in _JSON_TYPES[kind] and 0 <= value < math.inf):
+            raise ValueError(f"{name} must be a finite {kind} >= 0, got {value!r}")
 
 
+_JSON_TYPES = {"float": (int, float), "int": (int,)}
+# (name, kind) of each number field, read from the dataclass once per class
+_NUMBER_FIELDS = {cls: tuple((f.name, f.type) for f in fields(cls) if f.type in _JSON_TYPES)
+                  for cls in (PtAlternative, Leg)}
 UNAVAILABLE = PtAlternative(available=False)
 
 

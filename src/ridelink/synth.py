@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -75,6 +75,11 @@ _PICKUP_HOURS = np.arange(7, 22)
 _HOUR_WEIGHTS = 1.0 + 2.0 * np.exp(-0.5 * ((_PICKUP_HOURS - 8.5) / 1.2) ** 2) \
     + 2.0 * np.exp(-0.5 * ((_PICKUP_HOURS - 18.0) / 1.2) ** 2)
 _PICKUP_HOUR_P = _HOUR_WEIGHTS / _HOUR_WEIGHTS.sum()
+# the cdf that ``Generator.choice(_PICKUP_HOURS, p=_PICKUP_HOUR_P)`` builds on
+# every call: searching it with one ``random()`` draw gives the same hour and
+# leaves the generator in the same state
+_PICKUP_CDF = _PICKUP_HOUR_P.cumsum()
+_PICKUP_CDF /= _PICKUP_CDF[-1]
 
 
 @dataclass(frozen=True)
@@ -180,75 +185,56 @@ def build_network(spec: ScenarioSpec) -> tuple[TransitNetwork, dict]:
     routes: dict[str, Route] = {}
     xy: dict[str, tuple[float, float]] = {}
     by_pos: dict[tuple[float, float], str] = {}
-    metro_ids: list[list[str]] = []
-    names = iter(METRO_WORDS)
 
-    def add_station(pos, name, aliases, mode, line_id) -> str:
-        key = (round(pos[0], 6), round(pos[1], 6))
-        if key in by_pos:
-            sid = by_pos[key]
-            old = stations[sid]
-            if line_id not in old.line_ids:
-                stations[sid] = Station(id=sid, name=old.name,
-                                        aliases=old.aliases, lon=old.lon,
-                                        lat=old.lat, mode=old.mode,
-                                        line_ids=old.line_ids + (line_id,))
-            return sid
-        sid = f"{'m' if mode == 'metro' else 'b'}{len(by_pos) + 1:02d}"
-        lon, lat = proj.to_lonlat(pos[0] * 1000.0, pos[1] * 1000.0)
-        stations[sid] = Station(id=sid, name=name, aliases=tuple(aliases),
-                                lon=lon, lat=lat, mode=mode,
-                                line_ids=(line_id,))
-        xy[sid] = (pos[0], pos[1])
-        by_pos[key] = sid
-        return sid
-
-    for li, (origin, direction, spacing) in enumerate(_metro_line_starts(spec)):
-        rid = f"M{li + 1}"
+    def add_route(rid, mode, positions, words, aliases, headway, window,
+                  speed) -> list[str]:
+        """Add route ``rid`` through ``positions`` and return its station
+        ids. A stop at an existing station's position joins that station;
+        a new stop takes the next name from ``words``, and each suffix in
+        ``aliases`` gives it one alias."""
         sids = []
-        for i in range(spec.metro_stations_per_line):
-            pos = (origin[0] + direction[0] * spacing * i,
-                   origin[1] + direction[1] * spacing * i)
+        for pos in positions:
             key = (round(pos[0], 6), round(pos[1], 6))
-            if key in by_pos:
-                sid = add_station(pos, "", (), "metro", rid)
-            else:
-                word = next(names)
-                sid = add_station(pos, f"{word} Station",
-                                  (f"{word} Station Exit A",
-                                   f"{word} Station Exit B"),
-                                  "metro", rid)
+            sid = by_pos.get(key)
+            if sid is None:
+                sid = by_pos[key] = f"{mode[0]}{len(by_pos) + 1:02d}"
+                name = next(words)
+                lon, lat = proj.to_lonlat(pos[0] * 1000.0, pos[1] * 1000.0)
+                stations[sid] = Station(
+                    id=sid, name=name,
+                    aliases=tuple(f"{name} {suffix}" for suffix in aliases),
+                    lon=lon, lat=lat, mode=mode, line_ids=(rid,))
+                xy[sid] = (pos[0], pos[1])
+            elif rid not in stations[sid].line_ids:
+                stations[sid] = replace(
+                    stations[sid], line_ids=stations[sid].line_ids + (rid,))
             sids.append(sid)
-        metro_ids.append(sids)
-        routes[rid] = Route(id=rid, line_id=rid, mode="metro",
-                            station_ids=tuple(sids),
-                            headway_min=spec.metro_headway_min,
-                            service_start=330, service_end=1410,
-                            speed_kmh=spec.metro_speed_kmh)
+        routes[rid] = Route(id=rid, line_id=rid, mode=mode,
+                            station_ids=tuple(sids), headway_min=headway,
+                            service_start=window[0], service_end=window[1],
+                            speed_kmh=speed)
+        return sids
+
+    metro_names = (f"{word} Station" for word in METRO_WORDS)
+    metro_ids = [
+        add_route(f"M{li + 1}", "metro",
+                  [(origin[0] + direction[0] * spacing * i,
+                    origin[1] + direction[1] * spacing * i)
+                   for i in range(spec.metro_stations_per_line)],
+                  metro_names, ("Exit A", "Exit B"), spec.metro_headway_min,
+                  (330, 1410), spec.metro_speed_kmh)
+        for li, (origin, direction, spacing)
+        in enumerate(_metro_line_starts(spec))]
 
     bus_layouts = [
         [(-4.5 + 1.5 * i, -1.8) for i in range(6)],            # east-west
         [(0.0, -1.8 - 1.35 * i) for i in range(5)],            # north-south
         [(-4.5 + 1.5 * i, 2.4) for i in range(6)],             # interior belt
     ][: spec.bus_routes]
-    bus_names = iter(BUS_WORDS)
+    bus_names = (f"{word} Road" for word in BUS_WORDS)
     for bi, stops in enumerate(bus_layouts):
-        rid = f"B{bi + 1}"
-        sids = []
-        for pos in stops:
-            key = (round(pos[0], 6), round(pos[1], 6))
-            if key in by_pos:
-                sid = add_station(pos, "", (), "bus", rid)
-            else:
-                word = next(bus_names)
-                sid = add_station(pos, f"{word} Road",
-                                  (f"{word} Road Bus Stop",), "bus", rid)
-            sids.append(sid)
-        routes[rid] = Route(id=rid, line_id=rid, mode="bus",
-                            station_ids=tuple(sids),
-                            headway_min=spec.bus_headway_min,
-                            service_start=360, service_end=1380,
-                            speed_kmh=spec.bus_speed_kmh)
+        add_route(f"B{bi + 1}", "bus", stops, bus_names, ("Bus Stop",),
+                  spec.bus_headway_min, (360, 1380), spec.bus_speed_kmh)
 
     net = TransitNetwork(stations=stations, routes=routes, fares=FareRules())
     validate_network(net)
@@ -292,7 +278,8 @@ class _Factory:
 
     def _day_minute(self) -> int:
         day = int(self.rng.integers(self.spec.days))
-        hour = int(self.rng.choice(_PICKUP_HOURS, p=_PICKUP_HOUR_P))
+        hour = int(_PICKUP_HOURS[_PICKUP_CDF.searchsorted(self.rng.random(),
+                                                          side="right")])
         minute = int(self.rng.integers(60))
         return day * 1440 + hour * 60 + minute
 
@@ -341,28 +328,33 @@ class _Factory:
             dropoff_min=pickup + duration, distance_km=distance,
             cost=float(cost), request_min=pickup - wait)
 
+    def _ride(self, origin, dest, pickup, lo, hi, cost=None) -> TripRecord:
+        """A ride between two places: draws its duration in [lo, hi), then
+        its fare in the range ``cost`` when given, then two place labels.
+        Callers draw ``origin``, ``dest`` and ``pickup`` in the argument
+        list, which Python evaluates left to right, so each recipe keeps its
+        draw order: C4 must stay pick, near, pick, near."""
+        duration = float(self.rng.uniform(lo, hi))
+        if cost is not None:
+            cost = round(float(self.rng.uniform(*cost)), 2)
+        return self._trip(origin, dest, self._place_label(),
+                          self._place_label(), pickup, duration, cost=cost)
+
     # recipes --------------------------------------------------------------
 
-    def _draw_first_mile(self) -> TripRecord:
+    def _feeder(self, to_station: bool) -> TripRecord:
+        """A first-mile ride (``to_station``) from an interior point to a
+        metro station, or a last-mile ride from the station outwards."""
         sid = self._pick(self.metro_sids)
-        dest = self._near(sid, 250.0)
-        origin = self._interior_point()
+        near = self._near(sid, 250.0)
+        far = self._interior_point()
         pickup = self._day_minute()
-        duration = max(4.0, math.hypot(origin[0] - dest[0],
-                                       origin[1] - dest[1]) / 22.0 * 60.0
-                       + self.rng.uniform(-2.0, 4.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._station_alias(sid), pickup, duration)
-
-    def _draw_last_mile(self) -> TripRecord:
-        sid = self._pick(self.metro_sids)
-        origin = self._near(sid, 250.0)
-        dest = self._interior_point()
-        pickup = self._day_minute()
-        duration = max(4.0, math.hypot(origin[0] - dest[0],
-                                       origin[1] - dest[1]) / 22.0 * 60.0
-                       + self.rng.uniform(-2.0, 4.0))
-        return self._trip(origin, dest, self._station_alias(sid),
+        duration = max(4.0, math.hypot(far[0] - near[0], far[1] - near[1])
+                       / 22.0 * 60.0 + self.rng.uniform(-2.0, 4.0))
+        if to_station:
+            return self._trip(far, near, self._place_label(),
+                              self._station_alias(sid), pickup, duration)
+        return self._trip(near, far, self._station_alias(sid),
                           self._place_label(), pickup, duration)
 
     def _corridor_pair(self, max_legs: int) -> tuple[str, str]:
@@ -374,21 +366,13 @@ class _Factory:
 
     def _draw_substitutive(self) -> TripRecord:
         a, b = self._corridor_pair(max_legs=4)
-        origin = self._near(a, 330.0)
-        dest = self._near(b, 330.0)
-        pickup = self._day_minute()
-        duration = float(self.rng.uniform(14.0, 26.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration)
+        return self._ride(self._near(a, 330.0), self._near(b, 330.0),
+                          self._day_minute(), 14.0, 26.0)
 
     def _draw_independent_c1(self) -> TripRecord:
         a, b = self._corridor_pair(max_legs=4)
-        origin = self._near(a, 330.0)
-        dest = self._near(b, 330.0)
-        pickup = self._night_minute()
-        duration = float(self.rng.uniform(8.0, 20.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration)
+        return self._ride(self._near(a, 330.0), self._near(b, 330.0),
+                          self._night_minute(), 8.0, 20.0)
 
     def _draw_independent_c3(self) -> TripRecord:
         line = self._pick(self.interior)
@@ -403,61 +387,44 @@ class _Factory:
             origin = (x + along, y + side * out)      # horizontal line
         else:
             origin = (x + side * out, y + along)      # vertical line
-        dest_sid = self._pick(self.metro_sids)
-        dest = self._near(dest_sid, 330.0)
-        pickup = self._day_minute()
-        duration = float(self.rng.uniform(10.0, 24.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration)
+        return self._ride(origin,
+                          self._near(self._pick(self.metro_sids), 330.0),
+                          self._day_minute(), 10.0, 24.0)
 
     def _draw_independent_c4(self) -> TripRecord:
         # opposite belts: transit must ride around the loop, the street route
         # cuts straight across, so the time condition fails on the gap
-        north = self.interior[0]
-        south = self.interior[2]
-        origin = self._near(self._pick(north), 330.0)
-        dest = self._near(self._pick(south), 330.0)
-        pickup = self._day_minute()
-        duration = float(self.rng.uniform(8.0, 14.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration)
+        return self._ride(self._near(self._pick(self.interior[0]), 330.0),
+                          self._near(self._pick(self.interior[2]), 330.0),
+                          self._day_minute(), 8.0, 14.0)
 
     def _draw_independent_c5(self) -> TripRecord:
         # middle of the north belt to middle of the east belt: the chained
-        # layout forces three transfers
-        north = self.metro_ids[0]
-        east = self.metro_ids[3]
-        a = self._pick(north[4:8])
-        b = self._pick(east[4:8])
-        origin = self._near(a, 330.0)
-        dest = self._near(b, 330.0)
-        pickup = self._day_minute()
-        duration = float(self.rng.uniform(48.0, 62.0))
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration)
+        # layout forces three transfers; both stations are picked first
+        a = self._pick(self.metro_ids[0][4:8])
+        b = self._pick(self.metro_ids[3][4:8])
+        return self._ride(self._near(a, 330.0), self._near(b, 330.0),
+                          self._day_minute(), 48.0, 62.0)
 
     def _draw_independent_c6(self) -> TripRecord:
         # one-stop hop where the metro fare exceeds half the (cheap) fare of
         # the ride itself
         line = self._pick(self.metro_ids)
         i = int(self.rng.integers(2, len(line) - 3))
-        origin = self._near(line[i], 240.0)
-        dest = self._near(line[i + 1], 240.0)
-        pickup = self._day_minute()
-        duration = float(self.rng.uniform(5.0, 9.0))
-        cost = round(float(self.rng.uniform(4.2, 5.6)), 2)
-        return self._trip(origin, dest, self._place_label(),
-                          self._place_label(), pickup, duration, cost=cost)
+        return self._ride(self._near(line[i], 240.0),
+                          self._near(line[i + 1], 240.0),
+                          self._day_minute(), 5.0, 9.0, cost=(4.2, 5.6))
 
+    # recipe -> (draw, intended class, violated condition)
     RECIPES = {
-        "first_mile": ("_draw_first_mile", FIRST_MILE, None),
-        "last_mile": ("_draw_last_mile", LAST_MILE, None),
-        "substitutive": ("_draw_substitutive", SUBSTITUTIVE, None),
-        "independent_c1": ("_draw_independent_c1", INDEPENDENT, "C1"),
-        "independent_c3": ("_draw_independent_c3", INDEPENDENT, "C3"),
-        "independent_c4": ("_draw_independent_c4", INDEPENDENT, "C4"),
-        "independent_c5": ("_draw_independent_c5", INDEPENDENT, "C5"),
-        "independent_c6": ("_draw_independent_c6", INDEPENDENT, "C6"),
+        "first_mile": (lambda self: self._feeder(True), FIRST_MILE, None),
+        "last_mile": (lambda self: self._feeder(False), LAST_MILE, None),
+        "substitutive": (_draw_substitutive, SUBSTITUTIVE, None),
+        "independent_c1": (_draw_independent_c1, INDEPENDENT, "C1"),
+        "independent_c3": (_draw_independent_c3, INDEPENDENT, "C3"),
+        "independent_c4": (_draw_independent_c4, INDEPENDENT, "C4"),
+        "independent_c5": (_draw_independent_c5, INDEPENDENT, "C5"),
+        "independent_c6": (_draw_independent_c6, INDEPENDENT, "C6"),
     }
 
     def classify(self, trip: TripRecord) -> TripClass:
@@ -465,10 +432,9 @@ class _Factory:
         return classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
 
     def plant(self, recipe: str) -> tuple[TripRecord, str, Optional[str]]:
-        draw_name, label, violated = self.RECIPES[recipe]
-        draw = getattr(self, draw_name)
+        draw, label, violated = self.RECIPES[recipe]
         for _ in range(self.spec.max_attempts):
-            trip = draw()
+            trip = draw(self)
             got = self.classify(trip)
             if got.label == label and got.failed_condition == violated:
                 return trip, label, violated

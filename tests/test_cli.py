@@ -200,8 +200,8 @@ class TestConfigLayers:
             cfg.classifier()
 
 
-# sha256 of the ingest, plan, gridify, features and train artifacts in the
-# fixture workspace
+# sha256 of the ingest, plan, gridify, features and train artifacts and of
+# the synthetic city's files in the fixture workspace
 GOLDEN_ARTIFACTS = {
     "iqr_report.csv": "66f35f88b95d5a08ded25925015d373cb808877edfb2d00044153dd78f13d84e",
     "alternatives.jsonl": "4da19f7c16d910d5dceb0e9eab9319780ac23d2d50c9879378de1874f8586ab5",
@@ -216,6 +216,15 @@ GOLDEN_ARTIFACTS = {
     "vif_report.json": "1d59b26aca70213eb9e66a34239e6bd4fb578a0a828b90442f31a29a158f7930",
     "model.json": "2c667d118f96135da00d8021a81268a03d0af803243a3eb0a94f81980429a4b8",
     "trials.csv": "381042de525ece18ea020343d79d721a4bb43cf51a2c1dd652dd734c6453b8e4",
+    "city/trips.csv": "2dd12d397bbab8d517a2e986d88fb462a7e09948bc0aa185decb0171bac5379d",
+    "city/ground_truth.csv": "87df2d02c2b6aa6ea1b79d8fff60f4d0b2572bcd881837ca3cd91dd31cc57df0",
+    "city/stations.csv": "0e3c3b7afe271656da088a7171a2dd7de39d2acfc719542ee7e4446fbc5cab54",
+    "city/routes.csv": "1fdb5e2d5a387ce2389b8e9e6f7c63cadae32b8c9214ff7d0118678c960551d1",
+    "city/fares.json": "46b3708ce35ca88b5c04a7b910c0c72022462eef13ae4da0cd9289cf8d39eb8a",
+    "city/poi.csv": "fc9441a13ec499065f856041974a86e9ca57dc07bde83f7afbb9656225b255ab",
+    "city/population.csv": "fa69b92b863ef88e3b664a4887b9c247034ef6fa7f9af701baa2d2e0e6bbb2ca",
+    "city/roads.geojson": "45635d21b7db60de6f0cc1b091072621a641952d82fe30c117d3bee8eb6d6424",
+    "city/scenario.json": "31754e2583d02595f55ac5b460712e78f92c7f3e01dda55441057a912056d97d",
 }
 
 
@@ -487,6 +496,17 @@ class TestErrorContract:
                                 "--set", "grid.side_km=-1"])
         assert code == 3
         assert "side_km" in json.loads(err)["error"]
+
+    def test_grid_over_the_cell_cap(self, pipeline):
+        # 1e-9 km sides would walk about 1e20 cells: refused before the walk
+        _, config_path, _ = pipeline
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridelink", "gridify", "--config", str(config_path),
+             "--set", "grid.side_km=1e-9"], capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        doc = json.loads(proc.stderr)
+        assert doc["kind"] == "config"
+        assert "grid.side_km" in doc["error"] and "bbox" in doc["error"]
 
     def test_env_override_reaches_validation(self, pipeline, monkeypatch):
         _, config_path, _ = pipeline
@@ -1047,6 +1067,8 @@ class TestErrorContract:
         ("features", "city/scenario.json", "synth", lambda text: '{"bbox": "x"}'),
         ("features", "city/scenario.json", "synth", lambda text: '{"bbox": [1, 2, 3]}'),
         ("features", "city/scenario.json", "synth", lambda text: '{"bbox": [3, 1, 3, 2]}'),
+        ("gridify", "city/scenario.json", "synth", lambda text: '{"bbox": "1234"}'),
+        ("features", "city/scenario.json", "synth", lambda text: '{"bbox": "1234"}'),
     ], ids=["model_empty_object", "model_not_json", "model_depth_99",
             "features_cells_float_count", "features_cells_renamed_column",
             "report_cells_float_count", "report_cells_renamed_column",
@@ -1060,7 +1082,8 @@ class TestErrorContract:
             "features_manifest_not_json", "features_manifest_list",
             "gridify_manifest_bbox_string", "gridify_manifest_bbox_three_numbers",
             "gridify_manifest_bbox_degenerate", "features_manifest_bbox_string",
-            "features_manifest_bbox_three_numbers", "features_manifest_bbox_degenerate"])
+            "features_manifest_bbox_three_numbers", "features_manifest_bbox_degenerate",
+            "gridify_manifest_bbox_four_characters", "features_manifest_bbox_four_characters"])
     def test_corrupt_artifact_names_its_producer(self, pipeline, tmp_path, stage, name,
                                                  producer, corrupt):
         ws, _, _ = pipeline
@@ -1086,6 +1109,18 @@ class TestErrorContract:
                                 "--bbox", ",".join(map(repr, bbox))])
         assert code == 0, err
         assert (copy / "cells.csv").read_bytes() == (ws / "cells.csv").read_bytes()
+
+    @pytest.mark.parametrize("bbox", ['"1234"', "[121, 31, Infinity, 32]"],
+                             ids=["four_characters", "infinite"])
+    def test_configured_bbox_not_four_finite_numbers(self, pipeline, bbox):
+        _, config_path, _ = pipeline
+        code, out, err = run_cli(["gridify", "--config", str(config_path),
+                                  "--set", f"bbox={bbox}"])
+        assert code == 3, err
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert doc["error"].startswith("bbox must be a list of four finite numbers")
+        assert out == ""
 
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,

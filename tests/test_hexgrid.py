@@ -105,6 +105,15 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match="side_km"):
             build_grid(BBOX, 0.0)
 
+    @pytest.mark.parametrize("side_km", [math.nan, math.inf])
+    def test_non_finite_side_rejected(self, side_km):
+        with pytest.raises(ValueError, match="side_km must be a finite number"):
+            build_grid(BBOX, side_km)
+
+    def test_grid_over_the_cell_cap_refused(self):
+        with pytest.raises(ValueError, match="more than 1,000,000; raise grid.side_km"):
+            build_grid(BBOX, 1e-9)
+
 
 class TestLocate:
     def test_cell_center_maps_to_itself(self):
