@@ -25,7 +25,6 @@ import csv
 import dataclasses
 import datetime as _dt
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -216,7 +215,7 @@ class RunConfig:
     def float_setting(self, section: str, key: str, positive: bool = False) -> float:
         value = self.data[section][key]
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or (positive and value <= 0)):
+                or not abs(value) <= sys.float_info.max or (positive and value <= 0)):
             kind = "finite positive" if positive else "finite"
             raise ConfigError(f"{section}.{key} must be a {kind} number, got {value!r}")
         return float(value)
@@ -662,11 +661,11 @@ def cmd_explain(cfg: RunConfig, args) -> None:
     background = explain.sample_background(
         matrix.X, cfg.int_setting("explain", "background_size", 1), seed)
     shap = explain.shap_values(model, matrix.X, background)
-    curves = [explain.pdp(model, matrix.X, name) for name in matrix.names]
+    curves = explain.pdp_curves(model, matrix.X, matrix.names)
     out_dir = cfg.workspace / "explain"
     written = explain.export_plots(out_dir, shap, matrix.X, curves, seed=seed)
     _echo({"command": "explain", "samples": len(matrix.y), "background": shap.n_background,
-           "pdp_tree_rows": sum(c.tree_rows for c in curves),
+           "leaf_boxes": shap.leaf_boxes, "pdp_tree_rows": sum(c.tree_rows for c in curves),
            "files": sorted(str(p) for p in written)})
 
 

@@ -1,22 +1,22 @@
 """Model attribution and response curves for boosted tree models.
 
-Three pieces:
+Both routes read one table of leaf boxes: per tree with a nonzero gamma, each
+reachable leaf's value and its (lo, hi] bounds on every feature.
 
 * interventional Shapley attributions (``shap_values``), where the value of a
   coalition S is the mean model output over a background sample with the
-  explained row's values spliced in on S. Root-to-leaf paths are walked once
-  per (row, background row) pair, classifying each constrained feature as
-  forced-in, forced-out, or free and applying the closed-form Shapley weight
-  of that restricted game, so no coalition is ever enumerated. Local
-  accuracy holds: base_value + sum(phi) equals the model output for every
-  row.
+  explained row's values spliced in on S. Per leaf, rows reduce to p-bit
+  "inside the box" patterns over the p features it constrains; the Shapley
+  weights of the 3^p pattern pairs that reach it are summed, by background
+  count, into a (2^p, p) table that each explained row reads, so no
+  coalition and no (row, background row) pair is enumerated. Local accuracy
+  holds: base_value + sum(phi) equals the model output for every row.
 * importance shares (``importance``): mean absolute attribution per feature,
   normalized to percentages that sum to 100.
-* partial dependence (``pdp``): the mean prediction as one feature is swept
-  over an evenly spaced grid, with a per-point density flag marking grid
-  values at or below the 95th percentile of the observed column. Each tree
-  runs once per interval between its own thresholds on the swept feature,
-  and the curve is bit-identical to predicting the whole tiled sweep.
+* partial dependence (``pdp_curves``; ``pdp`` for one curve): the mean
+  prediction as one feature is swept over an evenly spaced grid, with a
+  per-point density flag marking grid values at or below the 95th percentile
+  of the observed column, bit-identical to predicting the tiled sweep.
 
 CSV and SVG exports are deterministic: fixed canvas, fixed precision, and a
 seeded jitter for the beeswarm layout.
@@ -28,12 +28,12 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import svgchart
-from .boost import BoostModel, _tree_predict, predict
+from .boost import BoostModel, predict
 
 DEFAULT_BACKGROUND_SIZE = 100
 PDP_GRID_INTERVALS = 100
@@ -47,6 +47,7 @@ class ShapMatrix:
     base_value: float           # mean model output over the background
     feature_names: list[str]
     n_background: int
+    leaf_boxes: int = 0         # rows of the leaf-box table the values read
 
 
 @dataclass
@@ -90,6 +91,8 @@ def _as_matrix(model: BoostModel, X: np.ndarray, what: str) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(f"{what} must have {len(model.feature_names)} columns "
                          f"matching the model schema")
+    if not np.isfinite(X).all():  # a leaf box holds no NaN and no -inf
+        raise ValueError(f"{what} must hold finite numbers")
     return X
 
 
@@ -103,11 +106,30 @@ def shap_values(model: BoostModel, X: np.ndarray,
     background = _as_matrix(model, background, "background")
     if len(background) == 0:
         raise ValueError("background must contain at least one row")
-    values = _shap_tree(model, X, background)
-    base = float(predict(model, background).mean())
-    return ShapMatrix(values=values, base_value=base,
+    phi = np.zeros(X.shape)
+    tables: dict[int, tuple] = {}
+    n_boxes = 0
+    for gamma, leaf_values, lo, hi in _leaf_boxes(model, X.shape[1]):
+        n_boxes += len(leaf_values)
+        for value, low, high in zip(leaf_values, lo, hi):
+            feats = np.flatnonzero((low > -math.inf) | (high < math.inf))
+            p = len(feats)
+            if p == 0 or value == 0.0:
+                continue
+            if p not in tables:
+                tables[p] = _pair_table(p)
+            pair_b, index, weights, bits = tables[p]
+            low, high = low[feats], high[feats]
+            x_in = ((X[:, feats] > low) & (X[:, feats] <= high)) @ bits
+            b_in = ((background[:, feats] > low) & (background[:, feats] <= high)) @ bits
+            count = np.bincount(b_in, minlength=1 << p)
+            table = np.bincount(index, (count[pair_b][:, None] * weights).ravel(),
+                                minlength=p << p).reshape(-1, p)
+            phi[:, feats] += (gamma * value) * table[x_in]
+    return ShapMatrix(values=phi / len(background),
+                      base_value=float(predict(model, background).mean()),
                       feature_names=list(model.feature_names),
-                      n_background=len(background))
+                      n_background=len(background), leaf_boxes=n_boxes)
 
 
 def _leaf_paths(tree: dict) -> list[tuple[float, dict]]:
@@ -136,46 +158,33 @@ def _leaf_paths(tree: dict) -> list[tuple[float, dict]]:
     return leaves
 
 
-def _shap_tree(model: BoostModel, X: np.ndarray,
-               background: np.ndarray) -> np.ndarray:
-    n, d = X.shape
-    m = len(background)
-    phi = np.zeros((n, d))
-    if n == 0:
-        return phi
-    fact = [math.factorial(i) for i in range(d + 1)]
-    w_in = np.zeros((d + 1, d + 1))
-    w_out = np.zeros((d + 1, d + 1))
-    for a in range(d + 1):
-        for o in range(d + 1 - a):
-            if a >= 1:
-                w_in[a, o] = fact[a - 1] * fact[o] / fact[a + o]
-            if o >= 1:
-                w_out[a, o] = fact[a] * fact[o - 1] / fact[a + o]
+def _leaf_boxes(model: BoostModel, d: int) -> Iterator[tuple]:
+    """(gamma, leaf values, lo, hi) per nonzero-gamma tree, in tree order: the
+    (leaves, d) bounds of ``_leaf_paths``, +-inf where a leaf is unbounded."""
     for tree, gamma in zip(model.trees, model.gammas):
-        if gamma == 0.0:
-            continue
-        for value, cons in _leaf_paths(tree):
-            if not cons or value == 0.0:
-                continue
-            v = gamma * value
-            feats = sorted(cons)
-            los = np.array([cons[j][0] for j in feats])
-            his = np.array([cons[j][1] for j in feats])
-            sx = (X[:, feats] > los) & (X[:, feats] <= his)           # (n, p)
-            sb = (background[:, feats] > los) & (background[:, feats] <= his)
-            forced_in = sx[:, None, :] & ~sb[None, :, :]              # (n, m, p)
-            forced_out = ~sx[:, None, :] & sb[None, :, :]
-            alive = ~(~sx[:, None, :] & ~sb[None, :, :]).any(axis=2)  # (n, m)
-            a_cnt = forced_in.sum(axis=2)
-            o_cnt = forced_out.sum(axis=2)
-            gain = w_in[a_cnt, o_cnt] * alive
-            loss = w_out[a_cnt, o_cnt] * alive
-            for c, j in enumerate(feats):
-                phi[:, j] += v * (gain * forced_in[:, :, c]).sum(axis=1)
-                phi[:, j] -= v * (loss * forced_out[:, :, c]).sum(axis=1)
-    phi /= m
-    return phi
+        if gamma != 0.0:
+            paths = _leaf_paths(tree)
+            box = np.array([[cons.get(j, (-math.inf, math.inf)) for j in range(d)]
+                            for _, cons in paths])                  # (leaves, d, 2)
+            yield gamma, np.array([value for value, _ in paths]), *np.moveaxis(box, 2, 0)
+
+
+def _pair_table(p: int) -> tuple[np.ndarray, ...]:
+    """(b, flat index a * p + c, weights, bits) of the 3^p pattern pairs (a, b)
+    that reach a leaf, a | b covering all p bits: a feature c forced in (a & ~b)
+    gains (|in| - 1)! |out|! / (|in| + |out|)!, one forced out (~a & b) loses
+    |in|! (|out| - 1)! / (|in| + |out|)!."""
+    a = b = np.zeros(1, dtype=np.int64)
+    for bit in (1 << c for c in range(p)):  # bit c is in both, in a only, or in b only
+        a, b = np.concatenate([a | bit, a | bit, a]), np.concatenate([b | bit, b, b | bit])
+    forced_in = ((a & ~b)[:, None] >> np.arange(p)) & 1
+    forced_out = ((~a & b)[:, None] >> np.arange(p)) & 1
+    k_in, k_out = forced_in.sum(axis=1), forced_out.sum(axis=1)
+    fact = np.array([math.factorial(i) for i in range(p + 1)], dtype=float)
+    gain = fact[np.maximum(k_in - 1, 0)] * fact[k_out] / fact[k_in + k_out]
+    loss = fact[k_in] * fact[np.maximum(k_out - 1, 0)] / fact[k_in + k_out]
+    weights = gain[:, None] * forced_in - loss[:, None] * forced_out
+    return b, (a[:, None] * p + np.arange(p)).ravel(), weights, 1 << np.arange(p)
 
 
 # ---------------------------------------------------------------------------
@@ -211,58 +220,63 @@ def top_order(report: ImportanceReport, k: Optional[int] = None) -> list[int]:
 
 def pdp(model: BoostModel, X: np.ndarray, feature: Union[int, str],
         n_grid: int = PDP_GRID_INTERVALS) -> PdpCurve:
-    """Mean prediction over the rows of ``X`` with column ``feature`` pinned
-    to each grid value.
+    """One curve of ``pdp_curves``."""
+    return pdp_curves(model, X, [feature], n_grid)[0]
 
-    With x_j = g, a tree's leaves depend on g only through its tests g <= t
-    on its own thresholds for j, so all grid points in one interval between
-    them reach the same leaves: each tree runs once per such interval (once
-    when it never splits on j) and is gathered back to (grid, row). Each
-    entry sums f0 and gamma * leaf over the nonzero-gamma trees in tree
-    order, as ``predict`` does on the tiled sweep, so the values equal
-    ``predict(model, sweep).reshape(len(grid), n).mean(axis=1)`` bit for bit.
-    """
+
+def pdp_curves(model: BoostModel, X: np.ndarray, features: Sequence[Union[int, str]],
+               n_grid: int = PDP_GRID_INTERVALS) -> list[PdpCurve]:
+    """Mean prediction over the rows of ``X`` with each of ``features`` pinned
+    in turn to each grid value. All grid points between two of a tree's bounds
+    on j reach the same leaves, so the tree is read once per interval; summed
+    in tree order, each value is the tiled ``predict`` sweep's mean, bit for bit."""
     X = _as_matrix(model, X, "X")
     if len(X) == 0:
         raise ValueError("partial dependence requires at least one row")
     if n_grid < 1:
         raise ValueError("n_grid must be at least 1")
-    if isinstance(feature, str):
-        if feature not in model.feature_names:
-            raise ValueError(f"unknown feature {feature!r}")
-        j = model.feature_names.index(feature)
-    else:
-        j = int(feature)
-        if not 0 <= j < X.shape[1]:
-            raise ValueError(f"feature index {j} out of range")
-    col = X[:, j]
-    grid = np.linspace(float(col.min()), float(col.max()), n_grid + 1)
-    cutoff = float(np.percentile(col, DENSITY_PERCENTILE))
-    out = np.full((len(grid), len(X)), model.f0)
-    pinned = X.copy()
-    tree_rows = 0
-    for tree, gamma in zip(model.trees, model.gammas):
-        if gamma == 0.0:
-            continue
-        labels = np.searchsorted(np.sort(_cut_points(tree, j)), grid, side="left")
-        _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-        h = np.empty((len(first), len(X)))
-        for k, g in enumerate(grid[first]):
-            pinned[:, j] = g
-            h[k] = _tree_predict(tree, pinned)
-        out += (gamma * h)[inverse]
-        tree_rows += h.size
-    return PdpCurve(feature=model.feature_names[j], grid=grid,
-                    values=out.mean(axis=1), dense=grid <= cutoff,
-                    cutoff=cutoff, tree_rows=tree_rows)
+    cols = [_feature_index(model, feature) for feature in features]
+    trees = []
+    for gamma, values, lo, hi in _leaf_boxes(model, X.shape[1]):
+        outside = (X <= lo[:, None, :]) | (X > hi[:, None, :])      # (leaves, n, d)
+        misses = outside.sum(axis=2)
+        # rows reaching each leaf with j pinned, bit-packed: kept for every tree
+        split = {j: (lo[:, j].copy(), hi[:, j].copy(),
+                     np.packbits(misses == outside[:, :, j], axis=1))
+                 for j in set(cols) if np.isfinite(lo[:, j]).any() or np.isfinite(hi[:, j]).any()}
+        trees.append((gamma, values, values[(misses == 0).argmax(axis=0)], split))
+    curves = []
+    for j in cols:
+        grid = np.linspace(float(X[:, j].min()), float(X[:, j].max()), n_grid + 1)
+        cutoff = float(np.percentile(X[:, j], DENSITY_PERCENTILE))
+        out, tree_rows = np.full((len(grid), len(X)), model.f0), 0
+        for gamma, values, pred, split in trees:
+            if j not in split:
+                out += gamma * pred
+                tree_rows += len(X)
+                continue
+            lo_j, hi_j, packed = split[j]
+            reach = np.unpackbits(packed, axis=1, count=len(X)).view(bool)
+            # grid points with no bound of the tree between them share a label
+            labels = np.searchsorted(np.sort(np.concatenate([lo_j, hi_j])), grid, side="left")
+            _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+            holds = (grid[first, None] > lo_j) & (grid[first, None] <= hi_j)  # (groups, leaves)
+            h = values[(holds[:, :, None] & reach).argmax(axis=1)]           # (groups, n)
+            out += (gamma * h)[inverse]
+            tree_rows += h.size
+        curves.append(PdpCurve(feature=model.feature_names[j], grid=grid,
+                               values=out.mean(axis=1), dense=grid <= cutoff,
+                               cutoff=cutoff, tree_rows=tree_rows))
+    return curves
 
 
-def _cut_points(node: dict, j: int) -> list[float]:
-    """Thresholds of every split on feature ``j`` in one tree."""
-    if "value" in node:
-        return []
-    own = [float(node["threshold"])] if int(node["feature"]) == j else []
-    return own + _cut_points(node["left"], j) + _cut_points(node["right"], j)
+def _feature_index(model: BoostModel, feature: Union[int, str]) -> int:
+    if isinstance(feature, str) and feature not in model.feature_names:
+        raise ValueError(f"unknown feature {feature!r}")
+    j = model.feature_names.index(feature) if isinstance(feature, str) else int(feature)
+    if not 0 <= j < len(model.feature_names):
+        raise ValueError(f"feature index {j} out of range")
+    return j
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +370,6 @@ __all__ = [
     "DEFAULT_BACKGROUND_SIZE", "PDP_GRID_INTERVALS",
     "ShapMatrix", "ImportanceReport", "PdpCurve",
     "sample_background", "shap_values", "importance", "top_order", "pdp",
-    "value_ranks", "write_beeswarm_csv", "write_importance_csv",
+    "pdp_curves", "value_ranks", "write_beeswarm_csv", "write_importance_csv",
     "write_pdp_csv", "export_plots",
 ]

@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -116,9 +117,17 @@ class ScenarioSpec:
         return sum(self.planted_counts().values())
 
     def validate(self) -> None:
-        for name, count in self.planted_counts().items():
-            if count < 0:
-                raise ValueError(f"planted count {name} must be >= 0")
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if item.type == "int" and type(value) is not int:
+                raise ValueError(f"{item.name} must be an integer, got {value!r}")
+            if item.type == "float" and not (type(value) in (int, float)
+                                             and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{item.name} must be a finite number, got {value!r}")
+            if item.type == "int" and value < 0:
+                raise ValueError(f"{item.name} must be >= 0, got {value!r}")
+            if item.type == "float" and value <= 0 and not item.name.startswith("anchor_"):
+                raise ValueError(f"{item.name} must be positive, got {value!r}")
         if not 0 <= self.metro_lines <= 4:
             raise ValueError("metro_lines must be between 0 and 4")
         if not 0 <= self.bus_routes <= 3:
@@ -127,8 +136,6 @@ class ScenarioSpec:
             raise ValueError("metro_stations_per_line must be between 2 and 20")
         if self.days < 1:
             raise ValueError("days must be >= 1")
-        if self.metro_spacing_km <= 0 or self.half_extent_km <= 0:
-            raise ValueError("distances must be positive")
         needs_network = any(count > 0 for count in self.planted_counts().values())
         if needs_network and self.metro_lines == 0 and self.bus_routes == 0:
             raise ValueError("infeasible spec: trips requested but the city "

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ridelink import boost, features, hexgrid
+from ridelink import boost, explain, features, hexgrid
 from ridelink.cli import (
     ARTIFACTS,
     DEFAULTS,
@@ -374,6 +374,16 @@ class TestPipelineArtifacts:
         assert not any("pdp_tree_rows" in path.read_text(errors="replace")
                        for path in ws.rglob("*") if path.is_file())
 
+    def test_explain_echo_counts_leaf_boxes(self, pipeline):
+        ws, _, echoes = pipeline
+        model = boost.load_model(str(ws / "model.json"))
+        # one row of the leaf-box table per reachable leaf of each live tree
+        boxes = sum(len(explain._leaf_paths(tree))
+                    for tree, gamma in zip(model.trees, model.gammas) if gamma != 0.0)
+        assert echoes["explain"]["leaf_boxes"] == boxes > 0
+        assert not any("leaf_boxes" in path.read_text(errors="replace")
+                       for path in ws.rglob("*") if path.is_file())
+
     def test_report_manifest(self, pipeline):
         ws, _, _ = pipeline
         doc = json.loads((ws / "report" / "report.json").read_text())
@@ -432,7 +442,7 @@ class TestRetiredExplainMode:
     def test_mode_key_changes_nothing(self, pipeline, tmp_path, monkeypatch):
         ws, config_path, echoes = pipeline
         assert set(echoes["explain"]) == {"command", "samples", "background",
-                                          "pdp_tree_rows", "files"}
+                                          "leaf_boxes", "pdp_tree_rows", "files"}
         trees = {}
         for name, extra, env in (("plain", [], None),
                                  ("set", ["--set", "explain.mode=exact"], None),
@@ -720,6 +730,23 @@ class TestErrorContract:
         assert doc["kind"] == "config"
         assert assignment.split("=")[0] in doc["error"]
 
+    @pytest.mark.parametrize("assignment", [
+        'synth.first_mile="x"', "synth.first_mile=1.5", "synth.first_mile=true",
+        "synth.metro_spacing_km=NaN", "synth.half_extent_km=1" + "0" * 400,
+        "synth.days=2.5", "synth.seed=-5", "synth.poi_count=-1", "synth.metro_speed_kmh=0",
+        "synth.bus_headway_min=-1", "synth.population_pitch_km=0"],
+        ids=["count_text", "count_float", "count_bool", "distance_nan", "distance_over_float",
+             "days_float", "seed_negative", "poi_count_negative", "speed_zero",
+             "headway_negative", "pitch_zero"])
+    def test_bad_synth_setting(self, tmp_path, assignment):
+        ws = tmp_path / "w"
+        code, _, err = run_cli(["synth", "--workspace", str(ws), "--set", assignment])
+        assert code == 3, err
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert assignment.split("=")[0].split(".")[1] in doc["error"]
+        assert not (ws / "city").exists()
+
 
     def test_train_counts_must_be_integers(self, pipeline):
         _, config_path, _ = pipeline
@@ -741,9 +768,11 @@ class TestErrorContract:
         (["--set", "ingest.iqr_k=-1"], {}),
         (["--set", "ingest.iqr_k=NaN"], {}),
         (["--iqr-k", "inf"], {}),
+        (["--set", "ingest.iqr_k=1" + "0" * 400], {}),
         ([], {"RIDELINK_INGEST__PER_DAY": "no"}),
     ], ids=["columns_number", "columns_list", "columns_value_number", "iqr_k_text",
-            "iqr_k_negative", "iqr_k_nan", "iqr_k_flag_inf", "per_day_env_no"])
+            "iqr_k_negative", "iqr_k_nan", "iqr_k_flag_inf", "iqr_k_over_float",
+            "per_day_env_no"])
     def test_bad_ingest_setting(self, pipeline, tmp_path, extra, env):
         ws, config_path, _ = pipeline
         copy = tmp_path / "ws"

@@ -20,6 +20,7 @@ from ridelink.explain import (
     export_plots,
     importance,
     pdp,
+    pdp_curves,
     sample_background,
     shap_values,
     top_order,
@@ -270,6 +271,43 @@ class TestTreeMatchesOracle:
         assert np.max(np.abs(recon - predict(model, X))) <= 1e-12
 
 
+def _complete_tree(order, thresholds, values):
+    """A complete tree that splits on ``order[k]`` at depth k, taking node
+    thresholds and leaf values from the two iterators in depth-first order."""
+    if not order:
+        return {"value": next(values)}
+    return {"feature": order[0], "threshold": next(thresholds),
+            "left": _complete_tree(order[1:], thresholds, values),
+            "right": _complete_tree(order[1:], thresholds, values)}
+
+
+class TestWidePatternTables:
+    """Every leaf of a complete tree over p distinct features constrains all
+    p of them, so these trees reach the (2^p, p) pattern tables with p from
+    4 to 7, which the depth-3 ensembles above never build."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("p", [4, 5, 6, 7])
+    def test_matches_oracle(self, p, seed):
+        rng = np.random.default_rng(100 * p + seed)
+        d = p + 1                       # one feature no tree splits on
+        order = [int(j) for j in rng.permutation(d)[:p]]
+        big = _complete_tree(order, iter(rng.integers(-2, 3, size=2**p).astype(float)),
+                             iter(rng.uniform(-2, 2, size=2**p)))
+        # a second tree splits on one feature twice along each path
+        small = _complete_tree([order[0], order[1], order[0], order[2]],
+                               iter(rng.integers(-2, 3, size=15).astype(float)),
+                               iter(rng.uniform(-2, 2, size=16)))
+        model = _model([big, small], [0.7, 0.3], f0=0.25,
+                       names=[f"x{j}" for j in range(d)])
+        X = rng.integers(-3, 4, size=(9, d)).astype(float)
+        bg = rng.integers(-3, 4, size=(7, d)).astype(float)
+        assert {len(cons) for _, cons in explain._leaf_paths(big)} == {p}
+        shap = shap_values(model, X, bg)
+        assert np.max(np.abs(shap.values - _shap_exact(model, X, bg))) <= 1e-12
+        assert shap.leaf_boxes == 2**p + len(explain._leaf_paths(small))
+
+
 class TestImportance:
     def test_mean_abs_and_shares(self):
         values = np.array([[1.0, -3.0, 0.0], [-1.0, 1.0, 0.0]])
@@ -449,6 +487,27 @@ class TestPdpOracle:
         model, X, j, n_grid = case
         curve = pdp(model, X, j, n_grid=n_grid)
         assert np.array_equal(curve.values, _tiled_pdp(model, X, j, n_grid))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_pdp_cases())
+    def test_all_curves_at_once_bit_equal(self, case):
+        # one call shares each tree's masks across every feature's curve
+        model, X, _, n_grid = case
+        curves = pdp_curves(model, X, list(range(X.shape[1])), n_grid)
+        assert [c.feature for c in curves] == model.feature_names
+        for j, curve in enumerate(curves):
+            assert np.array_equal(curve.values, _tiled_pdp(model, X, j, n_grid))
+            assert curve.tree_rows == pdp(model, X, j, n_grid).tree_rows
+
+    def test_non_finite_rows_rejected(self):
+        # no leaf box holds NaN or -inf, so neither route accepts them
+        model = _model([_stump(0, 0.0, -1.0, 1.0)], [1.0])
+        for bad in (math.nan, -math.inf, math.inf):
+            X = np.array([[0.5, 1.0], [bad, 2.0]])
+            with pytest.raises(ValueError, match="finite"):
+                pdp_curves(model, X, [1])
+            with pytest.raises(ValueError, match="finite"):
+                shap_values(model, X[:1], X)
 
     def test_grid_points_on_thresholds_and_zero_gamma(self):
         # stumps on x0 at 1 and 2 with the grid at 0, 1, 2, 3: the points on
@@ -647,4 +706,4 @@ class TestGoldenExplain:
         lines = [f"{Path(p).name} {hashlib.sha256(Path(p).read_bytes()).hexdigest()}"
                  for p in paths]
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == "6db96d870c715358a582990e66876dc1e99b64bae3bf286268f98a43e0b5f914"
+        assert digest == "ad99eb20f550537b58ce0f10c13541facc0c2bbb267ee70590e368cc75f6dcd9"
