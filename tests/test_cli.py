@@ -200,10 +200,14 @@ class TestConfigLayers:
             cfg.classifier()
 
 
-# sha256 of the ingest, plan, gridify, features and train artifacts and of
-# the synthetic city's files in the fixture workspace
+# sha256 of the ingest, plan, classify, gridify, features, train, elasticity
+# and report artifacts and of the synthetic city's files in the fixture workspace
 GOLDEN_ARTIFACTS = {
+    "trips_clean.csv": "2dd12d397bbab8d517a2e986d88fb462a7e09948bc0aa185decb0171bac5379d",
+    "rejections.csv": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "iqr_report.csv": "66f35f88b95d5a08ded25925015d373cb808877edfb2d00044153dd78f13d84e",
+    "classified.csv": "78361797b31a1751df03d986ce26731cb8e43d28476140bb151c62e1b6137750",
+    "summary.json": "708a3a306f385e91723799fe3826153998c6041f844fbf618ce652fbb329d148",
     "alternatives.jsonl": "4da19f7c16d910d5dceb0e9eab9319780ac23d2d50c9879378de1874f8586ab5",
     "cells.csv": "a41e5602a705ad0d77e2a3746f9a18e4a2ae15f5762732403a981e5a962f6bf9",
     "cells.geojson": "e68bedf2d778dfa9b3c640bd37af554dddcd63e2e5e2ea51d18b1812a393c2ab",
@@ -216,6 +220,11 @@ GOLDEN_ARTIFACTS = {
     "vif_report.json": "1d59b26aca70213eb9e66a34239e6bd4fb578a0a828b90442f31a29a158f7930",
     "model.json": "2c667d118f96135da00d8021a81268a03d0af803243a3eb0a94f81980429a4b8",
     "trials.csv": "381042de525ece18ea020343d79d721a4bb43cf51a2c1dd652dd734c6453b8e4",
+    "elasticity.csv": "f1ed0942b395d555f7ac0c09e10260ca83b2461b372343daa4539aae60e17aad",
+    "elasticity_time_gate_min.svg": "b617ca724b4e0b98de07c348a8c59d9be9da4256a935952d869a7d78a256a4b4",
+    "elasticity_walk_threshold_m.svg": "7ddddb9860d11659c90acc891acbb143845725ef35cad5ae17016a06c7257110",
+    "report/shares.svg": "86835fcb818a99b940c5e9d7f9f4e7541639f2d87c9de3bab6d765a51c11464f",
+    "report/temporal.svg": "44230bdcd64702a1019431e5be8a9f9e19f6e9e8b593e22c017aa62bdaa94aec",
     "city/trips.csv": "2dd12d397bbab8d517a2e986d88fb462a7e09948bc0aa185decb0171bac5379d",
     "city/ground_truth.csv": "87df2d02c2b6aa6ea1b79d8fff60f4d0b2572bcd881837ca3cd91dd31cc57df0",
     "city/stations.csv": "0e3c3b7afe271656da088a7171a2dd7de39d2acfc719542ee7e4446fbc5cab54",
