@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 # Mean Earth radius in metres; every distance in the package goes through here.
 EARTH_RADIUS_M = 6_371_008.8
 
 
 def great_circle_m(lon1, lat1, lon2, lat2):
     """Haversine distance in metres. Accepts scalars or numpy arrays."""
+    import numpy as np
     lon1, lat1, lon2, lat2 = (np.radians(np.asarray(v, dtype=float)) for v in (lon1, lat1, lon2, lat2))
     dlon = lon2 - lon1
     dlat = lat2 - lat1
@@ -34,6 +33,7 @@ class LocalProjection:
     lat0: float
 
     def to_xy(self, lon, lat):
+        import numpy as np
         lon = np.asarray(lon, dtype=float)
         lat = np.asarray(lat, dtype=float)
         kx = EARTH_RADIUS_M * np.cos(np.radians(self.lat0))
@@ -44,6 +44,7 @@ class LocalProjection:
         return x, y
 
     def to_lonlat(self, x, y):
+        import numpy as np
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         kx = EARTH_RADIUS_M * np.cos(np.radians(self.lat0))

@@ -26,15 +26,16 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from .errors import InputError
 from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 HISTOGRAM_BINS = 20  # equal-width bins per trip_stats histogram
@@ -142,6 +143,7 @@ def locate(grid: HexGrid, lon, lat) -> np.ndarray:
     ``np.rint`` (half to even, like ``round``), so shared edges and vertices
     always resolve the same way. Raises ``ValueError`` on a non-finite coordinate.
     """
+    import numpy as np
     lon, lat = (np.asarray(v, dtype=float) for v in (lon, lat))
     bad = np.flatnonzero(~(np.isfinite(lon) & np.isfinite(lat)))
     if bad.size:

@@ -24,8 +24,6 @@ import re
 from dataclasses import asdict, dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
 
-import numpy as np
-
 CANONICAL_COLUMNS = (
     "plate_id",
     "olon",
@@ -307,17 +305,24 @@ def write_rejections(rejections: Iterable[Rejection], target: str) -> None:
             handle.write(json.dumps({"row": r.row, "reason": r.reason}) + "\n")
 
 
-def _quartiles(values: np.ndarray) -> tuple[float, float]:
-    # type-7: linear interpolation between order statistics (numpy default)
-    q1, q3 = np.percentile(values, [25.0, 75.0], method="linear")
-    return float(q1), float(q3)
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """Type-7 quartiles of two or more values, bit-equal to ``np.percentile(values,
+    [25, 75], method="linear")``: the virtual index (n - 1) * q is exact for
+    q = 1/4 and 3/4, and the interpolation is numpy's ``_lerp``."""
+    ordered = sorted(values)
+    out = []
+    for q in (0.25, 0.75):
+        pos = (len(ordered) - 1) * q
+        a, b, t = ordered[int(pos)], ordered[int(pos) + 1], pos % 1.0
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1]
 
 
-def _field_values(trips: Sequence[TripRecord], field_name: str) -> np.ndarray:
+def _field_values(trips: Sequence[TripRecord], field_name: str) -> list[float]:
     if field_name == "travel_time_min":
-        return np.array([t.duration_min for t in trips], dtype=float)
+        return [float(t.duration_min) for t in trips]
     if field_name == "distance_km":
-        return np.array([t.distance_km for t in trips], dtype=float)
+        return [float(t.distance_km) for t in trips]
     raise ValueError(f"unknown filter field {field_name!r}")
 
 
@@ -341,29 +346,31 @@ def iqr_filter(
     groups: dict[Optional[int], list[int]] = {} if per_day else {None: []}
     for i, t in enumerate(trips):
         groups.setdefault(t.pickup_day if per_day else None, []).append(i)
-    keep_mask = np.ones(len(trips), dtype=bool)
+    keep_mask = [True] * len(trips)
     reports: list[IqrFilterReport] = []
     for day in sorted(groups):
         idx = groups[day]
-        keep_mask[idx], day_reports = _filter_once([trips[i] for i in idx], k, day)
+        keep, day_reports = _filter_once([trips[i] for i in idx], k, day)
+        for i, kept in zip(idx, keep):
+            keep_mask[i] = kept
         reports.extend(day_reports)
     return [t for t, kept in zip(trips, keep_mask) if kept], reports
 
 
-def _filter_once(trips: list[TripRecord], k: float, day: Optional[int]) -> tuple[np.ndarray, list[IqrFilterReport]]:
+def _filter_once(trips: list[TripRecord], k: float, day: Optional[int]) -> tuple[list[bool], list[IqrFilterReport]]:
     if len(trips) < 4:
         scope = f"day {day}" if day is not None else "dataset"
         raise ValueError(f"population too small for quartiles ({len(trips)} trips in {scope})")
-    keep = np.ones(len(trips), dtype=bool)
+    keep = [True] * len(trips)
     reports = []
     for field_name in IQR_FIELDS:
         values = _field_values(trips, field_name)
         q1, q3 = _quartiles(values)
         iqr = q3 - q1
         lo, hi = q1 - k * iqr, q3 + k * iqr
-        out = (values < lo) | (values > hi)
-        reports.append(IqrFilterReport(field_name, q1, q3, lo, hi, int(out.sum()), day))
-        keep &= ~out
+        out = [v < lo or v > hi for v in values]
+        reports.append(IqrFilterReport(field_name, q1, q3, lo, hi, sum(out), day))
+        keep = [kept and not dropped for kept, dropped in zip(keep, out)]
     return keep, reports
 
 

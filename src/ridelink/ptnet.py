@@ -31,11 +31,12 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .geo import great_circle_m
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MODES = ("metro", "bus")
 
@@ -99,7 +100,9 @@ class FareRules:
 class TransitNetwork:
     """Stations, routes and fares. Stations and routes are fixed once the
     network is built: the routes at each station and the station index
-    (``station_ids`` sorted, with coordinates in the same order) derive from them."""
+    (``station_ids`` sorted, with coordinates in the same order) derive from them.
+    The coordinate arrays are built on the first distance query, so a stage that
+    only matches labels never imports numpy."""
 
     stations: dict[str, Station]
     routes: dict[str, Route]
@@ -117,11 +120,14 @@ class TransitNetwork:
                     lst.append(rid)
         self.station_ids = sorted(self.stations)
         self._row = {sid: i for i, sid in enumerate(self.station_ids)}
-        self._lon = np.array([self.stations[s].lon for s in self.station_ids])
-        self._lat = np.array([self.stations[s].lat for s in self.station_ids])
+        self._lon = self._lat = None
 
     def station_distances_m(self, lon: float, lat: float, rows=None) -> np.ndarray:
         """Metres from a point to the stations at ``rows`` of ``station_ids`` (default all)."""
+        import numpy as np
+        if self._lon is None:
+            self._lon = np.array([self.stations[s].lon for s in self.station_ids])
+            self._lat = np.array([self.stations[s].lat for s in self.station_ids])
         lons, lats = (self._lon, self._lat) if rows is None else (self._lon[rows], self._lat[rows])
         return great_circle_m(np.full(len(lons), lon), np.full(len(lons), lat), lons, lats)
 
@@ -129,8 +135,10 @@ class TransitNetwork:
         """Nearest of ``among``; rows follow sorted ids, so argmin's first minimum
         breaks a tie toward the lowest id."""
         rows = sorted(self._row[sid] for sid in among)
-        best = 0 if len(rows) == 1 else int(np.argmin(self.station_distances_m(lon, lat, rows)))
-        return self.station_ids[rows[best]]
+        if len(rows) == 1:
+            return self.station_ids[rows[0]]
+        import numpy as np
+        return self.station_ids[rows[int(np.argmin(self.station_distances_m(lon, lat, rows)))]]
 
 
 @dataclass(frozen=True)
@@ -309,15 +317,6 @@ def write_fares(rules: FareRules, path: str) -> None:
         handle.write("\n")
 
 
-def leg_minutes(net: TransitNetwork, route: Route, i: int) -> float:
-    """In-vehicle minutes between consecutive stations i and i+1 of a route."""
-    if route.leg_times_min is not None:
-        return route.leg_times_min[i]
-    a = net.stations[route.station_ids[i]]
-    b = net.stations[route.station_ids[i + 1]]
-    return great_circle_m(a.lon, a.lat, b.lon, b.lat) / 1000.0 / route.speed_kmh * 60.0
-
-
 def leg_km(net: TransitNetwork, route: Route, i: int) -> float:
     a = net.stations[route.station_ids[i]]
     b = net.stations[route.station_ids[i + 1]]
@@ -380,8 +379,9 @@ class NetworkPlanner:
         for rid in sorted(net.routes):
             route = net.routes[rid]
             n = len(route.station_ids)
-            self._leg_min[rid] = [leg_minutes(net, route, i) for i in range(n - 1)]
-            self._leg_km[rid] = [leg_km(net, route, i) for i in range(n - 1)]
+            kms = self._leg_km[rid] = [leg_km(net, route, i) for i in range(n - 1)]
+            self._leg_min[rid] = (list(route.leg_times_min) if route.leg_times_min is not None
+                                  else [km / route.speed_kmh * 60.0 for km in kms])
             for p, sid in enumerate(route.station_ids):
                 self._rides.setdefault((sid, rid), []).extend(
                     (route.station_ids[q], rid, self._leg_min[rid][min(p, q)], "ride", (p, q))
@@ -394,6 +394,7 @@ class NetworkPlanner:
             for (sid, rid), rides in self._rides.items()}
 
     def _stations_within(self, lon: float, lat: float) -> list[tuple[str, float]]:
+        import numpy as np
         d = self.net.station_distances_m(lon, lat)
         ids = self.net.station_ids
         return [(ids[i], float(d[i])) for i in np.flatnonzero(d <= self.search_radius_m)]
@@ -614,7 +615,6 @@ __all__ = [
     "format_hhmm",
     "is_in_service",
     "leg_km",
-    "leg_minutes",
     "load_network",
     "parse_hhmm",
     "station_lexicon",

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 WIDTH = 800
 HEIGHT = 600
 FONT = "font-family=\"sans-serif\""
@@ -82,6 +80,7 @@ def beeswarm(rows: Sequence[tuple], title: str, seed: int = 0) -> str:
     """Stacked strip plot. ``rows`` = (feature label, values, ranks) triples,
     ranks in [0, 1] driving the point color; vertical jitter is seeded so the
     output is stable across runs."""
+    import numpy as np
     lines = _header(title)
     rows = [r for r in rows if len(r[1])]
     if not rows:
@@ -137,12 +136,10 @@ def line_panels(panels: Sequence[tuple], title: str) -> str:
         lines.append(f'<rect x="{_f(inner_l)}" y="{_f(inner_t)}" '
                      f'width="{_f(inner_r - inner_l)}" height="{_f(inner_b - inner_t)}" '
                      f'fill="none" stroke="#cccccc" stroke-width="0.5"/>')
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
+        xs, ys = [float(v) for v in xs], [float(v) for v in ys]
         if len(xs) < 2:
             continue
-        x_lo, x_hi = float(xs.min()), float(xs.max())
-        y_lo, y_hi = float(ys.min()), float(ys.max())
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
         if x_lo == x_hi:
             x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
         if y_lo == y_hi:
@@ -167,13 +164,11 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], title: str,
                x_label: str = "", y_label: str = "") -> str:
     """Single line chart with a tick label at each x."""
     lines = _header(title)
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
     if len(xs) == 0:
         return _empty(lines)
     left, right, top, bottom = 80.0, 760.0, 60.0, 540.0
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
     if y_lo == y_hi:
@@ -194,7 +189,7 @@ def line_chart(xs: Sequence[float], ys: Sequence[float], title: str,
                  f'stroke-width="2"/>')
     for x, y in zip(xs, ys):
         lines.append(f'<circle cx="{_f(sx(x))}" cy="{_f(sy(y))}" r="3" fill="{SOLID}"/>')
-    for value in xs.tolist():
+    for value in xs:
         lines.append(f'<text x="{_f(sx(value))}" y="{_f(bottom + 16)}" '
                      f'text-anchor="middle" font-size="10" fill="{AXIS}" {FONT}>'
                      f'{_esc(f"{value:g}")}</text>')

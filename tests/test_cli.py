@@ -743,10 +743,13 @@ class TestErrorContract:
         'synth.first_mile="x"', "synth.first_mile=1.5", "synth.first_mile=true",
         "synth.metro_spacing_km=NaN", "synth.half_extent_km=1" + "0" * 400,
         "synth.days=2.5", "synth.seed=-5", "synth.poi_count=-1", "synth.metro_speed_kmh=0",
-        "synth.bus_headway_min=-1", "synth.population_pitch_km=0"],
+        "synth.bus_headway_min=-1", "synth.population_pitch_km=0",
+        "synth.anchor_lat=95", "synth.anchor_lat=-90.5", "synth.anchor_lon=180.5",
+        "synth.anchor_lon=-200"],
         ids=["count_text", "count_float", "count_bool", "distance_nan", "distance_over_float",
              "days_float", "seed_negative", "poi_count_negative", "speed_zero",
-             "headway_negative", "pitch_zero"])
+             "headway_negative", "pitch_zero", "lat_over_pole", "lat_under_pole",
+             "lon_over_antimeridian", "lon_under_antimeridian"])
     def test_bad_synth_setting(self, tmp_path, assignment):
         ws = tmp_path / "w"
         code, _, err = run_cli(["synth", "--workspace", str(ws), "--set", assignment])
@@ -1178,19 +1181,23 @@ STAGE_MODULES = {
     "elasticity": _TRIP_LAYERS | {"ridelink.sensitivity", "ridelink.svgchart"},
     "report": _TRIP_LAYERS | {"ridelink.hexgrid", "ridelink.svgchart"},
 }
+# the stages that compute on no array, so their process never imports numpy
+NUMPY_FREE_STAGES = {"ingest", "classify", "report"}
 
 _REPORT_MODULES = """
 import json, sys
 from ridelink.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ridelink")))
+print(json.dumps({"ridelink": sorted(m for m in sys.modules if m.split(".")[0] == "ridelink"),
+                  "numpy": "numpy" in sys.modules}))
 sys.exit(code)
 """
 
 
 class TestStageImports:
     """Each stage runs in a process of its own and loads only the modules it
-    runs, so none pays for compiling and importing the others."""
+    runs, so none pays for compiling and importing the others; numpy alone
+    takes several times the interpreter's own start-up."""
 
     @pytest.mark.parametrize("argv", STAGES, ids=[argv[0] for argv in STAGES])
     def test_stage_loads_only_its_modules(self, pipeline, tmp_path, argv):
@@ -1202,7 +1209,8 @@ class TestStageImports:
              "--workspace", str(copy)], capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert loaded == sorted(_LOADED_BY_EVERY_STAGE | STAGE_MODULES[argv[0]])
+        assert loaded["ridelink"] == sorted(_LOADED_BY_EVERY_STAGE | STAGE_MODULES[argv[0]])
+        assert loaded["numpy"] == (argv[0] not in NUMPY_FREE_STAGES)
 
 
 class TestModuleEntry:

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from ridelink.ingest import (
     CANONICAL_COLUMNS,
     TIME_FORMAT,
+    IqrFilterReport,
     Rejection,
     SchemaError,
     TripRecord,
+    _quartiles,
     format_time,
     iqr_filter,
     parse_time,
@@ -230,6 +232,76 @@ class TestParsing:
         reparsed, rejections = parse_trips(io.StringIO(buffer.getvalue()), BBOX)
         assert rejections == []
         assert reparsed == trips
+
+
+# finite values up to 1e300 in size, either sign; ``+ 0.0`` turns -0.0 into
+# 0.0, since a sort may order the two zeros either way (and no trip field
+# parses to -0.0: durations are whole minutes and distances positive)
+_QUARTILE_VALUES = st.floats(min_value=-1e300, max_value=1e300).map(lambda v: v + 0.0)
+
+
+@st.composite
+def _tied_values(draw, min_size, max_size):
+    """Values of which many repeat a few drawn ones, so order statistics tie."""
+    pool = draw(st.lists(_QUARTILE_VALUES, min_size=1, max_size=4))
+    return draw(st.lists(st.one_of(st.sampled_from(pool), _QUARTILE_VALUES,
+                                   st.integers(-50, 50).map(float)),
+                         min_size=min_size, max_size=max_size))
+
+
+@st.composite
+def _day_groups(draw):
+    """Trips on one to three pickup days, each day with at least four trips,
+    in any order: durations and distances with ties and far outliers."""
+    trips = []
+    for day in draw(st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True)):
+        for _ in range(draw(st.integers(4, 40))):
+            trips.append(make_trip(
+                duration_min=draw(st.one_of(st.integers(5, 60), st.integers(-10**6, 10**6))),
+                distance_km=draw(st.one_of(st.sampled_from([1.5, 2.0, 8.25]),
+                                           st.floats(1e-3, 1e300))),
+                pickup_min=day * 1440 + draw(st.integers(0, 1439))))
+    return draw(st.permutations(trips))
+
+
+def _numpy_iqr_filter(trips, k, per_day):
+    """Reference filter on numpy arrays: ``np.percentile`` quartiles and
+    boolean masks, per pickup day when ``per_day``."""
+    groups = {}
+    for i, t in enumerate(trips):
+        groups.setdefault(t.pickup_day if per_day else None, []).append(i)
+    keep = np.ones(len(trips), dtype=bool)
+    reports = []
+    for day in sorted(groups):
+        idx = np.array(groups[day])
+        for name, values in (("travel_time_min", [trips[i].duration_min for i in idx]),
+                             ("distance_km", [trips[i].distance_km for i in idx])):
+            values = np.array(values, dtype=float)
+            q1, q3 = np.percentile(values, [25.0, 75.0], method="linear")
+            lo, hi = q1 - k * (q3 - q1), q3 + k * (q3 - q1)
+            out = (values < lo) | (values > hi)
+            reports.append(IqrFilterReport(name, float(q1), float(q3), float(lo), float(hi),
+                                           int(out.sum()), day))
+            keep[idx[out]] = False
+    return [t for t, kept in zip(trips, keep) if kept], reports
+
+
+class TestQuartiles:
+    @settings(max_examples=300, deadline=None)
+    @given(values=_tied_values(4, 500))
+    def test_bit_equal_to_numpy_percentile(self, values):
+        expected = np.percentile(np.array(values), [25.0, 75.0], method="linear")
+        assert [v.hex() for v in _quartiles(values)] == [float(v).hex() for v in expected]
+
+    @settings(max_examples=100, deadline=None)
+    @given(trips=_day_groups(), k=st.floats(0.05, 5.0), per_day=st.booleans())
+    def test_filter_matches_numpy_reference(self, trips, k, per_day):
+        kept, reports = iqr_filter(trips, k, per_day)
+        want_kept, want_reports = _numpy_iqr_filter(trips, k, per_day)
+        assert [id(t) for t in kept] == [id(t) for t in want_kept]
+        assert reports == want_reports
+        assert [(r.q1.hex(), r.q3.hex(), r.lo.hex(), r.hi.hex()) for r in reports] == \
+            [(r.q1.hex(), r.q3.hex(), r.lo.hex(), r.hi.hex()) for r in want_reports]
 
 
 class TestIqrFilter:

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -452,3 +454,21 @@ class TestStationIndex:
 
         monkeypatch.setattr(net, "station_distances_m", refuse)
         assert net.nearest_station(0.0, 0.0, ["B"]) == "B"
+
+    def test_several_candidates_in_a_process_without_numpy(self):
+        # "b" and "c" share the nearest point; "a" is the farthest
+        script = """
+import sys
+from ridelink.ptnet import Station, TransitNetwork
+stations = {sid: Station(sid, sid, (), lon, 31.0, "bus", ("B1",))
+            for sid, lon in (("d", 121.002), ("c", 121.001), ("b", 121.001), ("a", 121.003))}
+net = TransitNetwork(stations=stations, routes={})
+assert "numpy" not in sys.modules
+print(net.nearest_station(121.0, 31.0, ["d", "c", "a", "b"]),
+      net.nearest_station(121.0, 31.0, ["a", "d"]),
+      net.nearest_station(121.0045, 31.0, ["a", "d"]))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["b", "d", "a"]
