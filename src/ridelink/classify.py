@@ -39,6 +39,7 @@ INDEPENDENT = "independent"
 ALL_LABELS = (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT)
 
 CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
+_FAILABLE = ("C1", "C3", "C4", "C5", "C6")  # a C2 label miss falls through to C3
 
 # Trailing tokens treated as station designators rather than name words;
 # phrases are token lists, longest first.
@@ -242,8 +243,9 @@ def write_classified(
 def read_classified(path: str, bbox: tuple[float, float, float, float],
                     epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
     """Reload a classified-trip CSV in one pass: each row's trip columns are
-    checked as ``ingest`` checks ``trips_clean.csv``. The first bad row raises a
-    ``ValueError`` naming its line."""
+    checked as ``ingest`` checks ``trips_clean.csv``, its verdict against what
+    :func:`write_classified` writes. The first bad row raises a ``ValueError``
+    naming its line."""
     trips: list[TripRecord] = []
     results: list[TripClass] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -255,13 +257,18 @@ def read_classified(path: str, bbox: tuple[float, float, float, float],
                 continue
             try:
                 trips.append(parse_trip_row(row, layout, bbox, epoch))
-                if row[label_at] not in ALL_LABELS:
-                    raise ValueError(f"unknown trip label {row[label_at]!r}")
+                label, failed = row[label_at], row[failed_at]
+                if label not in ALL_LABELS:
+                    raise ValueError(f"unknown trip label {label!r}")
+                if failed not in (_FAILABLE if label == INDEPENDENT else ("",)):
+                    raise ValueError(f"failed_condition {failed!r} does not fit label {label!r}")
+                if row[both_at] not in ("true", "false"):
+                    raise ValueError(f"both_ends_station {row[both_at]!r} is not true or false")
             except ValueError as exc:
                 raise ValueError(f"line {lineno} of {path}: {exc}") from None
             results.append(TripClass(
-                label=row[label_at],
-                failed_condition=row[failed_at] or None,
+                label=label,
+                failed_condition=failed or None,
                 matched_station=row[station_at] or None,
                 both_ends_station=row[both_at] == "true",
             ))

@@ -415,12 +415,17 @@ def _corrupt(cfg: RunConfig, name: str, exc: Exception) -> InputError:
                       f"({type(exc).__name__}: {exc}); re-run '{ARTIFACTS[name][0]}'")
 
 
-def _load_alternatives(cfg: RunConfig, planner=None):
+def _load_alternatives(cfg: RunConfig):
     from .ptnet import CachedPlanner
     try:
-        return CachedPlanner.load(str(cfg.need_artifact("alternatives")), planner)
+        return CachedPlanner.load(str(cfg.need_artifact("alternatives")))
     except ValueError as exc:
         raise _corrupt(cfg, "alternatives", exc) from None
+
+
+def _uncovered(exc: KeyError) -> InputError:
+    """The input error for a trip that ``alternatives.jsonl`` has no journey for."""
+    return InputError(f"alternatives cache does not cover the trip set ({exc}); re-run 'plan'")
 
 
 def _read_cells(cfg: RunConfig):
@@ -512,8 +517,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
         results, summary = classify_all(trips, cache, net, lexicon,
                                         cfg.classifier())
     except KeyError as exc:
-        raise InputError(f"alternatives cache does not cover the trip set "
-                         f"({exc}); re-run 'plan'") from None
+        raise _uncovered(exc) from None
     write_classified(trips, results, str(cfg.artifact("classified")), cfg.epoch)
     write_summary(summary, str(cfg.artifact("summary")))
     failed = Counter(r.failed_condition for r in results)
@@ -671,7 +675,6 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
     from . import sensitivity
-    from .ptnet import station_lexicon
     parameters = args.parameter or cfg.data["elasticity"]["parameters"]
     sweeps = cfg.data["elasticity"]["values"]
     if not (isinstance(parameters, list) and all(isinstance(p, str) for p in parameters)):
@@ -683,12 +686,12 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
     missing = [p for p in parameters if not sweeps.get(p)]
     if missing:
         raise ConfigError(f"no sweep values configured for {missing[0]!r}")
-    trips = _read_clean_trips(cfg)
-    net = _load_city_network(cfg)
-    planner = cfg.planner(net)
-    plan = _load_alternatives(cfg, planner) if cfg.artifact("alternatives").exists() else planner
     classifier = cfg.classifier()
-    base = sensitivity.sweep_base(trips, plan, net, station_lexicon(net), classifier)
+    trips, results = _read_classified(cfg)
+    try:
+        base = sensitivity.sweep_base(trips, results, _load_alternatives(cfg))
+    except KeyError as exc:
+        raise _uncovered(exc) from None
     reports = []
     for parameter in parameters:
         try:

@@ -581,9 +581,9 @@ class CachedPlanner:
                 handle.write(json.dumps({"key": k, "alt": self._table[k].to_dict()}) + "\n")
 
     @classmethod
-    def load(cls, path: str, planner: Optional[NetworkPlanner] = None) -> "CachedPlanner":
+    def load(cls, path: str) -> "CachedPlanner":
         """Read a saved cache; a malformed entry raises ``ValueError`` naming its line."""
-        cache = cls(planner)
+        cache = cls()
         with open(path, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 if not line.strip():

@@ -6,11 +6,12 @@ baseline-anchored arc elasticity: the percentage change of the share divided
 by the percentage change of the threshold, both measured against the
 baseline configuration.
 
-Only C3-C6 read a threshold. So :func:`sweep_base` plans each trip once and
-runs it through ``classify_trip`` once, at the baseline configuration, which
-settles its service window (C1) and station labels (C2); every sweep point of
-every parameter then runs only ``classify_thresholds`` over the trips that
-reached C3, and divides by all trips as ``summarize`` does.
+Only C3-C6 read a threshold, so the trips that reach C3 are the same at
+every setting. :func:`sweep_base` takes them from ``classify``'s recorded
+verdicts, whose traces settle each trip's service window (C1) and station
+labels (C2), and looks up each one's journey once in ``plan``'s cache; every
+sweep point of every parameter then runs only ``classify_thresholds`` over
+those trips, and divides by all trips as ``summarize`` does.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from . import svgchart
-from .classify import SUBSTITUTIVE, ClassifierConfig, classify_thresholds, classify_trip
+from .classify import SUBSTITUTIVE, ClassifierConfig, TripClass, classify_thresholds
 from .ingest import TripRecord
-from .ptnet import PtAlternative, TransitNetwork
+from .ptnet import PtAlternative
 
 PARAMETERS = ("walk_threshold_m", "time_gate_min", "max_transfers", "cost_ratio")
 
@@ -52,24 +53,18 @@ def arc_elasticity(baseline_value: float, baseline_ratio: float,
 
 
 class SweepBase(NamedTuple):
-    """The trips that reach C3 at the baseline configuration, each with its
-    journey, out of ``total`` trips."""
+    """The trips that reach C3, each with its journey, out of ``total`` trips."""
     reaching: list[tuple[TripRecord, PtAlternative]]
     total: int
 
 
-def sweep_base(
-    trips: Sequence[TripRecord],
-    planner,
-    net: TransitNetwork,
-    lexicon: dict[str, tuple[str, ...]],
-    cfg: ClassifierConfig,
-) -> SweepBase:
-    """Plan and classify each trip once for every sweep over ``trips``.
-    ``planner`` is a ``NetworkPlanner`` or a ``CachedPlanner``."""
-    alts = [planner.plan(t.olon, t.olat, t.dlon, t.dlat) for t in trips]
-    return SweepBase([(t, a) for t, a in zip(trips, alts)
-                      if "C3" in classify_trip(t, a, net, lexicon, cfg).trace], len(trips))
+def sweep_base(trips: Sequence[TripRecord], results: Sequence[TripClass],
+               planner) -> SweepBase:
+    """Each of ``trips`` whose trace in ``results`` (at any setting) reaches C3,
+    with its journey from ``planner``: the base that every sweep shares."""
+    return SweepBase([(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat))
+                      for t, r in zip(trips, results, strict=True) if "C3" in r.trace],
+                     len(trips))
 
 
 def _swept_config(cfg: ClassifierConfig, parameter: str, value: float) -> ClassifierConfig:
@@ -88,10 +83,10 @@ def elasticity_sweep(
 ) -> ElasticityReport:
     """Substitutive share and elasticity at each threshold value.
 
-    ``base`` comes from :func:`sweep_base` with the same ``cfg``. Each value
-    must make a valid :class:`ClassifierConfig`, and ``values`` must include
-    the baseline (the threshold currently set on ``cfg``); the share reported
-    at the baseline is identical to a plain classification run with ``cfg``.
+    ``base`` comes from :func:`sweep_base`. Each value must make a valid
+    :class:`ClassifierConfig`, and ``values`` must include the baseline (the
+    threshold currently set on ``cfg``); the share reported at the baseline
+    is identical to a plain classification run with ``cfg``.
     """
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "

@@ -128,10 +128,11 @@ class ScenarioSpec:
                 raise ValueError(f"{item.name} must be >= 0, got {value!r}")
             if item.type == "float" and value <= 0 and not item.name.startswith("anchor_"):
                 raise ValueError(f"{item.name} must be positive, got {value!r}")
-        if not -90 <= self.anchor_lat <= 90:
-            raise ValueError(f"anchor_lat must be in [-90, 90], got {self.anchor_lat!r}")
-        if not -180 <= self.anchor_lon <= 180:
-            raise ValueError(f"anchor_lon must be in [-180, 180], got {self.anchor_lon!r}")
+        with np.errstate(over="ignore"):  # a near-pole anchor stretches longitudes to inf
+            box = bbox_of(self)
+        if not (-180 <= box[0] and box[2] <= 180 and -90 <= box[1] and box[3] <= 90):
+            raise ValueError(f"anchor_lon, anchor_lat and half_extent_km put the city box "
+                             f"{box} outside [-180, 180] x [-90, 90]")
         if not 0 <= self.metro_lines <= 4:
             raise ValueError("metro_lines must be between 0 and 4")
         if not 0 <= self.bus_routes <= 3:

@@ -295,8 +295,7 @@ def test_criterion_06_partial_dependence_identities():
 def test_criterion_07_substitutive_share_monotone(city):
     """Relaxing the walk threshold or the time gate never shrinks the
     substitutive share, and the baseline point reproduces the plain run."""
-    base = sweep_base(city.trips, NetworkPlanner(city.net), city.net,
-                      city.lexicon, city.cfg)
+    base = sweep_base(city.trips, city.results, NetworkPlanner(city.net))
     walk = elasticity_sweep(base, city.cfg, "walk_threshold_m",
                             [300, 400, 500, 600, 700, 800])
     gate = elasticity_sweep(base, city.cfg, "time_gate_min",

@@ -306,8 +306,11 @@ def _trip_and_class(draw, timed):
         draw(_LABEL_TEXT), draw(lon), draw(lat), draw(_LABEL_TEXT), pickup,
         draw(lon), draw(lat), draw(_LABEL_TEXT), pickup + draw(st.integers(1, 600)),
         draw(st.floats(1e-6, 500.0)), draw(st.floats(0.0, 1e4)), request)
-    result = TripClass(draw(st.sampled_from(ALL_LABELS)),
-                       draw(st.none() | st.sampled_from(CONDITIONS)),
+    # only an independent trip records a failed condition, and never C2
+    label = draw(st.sampled_from(ALL_LABELS))
+    failed = (draw(st.sampled_from([c for c in CONDITIONS if c != "C2"]))
+              if label == INDEPENDENT else None)
+    result = TripClass(label, failed,
                        draw(st.none() | st.sampled_from(sorted(_NET.stations))),
                        draw(st.booleans()))
     return trip, result
@@ -347,7 +350,18 @@ class TestOneTripCodec:
         (lambda row: row.__setitem__(8, row[4]), "dropoff not after pickup"),
         (lambda row: row.pop(), "wrong column count"),
         (lambda row: row.__setitem__(2, "31.5"), "coordinates outside bbox"),
-    ], ids=["nan", "dropoff", "width", "bbox"])
+        (lambda row: row.__setitem__(slice(-4, -2), [INDEPENDENT, "C9"]),
+         "failed_condition 'C9' does not fit label 'independent'"),
+        (lambda row: row.__setitem__(slice(-4, -2), [INDEPENDENT, "C2"]),
+         "failed_condition 'C2' does not fit label 'independent'"),
+        (lambda row: row.__setitem__(slice(-4, -2), [INDEPENDENT, ""]),
+         "failed_condition '' does not fit label 'independent'"),
+        (lambda row: row.__setitem__(slice(-4, -2), [FIRST_MILE, "C3"]),
+         f"failed_condition 'C3' does not fit label '{FIRST_MILE}'"),
+        (lambda row: row.__setitem__(-1, "yes"),
+         "both_ends_station 'yes' is not true or false"),
+    ], ids=["nan", "dropoff", "width", "bbox", "unknown_condition", "c2_condition",
+            "independent_without_condition", "condition_on_a_feeder", "both_ends_yes"])
     def test_first_bad_row_names_its_line(self, city_planner, tmp_path, edit, reason):
         trips = TestClassifyAll()._trips()
         results, _ = classify_all(trips, city_planner, _NET, _LEX)

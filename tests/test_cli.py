@@ -307,26 +307,20 @@ class TestPipelineArtifacts:
         params = {line.split(",")[0] for line in lines[1:]}
         assert params == {"walk_threshold_m", "time_gate_min"}
 
-    def test_elasticity_classifies_each_trip_once(self, pipeline, tmp_path, monkeypatch):
-        from ridelink import sensitivity
-
+    def test_elasticity_reads_only_classify_and_plan(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline
         copy = tmp_path / "ws"
         shutil.copytree(ws, copy)
-        calls = []
-        classify_trip = sensitivity.classify_trip
-
-        def counting(*args):
-            calls.append(1)
-            return classify_trip(*args)
-
-        monkeypatch.setattr(sensitivity, "classify_trip", counting)
+        for name in ("trips_clean.csv", "city/stations.csv", "city/routes.csv",
+                     "city/fares.json", "elasticity.csv", "elasticity_time_gate_min.svg",
+                     "elasticity_walk_threshold_m.svg"):
+            (copy / name).unlink()
         code, _, err = run_cli(["elasticity", "--config", str(config_path),
                                 "--workspace", str(copy)])
         assert code == 0, err
-        trips = len((ws / "trips_clean.csv").read_text().splitlines()) - 1
-        assert len(calls) == trips  # once per run, not once per swept parameter
-        assert (copy / "elasticity.csv").read_bytes() == (ws / "elasticity.csv").read_bytes()
+        for name in ("elasticity.csv", "elasticity_time_gate_min.svg",
+                     "elasticity_walk_threshold_m.svg"):
+            assert (copy / name).read_bytes() == (ws / name).read_bytes(), name
 
     def test_plan_echo_counts_expanded_states(self, pipeline, tmp_path):
         ws, config_path, echoes = pipeline
@@ -626,8 +620,10 @@ class TestErrorContract:
         assert "'zz_unknown'" in error and "re-run 'classify'" in error
 
     @pytest.mark.parametrize("case", ["nan_coordinate", "dropoff_not_after_pickup",
-                                      "wrong_column_count", "outside_bbox"])
-    @pytest.mark.parametrize("stage", ["gridify", "features"])
+                                      "wrong_column_count", "outside_bbox",
+                                      "unknown_failed_condition", "condition_on_a_feeder",
+                                      "both_ends_not_boolean"])
+    @pytest.mark.parametrize("stage", ["gridify", "features", "elasticity"])
     def test_bad_classified_row_names_its_line(self, pipeline, tmp_path, case, stage):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -642,6 +638,14 @@ class TestErrorContract:
             row[header.index("dropoff_time")] = row[header.index("pickup_time")]
         elif case == "wrong_column_count":
             row.append("extra")
+        elif case == "unknown_failed_condition":
+            row[header.index("label")] = "independent"
+            row[header.index("failed_condition")] = "C9"
+        elif case == "condition_on_a_feeder":
+            row[header.index("label")] = "first_mile_complementary"
+            row[header.index("failed_condition")] = "C3"
+        elif case == "both_ends_not_boolean":
+            row[header.index("both_ends_station")] = "yes"
         else:
             lon_max = json.loads((copy / "city" / "scenario.json").read_text())["bbox"][2]
             row[header.index("dlon")] = repr(lon_max + 0.5)
@@ -652,7 +656,7 @@ class TestErrorContract:
         error = json.loads(err)["error"]
         assert "line 4 " in error and "re-run 'classify'" in error
 
-    @pytest.mark.parametrize("stage", ["plan", "classify", "elasticity"])
+    @pytest.mark.parametrize("stage", ["plan", "classify"])
     def test_headerless_clean_trips(self, pipeline, tmp_path, stage):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -661,6 +665,16 @@ class TestErrorContract:
         code, _, err = run_cli([stage, "--workspace", str(copy)])
         assert code == 2, err
         assert "re-run 'ingest'" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("stage", ["gridify", "features", "elasticity"])
+    def test_headerless_classified(self, pipeline, tmp_path, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "classified.csv").write_text("")
+        code, _, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        assert "re-run 'classify'" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("extra", [
         ["--set", "elasticity.values=5"],
@@ -696,6 +710,24 @@ class TestErrorContract:
         code, _, err = run_cli(["classify", "--workspace", str(broken)])
         assert code == 2
         assert "re-run 'plan'" in json.loads(err)["error"]
+
+    def test_alternatives_missing_a_swept_trip(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        with open(ws / "classified.csv", newline="") as handle:
+            swept = next(row for row in csv.DictReader(handle) if row["label"] == "substitutive")
+        key = [float(swept[c]) for c in ("olon", "olat", "dlon", "dlat")]
+        path = copy / "alternatives.jsonl"
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines if json.loads(line)["key"] != key]
+        assert len(kept) == len(lines) - 1
+        path.write_text("\n".join(kept) + "\n")
+        code, out, err = run_cli(["elasticity", "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert "does not cover the trip set" in error and "re-run 'plan'" in error
+        assert out == ""
 
     def test_schema_error_is_input_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -745,11 +777,15 @@ class TestErrorContract:
         "synth.days=2.5", "synth.seed=-5", "synth.poi_count=-1", "synth.metro_speed_kmh=0",
         "synth.bus_headway_min=-1", "synth.population_pitch_km=0",
         "synth.anchor_lat=95", "synth.anchor_lat=-90.5", "synth.anchor_lon=180.5",
-        "synth.anchor_lon=-200"],
+        "synth.anchor_lon=-200", "synth.anchor_lat=90", "synth.anchor_lat=89.95",
+        "synth.anchor_lat=-89.95", "synth.anchor_lon=179.99", "synth.anchor_lon=-179.99",
+        "synth.half_extent_km=20000"],
         ids=["count_text", "count_float", "count_bool", "distance_nan", "distance_over_float",
              "days_float", "seed_negative", "poi_count_negative", "speed_zero",
              "headway_negative", "pitch_zero", "lat_over_pole", "lat_under_pole",
-             "lon_over_antimeridian", "lon_under_antimeridian"])
+             "lon_over_antimeridian", "lon_under_antimeridian", "lat_at_pole",
+             "box_over_north_pole", "box_under_south_pole", "box_over_antimeridian",
+             "box_under_antimeridian", "box_around_the_globe"])
     def test_bad_synth_setting(self, tmp_path, assignment):
         ws = tmp_path / "w"
         code, _, err = run_cli(["synth", "--workspace", str(ws), "--set", assignment])
@@ -1182,7 +1218,7 @@ STAGE_MODULES = {
     "report": _TRIP_LAYERS | {"ridelink.hexgrid", "ridelink.svgchart"},
 }
 # the stages that compute on no array, so their process never imports numpy
-NUMPY_FREE_STAGES = {"ingest", "classify", "report"}
+NUMPY_FREE_STAGES = {"ingest", "classify", "elasticity", "report"}
 
 _REPORT_MODULES = """
 import json, sys

@@ -4,9 +4,10 @@ A parameter whose default no call in the package ever overrides is a knob
 that only its default reaches: the code should hold that one value as a
 constant. Calls are matched by the callee's name (``f(...)`` or
 ``x.f(...)``); a class's ``__init__`` is matched through calls of the class
-name. A call sets a parameter by keyword, by position, or through ``*`` or
-``**`` unpacking. The few parameters that exist so tests can substitute a
-value are listed in ``SEAMS``.
+name, and so are the fields of a ``@dataclass``, which are the parameters of
+the ``__init__`` it generates. A call sets a parameter by keyword, by
+position, or through ``*`` or ``**`` unpacking. The few parameters that
+exist so tests can substitute a value are listed in ``SEAMS``.
 """
 
 import ast
@@ -14,17 +15,43 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ridelink"
 
-# test seams: a smaller PDP grid, a fake environment, an argv list
+# test seams: a smaller PDP grid, a fake environment, an argv list, the
+# per-leg timetable of the hand-built test cities
 SEAMS = {
     ("pdp", "n_grid"),
     ("env_overrides", "environ"),
     ("main", "argv"),
+    ("Route", "leg_times_min"),
 }
 
 
 def _trees():
     return [ast.parse(path.read_text(encoding="utf-8"), str(path))
             for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _name(node):
+    """The called or decorating name: ``f`` of ``f``, ``x.f`` or ``f(...)``."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _dataclass_fields(cls):
+    """(field, defaulted) per ``__init__`` parameter of a ``@dataclass``, in
+    field order; a ``field(init=False)`` is no parameter."""
+    out = []
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        defaulted = node.value is not None
+        if isinstance(node.value, ast.Call) and _name(node.value) == "field":
+            keywords = {k.arg: k.value for k in node.value.keywords}
+            init = keywords.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in keywords or "default_factory" in keywords
+        out.append((node.target.id, defaulted))
+    return out
 
 
 def _defaulted(trees):
@@ -34,6 +61,10 @@ def _defaulted(trees):
     out = []
     for tree in trees:
         for cls in [None, *[n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]]:
+            if cls is not None and any(_name(d) == "dataclass" for d in cls.decorator_list):
+                out.extend((cls.name, name, i)
+                           for i, (name, defaulted) in enumerate(_dataclass_fields(cls))
+                           if defaulted)
             body = tree.body if cls is None else cls.body
             for fn in body:
                 if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -97,6 +128,16 @@ def test_moved_default_is_caught():
     source = ("def trip_stats(trips):\n    return _histogram(trips)\n\n"
               "def _histogram(values, bins=20):\n    return bins\n")
     assert unset_knobs([ast.parse(source)]) == ["_histogram(bins)"]
+
+
+def test_unset_dataclass_field_is_caught():
+    source = ("from dataclasses import dataclass, field\n\n"
+              "@dataclass(frozen=True)\nclass Leg:\n    km: float\n"
+              "    cache: dict = field(init=False, default_factory=dict)\n"
+              "    speed: float = 30.0\n    mode: str = field(default='bus')\n\n"
+              "def route():\n    return [Leg(1.0, 20.0), Leg(km=2.0)]\n")
+    assert unset_knobs([ast.parse(source)]) == ["Leg(mode)"]
+    assert unset_knobs([ast.parse(source.replace("Leg(km=2.0)", "Leg(2.0, 20.0, 'x')"))]) == []
 
 
 def test_keyword_position_and_unpacking_each_set_a_default():

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityfix import build_city
-from ridelink.classify import SUBSTITUTIVE, ClassifierConfig, classify_all
+from ridelink.classify import (
+    FIRST_MILE,
+    INDEPENDENT,
+    SUBSTITUTIVE,
+    ClassifierConfig,
+    classify_all,
+)
 from ridelink.ingest import TripRecord
 from ridelink.ptnet import (
     FareRules,
@@ -53,9 +59,10 @@ def _trip(o, d, duration=20, cost=30.0, pickup=600):
 
 
 def _sweep(trips, planner, net, lexicon, cfg, parameter, values):
-    """One parameter's sweep over a base pass of its own."""
-    return elasticity_sweep(sweep_base(trips, planner, net, lexicon, cfg), cfg,
-                            parameter, values)
+    """One parameter's sweep over a base of its own, built from the
+    verdicts of ``classify_all``."""
+    results, _ = classify_all(trips, planner, net, lexicon, cfg)
+    return elasticity_sweep(sweep_base(trips, results, planner), cfg, parameter, values)
 
 
 def _walk_trips():
@@ -152,36 +159,44 @@ class TestWalkSweep:
                     / ((value - 400.0) / 400.0))
             assert report.elasticities[i] == pytest.approx(want, rel=1e-12)
 
-    def test_planner_called_once_per_trip(self):
-        calls = []
+    def _mixed_trips(self):
+        """The walk trips, then one out of service (fails C1) and one whose
+        drop-off names a station (first-mile at C2): neither reaches C3."""
+        return _walk_trips() + [
+            _trip(M1, M4, pickup=120),
+            replace(_trip(M1, M4), dropoff_label="Fir Station")]
 
+    def _counting(self, calls):
         class Counting:
             def plan(self, olon, olat, dlon, dlat):
-                calls.append(1)
+                calls.append((olon, olat, dlon, dlat))
                 return _PLANNER.plan(olon, olat, dlon, dlat)
 
-        trips = _walk_trips()
-        _sweep(trips, Counting(), _NET, _LEX, ClassifierConfig(),
-               "walk_threshold_m", self.VALUES)
-        assert len(calls) == len(trips)
+        return Counting()
+
+    def test_planner_called_once_per_trip(self):
+        calls = []
+        trips = self._mixed_trips()
+        results, _ = classify_all(trips, _PLANNER, _NET, _LEX, ClassifierConfig())
+        assert [r.label for r in results[-2:]] == [INDEPENDENT, FIRST_MILE]
+        assert results[-2].failed_condition == "C1"
+        base = sweep_base(trips, results, self._counting(calls))
+        assert calls == [(t.olon, t.olat, t.dlon, t.dlat) for t in trips[:-2]]
+        assert base.total == len(trips)
+        assert [trip for trip, _ in base.reaching] == trips[:-2]
 
     def test_one_base_serves_every_parameter(self):
         calls = []
-
-        class Counting:
-            def plan(self, olon, olat, dlon, dlat):
-                calls.append(1)
-                return _PLANNER.plan(olon, olat, dlon, dlat)
-
-        trips = _walk_trips()
+        trips = self._mixed_trips()
         cfg = ClassifierConfig()
-        base = sweep_base(trips, Counting(), _NET, _LEX, cfg)
+        results, _ = classify_all(trips, _PLANNER, _NET, _LEX, cfg)
+        base = sweep_base(trips, results, self._counting(calls))
         for parameter, values in (("walk_threshold_m", self.VALUES),
                                   ("time_gate_min", [10.0, 15.0, 20.0]),
                                   ("cost_ratio", [0.3, 0.5])):
             assert (elasticity_sweep(base, cfg, parameter, values)
                     == _sweep(trips, _PLANNER, _NET, _LEX, cfg, parameter, values))
-        assert len(calls) == len(trips)
+        assert len(calls) == len(trips) - 2
 
 
 class TestTimeGateSweep:
@@ -423,8 +438,9 @@ def _threshold_points(parameter, trips):
 
 
 class TestSweepMatchesClassifyAll:
-    """The sweep classifies each trip once and re-runs only C3-C6 per point;
-    every point's share must still be ``classify_all``'s at that config."""
+    """The sweep takes each trip's C1 and C2 verdicts from one classification
+    and re-runs only C3-C6 per point; every point's share must still be
+    ``classify_all``'s at that config."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), trips=_trip_sets(), parameter=st.sampled_from(PARAMETERS))
