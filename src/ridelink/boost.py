@@ -45,6 +45,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
@@ -497,10 +498,16 @@ class ParamSpace:
     def __post_init__(self):
         for name, (full_lo, full_hi) in PARAM_RANGES.items():
             lo, hi = getattr(self, name)
+            kind = numbers.Integral if isinstance(full_lo, int) else numbers.Real
+            if not all(isinstance(v, kind) and not isinstance(v, bool) for v in (lo, hi)):
+                raise ValueError(f"{name} range ends must be {kind.__name__} numbers, got {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} range is inverted")
-            if lo < full_lo or hi > full_hi:
+            if not (full_lo <= lo and hi <= full_hi):
                 raise ValueError(f"{name} range must sit inside [{full_lo}, {full_hi}]")
+        segments = self.ordered_segments
+        if isinstance(segments, bool) or not isinstance(segments, numbers.Integral):
+            raise ValueError(f"ordered_segments must be an integer, got {segments!r}")
 
     def sample(self, rng: np.random.Generator) -> BoostParams:
         """One draw per ``PARAM_RANGES`` entry in its order, integral where the

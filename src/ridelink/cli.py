@@ -6,6 +6,8 @@ command-line flags. Environment keys use ``__`` as the path separator, so
 ``RIDELINK_CLASSIFIER__WALK_THRESHOLD_M=500`` sets
 ``classifier.walk_threshold_m``; values parse as JSON with a plain-string
 fallback. ``--set a.b=value`` does the same from the command line.
+``load_config`` checks the merged tree once against ``SETTINGS``, which gives
+every key its default, kind and bounds.
 
 Stages communicate through files in the workspace directory. Each command
 reads the artifacts of earlier stages by their well-known names and fails
@@ -25,55 +27,18 @@ import csv
 import dataclasses
 import datetime as _dt
 import json
+import math
 import os
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .errors import CliError, ConfigError, InputError, MissingArtifactError
 
 if TYPE_CHECKING:
     from .classify import ClassifierConfig
     from .ptnet import NetworkPlanner
-
-DEFAULTS: dict = {
-    "workspace": "runs/default",
-    "days": 7,
-    "bbox": None,
-    "epoch": "2022-09-01",
-    "target": "FCR",
-    "paths": {
-        "trips": None, "stations": None, "routes": None, "fares": None,
-        "poi": None, "population": None, "roads": None, "districts": None,
-    },
-    "classifier": {
-        "walk_threshold_m": 400.0,
-        "time_gate_min": 15.0,
-        "time_ratio": 2.0,
-        "max_transfers": 2,
-        "cost_ratio": 0.5,
-    },
-    "planner": {
-        "search_radius_m": 800.0,
-        "transfer_penalty_min": 5.0,
-    },
-    "ingest": {"iqr_k": 3.0, "per_day": False, "columns": None},
-    "grid": {"side_km": 0.5},
-    "features": {"vif_threshold": 10.0},
-    "train": {"trials": 12, "folds": 5, "space": {}},
-    "explain": {"background_size": 100, "seed": 0},
-    "elasticity": {
-        "parameters": ["walk_threshold_m", "time_gate_min"],
-        "values": {
-            "walk_threshold_m": [300.0, 400.0, 500.0, 600.0, 700.0, 800.0],
-            "time_gate_min": [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0],
-            "max_transfers": [1, 2, 3],
-            "cost_ratio": [0.3, 0.5, 0.7],
-        },
-    },
-    "synth": {},
-}
 
 ENV_PREFIX = "RIDELINK_"
 
@@ -127,13 +92,12 @@ CITY_FILES = {
 # configuration
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _deep_merge(base: dict, override: dict) -> None:
     for key, value in override.items():
         if isinstance(value, dict) and isinstance(base.get(key), dict):
             _deep_merge(base[key], value)
         else:
             base[key] = value
-    return base
 
 
 def _parse_scalar(raw: str):
@@ -143,17 +107,23 @@ def _parse_scalar(raw: str):
         return raw
 
 
+def _assign(tree: dict, path: list, value) -> None:
+    """Set ``tree`` at the key ``path``, making the objects on the way."""
+    node = tree
+    for depth, part in enumerate(path[:-1], 1):
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{'.'.join(path[:depth])} must be a JSON object to hold "
+                              f"{'.'.join(path)}, got {node!r}")
+    node[path[-1]] = value
+
+
 def env_overrides(environ=None) -> dict:
     environ = os.environ if environ is None else environ
     out: dict = {}
     for key in sorted(environ):
-        if not key.startswith(ENV_PREFIX):
-            continue
-        path = key[len(ENV_PREFIX):].lower().split("__")
-        node = out
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = _parse_scalar(environ[key])
+        if key.startswith(ENV_PREFIX):
+            _assign(out, key[len(ENV_PREFIX):].lower().split("__"), _parse_scalar(environ[key]))
     return out
 
 
@@ -164,17 +134,12 @@ def _set_override(data: dict, assignment: str) -> None:
     parts = [p for p in dotted.strip().split(".") if p]
     if not parts:
         raise ConfigError(f"--set has an empty key in {assignment!r}")
-    node = data
-    for part in parts[:-1]:
-        nxt = node.setdefault(part, {})
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"--set path {dotted!r} crosses non-tree key {part!r}")
-        node = nxt
-    node[parts[-1]] = _parse_scalar(raw)
+    _assign(data, parts, _parse_scalar(raw))
 
 
 class RunConfig:
-    """Merged configuration tree with typed, validated accessors."""
+    """The merged configuration tree, checked against ``SETTINGS``: each
+    value holds the type its row gives it."""
 
     def __init__(self, data: dict):
         self.data = data
@@ -185,55 +150,15 @@ class RunConfig:
 
     @property
     def days(self) -> int:
-        days = self.data["days"]
-        if not isinstance(days, int) or days < 1:
-            raise ConfigError(f"days must be a positive integer, got {days!r}")
-        return days
+        return self.data["days"]
 
     @property
     def epoch(self) -> _dt.date:
-        try:
-            return _dt.date.fromisoformat(str(self.data["epoch"]))
-        except ValueError as exc:
-            raise ConfigError(f"epoch is not an ISO date: {exc}") from None
+        return self.data["epoch"]
 
     @property
     def target(self) -> str:
-        target = str(self.data["target"]).upper()
-        if target not in TARGETS:
-            raise ConfigError(f"target must be one of {'/'.join(TARGETS)}, "
-                              f"got {self.data['target']!r}")
-        return target
-
-    def int_setting(self, section: str, key: str, least: int) -> int:
-        value = self.data[section][key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < least:
-            raise ConfigError(f"{section}.{key} must be an integer of at least "
-                              f"{least}, got {value!r}")
-        return value
-
-    def float_setting(self, section: str, key: str, positive: bool = False) -> float:
-        value = self.data[section][key]
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not abs(value) <= sys.float_info.max or (positive and value <= 0)):
-            kind = "finite positive" if positive else "finite"
-            raise ConfigError(f"{section}.{key} must be a {kind} number, got {value!r}")
-        return float(value)
-
-    def bool_setting(self, section: str, key: str) -> bool:
-        value = self.data[section][key]
-        if not isinstance(value, bool):
-            raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
-        return value
-
-    @property
-    def ingest_columns(self) -> Optional[dict[str, str]]:
-        columns = self.data["ingest"]["columns"]
-        if columns is not None and not (isinstance(columns, dict) and all(
-                isinstance(k, str) and isinstance(v, str) for k, v in columns.items())):
-            raise ConfigError(f"ingest.columns must map field names to header names, "
-                              f"got {columns!r}")
-        return columns
+        return self.data["target"]
 
     def classifier(self) -> ClassifierConfig:
         from .classify import ClassifierConfig
@@ -250,13 +175,10 @@ class RunConfig:
             raise ConfigError(f"invalid planner settings: {exc}") from None
 
     def bbox(self) -> tuple[float, float, float, float]:
-        """The configured bbox, else the scenario manifest's; a bad box is a
-        config error when configured and an input error when read."""
+        """The configured bbox, else the scenario manifest's; a bad box in
+        the manifest is an input error."""
         if self.data["bbox"] is not None:
-            try:
-                return _four_numbers(self.data["bbox"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            return self.data["bbox"]
         manifest = self.workspace / "city" / CITY_FILES["scenario"]
         if not manifest.exists():
             raise ConfigError(
@@ -296,13 +218,149 @@ class RunConfig:
         return path
 
 
-def _check_sections(data: dict, defaults: dict, prefix: str = "") -> None:
-    """Refuse any default section that an override replaced with a non-object."""
-    for key, default in defaults.items():
-        if isinstance(default, dict):
-            if not isinstance(data[key], dict):
-                raise ConfigError(f"{prefix}{key} must be a JSON object, got {data[key]!r}")
-            _check_sections(data[key], default, f"{prefix}{key}.")
+def _finite(value) -> bool:
+    """A JSON number, not a bool, that a float holds."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _four_numbers(box) -> tuple[float, float, float, float]:
+    """``box`` as (lon_min, lat_min, lon_max, lat_max); raises ``ValueError``
+    unless it is a list of four finite numbers spanning a nonempty area."""
+    if not (isinstance(box, list) and len(box) == 4 and all(_finite(v) for v in box)):
+        raise ValueError(f"must be a list of four finite numbers, got {box!r}")
+    lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
+    if not (lon_min < lon_max and lat_min < lat_max):
+        raise ValueError(f"is degenerate: {box!r}")
+    return (lon_min, lat_min, lon_max, lat_max)
+
+
+def _kind(text: str, test: Callable, read: Callable = lambda value: value) -> Callable:
+    """A row's kind: ``read(value)`` if ``test(value)`` holds, else a ValueError."""
+    def check(value):
+        try:
+            if test(value):
+                return read(value)
+        except (TypeError, ValueError):
+            pass
+        raise ValueError(f"must be {text}, got {value!r}")
+    return check
+
+
+# a row's kind when it names none: its default's
+_KINDS = {
+    bool: _kind("true or false", lambda v: isinstance(v, bool)),
+    int: _kind("an integer", lambda v: type(v) is int),
+    float: _kind("a finite number", _finite, float),
+    str: _kind("a string", lambda v: isinstance(v, str)),
+    dict: _kind("a JSON object", lambda v: isinstance(v, dict)),
+}
+_SWEEP = _kind("a nonempty list of numbers, all finite",
+               lambda v: isinstance(v, list) and v and all(map(_finite, v)))
+_SPACE = _kind("a JSON object", lambda v: isinstance(v, dict),  # with ParamSpace's tuple ranges
+               lambda v: {k: tuple(r) if isinstance(r, list) else r for k, r in v.items()})
+
+
+class Row(NamedTuple):
+    """One setting: its default, and what a value must be. The kind is the
+    default's unless ``kind`` is given, a null default also allows null, and
+    a number lies above ``above`` and within [``least``, ``most``]."""
+
+    default: object
+    least: float = -math.inf
+    most: float = math.inf
+    above: float = -math.inf
+    kind: Optional[Callable] = None
+
+    def checked(self, path: str, value):
+        """``value`` as the stages read it; raises ``ConfigError`` naming
+        ``path`` when it is not of the row's kind or out of its bounds."""
+        if value is None and self.default is None:
+            return None
+        try:
+            value = (self.kind or _KINDS[type(self.default)])(value)
+        except ValueError as exc:
+            raise ConfigError(f"{path} {exc}") from None
+        if type(self.default) in (int, float) and not (self.above < value
+                                                        and self.least <= value <= self.most):
+            bounds = [f"{word} {bound}" for word, bound in (
+                ("above", self.above), ("at least", self.least), ("at most", self.most))
+                if math.isfinite(bound)]
+            raise ConfigError(f"{path} must be {' and '.join(bounds)}, got {value!r}")
+        return value
+
+
+# caps on counts, so that a typo cannot start a run that never ends
+MAX_DAYS = 36_525           # a century of observation days
+MAX_TRIALS = 10_000         # each trial fits train.folds models, seconds each at default scale
+MAX_BACKGROUND = 1_000_000  # hexgrid.MAX_GRID_CELLS: the background is drawn from one row per cell
+
+# Every setting: sections of rows, checked once by load_config. ``synth`` is
+# one map, left to ScenarioSpec.validate: cli cannot import synth without
+# numpy, and the bench --config brings a synth section to every stage,
+# including the four that never load numpy.
+SETTINGS: dict = {
+    "workspace": Row("runs/default"),
+    "days": Row(7, 1, MAX_DAYS),
+    "bbox": Row(None, kind=_four_numbers),
+    "epoch": Row("2022-09-01", kind=_kind("an ISO date", lambda v: isinstance(v, str),
+                                          _dt.date.fromisoformat)),
+    "target": Row("FCR", kind=_kind(f"one of {'/'.join(TARGETS)}",
+                                    lambda v: isinstance(v, str) and v.upper() in TARGETS,
+                                    str.upper)),
+    "paths": {key: Row(None, kind=_KINDS[str]) for key in (
+        "trips", "stations", "routes", "fares", "poi", "population", "roads", "districts")},
+    "classifier": {
+        "walk_threshold_m": Row(400.0, above=0),
+        "time_gate_min": Row(15.0, above=0),
+        "time_ratio": Row(2.0, above=0),
+        "max_transfers": Row(2, 0),
+        "cost_ratio": Row(0.5, above=0, most=1),
+    },
+    "planner": {"search_radius_m": Row(800.0, above=0), "transfer_penalty_min": Row(5.0, 0)},
+    "ingest": {
+        "iqr_k": Row(3.0, above=0),
+        "per_day": Row(False),
+        "columns": Row(None, kind=_kind("a map from field names to header names", lambda v: (
+            isinstance(v, dict) and all(isinstance(h, str) for h in v.values())))),
+    },
+    "grid": {"side_km": Row(0.5, above=0)},
+    "features": {"vif_threshold": Row(10.0)},
+    "train": {"trials": Row(12, 1, MAX_TRIALS), "folds": Row(5, 2), "space": Row({}, kind=_SPACE)},
+    "explain": {"background_size": Row(100, 1, MAX_BACKGROUND), "seed": Row(0, 0)},
+    "elasticity": {
+        "parameters": Row(["walk_threshold_m", "time_gate_min"], kind=_kind(
+            "a list of distinct keys of elasticity.values", lambda v: isinstance(v, list) and all(
+                p in DEFAULTS["elasticity"]["values"] for p in v) and len(set(v)) == len(v))),
+        "values": {
+            "walk_threshold_m": Row([300.0, 400.0, 500.0, 600.0, 700.0, 800.0], kind=_SWEEP),
+            "time_gate_min": Row([10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0], kind=_SWEEP),
+            "max_transfers": Row([1, 2, 3], kind=_SWEEP),
+            "cost_ratio": Row([0.3, 0.5, 0.7], kind=_SWEEP),
+        },
+    },
+    "synth": Row({}),
+}
+
+
+def _defaults(table: dict) -> dict:
+    return {key: _defaults(row) if isinstance(row, dict) else row.default
+            for key, row in table.items()}
+
+
+DEFAULTS = _defaults(SETTINGS)
+
+
+def _check(data: dict, table: dict, prefix: str = "") -> None:
+    """Check ``data`` against ``table`` in place, each value becoming the
+    type the stages read; keys that the table lacks are ignored."""
+    for key, row in table.items():
+        path, value = prefix + key, data[key]
+        if isinstance(row, Row):
+            data[key] = row.checked(path, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a JSON object, got {value!r}")
+        else:
+            _check(value, row, f"{path}.")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -322,48 +380,21 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     _deep_merge(data, env_overrides())
     for assignment in getattr(args, "set", None) or []:
         _set_override(data, assignment)
-    _check_sections(data, DEFAULTS)
     for dest, path in FLAG_PATHS.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        node = data
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
+        if getattr(args, dest, None) is not None:
+            _assign(data, path.split("."), getattr(args, dest))
+    _check(data, SETTINGS)
     return RunConfig(data)
 
 
-FLAG_PATHS = {
-    "workspace": ["workspace"],
-    "days": ["days"],
-    "bbox_flag": ["bbox"],
-    "side_km": ["grid", "side_km"],
-    "target": ["target"],
-    "trials": ["train", "trials"],
-    "folds": ["train", "folds"],
-    "iqr_k": ["ingest", "iqr_k"],
-}
+# each dedicated flag's destination -> the setting it sets
+FLAG_PATHS = {"workspace": "workspace", "days": "days", "bbox_flag": "bbox", "target": "target",
+              "side_km": "grid.side_km", "trials": "train.trials", "folds": "train.folds",
+              "iqr_k": "ingest.iqr_k", "parameter": "elasticity.parameters"}
 
 
-def _parse_bbox_flag(text: str) -> list[float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            "bbox must be lon_min,lat_min,lon_max,lat_max")
-    return [float(p) for p in parts]
-
-
-def _four_numbers(box) -> tuple[float, float, float, float]:
-    """``box`` as (lon_min, lat_min, lon_max, lat_max); raises ``ValueError``
-    unless it is a list of four finite numbers spanning a nonempty area."""
-    if not (isinstance(box, list) and len(box) == 4 and all(
-            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in box)):
-        raise ValueError(f"bbox must be a list of four finite numbers, got {box!r}")
-    lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
-    if not (lon_min < lon_max and lat_min < lat_max):
-        raise ValueError(f"bbox is degenerate: {box!r}")
-    return (lon_min, lat_min, lon_max, lat_max)
+def _numbers(text: str) -> list[float]:
+    return [float(part) for part in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +470,8 @@ def _read_cells(cfg: RunConfig):
 def _grid(cfg: RunConfig):
     from . import hexgrid
     try:
-        return hexgrid.build_grid(cfg.bbox(), float(cfg.data["grid"]["side_km"]))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return hexgrid.build_grid(cfg.bbox(), cfg.data["grid"]["side_km"])
+    except ValueError as exc:
         raise ConfigError(f"invalid grid settings: {exc}") from None
 
 
@@ -455,12 +486,9 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         overrides["seed"] = args.seed
     try:
         spec = synth.ScenarioSpec(**overrides)
-    except TypeError as exc:
-        raise ConfigError(f"unknown synth option: {exc}") from None
-    try:
         spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid synth settings: {exc}") from None
     city_dir = cfg.workspace / "city"
     try:
         paths = synth.generate(spec, city_dir)
@@ -473,16 +501,15 @@ def cmd_synth(cfg: RunConfig, args) -> None:
 def cmd_ingest(cfg: RunConfig, args) -> None:
     from .ingest import (SchemaError, iqr_filter, parse_trips, write_iqr_reports,
                          write_rejections, write_trips)
-    columns = cfg.ingest_columns
-    iqr_k = cfg.float_setting("ingest", "iqr_k", positive=True)
-    per_day = cfg.bool_setting("ingest", "per_day")
+    settings = cfg.data["ingest"]
     trips_path = cfg.input_file("trips")
     try:
-        trips, rejections = parse_trips(str(trips_path), cfg.bbox(), cfg.epoch, columns)
+        trips, rejections = parse_trips(str(trips_path), cfg.bbox(), cfg.epoch,
+                                        settings["columns"])
     except SchemaError as exc:
         raise InputError(f"trip schema error: {exc}") from None
     try:
-        kept, reports = iqr_filter(trips, iqr_k, per_day)
+        kept, reports = iqr_filter(trips, settings["iqr_k"], settings["per_day"])
     except ValueError as exc:
         raise InputError(str(exc)) from None
     cfg.workspace.mkdir(parents=True, exist_ok=True)
@@ -537,10 +564,8 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
     grid = _grid(cfg)
     days = cfg.days
     stats = hexgrid.compute_ratios(trips, results, grid, days)
-    districts = None
-    districts_path = cfg.data["paths"].get("districts")
-    if districts_path:
-        districts = hexgrid.load_districts(str(cfg.input_file("districts")))
+    districts = (hexgrid.load_districts(str(cfg.input_file("districts")))
+                 if cfg.data["paths"]["districts"] else None)
     flows = hexgrid.od_flows(trips, grid, days, districts=districts)
     profile = hexgrid.temporal_profile(trips, results)
     stats_by_class = hexgrid.trip_stats(trips, results)
@@ -582,8 +607,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
         raise InputError(f"no grid cell has a defined {cfg.target}; "
                          f"nothing to model")
     try:
-        filtered, report = features.apply_vif(
-            matrix, cfg.float_setting("features", "vif_threshold"))
+        filtered, report = features.apply_vif(matrix, cfg.data["features"]["vif_threshold"])
     except ValueError as exc:
         raise InputError(str(exc)) from None
     features.write_features(filtered, str(cfg.artifact("features")),
@@ -601,19 +625,17 @@ def cmd_train(cfg: RunConfig, args) -> None:
         raise InputError(
             f"features artifact models {matrix.target} but the configured "
             f"target is {cfg.target}; re-run 'features'")
-    folds = cfg.int_setting("train", "folds", 2)
+    settings = cfg.data["train"]
+    folds, trials = settings["folds"], settings["trials"]
     minimum = max(4, folds)
     if len(matrix.y) < minimum:
         raise InputError(
             f"population too small to train on: {len(matrix.y)} cell(s) with "
             f"a defined {cfg.target}, need at least {minimum}")
     try:
-        space = boost.ParamSpace(**{
-            key: tuple(value) if isinstance(value, list) else value
-            for key, value in cfg.data["train"]["space"].items()})
+        space = boost.ParamSpace(**settings["space"])
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid search space: {exc}") from None
-    trials = cfg.int_setting("train", "trials", 1)
+        raise ConfigError(f"invalid train.space: {exc}") from None
     try:
         best, log = boost.random_search(
             matrix.X, matrix.y, matrix.cell_ids, space, trials=trials,
@@ -661,9 +683,9 @@ def cmd_explain(cfg: RunConfig, args) -> None:
     if list(model.feature_names) != list(matrix.names):
         raise InputError("features artifact no longer matches the trained "
                          "model; re-run 'features' and 'train' together")
-    seed = cfg.int_setting("explain", "seed", 0)
+    seed = cfg.data["explain"]["seed"]
     background = explain.sample_background(
-        matrix.X, cfg.int_setting("explain", "background_size", 1), seed)
+        matrix.X, cfg.data["explain"]["background_size"], seed)
     shap = explain.shap_values(model, matrix.X, background)
     curves = explain.pdp_curves(model, matrix.X, matrix.names)
     out_dir = cfg.workspace / "explain"
@@ -675,17 +697,7 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
     from . import sensitivity
-    parameters = args.parameter or cfg.data["elasticity"]["parameters"]
-    sweeps = cfg.data["elasticity"]["values"]
-    if not (isinstance(parameters, list) and all(isinstance(p, str) for p in parameters)):
-        raise ConfigError(f"elasticity.parameters must be a list of names, got {parameters!r}")
-    if len(set(parameters)) != len(parameters):
-        raise ConfigError(f"elasticity parameters must not repeat, got {parameters!r}")
-    if not isinstance(sweeps, dict):
-        raise ConfigError(f"elasticity.values must map parameters to lists, got {sweeps!r}")
-    missing = [p for p in parameters if not sweeps.get(p)]
-    if missing:
-        raise ConfigError(f"no sweep values configured for {missing[0]!r}")
+    settings = cfg.data["elasticity"]
     classifier = cfg.classifier()
     trips, results = _read_classified(cfg)
     try:
@@ -693,10 +705,10 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
     except KeyError as exc:
         raise _uncovered(exc) from None
     reports = []
-    for parameter in parameters:
+    for parameter in settings["parameters"]:
         try:
             reports.append(sensitivity.elasticity_sweep(
-                base, classifier, parameter, sweeps[parameter]))
+                base, classifier, parameter, settings["values"][parameter]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     sensitivity.write_elasticity_csv(reports, str(cfg.artifact("elasticity")))
@@ -768,18 +780,9 @@ def cmd_report(cfg: RunConfig, args) -> None:
            "report": str(report_dir / "report.json")})
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "ingest": cmd_ingest,
-    "plan": cmd_plan,
-    "classify": cmd_classify,
-    "gridify": cmd_gridify,
-    "features": cmd_features,
-    "train": cmd_train,
-    "explain": cmd_explain,
-    "elasticity": cmd_elasticity,
-    "report": cmd_report,
-}
+# stage name -> the cmd_<stage> function that runs it
+COMMANDS = {name[len("cmd_"):]: command for name, command in globals().items()
+            if name.startswith("cmd_")}
 
 
 # ---------------------------------------------------------------------------
@@ -798,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--set", action="append", metavar="PATH=VALUE",
                         help="override one config key, e.g. grid.side_km=0.5")
     common.add_argument("--days", type=int, help="observation days for ratios")
-    common.add_argument("--bbox", dest="bbox_flag", type=_parse_bbox_flag,
+    common.add_argument("--bbox", dest="bbox_flag", type=_numbers,
                         help="lon_min,lat_min,lon_max,lat_max")
 
     parser = _Parser(prog="ridelink", description=__doc__.splitlines()[0])
@@ -850,11 +853,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
         return exc.exit_code
-    except SystemExit:
-        raise
-    except KeyboardInterrupt:
-        raise
-    except BaseException as exc:
+    except Exception as exc:  # not SystemExit or KeyboardInterrupt
         payload = {"kind": "internal",
                    "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

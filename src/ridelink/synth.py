@@ -82,6 +82,10 @@ _PICKUP_HOUR_P = _HOUR_WEIGHTS / _HOUR_WEIGHTS.sum()
 _PICKUP_CDF = _PICKUP_HOUR_P.cumsum()
 _PICKUP_CDF /= _PICKUP_CDF[-1]
 
+# caps, so that a typo cannot start a run that never ends
+MAX_COUNT = 1_000_000  # per planted class and of POIs: each is drawn (and checked) one at a time
+MAX_DAYS = 36_525      # a century keeps every pickup time a valid date
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -128,6 +132,9 @@ class ScenarioSpec:
                 raise ValueError(f"{item.name} must be >= 0, got {value!r}")
             if item.type == "float" and value <= 0 and not item.name.startswith("anchor_"):
                 raise ValueError(f"{item.name} must be positive, got {value!r}")
+        for name in (*_Factory.RECIPES, "poi_count"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ValueError(f"{name} must be at most {MAX_COUNT:,}, got {getattr(self, name)!r}")
         with np.errstate(over="ignore"):  # a near-pole anchor stretches longitudes to inf
             box = bbox_of(self)
         if not (-180 <= box[0] and box[2] <= 180 and -90 <= box[1] and box[3] <= 90):
@@ -139,8 +146,11 @@ class ScenarioSpec:
             raise ValueError("bus_routes must be between 0 and 3")
         if not 2 <= self.metro_stations_per_line <= 20:
             raise ValueError("metro_stations_per_line must be between 2 and 20")
-        if self.days < 1:
-            raise ValueError("days must be >= 1")
+        if not math.isfinite(self.metro_spacing_km * self.metro_stations_per_line * 1000.0):
+            raise ValueError(f"metro_spacing_km {self.metro_spacing_km!r} would put the "
+                             f"metro stations at non-finite coordinates")
+        if not 1 <= self.days <= MAX_DAYS:
+            raise ValueError(f"days must be between 1 and {MAX_DAYS:,}, got {self.days!r}")
         needs_network = any(count > 0 for count in self.planted_counts().values())
         if needs_network and self.metro_lines == 0 and self.bus_routes == 0:
             raise ValueError("infeasible spec: trips requested but the city "
@@ -608,7 +618,8 @@ def read_ground_truth(path) -> list[GroundTruth]:
 
 
 def bbox_of(spec: ScenarioSpec) -> tuple[float, float, float, float]:
-    proj = LocalProjection(spec.anchor_lon, spec.anchor_lat)
+    # as floats: numpy holds no integer anchor beyond int64
+    proj = LocalProjection(float(spec.anchor_lon), float(spec.anchor_lat))
     e = spec.half_extent_km * 1000.0
     lon_min, lat_min = proj.to_lonlat(-e, -e)
     lon_max, lat_max = proj.to_lonlat(e, e)

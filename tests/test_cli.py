@@ -7,9 +7,12 @@ layering, and the error contract (JSON on stderr, exit codes 2/3/4).
 
 import contextlib
 import csv
+import dataclasses
+import datetime
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shutil
@@ -21,20 +24,22 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ridelink import boost, explain, features, hexgrid
+from ridelink import boost, explain, features, hexgrid, sensitivity, synth
 from ridelink.cli import (
     ARTIFACTS,
     DEFAULTS,
+    SETTINGS,
     TARGETS,
-    RunConfig,
     env_overrides,
     load_config,
     main,
 )
 from ridelink.classify import ClassifierConfig
 from ridelink.errors import ConfigError
-from ridelink.synth import read_ground_truth
+from ridelink.synth import ScenarioSpec, build_network, read_ground_truth
 
 CONFIG = {
     "synth": {
@@ -180,24 +185,20 @@ class TestConfigLayers:
         assert json.loads(err)["kind"] == "config"
 
     def test_degenerate_bbox_rejected(self):
-        cfg = RunConfig({**json.loads(json.dumps(DEFAULTS)),
-                         "bbox": [3.0, 1.0, 3.0, 2.0]})
         with pytest.raises(ConfigError, match="degenerate"):
-            cfg.bbox()
+            load_config(_args(set=["bbox=[3.0, 1.0, 3.0, 2.0]"]))
 
     def test_bad_target(self):
-        cfg = load_config(_args(set=["target=XYZ"]))
         with pytest.raises(ConfigError, match="FCR/LCR/DSR/ASR"):
-            _ = cfg.target
+            load_config(_args(set=["target=XYZ"]))
 
     def test_targets_are_the_grid_ratios(self):
         # cli names the targets without importing hexgrid, which defines them
         assert set(TARGETS) == {r.upper() for r in hexgrid.RATIOS}
 
     def test_bad_classifier_threshold(self):
-        cfg = load_config(_args(set=["classifier.cost_ratio=7"]))
         with pytest.raises(ConfigError, match="cost_ratio"):
-            cfg.classifier()
+            load_config(_args(set=["classifier.cost_ratio=7"]))
 
 
 # sha256 of the ingest, plan, classify, gridify, features, train, elasticity
@@ -539,7 +540,7 @@ class TestErrorContract:
                 [sys.executable, "-m", "ridelink", "plan", "--config", str(config_path),
                  "--set", setting], capture_output=True, text=True, timeout=60)
             assert proc.returncode == 3, setting
-            assert "invalid planner settings" in json.loads(proc.stderr)["error"]
+            assert setting.split("=")[0] in json.loads(proc.stderr)["error"]
         copy = tmp_path / "ws"
         shutil.copytree(ws, copy)
         code, _, err = run_cli(["plan", "--config", str(config_path), "--workspace",
@@ -564,14 +565,23 @@ class TestErrorContract:
         assert code == 3, err
         assert "max_transfers" in json.loads(err)["error"]
 
+    # every stage checks every setting, so classify also refuses a bad
+    # planner, grid or days value; a bool or a string is never a number
     @pytest.mark.parametrize("setting", ["classifier.walk_threshold_m=NaN",
                                          "classifier.time_gate_min=Infinity",
-                                         "classifier.time_ratio=NaN"])
+                                         "classifier.time_ratio=NaN",
+                                         "classifier.walk_threshold_m=true",
+                                         "planner.search_radius_m=true",
+                                         "grid.side_km=true", 'grid.side_km="0.5"',
+                                         "days=true",
+                                         pytest.param("days=1" + "0" * 400, id="days=10^400")])
     def test_non_finite_thresholds_rejected(self, pipeline, setting):
         _, config_path, _ = pipeline
         code, _, err = run_cli(["classify", "--config", str(config_path), "--set", setting])
         assert code == 3, err
-        assert "invalid classifier thresholds" in json.loads(err)["error"]
+        doc = json.loads(err)
+        assert doc["kind"] == "config"
+        assert setting.split("=")[0] in doc["error"]
 
     def test_stationless_feature_category(self, pipeline, tmp_path):
         ws, _, _ = pipeline
@@ -681,7 +691,9 @@ class TestErrorContract:
         ["--set", "elasticity.parameters=5"],
         ["--parameter", "walk_threshold_m", "--parameter", "walk_threshold_m"],
         ["--set", 'elasticity.parameters=["time_gate_min","walk_threshold_m","time_gate_min"]'],
-    ], ids=["values_not_a_map", "parameters_not_a_list", "flag_repeated", "config_repeated"])
+        ["--set", 'elasticity.values.cost_ratio="abc"'],
+    ], ids=["values_not_a_map", "parameters_not_a_list", "flag_repeated", "config_repeated",
+            "unswept_values_text"])
     def test_bad_elasticity_parameters(self, pipeline, tmp_path, extra):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -693,6 +705,24 @@ class TestErrorContract:
         assert proc.returncode == 3, proc.stderr
         assert json.loads(proc.stderr)["kind"] == "config"
         assert not (copy / "elasticity.csv").exists()
+
+    @pytest.mark.parametrize("stage, assignment", [
+        ("ingest", "paths.trips=5"),
+        ("gridify", 'paths.districts=["a"]'),
+        ("ingest", "train.trials=abc"),
+    ], ids=["trips_path_number", "districts_path_list", "other_stage_section"])
+    def test_setting_checked_in_every_stage(self, pipeline, tmp_path, stage, assignment):
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        proc = subprocess.run(
+            [sys.executable, "-m", "ridelink", stage, "--config", str(config_path),
+             "--workspace", str(copy), "--set", assignment],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        doc = json.loads(proc.stderr)
+        assert doc["kind"] == "config"
+        assert assignment.split("=")[0] in doc["error"]
 
     def test_partial_alternatives_cache(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline
@@ -779,13 +809,16 @@ class TestErrorContract:
         "synth.anchor_lat=95", "synth.anchor_lat=-90.5", "synth.anchor_lon=180.5",
         "synth.anchor_lon=-200", "synth.anchor_lat=90", "synth.anchor_lat=89.95",
         "synth.anchor_lat=-89.95", "synth.anchor_lon=179.99", "synth.anchor_lon=-179.99",
-        "synth.half_extent_km=20000"],
+        "synth.half_extent_km=20000", "synth.days=1" + "0" * 400,
+        "synth.poi_count=1" + "0" * 400, "synth.first_mile=1" + "0" * 400,
+        "synth.metro_spacing_km=1e308"],
         ids=["count_text", "count_float", "count_bool", "distance_nan", "distance_over_float",
              "days_float", "seed_negative", "poi_count_negative", "speed_zero",
              "headway_negative", "pitch_zero", "lat_over_pole", "lat_under_pole",
              "lon_over_antimeridian", "lon_under_antimeridian", "lat_at_pole",
              "box_over_north_pole", "box_under_south_pole", "box_over_antimeridian",
-             "box_under_antimeridian", "box_around_the_globe"])
+             "box_under_antimeridian", "box_around_the_globe", "days_over_int64",
+             "poi_count_over_int64", "count_over_int64", "spacing_to_infinite_stations"])
     def test_bad_synth_setting(self, tmp_path, assignment):
         ws = tmp_path / "w"
         code, _, err = run_cli(["synth", "--workspace", str(ws), "--set", assignment])
@@ -798,7 +831,9 @@ class TestErrorContract:
 
     def test_train_counts_must_be_integers(self, pipeline):
         _, config_path, _ = pipeline
-        for setting in ("train.trials=abc", "train.folds=abc"):
+        for setting in ("train.trials=abc", "train.folds=abc",
+                        'train.space={"ordered_segments": 1.5}',
+                        'train.space={"depth": [true, 2]}'):
             proc = subprocess.run(
                 [sys.executable, "-m", "ridelink", "train", "--config", str(config_path),
                  "--seed", "7", "--set", setting], capture_output=True, text=True,
@@ -1049,8 +1084,9 @@ class TestErrorContract:
         (["elasticity", "--set", "elasticity.values=null"], {}, "elasticity.values"),
         (["classify"], {"RIDELINK_CLASSIFIER": "5"}, "classifier"),
         (["gridify", "--side-km", "0.5"], {"RIDELINK_GRID": "x"}, "grid"),
+        (["gridify"], {"RIDELINK_GRID": "x", "RIDELINK_GRID__SIDE_KM": "1"}, "grid"),
     ], ids=["ingest", "train_space", "planner", "elasticity_values", "env_classifier",
-            "env_grid_with_flag"])
+            "env_grid_with_flag", "env_grid_with_its_key"])
     def test_section_that_is_not_an_object(self, tmp_path, monkeypatch, argv, env, section):
         for key, value in env.items():
             monkeypatch.setenv(key, value)
@@ -1198,6 +1234,122 @@ class TestErrorContract:
         assert doc["kind"] == "config"
         assert doc["error"].startswith("bbox must be a list of four finite numbers")
         assert out == ""
+
+
+def _at(tree, key):
+    """The value at the dotted ``key`` of a settings tree."""
+    for part in key.split("."):
+        tree = tree[part]
+    return tree
+
+
+def _rows(table, prefix=""):
+    """(dotted key, row) for every row of a settings table."""
+    for key, row in table.items():
+        if isinstance(row, dict):
+            yield from _rows(row, f"{prefix}{key}.")
+        else:
+            yield prefix + key, row
+
+
+ROWS = dict(_rows(SETTINGS))
+
+# JSON values a hostile config might hold, and a few that some row accepts;
+# every key meets each of them, then hypothesis draws more
+_EDGES = (None, True, False, "abc", "", "FCR", "dsr", "2022-09-01", "x.csv",
+          math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.5, 1, 2, 7, 1e308, -1e308,
+          10 ** 400, -10 ** 400, [], [1], [400.0, 300.0], [3, 1, 3, 2],
+          [121.0, 31.0, 122.0, 32.0], ["walk_threshold_m"], ["cost_ratio"] * 2,
+          {}, {"olon": "lon"}, {"olon": 5}, {"depth": [2, 3]})
+_HOSTILE = st.one_of(
+    st.sampled_from(_EDGES), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=2),
+                       st.none()), max_size=5),
+    st.dictionaries(st.text(max_size=3), st.one_of(st.text(max_size=3), st.integers()),
+                    max_size=2))
+
+
+def _each_edge(test):
+    """``test`` run on each of ``_EDGES`` as well as on the values drawn."""
+    for value in _EDGES:
+        test = example(value=value)(test)
+    return test
+
+
+def _allowed(key, row, value, stored) -> bool:
+    """Whether the checked tree may hold ``stored`` at ``key`` for the
+    configured ``value``: a value of the row's kind, inside its bounds."""
+    if value is None and row.default is None:
+        return stored is None
+    if key == "bbox":
+        return (isinstance(value, list) and stored == tuple(value) and len(stored) == 4
+                and all(type(v) is float and math.isfinite(v) for v in stored)
+                and stored[0] < stored[2] and stored[1] < stored[3])
+    if key == "epoch":
+        return isinstance(value, str) and stored == datetime.date.fromisoformat(value)
+    if key == "target":
+        return stored in TARGETS and stored == value.upper()
+    if key.startswith("paths."):
+        return isinstance(stored, str) and stored == value
+    if key == "ingest.columns":
+        return isinstance(stored, dict) and all(isinstance(v, str) for v in stored.values())
+    if key == "elasticity.parameters":
+        return (isinstance(stored, list) and set(stored) <= set(sensitivity.PARAMETERS)
+                and len(set(stored)) == len(stored))
+    if key == "train.space":  # ParamSpace takes each range as a tuple
+        return isinstance(value, dict) and stored == {
+            name: tuple(v) if isinstance(v, list) else v for name, v in value.items()}
+    if key.startswith("elasticity.values."):
+        return isinstance(stored, list) and len(stored) > 0 and all(
+            type(v) in (int, float) and math.isfinite(v) for v in stored)
+    kind = type(row.default)
+    if type(stored) is not kind or stored != (float(value) if kind is float else value):
+        return False
+    if kind is float and not math.isfinite(stored):
+        return False
+    return kind not in (int, float) or row.above < stored and row.least <= stored <= row.most
+
+
+class TestSettingsTable:
+    """``load_config`` checks every key against ``SETTINGS`` once, and
+    ``ScenarioSpec.validate`` every ``synth`` field: a hostile value is
+    refused or lands inside the bounds its row declares."""
+
+    def test_rows_are_the_defaults(self):
+        assert {key for key, _ in _rows(DEFAULTS)} <= set(ROWS)
+        assert set(DEFAULTS["elasticity"]["values"]) == set(sensitivity.PARAMETERS)
+        cfg = load_config(_args())
+        for key, row in ROWS.items():
+            assert row.default == _at(DEFAULTS, key)
+            assert _allowed(key, row, row.default, _at(cfg.data, key)), key
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_HOSTILE)
+    @_each_edge
+    def test_hostile_value_refused_or_in_bounds(self, value):
+        for key, row in ROWS.items():
+            try:
+                cfg = load_config(_args(set=[f"{key}={json.dumps(value)}"]))
+            except ConfigError as exc:
+                assert key in str(exc)
+                continue
+            assert _allowed(key, row, value, _at(cfg.data, key)), (key, value)
+        for field in dataclasses.fields(ScenarioSpec):
+            spec = ScenarioSpec(**{field.name: value})
+            try:
+                spec.validate()
+            except ValueError:
+                continue
+            if field.type == "int":
+                cap = synth.MAX_DAYS if field.name == "days" else (
+                    synth.MAX_COUNT if field.name in (*spec.planted_counts(), "poi_count")
+                    else math.inf)
+                assert type(value) is int and (field.name != "days" or value >= 1)
+                assert 0 <= value <= cap, (field.name, value)
+            else:
+                assert type(value) in (int, float) and math.isfinite(value), (field.name, value)
+                assert value > 0 or field.name.startswith("anchor_")
+            build_network(spec)  # the city it validates can be built
 
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,
