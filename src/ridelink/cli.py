@@ -290,7 +290,7 @@ class Row(NamedTuple):
 
 
 # caps on counts, so that a typo cannot start a run that never ends
-MAX_DAYS = 36_525           # a century of observation days
+MAX_DAYS = 36_525           # a century of observation days, synth's too: each pickup a valid date
 MAX_TRIALS = 10_000         # each trial fits train.folds models, seconds each at default scale
 MAX_BACKGROUND = 1_000_000  # hexgrid.MAX_GRID_CELLS: the background is drawn from one row per cell
 
@@ -352,15 +352,17 @@ DEFAULTS = _defaults(SETTINGS)
 
 def _check(data: dict, table: dict, prefix: str = "") -> None:
     """Check ``data`` against ``table`` in place, each value becoming the
-    type the stages read; keys that the table lacks are ignored."""
+    type the stages read; a key that a section replaced with an object
+    lacks reads as its default, and keys that the table lacks are ignored."""
     for key, row in table.items():
-        path, value = prefix + key, data[key]
+        path = prefix + key
         if isinstance(row, Row):
-            data[key] = row.checked(path, value)
-        elif not isinstance(value, dict):
+            data[key] = row.checked(path, data.get(key, copy.deepcopy(row.default)))
+            continue
+        value = data.setdefault(key, {})
+        if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a JSON object, got {value!r}")
-        else:
-            _check(value, row, f"{path}.")
+        _check(value, row, f"{path}.")
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -382,15 +384,22 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         _set_override(data, assignment)
     for dest, path in FLAG_PATHS.items():
         if getattr(args, dest, None) is not None:
-            _assign(data, path.split("."), getattr(args, dest))
+            _assign(data, path, getattr(args, dest))
     _check(data, SETTINGS)
     return RunConfig(data)
 
 
-# each dedicated flag's destination -> the setting it sets
-FLAG_PATHS = {"workspace": "workspace", "days": "days", "bbox_flag": "bbox", "target": "target",
-              "side_km": "grid.side_km", "trials": "train.trials", "folds": "train.folds",
-              "iqr_k": "ingest.iqr_k", "parameter": "elasticity.parameters"}
+FLAG_PATHS = {
+    "workspace": ["workspace"],
+    "days": ["days"],
+    "bbox_flag": ["bbox"],
+    "side_km": ["grid", "side_km"],
+    "target": ["target"],
+    "trials": ["train", "trials"],
+    "folds": ["train", "folds"],
+    "iqr_k": ["ingest", "iqr_k"],
+    "parameter": ["elasticity", "parameters"],
+}
 
 
 def _numbers(text: str) -> list[float]:
@@ -486,9 +495,12 @@ def cmd_synth(cfg: RunConfig, args) -> None:
         overrides["seed"] = args.seed
     try:
         spec = synth.ScenarioSpec(**overrides)
+    except TypeError as exc:
+        raise ConfigError(f"unknown synth option: {exc}") from None
+    try:
         spec.validate()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid synth settings: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     city_dir = cfg.workspace / "city"
     try:
         paths = synth.generate(spec, city_dir)
@@ -780,9 +792,18 @@ def cmd_report(cfg: RunConfig, args) -> None:
            "report": str(report_dir / "report.json")})
 
 
-# stage name -> the cmd_<stage> function that runs it
-COMMANDS = {name[len("cmd_"):]: command for name, command in globals().items()
-            if name.startswith("cmd_")}
+COMMANDS = {
+    "synth": cmd_synth,
+    "ingest": cmd_ingest,
+    "plan": cmd_plan,
+    "classify": cmd_classify,
+    "gridify": cmd_gridify,
+    "features": cmd_features,
+    "train": cmd_train,
+    "explain": cmd_explain,
+    "elasticity": cmd_elasticity,
+    "report": cmd_report,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -853,7 +874,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(json.dumps(exc.payload(), sort_keys=True), file=sys.stderr)
         return exc.exit_code
-    except Exception as exc:  # not SystemExit or KeyboardInterrupt
+    except SystemExit:
+        raise
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
         payload = {"kind": "internal",
                    "error": f"{type(exc).__name__}: {exc}"}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)

@@ -36,6 +36,7 @@ from .classify import (
     TripClass,
     classify_trip,
 )
+from .cli import MAX_DAYS
 from .geo import LocalProjection
 from .ingest import TripRecord, write_trips
 from .ptnet import (
@@ -82,9 +83,8 @@ _PICKUP_HOUR_P = _HOUR_WEIGHTS / _HOUR_WEIGHTS.sum()
 _PICKUP_CDF = _PICKUP_HOUR_P.cumsum()
 _PICKUP_CDF /= _PICKUP_CDF[-1]
 
-# caps, so that a typo cannot start a run that never ends
+# a cap, so that a typo cannot start a run that never ends (cli.MAX_DAYS caps days)
 MAX_COUNT = 1_000_000  # per planted class and of POIs: each is drawn (and checked) one at a time
-MAX_DAYS = 36_525      # a century keeps every pickup time a valid date
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,15 @@ class TestConfigLayers:
         with pytest.raises(ConfigError, match="cost_ratio"):
             load_config(_args(set=["classifier.cost_ratio=7"]))
 
+    def test_section_set_in_part(self):
+        """A section that ``--set`` replaces with an object reads each key
+        the object lacks as its default."""
+        cfg = load_config(_args(set=['classifier={"walk_threshold_m": 300}',
+                                     'elasticity.values={"walk_threshold_m": [300, 400]}']))
+        assert cfg.classifier() == ClassifierConfig(walk_threshold_m=300.0)
+        assert cfg.data["elasticity"]["values"] == {
+            **DEFAULTS["elasticity"]["values"], "walk_threshold_m": [300, 400]}
+
 
 # sha256 of the ingest, plan, classify, gridify, features, train, elasticity
 # and report artifacts and of the synthetic city's files in the fixture workspace
@@ -692,8 +701,9 @@ class TestErrorContract:
         ["--parameter", "walk_threshold_m", "--parameter", "walk_threshold_m"],
         ["--set", 'elasticity.parameters=["time_gate_min","walk_threshold_m","time_gate_min"]'],
         ["--set", 'elasticity.values.cost_ratio="abc"'],
+        ["--set", 'elasticity.values={"walk_threshold_m":[300]}'],
     ], ids=["values_not_a_map", "parameters_not_a_list", "flag_repeated", "config_repeated",
-            "unswept_values_text"])
+            "unswept_values_text", "values_in_part_without_baseline"])
     def test_bad_elasticity_parameters(self, pipeline, tmp_path, extra):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -723,6 +733,17 @@ class TestErrorContract:
         doc = json.loads(proc.stderr)
         assert doc["kind"] == "config"
         assert assignment.split("=")[0] in doc["error"]
+
+    @pytest.mark.parametrize("stage, assignment", [
+        ("classify", 'classifier={"walk_threshold_m":300}'),
+        ("elasticity", 'elasticity.values={"walk_threshold_m":[300,400],"time_gate_min":[10,15]}'),
+    ], ids=["classifier", "elasticity_values"])
+    def test_section_set_in_part_runs(self, pipeline, tmp_path, stage, assignment):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        code, _, err = run_cli([stage, "--workspace", str(copy), "--set", assignment])
+        assert code == 0, err
 
     def test_partial_alternatives_cache(self, pipeline, tmp_path):
         ws, config_path, _ = pipeline
@@ -1253,14 +1274,26 @@ def _rows(table, prefix=""):
 
 
 ROWS = dict(_rows(SETTINGS))
+SECTIONS = sorted({key.rsplit(".", 1)[0] for key in ROWS if "." in key})
+
+
+def _given(value, key, row):
+    """The value that setting a section to ``value`` gives the dotted
+    ``key`` below it: the object's entry, else the row's default."""
+    for part in key.split("."):
+        if not (isinstance(value, dict) and part in value):
+            return row.default
+        value = value[part]
+    return value
 
 # JSON values a hostile config might hold, and a few that some row accepts;
-# every key meets each of them, then hypothesis draws more
+# every key and section meets each of them, then hypothesis draws more
 _EDGES = (None, True, False, "abc", "", "FCR", "dsr", "2022-09-01", "x.csv",
           math.nan, math.inf, -math.inf, -1, -0.5, 0, 0.5, 1, 2, 7, 1e308, -1e308,
           10 ** 400, -10 ** 400, [], [1], [400.0, 300.0], [3, 1, 3, 2],
           [121.0, 31.0, 122.0, 32.0], ["walk_threshold_m"], ["cost_ratio"] * 2,
-          {}, {"olon": "lon"}, {"olon": 5}, {"depth": [2, 3]})
+          {}, {"olon": "lon"}, {"olon": 5}, {"depth": [2, 3]}, {"walk_threshold_m": 300},
+          {"walk_threshold_m": [300, 400]})
 _HOSTILE = st.one_of(
     st.sampled_from(_EDGES), st.integers(), st.floats(), st.text(max_size=4),
     st.lists(st.one_of(st.integers(), st.floats(), st.booleans(), st.text(max_size=2),
@@ -1316,11 +1349,9 @@ class TestSettingsTable:
     refused or lands inside the bounds its row declares."""
 
     def test_rows_are_the_defaults(self):
-        assert {key for key, _ in _rows(DEFAULTS)} <= set(ROWS)
         assert set(DEFAULTS["elasticity"]["values"]) == set(sensitivity.PARAMETERS)
         cfg = load_config(_args())
         for key, row in ROWS.items():
-            assert row.default == _at(DEFAULTS, key)
             assert _allowed(key, row, row.default, _at(cfg.data, key)), key
 
     @settings(max_examples=150, deadline=None)
@@ -1334,6 +1365,16 @@ class TestSettingsTable:
                 assert key in str(exc)
                 continue
             assert _allowed(key, row, value, _at(cfg.data, key)), (key, value)
+        for section in SECTIONS:  # a whole section replaced, keys it lacks read as defaults
+            try:
+                cfg = load_config(_args(set=[f"{section}={json.dumps(value)}"]))
+            except ConfigError as exc:
+                assert section in str(exc)
+                continue
+            for key, row in ROWS.items():
+                if key.startswith(f"{section}."):
+                    given = _given(value, key[len(section) + 1:], row)
+                    assert _allowed(key, row, given, _at(cfg.data, key)), (section, key, value)
         for field in dataclasses.fields(ScenarioSpec):
             spec = ScenarioSpec(**{field.name: value})
             try:
