@@ -45,11 +45,12 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .errors import finite_number
 
 PARAM_RANGES = {
     "iterations": (100, 1000),
@@ -350,17 +351,13 @@ def model_to_json(model: BoostModel) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
 def _check_node(node, n_features: int) -> None:
     """Raise ``ValueError`` unless ``node`` is a finite leaf, or a split of a
     column below ``n_features`` at a finite threshold into two such nodes."""
     leaf = isinstance(node, dict) and "value" in node
     split = (isinstance(node, dict) and type(node.get("feature")) is int
-             and 0 <= node["feature"] < n_features and _finite(node.get("threshold")))
-    if not (_finite(node["value"]) if leaf else split):
+             and 0 <= node["feature"] < n_features and finite_number(node.get("threshold")))
+    if not (finite_number(node["value"]) if leaf else split):
         raise ValueError(f"malformed tree node {json.dumps(node)[:80]}")
     if not leaf:
         _check_node(node.get("left"), n_features)
@@ -376,7 +373,7 @@ def model_from_json(text: str) -> BoostModel:
     names, trees, gammas = doc["feature_names"], doc["trees"], doc["gammas"]
     if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
             and isinstance(trees, list) and isinstance(gammas, list)
-            and len(gammas) == len(trees) and all(map(_finite, [doc["f0"], *gammas]))):
+            and len(gammas) == len(trees) and all(map(finite_number, [doc["f0"], *gammas]))):
         raise ValueError("need feature_names as strings, and a finite f0 and one "
                          "finite gamma per tree")
     for tree in trees:
@@ -498,15 +495,16 @@ class ParamSpace:
     def __post_init__(self):
         for name, (full_lo, full_hi) in PARAM_RANGES.items():
             lo, hi = getattr(self, name)
-            kind = numbers.Integral if isinstance(full_lo, int) else numbers.Real
-            if not all(isinstance(v, kind) and not isinstance(v, bool) for v in (lo, hi)):
-                raise ValueError(f"{name} range ends must be {kind.__name__} numbers, got {(lo, hi)}")
+            whole = isinstance(full_lo, int)
+            if not all(finite_number(v) and (type(v) is int or not whole) for v in (lo, hi)):
+                kind = "integers" if whole else "finite numbers"
+                raise ValueError(f"{name} range ends must be {kind}, got {(lo, hi)}")
             if lo > hi:
                 raise ValueError(f"{name} range is inverted")
             if not (full_lo <= lo and hi <= full_hi):
                 raise ValueError(f"{name} range must sit inside [{full_lo}, {full_hi}]")
         segments = self.ordered_segments
-        if isinstance(segments, bool) or not isinstance(segments, numbers.Integral):
+        if type(segments) is not int:
             raise ValueError(f"ordered_segments must be an integer, got {segments!r}")
 
     def sample(self, rng: np.random.Generator) -> BoostParams:

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 import re
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from .errors import finite_number
 from .ingest import (DEFAULT_EPOCH, TripRecord, has_request_times, parse_trip_row,
                      read_trip_header, trip_cells, trip_header)
 from .ptnet import PtAlternative, TransitNetwork, is_in_service
@@ -108,15 +107,13 @@ class ClassifierConfig:
     cost_ratio: float = 0.5
 
     def __post_init__(self):
-        if not all(0 < v < math.inf for v in (self.walk_threshold_m, self.time_gate_min,
-                                              self.time_ratio)):
+        if not all(finite_number(v) and v > 0 for v in (self.walk_threshold_m,
+                                                        self.time_gate_min, self.time_ratio)):
             raise ValueError("classifier thresholds must be positive and finite")
         transfers = self.max_transfers
-        whole = isinstance(transfers, numbers.Integral) or (
-            isinstance(transfers, float) and transfers.is_integer())
-        if isinstance(transfers, bool) or not whole or transfers < 0:
+        if not (finite_number(transfers) and transfers >= 0 and transfers % 1 == 0):
             raise ValueError(f"max_transfers must be a whole number >= 0, got {transfers!r}")
-        if not (0.0 < self.cost_ratio <= 1.0):
+        if not (finite_number(self.cost_ratio) and 0.0 < self.cost_ratio <= 1.0):
             raise ValueError("cost_ratio must be in (0, 1]")
 
 

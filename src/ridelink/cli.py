@@ -34,11 +34,10 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .errors import CliError, ConfigError, InputError, MissingArtifactError
+from .errors import CliError, ConfigError, InputError, MissingArtifactError, finite_number
 
 if TYPE_CHECKING:
     from .classify import ClassifierConfig
-    from .ptnet import NetworkPlanner
 
 ENV_PREFIX = "RIDELINK_"
 
@@ -162,17 +161,7 @@ class RunConfig:
 
     def classifier(self) -> ClassifierConfig:
         from .classify import ClassifierConfig
-        try:
-            return ClassifierConfig(**self.data["classifier"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid classifier thresholds: {exc}") from None
-
-    def planner(self, net) -> NetworkPlanner:
-        from .ptnet import NetworkPlanner
-        try:
-            return NetworkPlanner(net, **self.data["planner"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid planner settings: {exc}") from None
+        return ClassifierConfig(**self.data["classifier"])
 
     def bbox(self) -> tuple[float, float, float, float]:
         """The configured bbox, else the scenario manifest's; a bad box in
@@ -218,15 +207,10 @@ class RunConfig:
         return path
 
 
-def _finite(value) -> bool:
-    """A JSON number, not a bool, that a float holds."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 def _four_numbers(box) -> tuple[float, float, float, float]:
     """``box`` as (lon_min, lat_min, lon_max, lat_max); raises ``ValueError``
     unless it is a list of four finite numbers spanning a nonempty area."""
-    if not (isinstance(box, list) and len(box) == 4 and all(_finite(v) for v in box)):
+    if not (isinstance(box, list) and len(box) == 4 and all(map(finite_number, box))):
         raise ValueError(f"must be a list of four finite numbers, got {box!r}")
     lon_min, lat_min, lon_max, lat_max = (float(v) for v in box)
     if not (lon_min < lon_max and lat_min < lat_max):
@@ -250,12 +234,12 @@ def _kind(text: str, test: Callable, read: Callable = lambda value: value) -> Ca
 _KINDS = {
     bool: _kind("true or false", lambda v: isinstance(v, bool)),
     int: _kind("an integer", lambda v: type(v) is int),
-    float: _kind("a finite number", _finite, float),
+    float: _kind("a finite number", finite_number, float),
     str: _kind("a string", lambda v: isinstance(v, str)),
     dict: _kind("a JSON object", lambda v: isinstance(v, dict)),
 }
 _SWEEP = _kind("a nonempty list of numbers, all finite",
-               lambda v: isinstance(v, list) and v and all(map(_finite, v)))
+               lambda v: isinstance(v, list) and v and all(map(finite_number, v)))
 _SPACE = _kind("a JSON object", lambda v: isinstance(v, dict),  # with ParamSpace's tuple ranges
                lambda v: {k: tuple(r) if isinstance(r, list) else r for k, r in v.items()})
 
@@ -323,7 +307,7 @@ SETTINGS: dict = {
         "columns": Row(None, kind=_kind("a map from field names to header names", lambda v: (
             isinstance(v, dict) and all(isinstance(h, str) for h in v.values())))),
     },
-    "grid": {"side_km": Row(0.5, above=0)},
+    "grid": {"side_km": Row(0.5, above=0, most=20_000)},  # km: half the Earth's 40,030 km girth
     "features": {"vif_threshold": Row(10.0)},
     "train": {"trials": Row(12, 1, MAX_TRIALS), "folds": Row(5, 2), "space": Row({}, kind=_SPACE)},
     "explain": {"background_size": Row(100, 1, MAX_BACKGROUND), "seed": Row(0, 0)},
@@ -350,19 +334,21 @@ def _defaults(table: dict) -> dict:
 DEFAULTS = _defaults(SETTINGS)
 
 
-def _check(data: dict, table: dict, prefix: str = "") -> None:
-    """Check ``data`` against ``table`` in place, each value becoming the
-    type the stages read; a key that a section replaced with an object
-    lacks reads as its default, and keys that the table lacks are ignored."""
+def _check(data: dict, table: dict, prefix: str = "") -> dict:
+    """The tree of ``table``'s rows, each value read from ``data`` and become
+    the type the stages read; a key that a section replaced with an object
+    lacks reads as its default, and keys that the table lacks are dropped."""
+    out = {}
     for key, row in table.items():
         path = prefix + key
         if isinstance(row, Row):
-            data[key] = row.checked(path, data.get(key, copy.deepcopy(row.default)))
+            out[key] = row.checked(path, data.get(key, copy.deepcopy(row.default)))
             continue
-        value = data.setdefault(key, {})
+        value = data.get(key, {})
         if not isinstance(value, dict):
             raise ConfigError(f"{path} must be a JSON object, got {value!r}")
-        _check(value, row, f"{path}.")
+        out[key] = _check(value, row, f"{path}.")
+    return out
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -385,8 +371,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     for dest, path in FLAG_PATHS.items():
         if getattr(args, dest, None) is not None:
             _assign(data, path, getattr(args, dest))
-    _check(data, SETTINGS)
-    return RunConfig(data)
+    return RunConfig(_check(data, SETTINGS))
 
 
 FLAG_PATHS = {
@@ -534,10 +519,10 @@ def cmd_ingest(cfg: RunConfig, args) -> None:
 
 
 def cmd_plan(cfg: RunConfig, args) -> None:
-    from .ptnet import CachedPlanner
+    from .ptnet import CachedPlanner, NetworkPlanner
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
-    cache = CachedPlanner(cfg.planner(net))
+    cache = CachedPlanner(NetworkPlanner(net, **cfg.data["planner"]))
     for trip in trips:
         cache.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
     cache.save(str(cfg.artifact("alternatives")))

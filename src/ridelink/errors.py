@@ -7,6 +7,14 @@ internal invariant breach (any exception that is not one of these types).
 
 from __future__ import annotations
 
+import sys
+
+
+def finite_number(value) -> bool:
+    """The one test of a number read from JSON or passed to a checked constructor:
+    an int or float (no bool) that a double holds (RFC 8259 section 6)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
 
 class CliError(Exception):
     """Base class for anticipated command failures."""
@@ -49,4 +57,4 @@ class MissingArtifactError(InputError):
         return doc
 
 
-__all__ = ["CliError", "InputError", "ConfigError", "MissingArtifactError"]
+__all__ = ["CliError", "InputError", "ConfigError", "MissingArtifactError", "finite_number"]

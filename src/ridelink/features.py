@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_number
 
 if TYPE_CHECKING:
     from .hexgrid import HexGrid
@@ -160,8 +160,8 @@ def load_roads(path: str) -> RoadGraph:
                 continue
             highway = bool(feat.get("properties", {}).get("highway", False))
             coords = geom["coordinates"]
-            if not all(math.isfinite(c) for vertex in coords for c in vertex):
-                raise ValueError(f"feature {number} has a non-finite vertex")
+            if not all(finite_number(c) for vertex in coords for c in vertex):
+                raise ValueError(f"feature {number} has a vertex that is not finite numbers")
             # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
             for (lon1, lat1, *_), (lon2, lat2, *_) in zip(coords, coords[1:]):
                 u, v = node_of(lon1, lat1), node_of(lon2, lat2)

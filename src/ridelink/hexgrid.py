@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
-from .errors import InputError
+from .errors import InputError, finite_number
 from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
@@ -320,7 +320,10 @@ def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
             geom = feat.get("geometry", {})
             if geom.get("type") != "Polygon":
                 continue
-            out[name] = [(float(lon), float(lat)) for lon, lat in geom["coordinates"][0]]
+            ring = geom["coordinates"][0]
+            if not all(finite_number(c) for vertex in ring for c in vertex):
+                raise ValueError(f"district {name!r} has a vertex that is not finite numbers")
+            out[name] = [(float(lon), float(lat)) for lon, lat in ring]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed districts file {path}: {exc}") from None
     return out

@@ -29,10 +29,10 @@ import csv
 import heapq
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from .errors import finite_number
 from .geo import great_circle_m
 
 if TYPE_CHECKING:
@@ -84,8 +84,7 @@ class FareRules:
     def __post_init__(self):
         for f in fields(self):
             value, positive = getattr(self, f.name), f.name == "metro_step_km"
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (number and (0 < value if positive else 0 <= value) and value < math.inf):
+            if not (finite_number(value) and (0 < value if positive else 0 <= value)):
                 raise ValueError(f"fare rule {f.name!r} must be a finite number "
                                  f"{'>' if positive else '>='} 0, got {value!r}")
 
@@ -190,13 +189,12 @@ def _check_numbers(record) -> None:
     annotations are strings, as this module postpones them)."""
     for name, kind in _NUMBER_FIELDS[type(record)]:
         value = getattr(record, name)
-        if not (type(value) in _JSON_TYPES[kind] and 0 <= value < math.inf):
+        if not (finite_number(value) and value >= 0 and (kind == "float" or type(value) is int)):
             raise ValueError(f"{name} must be a finite {kind} >= 0, got {value!r}")
 
 
-_JSON_TYPES = {"float": (int, float), "int": (int,)}
 # (name, kind) of each number field, read from the dataclass once per class
-_NUMBER_FIELDS = {cls: tuple((f.name, f.type) for f in fields(cls) if f.type in _JSON_TYPES)
+_NUMBER_FIELDS = {cls: tuple((f.name, f.type) for f in fields(cls) if f.type in ("float", "int"))
                   for cls in (PtAlternative, Leg)}
 UNAVAILABLE = PtAlternative(available=False)
 
@@ -590,6 +588,8 @@ class CachedPlanner:
                     continue
                 try:
                     entry = json.loads(line)
+                    if not (len(entry["key"]) == 4 and all(map(finite_number, entry["key"]))):
+                        raise ValueError(f"key must be four finite numbers, got {entry['key']!r}")
                     cache._table[cls.key(*entry["key"])] = PtAlternative.from_dict(entry["alt"])
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"line {number}: malformed entry "

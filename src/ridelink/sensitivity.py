@@ -17,13 +17,12 @@ those trips, and divides by all trips as ``summarize`` does.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from . import svgchart
 from .classify import SUBSTITUTIVE, ClassifierConfig, TripClass, classify_thresholds
+from .errors import finite_number
 from .ingest import TripRecord
 from .ptnet import PtAlternative
 
@@ -91,9 +90,8 @@ def elasticity_sweep(
     if parameter not in PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}; "
                          f"expected one of {', '.join(PARAMETERS)}")
-    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence) or any(
-            isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v)
-            for v in values):
+    if isinstance(values, (str, bytes)) or not isinstance(values, Sequence) or not all(
+            map(finite_number, values)):
         raise ValueError(f"{parameter} sweep values must be a list of numbers, all finite, "
                          f"got {values!r}")
     points = [float(v) for v in values]

@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,6 +36,7 @@ from .classify import (
     classify_trip,
 )
 from .cli import MAX_DAYS
+from .errors import finite_number
 from .geo import LocalProjection
 from .ingest import TripRecord, write_trips
 from .ptnet import (
@@ -125,8 +125,7 @@ class ScenarioSpec:
             value = getattr(self, item.name)
             if item.type == "int" and type(value) is not int:
                 raise ValueError(f"{item.name} must be an integer, got {value!r}")
-            if item.type == "float" and not (type(value) in (int, float)
-                                             and abs(value) <= sys.float_info.max):
+            if item.type == "float" and not finite_number(value):
                 raise ValueError(f"{item.name} must be a finite number, got {value!r}")
             if item.type == "int" and value < 0:
                 raise ValueError(f"{item.name} must be >= 0, got {value!r}")
@@ -135,6 +134,13 @@ class ScenarioSpec:
         for name in (*_Factory.RECIPES, "poi_count"):
             if getattr(self, name) > MAX_COUNT:
                 raise ValueError(f"{name} must be at most {MAX_COUNT:,}, got {getattr(self, name)!r}")
+        # _population_raster and _street_grid walk square grids int(steps) + 1 points a side
+        steps = max(2 * (self.half_extent_km - 0.6) / self.population_pitch_km,
+                    2 * (self.half_extent_km - 1.0) / 0.8)
+        if steps >= math.isqrt(MAX_COUNT):
+            raise ValueError(f"population_pitch_km {self.population_pitch_km!r} and half_extent_km "
+                             f"{self.half_extent_km!r} give the population raster or the street "
+                             f"grid more than {MAX_COUNT:,} points")
         with np.errstate(over="ignore"):  # a near-pole anchor stretches longitudes to inf
             box = bbox_of(self)
         if not (-180 <= box[0] and box[2] <= 180 and -90 <= box[1] and box[3] <= 90):

@@ -101,6 +101,10 @@ class TestConfig:
         {"time_ratio": math.nan},
         {"time_ratio": math.inf},
         {"cost_ratio": math.nan},
+        {"walk_threshold_m": 10 ** 400},  # no double holds it
+        {"max_transfers": 10 ** 400},
+        {"cost_ratio": True},
+        {"time_ratio": "2"},
     ])
     def test_rejects_bad_thresholds(self, kwargs):
         with pytest.raises(ValueError):

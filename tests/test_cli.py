@@ -38,7 +38,7 @@ from ridelink.cli import (
     main,
 )
 from ridelink.classify import ClassifierConfig
-from ridelink.errors import ConfigError
+from ridelink.errors import ConfigError, finite_number
 from ridelink.synth import ScenarioSpec, build_network, read_ground_truth
 
 CONFIG = {
@@ -99,6 +99,11 @@ def _split_on(feature):
     """A model corruption: the first tree rooted at a split splits on ``feature``."""
     return _edit_json(lambda doc: next(tree for tree in doc["trees"] if "feature" in tree)
                       .update(feature=feature))
+
+
+def _first_leaf(node: dict) -> dict:
+    """The leftmost leaf of a serialized tree."""
+    return node if "value" in node else _first_leaf(node["left"])
 
 
 def _fc_above_o(text: str) -> str:
@@ -450,7 +455,8 @@ class TestRetiredJobs:
 class TestRetiredExplainMode:
     """``explain.mode`` is no longer a setting: there is one attribution
     route, and a stray key, set on the command line or in the environment,
-    is an unknown key like any other and changes nothing."""
+    is an unknown key like any other and changes nothing. So is a stray key
+    in ``classifier`` or ``planner``."""
 
     def test_mode_key_changes_nothing(self, pipeline, tmp_path, monkeypatch):
         ws, config_path, echoes = pipeline
@@ -475,6 +481,22 @@ class TestRetiredExplainMode:
                            if path.is_file()}
         assert trees["plain"]
         assert trees["plain"] == trees["set"] == trees["env"]
+
+    @pytest.mark.parametrize("stage, key", [("classify", "classifier.foo"),
+                                            ("elasticity", "classifier.foo"),
+                                            ("plan", "planner.foo")])
+    def test_unknown_key_changes_nothing(self, pipeline, tmp_path, stage, key):
+        ws, config_path, _ = pipeline
+        trees = {}
+        for name, extra in (("plain", []), ("set", ["--set", f"{key}=1"])):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            code, _, err = run_cli([stage, "--config", str(config_path),
+                                    "--workspace", str(copy)] + extra)
+            assert code == 0, f"{name} failed: {err}"
+            trees[name] = {path.relative_to(copy).as_posix(): path.read_bytes()
+                           for path in sorted(copy.rglob("*")) if path.is_file()}
+        assert trees["plain"] == trees["set"]
 
 
 class TestErrorContract:
@@ -582,6 +604,7 @@ class TestErrorContract:
                                          "classifier.walk_threshold_m=true",
                                          "planner.search_radius_m=true",
                                          "grid.side_km=true", 'grid.side_km="0.5"',
+                                         "grid.side_km=1e308",
                                          "days=true",
                                          pytest.param("days=1" + "0" * 400, id="days=10^400")])
     def test_non_finite_thresholds_rejected(self, pipeline, setting):
@@ -832,14 +855,16 @@ class TestErrorContract:
         "synth.anchor_lat=-89.95", "synth.anchor_lon=179.99", "synth.anchor_lon=-179.99",
         "synth.half_extent_km=20000", "synth.days=1" + "0" * 400,
         "synth.poi_count=1" + "0" * 400, "synth.first_mile=1" + "0" * 400,
-        "synth.metro_spacing_km=1e308"],
+        "synth.metro_spacing_km=1e308", "synth.population_pitch_km=1e-6",
+        "synth.half_extent_km=5000"],
         ids=["count_text", "count_float", "count_bool", "distance_nan", "distance_over_float",
              "days_float", "seed_negative", "poi_count_negative", "speed_zero",
              "headway_negative", "pitch_zero", "lat_over_pole", "lat_under_pole",
              "lon_over_antimeridian", "lon_under_antimeridian", "lat_at_pole",
              "box_over_north_pole", "box_under_south_pole", "box_over_antimeridian",
              "box_under_antimeridian", "box_around_the_globe", "days_over_int64",
-             "poi_count_over_int64", "count_over_int64", "spacing_to_infinite_stations"])
+             "poi_count_over_int64", "count_over_int64", "spacing_to_infinite_stations",
+             "raster_too_fine", "street_grid_too_wide"])
     def test_bad_synth_setting(self, tmp_path, assignment):
         ws = tmp_path / "w"
         code, _, err = run_cli(["synth", "--workspace", str(ws), "--set", assignment])
@@ -1053,6 +1078,21 @@ class TestErrorContract:
         error = json.loads(err)["error"]
         assert str(path) in error and "feature 1" in error
 
+    @pytest.mark.parametrize("value", [10 ** 400, True], ids=["over_float", "bool"])
+    def test_roads_vertex_not_a_float_names_feature(self, pipeline, tmp_path, value):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "city" / "roads.geojson"
+        doc = json.loads(path.read_text())
+        doc["features"][1]["geometry"]["coordinates"][-1][0] = value
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert str(path) in error and "feature 1" in error
+        assert out == ""
+
     @pytest.mark.parametrize("layer, column", [
         ("poi", "lon"), ("population", "population"), ("roads", None),
     ])
@@ -1084,7 +1124,13 @@ class TestErrorContract:
             "type": "Feature", "properties": {"name": "west"},
             "geometry": {"type": "Polygon",
                          "coordinates": [[[121.0, 31.0], [121.05], [121.0, 31.05]]]}}]}),
-    ], ids=["invalid_json", "top_level_list", "one_number_vertex"])
+        *(json.dumps({"type": "FeatureCollection", "features": [{
+            "type": "Feature", "properties": {"name": "west"},
+            "geometry": {"type": "Polygon", "coordinates": [
+                [[121.0, 31.0], [lon, 31.0], [121.05, 31.05], [121.0, 31.0]]]}}]})
+          for lon in (10 ** 400, "121.05")),
+    ], ids=["invalid_json", "top_level_list", "one_number_vertex", "vertex_over_float",
+            "string_vertex"])
     def test_malformed_districts_file(self, pipeline, tmp_path, content):
         ws, _, _ = pipeline
         copy = tmp_path / "ws"
@@ -1119,8 +1165,9 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("content", [
         '{"metro_base": NaN}', '{"bus_flat": -2}', '{"bus_fare": 2.0}', "[2.0, 3.0]",
-        '{"metro_step_km": 0}',
-    ], ids=["nan_fare", "negative_fare", "unknown_key", "list", "zero_step"])
+        '{"metro_step_km": 0}', '{"metro_base": 1%s}' % ("0" * 400), '{"metro_base": true}',
+    ], ids=["nan_fare", "negative_fare", "unknown_key", "list", "zero_step", "fare_over_float",
+            "bool_fare"])
     @pytest.mark.parametrize("stage", ["plan", "classify"])
     def test_invalid_fares_file(self, pipeline, tmp_path, content, stage):
         ws, _, _ = pipeline
@@ -1135,10 +1182,14 @@ class TestErrorContract:
         assert out == ""
 
     _BAD_NUMBERS = {"string_time": {"t_pt_min": "x"}, "string_transfers": {"transfers": "2"},
-                    "nan_walk": {"access_walk_m": float("nan")}}
+                    "nan_walk": {"access_walk_m": float("nan")},
+                    "time_over_float": {"t_pt_min": 10 ** 400}}
+    # a key coordinate made a JSON number beyond a double, the same number as text, a bool
+    _BAD_KEYS = {"key_over_float": lambda v: 10 ** 400, "string_key": repr,
+                 "bool_key": lambda v: True}
 
     @pytest.mark.parametrize("case", ["garbage_line", "three_number_key", "alt_missing_fields",
-                                      *_BAD_NUMBERS])
+                                      *_BAD_NUMBERS, *_BAD_KEYS])
     @pytest.mark.parametrize("stage", ["classify", "elasticity"])
     def test_corrupt_alternatives(self, pipeline, tmp_path, case, stage):
         ws, _, _ = pipeline
@@ -1157,6 +1208,8 @@ class TestErrorContract:
                 entry["key"] = entry["key"][:3]
             elif case == "alt_missing_fields":
                 del entry["alt"]["t_pt_min"]
+            elif case in self._BAD_KEYS:
+                entry["key"][1] = self._BAD_KEYS[case](entry["key"][1])
             else:
                 entry["alt"].update(self._BAD_NUMBERS[case])
             lines[number - 1] = json.dumps(entry)
@@ -1203,6 +1256,13 @@ class TestErrorContract:
         ("features", "city/scenario.json", "synth", lambda text: '{"bbox": [3, 1, 3, 2]}'),
         ("gridify", "city/scenario.json", "synth", lambda text: '{"bbox": "1234"}'),
         ("features", "city/scenario.json", "synth", lambda text: '{"bbox": "1234"}'),
+        ("explain", "model.json", "train", _edit_json(lambda d: d.update(f0=10 ** 400))),
+        ("explain", "model.json", "train",
+         _edit_json(lambda d: d["gammas"].__setitem__(0, 10 ** 400))),
+        ("explain", "model.json", "train",
+         _edit_json(lambda d: _first_leaf(d["trees"][-1]).update(value=10 ** 400))),
+        ("explain", "model.json", "train", _edit_json(
+            lambda d: next(t for t in d["trees"] if "feature" in t).update(threshold=10 ** 400))),
     ], ids=["model_empty_object", "model_not_json", "model_depth_99",
             "features_cells_float_count", "features_cells_renamed_column",
             "report_cells_float_count", "report_cells_renamed_column",
@@ -1217,7 +1277,9 @@ class TestErrorContract:
             "gridify_manifest_bbox_string", "gridify_manifest_bbox_three_numbers",
             "gridify_manifest_bbox_degenerate", "features_manifest_bbox_string",
             "features_manifest_bbox_three_numbers", "features_manifest_bbox_degenerate",
-            "gridify_manifest_bbox_four_characters", "features_manifest_bbox_four_characters"])
+            "gridify_manifest_bbox_four_characters", "features_manifest_bbox_four_characters",
+            "model_f0_over_float", "model_gamma_over_float", "model_leaf_over_float",
+            "model_threshold_over_float"])
     def test_corrupt_artifact_names_its_producer(self, pipeline, tmp_path, stage, name,
                                                  producer, corrupt):
         ws, _, _ = pipeline
@@ -1391,6 +1453,34 @@ class TestSettingsTable:
                 assert type(value) in (int, float) and math.isfinite(value), (field.name, value)
                 assert value > 0 or field.name.startswith("anchor_")
             build_network(spec)  # the city it validates can be built
+
+
+_FLOAT_MAX = int(sys.float_info.max)  # the largest double, as an exact integer
+
+
+def _holds_a_float(value) -> bool:
+    """The rule, stated apart from ``finite_number``: an int (a bool is no
+    int here) compared exactly with the largest double, never converted, or
+    a float that is neither NaN nor infinite."""
+    if type(value) is int:
+        return -_FLOAT_MAX <= value <= _FLOAT_MAX
+    return type(value) is float and not math.isnan(value) and not math.isinf(value)
+
+
+class TestFiniteNumber:
+    """``errors.finite_number`` is the one test of a JSON number in ``src/``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.one_of(
+        st.integers(), st.integers(min_value=_FLOAT_MAX - 2, max_value=_FLOAT_MAX + 2),
+        st.integers(min_value=-_FLOAT_MAX - 2, max_value=-_FLOAT_MAX + 2),
+        st.floats(), st.booleans(), st.text(max_size=6)))
+    @example(value=_FLOAT_MAX + 1)
+    @example(value=-_FLOAT_MAX - 1)
+    @example(value=sys.float_info.max)
+    @_each_edge
+    def test_matches_the_rule(self, value):
+        assert finite_number(value) is _holds_a_float(value), value
 
 
 # the ridelink modules each stage loads: the package, ``cli`` and ``errors``,

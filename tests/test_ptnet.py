@@ -231,6 +231,7 @@ class TestFares:
     @pytest.mark.parametrize("rule, value", [
         ("metro_base", math.nan), ("metro_base", math.inf), ("bus_flat", -2.0),
         ("bus_flat", True), ("bus_flat", "2"), ("bus_flat", None), ("metro_step_km", 0),
+        pytest.param("metro_base", 10 ** 400, id="metro_base-over_float"),
     ])
     def test_rejects_bad_rule(self, rule, value):
         with pytest.raises(ValueError, match=f"fare rule '{rule}'"):
