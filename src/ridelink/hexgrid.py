@@ -323,7 +323,8 @@ def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
             ring = geom["coordinates"][0]
             if not all(finite_number(c) for vertex in ring for c in vertex):
                 raise ValueError(f"district {name!r} has a vertex that is not finite numbers")
-            out[name] = [(float(lon), float(lat)) for lon, lat in ring]
+            # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
+            out[name] = [(float(lon), float(lat)) for lon, lat, *_ in ring]
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed districts file {path}: {exc}") from None
     return out
@@ -470,16 +471,26 @@ def read_cell_stats(path: str) -> dict[str, GridCellStats]:
     return stats
 
 
+def _closed_rings(grid: HexGrid):
+    """Each cell's corners as a closed ring of [lon, lat], from one projection
+    call per 256 cells: elementwise, so the same bits as ``cell_polygon``. One
+    call over every corner would hold arrays that raise gridify's peak memory."""
+    import numpy as np
+    for start in range(0, len(grid.cells), 256):
+        xy = np.fromiter((v for q, r in grid.cells[start:start + 256]
+                          for corner in corners_xy(grid, q, r) for v in corner), float)
+        lons, lats = (v.tolist() for v in grid.projection.to_lonlat(xy[0::2], xy[1::2]))
+        for i in range(0, len(lons), 6):
+            yield [[lons[k], lats[k]] for k in (*range(i, i + 6), i)]
+
+
 def write_cell_stats_geojson(grid: HexGrid, stats: dict[str, GridCellStats], path: str) -> None:
     features = []
-    for q, r in grid.cells:
+    for (q, r), ring in zip(grid.cells, _closed_rings(grid)):
         cid = cell_id(q, r)
-        ring = cell_polygon(grid, q, r)
-        ring.append(ring[0])
         features.append({
             "type": "Feature",
-            "geometry": {"type": "Polygon",
-                         "coordinates": [[[lon, lat] for lon, lat in ring]]},
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
             "properties": {"cell_id": cid, **_derived(stats[cid])},
         })
     doc = {"type": "FeatureCollection", "features": features}

@@ -338,19 +338,30 @@ def alternative_fare(net: TransitNetwork, legs: Sequence[Leg]) -> float:
 class NetworkPlanner:
     """Minimum generalized-cost journey search over a prebuilt static graph.
 
-    States are (station, route, ridden) triples: ``ridden`` flips to True on the
-    first in-vehicle leg and gates both transfers and arrival, so a journey
-    always contains at least one ride. Ties between equal-cost states break on
-    the lexicographic state key, which keeps results reproducible.
+    States are (station, route, ridden, boarding station): ``ridden`` flips to
+    True on the first in-vehicle leg and gates both transfers and arrival, so a
+    journey always contains at least one ride. A state is the integer
+    ``(pair * 2 + ridden) * S + board``, ``pair`` indexing the sorted (station,
+    route) keys and ``board`` the ``S`` sorted station ids, so integer order is
+    tuple order. The best journey is the minimum (cost, state) over settled
+    states that can end one, each scored with its egress walk.
 
-    The search stops at its best arrival: each settled state that can end a
-    journey is scored with its egress walk, and the search ends once a popped
-    cost exceeds the best score so far. Rides, waits, transfers and walks all
-    cost at least zero, so states pop in nondecreasing cost order and every
-    state still queued would score above the best; all that could win or tie
-    were settled first, in the same order a search of the whole graph would
-    settle them. The ride and transfer moves of each (station, route) are built
-    once per planner.
+    The search is A* (Hart, Nilsson and Raphael 1968) on the lower bound
+    ``h = (1 - 1e-6) * gc * 60 / (1000 * V)`` minutes, ``gc`` the great-circle
+    metres to the destination and ``V`` the larger of the walking speed and the
+    fastest leg of any route (km per minute * 60, over legs longer than 0 km).
+    It is admissible, as a ride covers at least ``gc`` at no more than ``V`` and
+    the egress walk is slower, and consistent, as a leg costs at least its
+    length over ``V`` (the triangle inequality) and a transfer stays put; the
+    1e-6 margin covers rounding. The heap key is (g + h, g, state) and the
+    search stops once a popped g + h exceeds the best score, so every arrival
+    that could win or tie was settled, and so was every state that relaxes one
+    of its predecessors at equal cost. On a tie of cost, the predecessor with
+    the least (g, state, move index) is kept: the one a search in (g, state)
+    order relaxes first, so the legs do not depend on pop order. Where some leg
+    takes 0 minutes, a move of cost 0 can reach a smaller state after a larger
+    one was popped, out of key order; then ``h`` is 0, which is that search
+    (plain Dijkstra), and the first relaxation is kept.
 
     ``states_expanded`` counts the settled states over every :meth:`plan` call.
     """
@@ -370,32 +381,47 @@ class NetworkPlanner:
         self.transfer_penalty_min = transfer_penalty_min
         self.states_expanded = 0
         # per-leg times/distances; per (station, route), the rides to each
-        # neighbouring stop, and those rides then the transfers once ridden
+        # neighbouring stop as (station, minutes, leg index); and the speeds
         self._leg_min: dict[str, list[float]] = {}
         self._leg_km: dict[str, list[float]] = {}
-        self._rides: dict[tuple[str, str], list[tuple]] = {}
+        hops: dict[tuple[str, str], list[tuple[str, float, int]]] = {}
+        speeds = [WALK_SPEED_KMH]
         for rid in sorted(net.routes):
             route = net.routes[rid]
             n = len(route.station_ids)
             kms = self._leg_km[rid] = [leg_km(net, route, i) for i in range(n - 1)]
-            self._leg_min[rid] = (list(route.leg_times_min) if route.leg_times_min is not None
-                                  else [km / route.speed_kmh * 60.0 for km in kms])
-            for p, sid in enumerate(route.station_ids):
-                self._rides.setdefault((sid, rid), []).extend(
-                    (route.station_ids[q], rid, self._leg_min[rid][min(p, q)], "ride", (p, q))
-                    for q in (p - 1, p + 1) if 0 <= q < n)
-        self._moves = {
-            (sid, rid): rides + [
-                (sid, rid2, transfer_penalty_min + net.routes[rid2].headway_min / 2.0,
-                 "transfer", None)
+            mins = self._leg_min[rid] = (list(route.leg_times_min) if route.leg_times_min is not None
+                                         else [km / route.speed_kmh * 60.0 for km in kms])
+            for i, (a, b) in enumerate(zip(route.station_ids, route.station_ids[1:])):
+                hops.setdefault((a, rid), []).append((b, mins[i], i))  # leg i, both ways
+                hops.setdefault((b, rid), []).append((a, mins[i], i))
+            speeds += [km / m * 60.0 if m > 0 else math.inf for km, m in zip(kms, mins)]
+        self._h_per_m = (1.0 - 1e-6) * 60.0 / (1000.0 * max(speeds))
+        # per pair: its (station, route), station row and the leg of each ride;
+        # per pair * 2 + ridden: the moves as (next state less its board, minutes,
+        # move index, next station row), rides and then transfers once ridden;
+        # per station row: (state less its board, wait) of boarding each route
+        self._pairs = sorted(hops)
+        self._n = n = len(net.station_ids)
+        row, pair_of = net._row, {key: i for i, key in enumerate(self._pairs)}
+        self._pair_row = [row[sid] for sid, _ in self._pairs]
+        self._ride_legs = [[leg for *_, leg in hops[key]] for key in self._pairs]
+        self._moves = []
+        for sid, rid in self._pairs:
+            moves = [(nsid, rid, w) for nsid, w, _ in hops[sid, rid]] + [
+                (sid, rid2, transfer_penalty_min + net.routes[rid2].headway_min / 2.0)
                 for rid2 in net.routes_at(sid) if rid2 != rid]
-            for (sid, rid), rides in self._rides.items()}
+            moves = [((pair_of[nsid, nrid] * 2 + 1) * n, w, k, row[nsid])
+                     for k, (nsid, nrid, w) in enumerate(moves)]
+            self._moves += [moves[:len(hops[sid, rid])], moves]
+        self._boards = [[(pair_of[sid, rid] * 2 * n, net.routes[rid].headway_min / 2.0)
+                         for rid in net.routes_at(sid)] for sid in net.station_ids]
 
-    def _stations_within(self, lon: float, lat: float) -> list[tuple[str, float]]:
+    def _within(self, d: np.ndarray) -> dict[int, float]:
+        """Station rows within the search radius, with their distances ``d``."""
         import numpy as np
-        d = self.net.station_distances_m(lon, lat)
-        ids = self.net.station_ids
-        return [(ids[i], float(d[i])) for i in np.flatnonzero(d <= self.search_radius_m)]
+        rows = np.flatnonzero(d <= self.search_radius_m).tolist()
+        return dict(zip(rows, d[rows].tolist()))
 
     def plan(self, olon: float, olat: float, dlon: float, dlat: float) -> PtAlternative:
         """Plan the best journey from origin to destination.
@@ -405,48 +431,55 @@ class NetworkPlanner:
         such a journey can never be selected even when it would be the cost
         minimum.
         """
-        net = self.net
-        access = self._stations_within(olon, olat)
-        egress = self._stations_within(dlon, dlat)
+        net, n = self.net, self._n
+        to_dest = net.station_distances_m(dlon, dlat)
+        access = self._within(net.station_distances_m(olon, olat))
+        egress = self._within(to_dest)
         if not access or not egress:
             return UNAVAILABLE
-        egress_walk_min = {sid: walk_minutes(m) for sid, m in egress}
+        egress_walk_min = {r: walk_minutes(m) for r, m in egress.items()}
+        h = (to_dest * self._h_per_m).tolist()
+        canonical = self._h_per_m > 0
 
-        # state = (station, route, ridden, boarding station)
-        dist: dict[tuple, float] = {}
-        prev: dict[tuple, tuple] = {}
-        heap: list[tuple[float, tuple]] = []
-        for sid, walk_m in access:
+        dist: dict[int, float] = {}
+        prev: dict[int, tuple] = {}
+        heap: list[tuple[float, float, int]] = []
+        for r, walk_m in access.items():
             walk = walk_minutes(walk_m)
-            for rid in net.routes_at(sid):
-                cost = walk + net.routes[rid].headway_min / 2.0
-                state = (sid, rid, False, sid)
-                if cost < dist.get(state, math.inf):
-                    dist[state] = cost
-                    prev[state] = (None, "access", walk_m)
-                    heapq.heappush(heap, (cost, state))
+            for base, wait in self._boards[r]:
+                state, cost = base + r, walk + wait
+                dist[state] = cost
+                prev[state] = (None, None, walk_m)
+                heap.append((cost + h[r], cost, state))
+        heapq.heapify(heap)
 
         best_state, best_total = None, math.inf
         expanded = 0
-        rides, moves = self._rides, self._moves
+        moves, pair_row = self._moves, self._pair_row
+        pop, push, get = heapq.heappop, heapq.heappush, dist.get
         while heap:
-            cost, state = heapq.heappop(heap)
-            if cost > best_total:
+            bound, cost, state = pop(heap)
+            if bound > best_total:
                 break
             if cost > dist[state]:
                 continue
             expanded += 1
-            sid, rid, ridden, board0 = state
-            if ridden and sid != board0 and sid in egress_walk_min:
-                total = cost + egress_walk_min[sid]
+            q, board = divmod(state, n)
+            r = pair_row[q >> 1]
+            if q & 1 and r != board and r in egress_walk_min:
+                total = cost + egress_walk_min[r]
                 if total < best_total or (total == best_total and state < best_state):
                     best_state, best_total = state, total
-            for nsid, nrid, w, kind, payload in (moves if ridden else rides)[sid, rid]:
-                nstate, ncost = (nsid, nrid, True, board0), cost + w
-                if ncost < dist.get(nstate, math.inf):
+            for base, w, k, nr in moves[q]:
+                nstate, ncost = base + board, cost + w
+                old = get(nstate, math.inf)
+                if ncost < old:
                     dist[nstate] = ncost
-                    prev[nstate] = (state, kind, payload)
-                    heapq.heappush(heap, (ncost, nstate))
+                    prev[nstate] = (cost, state, k)
+                    push(heap, (ncost + h[nr], ncost, nstate))
+                elif ncost == old and canonical and cost < ncost < math.inf:
+                    # a move whose minutes round away keeps no tie, so prev has no cycle
+                    prev[nstate] = min(prev[nstate], (cost, state, k))
         self.states_expanded += expanded
         if best_state is None:
             return UNAVAILABLE
@@ -456,7 +489,7 @@ class NetworkPlanner:
         return PtAlternative(
             available=True,
             access_walk_m=access_walk_m,
-            egress_walk_m=dict(egress)[best_state[0]],
+            egress_walk_m=egress[self._pair_row[best_state // n >> 1]],
             t_pt_min=t_pt,
             transfers=transfers,
             fare_rmb=alternative_fare(net, legs),
@@ -467,42 +500,34 @@ class NetworkPlanner:
     def _recover(self, state, prev):
         # walk predecessors back to the access edge, then stitch ride runs
         steps = []
-        cur = state
-        while True:
-            origin_state, kind, payload = prev[cur]
-            steps.append((cur, kind, payload))
-            if kind == "access":
-                access_walk_m = payload
-                break
-            cur = origin_state
+        while prev[state][0] is not None:
+            _, origin, k = prev[state]
+            steps.append((origin, k, state))
+            state = origin
+        access_walk_m = prev[state][2]
         steps.reverse()
+        n = self._n
         legs: list[Leg] = []
         transfers = 0
-        run_route = None
-        run_board = None
-        run_min = 0.0
-        run_km = 0.0
+        sid, run_route = self._pairs[state // n >> 1]
+        run_board, run_min, run_km = sid, 0.0, 0.0
 
         def close_run(alight_sid):
             route = self.net.routes[run_route]
             legs.append(Leg(route.mode, route.line_id, run_route, run_board, alight_sid,
                             run_min, run_km))
 
-        cur_station = None
-        for st, kind, payload in steps:
-            sid, rid = st[0], st[1]
-            if kind == "access":
-                run_route, run_board, run_min, run_km = rid, sid, 0.0, 0.0
-            elif kind == "transfer":
+        for origin, k, state in steps:
+            ride_legs = self._ride_legs[origin // n >> 1]
+            sid, rid = self._pairs[state // n >> 1]
+            if k < len(ride_legs):
+                run_min += self._leg_min[rid][ride_legs[k]]
+                run_km += self._leg_km[rid][ride_legs[k]]
+            else:  # transfer
                 close_run(sid)
                 transfers += 1
                 run_route, run_board, run_min, run_km = rid, sid, 0.0, 0.0
-            else:  # ride
-                p, q = payload
-                run_min += self._leg_min[rid][min(p, q)]
-                run_km += self._leg_km[rid][min(p, q)]
-            cur_station = sid
-        close_run(cur_station)
+        close_run(sid)
         return legs, transfers, access_walk_m
 
 

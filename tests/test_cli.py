@@ -1144,6 +1144,30 @@ class TestErrorContract:
         assert doc["kind"] == "input"
         assert str(path) in doc["error"]
 
+    def test_district_altitudes_are_ignored(self, pipeline, tmp_path):
+        # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
+        ws, _, _ = pipeline
+        lon_min, lat_min, lon_max, lat_max = json.loads(
+            (ws / "city" / "scenario.json").read_text())["bbox"]
+        mid = (lon_min + lon_max) / 2
+        rings = {"west": [[lon_min - 1, lat_min - 1], [mid, lat_min - 1], [mid, lat_max + 1]],
+                 "east": [[mid, lat_min - 1], [lon_max + 1, lat_min - 1], [mid, lat_max + 1]]}
+        flows = []
+        for name, extra in (("flat", []), ("altitude", [12.5])):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            path = tmp_path / f"{name}.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+                "type": "Feature", "properties": {"name": district},
+                "geometry": {"type": "Polygon", "coordinates": [
+                    [p + extra for p in ring + ring[:1]]]}} for district, ring in rings.items()]}))
+            code, _, err = run_cli(["gridify", "--workspace", str(copy),
+                                    "--set", f"paths.districts={path}"])
+            assert code == 0, err
+            flows.append((copy / "od_flows.csv").read_text())
+        assert flows[0] == flows[1]
+        assert "\ndistrict," in flows[0]
+
     @pytest.mark.parametrize("argv, env, section", [
         (["ingest", "--set", "ingest=5", "--bbox", "0,0,1,1"], {}, "ingest"),
         (["train", "--seed", "7", "--set", "train.space=5"], {}, "train.space"),

@@ -499,6 +499,17 @@ class TestWriters:
         assert len(first["geometry"]["coordinates"][0]) == 7  # closed ring
         assert first["properties"]["fcr"] is None
 
+    @pytest.mark.parametrize("side_km", [0.5, 0.37])
+    def test_geojson_rings_are_cell_polygons(self, tmp_path, side_km):
+        grid = build_grid(BBOX, side_km)
+        path = tmp_path / "cells.geojson"
+        write_cell_stats_geojson(grid, compute_ratios([], [], grid, days=1), str(path))
+        features = json.loads(path.read_text())["features"]
+        assert len(features) == len(grid.cells)
+        for feature, (q, r) in zip(features, grid.cells):
+            ring = [list(corner) for corner in cell_polygon(grid, q, r)]
+            assert feature["geometry"]["coordinates"] == [ring + ring[:1]]
+
     def test_columns_follow_the_count_and_ratio_tables(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
         stats = compute_ratios([], [], grid, days=1)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cityfix import build_lattice
 from enum_oracle import best_journey, random_network
+from planner_oracle import OraclePlanner
 from ridelink.geo import EARTH_RADIUS_M, great_circle_m
 from ridelink.ptnet import (
     CachedPlanner,
@@ -208,6 +209,100 @@ class TestPlanner:
         assert sum('"transfers": 0' not in line for line in lines) > 100
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "e55d705da8559c57dab7f756abd52df7109c4e1d01092c368a27e7dcf6327f04"
+
+
+@st.composite
+def _planner_cases(draw):
+    """Networks on a lattice of points about 600 m apart, where journeys tie on
+    cost: row and column lines with one leg time, rings round a rectangle
+    (either way round costs the same), walks that revisit a station or loop
+    back to their first, co-located stations, leg-time tables with a 0-minute
+    leg or legs faster than any cruise speed, transfer penalties of 0 and 5,
+    and endpoints placed exactly on stations."""
+    size = draw(st.integers(4, 7))
+    at = dict(zip([(i, j) for i in range(size) for j in range(size)],
+                  draw(st.permutations([f"S{k:02d}" for k in range(size * size)]))))
+    point = {sid: (121.0 + 0.006 * i, 31.0 + 0.006 * j) for (i, j), sid in at.items()}
+    twins = {}
+    for k in range(draw(st.integers(0, 2))):
+        twins[draw(st.sampled_from(sorted(at)))] = f"T{k}"
+    point.update((sid, point[at[node]]) for node, sid in twins.items())
+    lines = ([("bus", [at[i, j] for j in range(size)]) for i in range(size)]
+             + [("metro", [at[i, j] for i in range(size)]) for j in range(size)])
+    paths = [(mode, line, 2.0) for mode, line in lines if draw(st.booleans())]
+    for _ in range(draw(st.integers(0, 2))):  # rings
+        (i1, j1), (i2, j2) = draw(st.lists(st.sampled_from(sorted(at)), min_size=2, max_size=2,
+                                           unique=True))
+        ring = [at[i1, j1], at[i2, j1], at[i2, j2], at[i1, j2], at[i1, j1]]
+        paths.append(("bus", ring if i1 != i2 and j1 != j2 else ring[:2], draw(
+            st.sampled_from([None, 2.0]))))
+    for _ in range(draw(st.integers(0 if paths else 1, 2))):
+        node = draw(st.sampled_from(sorted(at)))
+        path = [at[node]]
+        for _ in range(draw(st.integers(1, 6))):  # to a node in the same row or column
+            node = draw(st.sampled_from([n for n in sorted(at) if n != node and (
+                n[0] == node[0] or n[1] == node[1])]))
+            path.append(at[node])
+            if node in twins and draw(st.booleans()):
+                path.append(twins[node])
+        if draw(st.booleans()):
+            path.append(path[0])
+        paths.append((draw(st.sampled_from(["metro", "bus"])), path,
+                      draw(st.one_of(st.none(), st.sampled_from([0.0, 0.5, 2.0, 4.0])))))
+    routes = {}
+    for j, (mode, path, minutes) in enumerate(paths):
+        table = None if minutes is None else tuple(
+            draw(st.sampled_from([minutes, 2.0])) for _ in path[1:])
+        routes[f"R{j}"] = Route(f"R{j}", f"L{j}", mode, tuple(path),
+                                {"metro": 6.0, "bus": 8.0}[mode], 330, 1410,
+                                {"metro": 30.0, "bus": 15.0}[mode], leg_times_min=table)
+    stations = {sid: Station(sid, sid, (), *p, "bus", ()) for sid, p in point.items()}
+    net = TransitNetwork(stations=stations, routes=routes, fares=FareRules())
+    end = st.one_of(st.sampled_from(sorted(point.values())),
+                    st.tuples(st.floats(120.998, 121.038), st.floats(30.998, 31.038)))
+    ods = draw(st.lists(st.tuples(end, end).map(lambda p: (*p[0], *p[1])),
+                        min_size=1, max_size=12))
+    return net, draw(st.sampled_from([0.0, 5.0])), ods
+
+
+class TestPlannerOracle:
+    """The goal-directed search against the plain Dijkstra it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_planner_cases())
+    def test_plans_match_the_dijkstra_oracle(self, case):
+        net, penalty, ods = case
+        planner = NetworkPlanner(net, transfer_penalty_min=penalty)
+        oracle = OraclePlanner(net, transfer_penalty_min=penalty)
+        for od in ods:
+            before = planner.states_expanded, oracle.states_expanded
+            assert json.dumps(planner.plan(*od).to_dict()) == json.dumps(oracle.plan(*od).to_dict())
+            assert planner.states_expanded - before[0] <= oracle.states_expanded - before[1]
+
+    def test_lower_bound_settles_fewer_states(self):
+        net = build_lattice(np.random.default_rng(2024))
+        planner, oracle = NetworkPlanner(net), OraclePlanner(net)
+        a, b = net.stations["N11"], net.stations["N55"]
+        for od in ((a.lon, a.lat, b.lon, b.lat), (b.lon, b.lat, a.lon, a.lat)):
+            assert planner.plan(*od) == oracle.plan(*od)
+        assert 0 < planner.states_expanded < oracle.states_expanded
+
+    @pytest.mark.parametrize("table", [None, (1.0, 0.0, 1.0, 1.0)])
+    def test_zero_minute_leg_keeps_the_oracle_legs(self, table):
+        # "a" and "b" share a point and R1 rides b -> a in 0 minutes, so (a, R1)
+        # ties (a, R2) on cost but is reached only after it is popped; the
+        # oracle keeps R2's transfer to R3, which a least-key tie rule would not
+        o, x, d = (121.0, 31.0), (121.01, 31.0), (121.02, 31.0)
+        stations = {sid: Station(sid, sid, (), *p, "bus", ())
+                    for sid, p in (("o", o), ("a", x), ("b", x), ("d", d))}
+        routes = {rid: Route(rid, rid, "bus", sids, 4.0, 330, 1410, 20.0, leg_times_min=t)
+                  for rid, sids, t in (("R1", ("o", "b", "a", "b", "o"), table),
+                                       ("R2", ("o", "a"), table and table[:1]),
+                                       ("R3", ("a", "d"), table and table[:1]))}
+        net = TransitNetwork(stations=stations, routes=routes, fares=FareRules())
+        alt = NetworkPlanner(net).plan(*o, *d)
+        assert alt == OraclePlanner(net).plan(*o, *d)
+        assert [leg.route_id for leg in alt.legs] == ["R2", "R3"]
 
 
 class TestFares:
