@@ -12,8 +12,10 @@ every key its default, kind and bounds.
 Stages communicate through files in the workspace directory. Each command
 reads the artifacts of earlier stages by their well-known names and fails
 with a machine-readable error naming the producing subcommand when one is
-missing. Success prints a one-line JSON summary to stdout; failures print a
-JSON error to stderr and exit 2 (input), 3 (config), or 4 (internal).
+missing or does not parse. A reader raises what it naturally raises on a
+bad file, and ``_read`` and ``_read_city`` alone turn those (``MALFORMED``)
+into exit 2. Success prints a one-line JSON summary to stdout; failures print
+a JSON error to stderr and exit 2 (input), 3 (config), or 4 (internal).
 
 Every stage runs in its own process, so this module imports only ``errors``
 and the standard library, and each command imports the modules it runs.
@@ -85,6 +87,9 @@ CITY_FILES = {
     "roads": "roads.geojson",
     "scenario": "scenario.json",
 }
+
+# what a reader raises on a file that does not parse; cli maps each to exit 2
+MALFORMED = (csv.Error, AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ class RunConfig:
                 "bbox in the config or generate a city with 'synth'")
         try:
             return _four_numbers(json.loads(manifest.read_text())["bbox"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED as exc:
             raise InputError(f"scenario manifest {manifest} has no readable bbox "
                              f"({exc!r}); re-run 'synth' or set bbox") from None
 
@@ -359,9 +364,9 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"config file is not valid UTF-8 JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         _deep_merge(data, loaded)
@@ -399,6 +404,26 @@ def _echo(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
+def _read(cfg: RunConfig, name: str, read: Callable):
+    """``read(path)`` of workspace artifact ``name``; an artifact that does not
+    parse is an input error naming it and the stage that writes it."""
+    path = cfg.need_artifact(name)
+    try:
+        return read(str(path))
+    except MALFORMED as exc:
+        raise InputError(f"{name} artifact {path} is corrupt ({type(exc).__name__}: "
+                         f"{exc}); re-run '{ARTIFACTS[name][0]}'") from None
+
+
+def _read_city(path: Path, read: Callable):
+    """``read(path)`` of a city input file; one that does not parse is an
+    input error naming it."""
+    try:
+        return read(str(path))
+    except MALFORMED as exc:
+        raise InputError(f"malformed input file {path} ({type(exc).__name__}: {exc})") from None
+
+
 def _load_city_network(cfg: RunConfig):
     from .ptnet import load_network
     stations = cfg.input_file("stations")
@@ -407,58 +432,26 @@ def _load_city_network(cfg: RunConfig):
     try:
         return load_network(str(stations), str(routes),
                             str(fares) if fares else None)
-    except (ValueError, KeyError) as exc:
-        raise InputError(f"transit network failed to load: {exc}") from None
+    except MALFORMED as exc:
+        files = ", ".join(str(p) for p in (stations, routes, fares) if p)
+        raise InputError(f"transit network failed to load: {type(exc).__name__}: {exc} "
+                         f"(from {files})") from None
 
 
 def _read_clean_trips(cfg: RunConfig):
-    from .ingest import SchemaError, parse_trips
-    path = cfg.need_artifact("trips_clean")
-    try:
-        trips, rejections = parse_trips(str(path), cfg.bbox(), cfg.epoch)
-    except SchemaError as exc:
-        raise InputError(f"cleaned trips artifact is unreadable: {exc}; re-run 'ingest'") from None
+    from .ingest import parse_trips
+    trips, rejections = _read(cfg, "trips_clean", lambda p: parse_trips(p, cfg.bbox(), cfg.epoch))
     if rejections:
-        raise InputError(f"cleaned trips artifact has {len(rejections)} "
-                         f"unreadable rows; re-run 'ingest'")
+        first = rejections[0]
+        raise InputError(f"trips_clean artifact {cfg.artifact('trips_clean')} has "
+                         f"{len(rejections)} unreadable rows, the first on line {first.row}: "
+                         f"{first.reason}; re-run 'ingest'")
     return trips
-
-
-def _read_classified(cfg: RunConfig):
-    from .classify import read_classified
-    path = cfg.need_artifact("classified")
-    bbox = cfg.bbox()
-    try:
-        return read_classified(str(path), bbox, cfg.epoch)
-    except ValueError as exc:
-        raise InputError(f"classified artifact is corrupt: {exc}; re-run 'classify'") from None
-
-
-def _corrupt(cfg: RunConfig, name: str, exc: Exception) -> InputError:
-    """The input error for a workspace artifact that exists but does not parse."""
-    return InputError(f"{name} artifact {cfg.artifact(name)} is corrupt "
-                      f"({type(exc).__name__}: {exc}); re-run '{ARTIFACTS[name][0]}'")
-
-
-def _load_alternatives(cfg: RunConfig):
-    from .ptnet import CachedPlanner
-    try:
-        return CachedPlanner.load(str(cfg.need_artifact("alternatives")))
-    except ValueError as exc:
-        raise _corrupt(cfg, "alternatives", exc) from None
 
 
 def _uncovered(exc: KeyError) -> InputError:
     """The input error for a trip that ``alternatives.jsonl`` has no journey for."""
     return InputError(f"alternatives cache does not cover the trip set ({exc}); re-run 'plan'")
-
-
-def _read_cells(cfg: RunConfig):
-    from .hexgrid import read_cell_stats
-    try:
-        return read_cell_stats(str(cfg.need_artifact("cells")))
-    except (KeyError, ValueError) as exc:
-        raise _corrupt(cfg, "cells", exc) from None
 
 
 def _grid(cfg: RunConfig):
@@ -496,15 +489,11 @@ def cmd_synth(cfg: RunConfig, args) -> None:
 
 
 def cmd_ingest(cfg: RunConfig, args) -> None:
-    from .ingest import (SchemaError, iqr_filter, parse_trips, write_iqr_reports,
-                         write_rejections, write_trips)
+    from .ingest import (iqr_filter, parse_trips, write_iqr_reports, write_rejections,
+                         write_trips)
     settings = cfg.data["ingest"]
-    trips_path = cfg.input_file("trips")
-    try:
-        trips, rejections = parse_trips(str(trips_path), cfg.bbox(), cfg.epoch,
-                                        settings["columns"])
-    except SchemaError as exc:
-        raise InputError(f"trip schema error: {exc}") from None
+    trips, rejections = _read_city(cfg.input_file("trips"), lambda p: parse_trips(
+        p, cfg.bbox(), cfg.epoch, settings["columns"]))
     try:
         kept, reports = iqr_filter(trips, settings["iqr_k"], settings["per_day"])
     except ValueError as exc:
@@ -532,10 +521,10 @@ def cmd_plan(cfg: RunConfig, args) -> None:
 
 def cmd_classify(cfg: RunConfig, args) -> None:
     from .classify import CONDITIONS, classify_all, write_classified, write_summary
-    from .ptnet import station_lexicon
+    from .ptnet import CachedPlanner, station_lexicon
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
-    cache = _load_alternatives(cfg)
+    cache = _read(cfg, "alternatives", CachedPlanner.load)
     lexicon = station_lexicon(net)
     try:
         results, summary = classify_all(trips, cache, net, lexicon,
@@ -552,7 +541,8 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 
 def cmd_gridify(cfg: RunConfig, args) -> None:
     from . import hexgrid
-    trips, results = _read_classified(cfg)
+    from .classify import read_classified
+    trips, results = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
     net = _load_city_network(cfg)
     unknown = sorted({r.matched_station for r in results if r.matched_station} - set(net.stations))
     if unknown:
@@ -561,7 +551,7 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
     grid = _grid(cfg)
     days = cfg.days
     stats = hexgrid.compute_ratios(trips, results, grid, days)
-    districts = (hexgrid.load_districts(str(cfg.input_file("districts")))
+    districts = (_read_city(cfg.input_file("districts"), hexgrid.load_districts)
                  if cfg.data["paths"]["districts"] else None)
     flows = hexgrid.od_flows(trips, grid, days, districts=districts)
     profile = hexgrid.temporal_profile(trips, results)
@@ -579,10 +569,11 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
 
 def cmd_features(cfg: RunConfig, args) -> None:
     from . import features, hexgrid
-    trips, _ = _read_classified(cfg)
+    from .classify import read_classified
+    trips, _ = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
     net = _load_city_network(cfg)
     grid = _grid(cfg)
-    stats = _read_cells(cfg)
+    stats = _read(cfg, "cells", hexgrid.read_cell_stats)
     expected = {hexgrid.cell_id(q, r) for q, r in grid.cells}
     if set(stats) != expected:
         raise InputError("grid settings do not match the cells artifact; "
@@ -590,10 +581,10 @@ def cmd_features(cfg: RunConfig, args) -> None:
     poi_path = cfg.input_file("poi", required=False)
     pop_path = cfg.input_file("population", required=False)
     roads_path = cfg.input_file("roads", required=False)
-    pois = features.load_points(str(poi_path)) if poi_path else []
-    population = (features.load_points(str(pop_path), value_column="population")
-                  if pop_path else [])
-    roads = features.load_roads(str(roads_path)) if roads_path else None
+    pois = _read_city(poi_path, features.load_points) if poi_path else []
+    population = (_read_city(pop_path, lambda p: features.load_points(
+        p, value_column="population")) if pop_path else [])
+    roads = _read_city(roads_path, features.load_roads) if roads_path else None
     try:
         matrix = features.assemble_features(grid, stats, net, trips,
                                             cfg.days, cfg.target, pois,
@@ -617,7 +608,7 @@ def cmd_features(cfg: RunConfig, args) -> None:
 
 def cmd_train(cfg: RunConfig, args) -> None:
     from . import boost, features
-    matrix = features.read_features(str(cfg.need_artifact("features")))
+    matrix = _read(cfg, "features", features.read_features)
     if matrix.target != cfg.target:
         raise InputError(
             f"features artifact models {matrix.target} but the configured "
@@ -669,14 +660,11 @@ def _leaf_count(node: dict) -> int:
 
 def cmd_explain(cfg: RunConfig, args) -> None:
     from . import boost, explain, features
-    try:
-        model = boost.load_model(str(cfg.need_artifact("model")))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _corrupt(cfg, "model", exc) from None
-    path = cfg.need_artifact("features")
-    matrix = features.read_features(str(path))
+    model = _read(cfg, "model", boost.load_model)
+    matrix = _read(cfg, "features", features.read_features)
     if len(matrix.y) == 0:
-        raise InputError(f"features artifact {path} has no rows; re-run 'features'")
+        raise InputError(f"features artifact {cfg.artifact('features')} has no rows; "
+                         f"re-run 'features'")
     if list(model.feature_names) != list(matrix.names):
         raise InputError("features artifact no longer matches the trained "
                          "model; re-run 'features' and 'train' together")
@@ -694,11 +682,14 @@ def cmd_explain(cfg: RunConfig, args) -> None:
 
 def cmd_elasticity(cfg: RunConfig, args) -> None:
     from . import sensitivity
+    from .classify import read_classified
+    from .ptnet import CachedPlanner
     settings = cfg.data["elasticity"]
     classifier = cfg.classifier()
-    trips, results = _read_classified(cfg)
+    trips, results = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
+    cache = _read(cfg, "alternatives", CachedPlanner.load)
     try:
-        base = sensitivity.sweep_base(trips, results, _load_alternatives(cfg))
+        base = sensitivity.sweep_base(trips, results, cache)
     except KeyError as exc:
         raise _uncovered(exc) from None
     reports = []
@@ -724,25 +715,26 @@ def cmd_report(cfg: RunConfig, args) -> None:
 
     from . import svgchart
     from .classify import ALL_LABELS
-    from .hexgrid import RATIOS
-    try:
-        summary = json.loads(cfg.need_artifact("summary").read_text())
-        shares = [100.0 * summary["shares"][label] for label in ALL_LABELS]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _corrupt(cfg, "summary", exc) from None
-    stats = _read_cells(cfg)
-    # hourly profile small multiples
-    try:
-        with open(cfg.need_artifact("temporal"), newline="") as handle:
+    from .hexgrid import RATIOS, read_cell_stats
+
+    def read_summary(path):
+        summary = json.loads(Path(path).read_text(encoding="utf-8"))
+        return summary, [100.0 * summary["shares"][label] for label in ALL_LABELS]
+
+    def read_panels(path):
+        """The hourly profile's small multiples."""
+        with open(path, encoding="utf-8", newline="") as handle:
             rows = list(csv.DictReader(handle))
         hours = [float(int(r["hour"])) for r in rows]
-        panels = [(label, hours, [float(r[column]) for r in rows], [True] * len(rows))
-                  for label, column in (("first mile", "first_mile"),
-                                        ("last mile", "last_mile"),
-                                        ("substitutive", "substitutive"),
-                                        ("independent", "independent"))]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _corrupt(cfg, "temporal", exc) from None
+        return [(label, hours, [float(r[column]) for r in rows], [True] * len(rows))
+                for label, column in (("first mile", "first_mile"),
+                                      ("last mile", "last_mile"),
+                                      ("substitutive", "substitutive"),
+                                      ("independent", "independent"))]
+
+    summary, shares = _read(cfg, "summary", read_summary)
+    stats = _read(cfg, "cells", read_cell_stats)
+    panels = _read(cfg, "temporal", read_panels)
 
     report_dir = cfg.workspace / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

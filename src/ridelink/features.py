@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .errors import InputError, finite_number
+from .errors import finite_number
 
 if TYPE_CHECKING:
     from .hexgrid import HexGrid
@@ -151,30 +151,27 @@ def load_roads(path: str) -> RoadGraph:
             nodes.append((lon, lat))
         return index[key]
 
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        for number, feat in enumerate(doc.get("features", [])):
-            geom = feat.get("geometry", {})
-            if geom.get("type") != "LineString":
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    for number, feat in enumerate(doc.get("features", [])):
+        geom = feat.get("geometry", {})
+        if geom.get("type") != "LineString":
+            continue
+        highway = bool(feat.get("properties", {}).get("highway", False))
+        coords = geom["coordinates"]
+        if not all(finite_number(c) for vertex in coords for c in vertex):
+            raise ValueError(f"feature {number} has a vertex that is not finite numbers")
+        # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
+        for (lon1, lat1, *_), (lon2, lat2, *_) in zip(coords, coords[1:]):
+            u, v = node_of(lon1, lat1), node_of(lon2, lat2)
+            if u == v:
                 continue
-            highway = bool(feat.get("properties", {}).get("highway", False))
-            coords = geom["coordinates"]
-            if not all(finite_number(c) for vertex in coords for c in vertex):
-                raise ValueError(f"feature {number} has a vertex that is not finite numbers")
-            # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
-            for (lon1, lat1, *_), (lon2, lat2, *_) in zip(coords, coords[1:]):
-                u, v = node_of(lon1, lat1), node_of(lon2, lat2)
-                if u == v:
-                    continue
-                key = (min(u, v), max(u, v))
-                if key in seen:
-                    continue
-                seen.add(key)
-                length_km = float(great_circle_m(lon1, lat1, lon2, lat2)) / 1000.0
-                edges.append((u, v, length_km, highway))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed roads file {path}: {exc}") from None
+            key = (min(u, v), max(u, v))
+            if key in seen:
+                continue
+            seen.add(key)
+            length_km = float(great_circle_m(lon1, lat1, lon2, lat2)) / 1000.0
+            edges.append((u, v, length_km, highway))
     return RoadGraph(nodes=nodes, edges=edges)
 
 
@@ -274,7 +271,8 @@ def road_metrics(grid: HexGrid, roads: RoadGraph) -> dict[str, dict[str, float]]
 
 
 def load_points(path: str, value_column: Optional[str] = None) -> list[tuple]:
-    """CSV points: (lon, lat) plus either a category string or a mass value."""
+    """CSV points: (lon, lat) plus either a category string or a mass value;
+    a bad row raises ``ValueError`` naming its line."""
     points = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -287,7 +285,7 @@ def load_points(path: str, value_column: Optional[str] = None) -> list[tuple]:
                     raise ValueError(f"non-finite number in {numbers}")
                 points.append((lon, lat, value))
         except (KeyError, TypeError, ValueError) as exc:
-            raise InputError(f"malformed point file {path}, line {reader.line_num}: {exc}") from None
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     return points
 
 
@@ -508,12 +506,12 @@ def write_features(matrix: FeatureMatrix, path: str, schema_path: Optional[str] 
 
 def read_features(path: str) -> FeatureMatrix:
     """Read a features artifact; every row must be full width and every value
-    a finite number."""
+    a finite number, else ``ValueError`` naming the line or the cell."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if not header:
-            raise InputError(f"features artifact {path} has no header row; re-run 'features'")
+            raise ValueError("no header row")
         names, target = header[1:-1], header[-1]
         cell_ids, rows, ys = [], [], []
         for row in reader:
@@ -522,12 +520,10 @@ def read_features(path: str) -> FeatureMatrix:
                     raise ValueError(f"{len(row)} fields, expected {len(header)}")
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
-                raise InputError(f"features artifact line {reader.line_num}: {exc}; "
-                                 "re-run 'features'") from None
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
             for value, column in zip(values, header[1:]):
                 if not math.isfinite(value):
-                    raise InputError(f"features artifact has {value} in cell {row[0]}, "
-                                     f"column {column}; re-run 'features'")
+                    raise ValueError(f"{value} in cell {row[0]}, column {column}")
             cell_ids.append(row[0])
             rows.append(values[:-1])
             ys.append(values[-1])

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
-from .errors import InputError, finite_number
+from .errors import finite_number
 from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
@@ -312,21 +312,18 @@ def _district_of_cells(grid: HexGrid, districts: dict[str, list[tuple[float, flo
 def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
     """District polygons from a GeoJSON FeatureCollection (outer rings only)."""
     out = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        for feat in doc.get("features", []):
-            name = str(feat.get("properties", {}).get("name", f"d{len(out)}"))
-            geom = feat.get("geometry", {})
-            if geom.get("type") != "Polygon":
-                continue
-            ring = geom["coordinates"][0]
-            if not all(finite_number(c) for vertex in ring for c in vertex):
-                raise ValueError(f"district {name!r} has a vertex that is not finite numbers")
-            # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
-            out[name] = [(float(lon), float(lat)) for lon, lat, *_ in ring]
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed districts file {path}: {exc}") from None
+    with open(path, "r", encoding="utf-8") as handle:
+        doc = json.load(handle)
+    for feat in doc.get("features", []):
+        name = str(feat.get("properties", {}).get("name", f"d{len(out)}"))
+        geom = feat.get("geometry", {})
+        if geom.get("type") != "Polygon":
+            continue
+        ring = geom["coordinates"][0]
+        if not all(finite_number(c) for vertex in ring for c in vertex):
+            raise ValueError(f"district {name!r} has a vertex that is not finite numbers")
+        # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
+        out[name] = [(float(lon), float(lat)) for lon, lat, *_ in ring]
     return out
 
 

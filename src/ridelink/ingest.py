@@ -180,7 +180,8 @@ def read_trip_header(reader, columns: Optional[dict[str, str]] = None,
         wanted = columns.get(canon, canon)
         hits = [i for i, h in enumerate(header) if h == wanted]
         if len(hits) > 1 or (needed and not hits):
-            raise SchemaError(f"{kind} column {wanted!r} ({canon}) appears {len(hits)} times in header")
+            raise SchemaError(f"trip schema: {kind} column {wanted!r} ({canon}) appears "
+                              f"{len(hits)} times in header")
         return hits[0] if hits else None
 
     return TripLayout(

@@ -189,6 +189,13 @@ class TestConfigLayers:
         assert code == 3
         assert json.loads(err)["kind"] == "config"
 
+    def test_config_file_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"days": 3, "workspace": "caf\xe9"}')
+        code, _, err = run_cli(["ingest", "--config", str(path)])
+        assert code == 3, err
+        assert json.loads(err)["kind"] == "config"
+
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ConfigError, match="degenerate"):
             load_config(_args(set=["bbox=[3.0, 1.0, 3.0, 2.0]"]))
@@ -707,6 +714,25 @@ class TestErrorContract:
         code, _, err = run_cli([stage, "--workspace", str(copy)])
         assert code == 2, err
         assert "re-run 'ingest'" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("stage", ["plan", "classify"])
+    def test_rejected_clean_trip_names_its_line(self, pipeline, tmp_path, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "trips_clean.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        for row in (rows[3], rows[5]):  # lines 4 and 6
+            row[rows[0].index("olat")] = "nan"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert str(path) in error and "2 unreadable rows" in error
+        assert "line 4:" in error and "re-run 'ingest'" in error
+        assert out == ""
 
     @pytest.mark.parametrize("stage", ["gridify", "features", "elasticity"])
     def test_headerless_classified(self, pipeline, tmp_path, stage):
@@ -1316,6 +1342,41 @@ class TestErrorContract:
         doc = json.loads(err)
         assert doc["kind"] == "input"
         assert str(path) in doc["error"] and f"re-run '{producer}'" in doc["error"]
+        assert out == ""
+
+    # one field past csv's default limit of 131,072 characters
+    _LONG_FIELD = b"x" * 131_073 + b"\n"
+
+    # byte-level corruptions that once escaped every reader's except clause
+    @pytest.mark.parametrize("stage, name, producer, tail", [
+        ("ingest", "city/trips.csv", None, b"\xff\xfe\n"),
+        ("ingest", "city/trips.csv", None, _LONG_FIELD),
+        ("plan", "trips_clean.csv", "ingest", b"\xff\xfe\n"),
+        ("plan", "trips_clean.csv", "ingest", _LONG_FIELD),
+        ("gridify", "classified.csv", "classify", _LONG_FIELD),
+        ("features", "cells.csv", "gridify", b'"-12,-2",7,0\n'),
+        ("report", "cells.csv", "gridify", b'"-12,-2",7,0\n'),
+        ("report", "cells.csv", "gridify", _LONG_FIELD),
+        ("plan", "city/stations.csv", None, b"zz\n"),
+        ("plan", "city/routes.csv", None, b"zz\n"),
+        ("plan", "city/stations.csv", None, _LONG_FIELD),
+    ], ids=["ingest_trips_not_utf8", "ingest_trips_long_field", "plan_clean_not_utf8",
+            "plan_clean_long_field", "gridify_classified_long_field",
+            "features_cells_short_row", "report_cells_short_row", "report_cells_long_field",
+            "plan_stations_short_row", "plan_routes_short_row", "plan_stations_long_field"])
+    def test_unparsable_file_exits_2(self, pipeline, tmp_path, stage, name, producer, tail):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / name
+        path.write_bytes(path.read_bytes() + tail)
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert doc["kind"] == "input"
+        assert str(path) in doc["error"]
+        if producer:
+            assert f"re-run '{producer}'" in doc["error"]
         assert out == ""
 
     def test_configured_bbox_skips_the_manifest(self, pipeline, tmp_path):
