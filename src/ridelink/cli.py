@@ -174,7 +174,7 @@ class RunConfig:
         if self.data["bbox"] is not None:
             return self.data["bbox"]
         manifest = self.workspace / "city" / CITY_FILES["scenario"]
-        if not manifest.exists():
+        if not manifest.is_file():
             raise ConfigError(
                 "bbox is not configured and no scenario manifest exists; set "
                 "bbox in the config or generate a city with 'synth'")
@@ -193,7 +193,7 @@ class RunConfig:
     def need_artifact(self, name: str) -> Path:
         producer, filename = ARTIFACTS[name]
         path = self.workspace / filename
-        if not path.exists():
+        if not path.is_file():
             raise MissingArtifactError(filename, producer)
         return path
 
@@ -201,11 +201,11 @@ class RunConfig:
         explicit = self.data["paths"].get(key)
         if explicit:
             path = Path(explicit)
-            if not path.exists():
+            if not path.is_file():
                 raise InputError(f"input file not found: {path} (paths.{key})")
             return path
         path = self.workspace / "city" / CITY_FILES[key]
-        if not path.exists():
+        if not path.is_file():
             if required:
                 raise MissingArtifactError(f"city/{CITY_FILES[key]}", "synth")
             return None
@@ -361,7 +361,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         path = Path(config_path)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -512,8 +512,7 @@ def cmd_plan(cfg: RunConfig, args) -> None:
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     cache = CachedPlanner(NetworkPlanner(net, **cfg.data["planner"]))
-    for trip in trips:
-        cache.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
+    cache.plan_missing((t.olon, t.olat, t.dlon, t.dlat) for t in trips)
     cache.save(str(cfg.artifact("alternatives")))
     _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache),
            "states_expanded": cache.planner.states_expanded})
@@ -748,7 +747,7 @@ def cmd_report(cfg: RunConfig, args) -> None:
     inventory = {}
     for name in sorted(ARTIFACTS):
         path = cfg.artifact(name)
-        if not path.exists():
+        if not path.is_file():
             continue
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         inventory[name] = {

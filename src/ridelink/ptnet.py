@@ -12,7 +12,7 @@ walk) in minutes. Walking is straight-line at a constant 4.8 km/h. Service
 windows are not part of planning; they are checked separately against a trip's
 start time via :func:`is_in_service`. A journey therefore depends only on its
 origin and destination coordinates, which are all that
-:meth:`NetworkPlanner.plan` takes and all that :class:`CachedPlanner` keys on.
+:meth:`NetworkPlanner.plan_many` takes and all that :class:`CachedPlanner` keys on.
 
 File formats:
 
@@ -43,6 +43,9 @@ MODES = ("metro", "bus")
 WALK_SPEED_KMH = 4.8
 DEFAULT_SEARCH_RADIUS_M = 800.0
 DEFAULT_TRANSFER_PENALTY_MIN = 5.0
+# distances per block of NetworkPlanner.plan_many; small, because a block's
+# arrays (about a dozen of 16 KB at once) add to the stage's resident memory
+BLOCK_DISTANCES = 2 ** 11
 
 
 @dataclass(frozen=True)
@@ -121,14 +124,31 @@ class TransitNetwork:
         self._row = {sid: i for i, sid in enumerate(self.station_ids)}
         self._lon = self._lat = None
 
-    def station_distances_m(self, lon: float, lat: float, rows=None) -> np.ndarray:
-        """Metres from a point to the stations at ``rows`` of ``station_ids`` (default all)."""
+    def _coords(self) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
         if self._lon is None:
             self._lon = np.array([self.stations[s].lon for s in self.station_ids])
             self._lat = np.array([self.stations[s].lat for s in self.station_ids])
-        lons, lats = (self._lon, self._lat) if rows is None else (self._lon[rows], self._lat[rows])
+        return self._lon, self._lat
+
+    def station_distances_m(self, lon: float, lat: float, rows=None) -> np.ndarray:
+        """Metres from a point to the stations at ``rows`` of ``station_ids`` (default all)."""
+        import numpy as np
+        lons, lats = self._coords()
+        if rows is not None:
+            lons, lats = lons[rows], lats[rows]
         return great_circle_m(np.full(len(lons), lon), np.full(len(lons), lat), lons, lats)
+
+    def distance_rows(self, lons: np.ndarray, lats: np.ndarray) -> np.ndarray:
+        """Metres from each point to every station, one row per point: row i is
+        ``station_distances_m(lons[i], lats[i])`` bit for bit, as both take one
+        ``great_circle_m`` pass over contiguous arrays (numpy's ``arcsin`` need
+        not round as ``math.asin`` does, so no scalar path may stand in)."""
+        import numpy as np
+        m, (slon, slat) = len(lons), self._coords()
+        d = great_circle_m(np.repeat(lons, len(slon)), np.repeat(lats, len(slon)),
+                           np.tile(slon, m), np.tile(slat, m))
+        return d.reshape(m, len(slon))
 
     def nearest_station(self, lon: float, lat: float, among: Iterable[str]) -> str:
         """Nearest of ``among``; rows follow sorted ids, so argmin's first minimum
@@ -175,7 +195,7 @@ class PtAlternative:
         no default fills one in; a bad number raises ``ValueError``."""
         if not data.get("available"):
             return UNAVAILABLE
-        values = {f.name: data[f.name] for f in fields(PtAlternative)}
+        values = {name: data[name] for name in _ALTERNATIVE_FIELDS}
         values["legs"] = tuple(Leg(**leg) for leg in values["legs"])
         alt = PtAlternative(**values)
         for record in (alt, *alt.legs):
@@ -193,7 +213,9 @@ def _check_numbers(record) -> None:
             raise ValueError(f"{name} must be a finite {kind} >= 0, got {value!r}")
 
 
-# (name, kind) of each number field, read from the dataclass once per class
+# the field names of PtAlternative, and the (name, kind) of each number field,
+# read from the dataclasses once per class
+_ALTERNATIVE_FIELDS = tuple(f.name for f in fields(PtAlternative))
 _NUMBER_FIELDS = {cls: tuple((f.name, f.type) for f in fields(cls) if f.type in ("float", "int"))
                   for cls in (PtAlternative, Leg)}
 UNAVAILABLE = PtAlternative(available=False)
@@ -363,7 +385,7 @@ class NetworkPlanner:
     one was popped, out of key order; then ``h`` is 0, which is that search
     (plain Dijkstra), and the first relaxation is kept.
 
-    ``states_expanded`` counts the settled states over every :meth:`plan` call.
+    ``states_expanded`` counts the settled states over every :meth:`plan_many` call.
     """
 
     def __init__(
@@ -416,29 +438,46 @@ class NetworkPlanner:
             self._moves += [moves[:len(hops[sid, rid])], moves]
         self._boards = [[(pair_of[sid, rid] * 2 * n, net.routes[rid].headway_min / 2.0)
                          for rid in net.routes_at(sid)] for sid in net.station_ids]
-
-    def _within(self, d: np.ndarray) -> dict[int, float]:
-        """Station rows within the search radius, with their distances ``d``."""
-        import numpy as np
-        rows = np.flatnonzero(d <= self.search_radius_m).tolist()
-        return dict(zip(rows, d[rows].tolist()))
+        self.block_trips = max(1, BLOCK_DISTANCES // max(1, 2 * n))  # two ends a trip
 
     def plan(self, olon: float, olat: float, dlon: float, dlat: float) -> PtAlternative:
-        """Plan the best journey from origin to destination.
+        """The best journey from origin to destination: :meth:`plan_many` of one trip."""
+        return self.plan_many([(olon, olat, dlon, dlat)])[0]
+
+    def plan_many(self, points: Sequence[tuple[float, float, float, float]]) -> list[PtAlternative]:
+        """The best journey for each ``(olon, olat, dlon, dlat)`` of ``points``.
 
         Journeys that board and alight at the same station are excluded from
         the candidate space: the search state carries the boarding station, so
         such a journey can never be selected even when it would be the cost
         minimum.
+
+        Trips go in blocks of ``block_trips``: one ``distance_rows`` pass gives
+        every end of a block its distances to every station, and from them its
+        stations within the search radius and, at the destination, the bound
+        ``h``. Each trip is then searched on its own.
         """
-        net, n = self.net, self._n
-        to_dest = net.station_distances_m(dlon, dlat)
-        access = self._within(net.station_distances_m(olon, olat))
-        egress = self._within(to_dest)
-        if not access or not egress:
-            return UNAVAILABLE
+        import numpy as np
+        out = []
+        for start in range(0, len(points), self.block_trips):
+            ends = np.array(points[start:start + self.block_trips], dtype=float).reshape(-1, 2)
+            d = self.net.distance_rows(ends[:, 0], ends[:, 1])
+            rows, cols = np.nonzero(d <= self.search_radius_m)
+            first = np.searchsorted(rows, np.arange(len(ends) + 1)).tolist()
+            cols, near = cols.tolist(), d[rows, cols].tolist()
+            h = (d[1::2] * self._h_per_m).tolist()
+            for i, h_row in enumerate(h):
+                access, egress = (dict(zip(cols[first[e]:first[e + 1]], near[first[e]:first[e + 1]]))
+                                  for e in (2 * i, 2 * i + 1))
+                out.append(self._search(access, egress, h_row) if access and egress else UNAVAILABLE)
+        return out
+
+    def _search(self, access: dict[int, float], egress: dict[int, float],
+                h: list[float]) -> PtAlternative:
+        """The search from the ``access`` station rows to the ``egress`` ones,
+        each with its walk in metres; ``h`` is the bound at each station row."""
+        n = self._n
         egress_walk_min = {r: walk_minutes(m) for r, m in egress.items()}
-        h = (to_dest * self._h_per_m).tolist()
         canonical = self._h_per_m > 0
 
         dist: dict[int, float] = {}
@@ -492,7 +531,7 @@ class NetworkPlanner:
             egress_walk_m=egress[self._pair_row[best_state // n >> 1]],
             t_pt_min=t_pt,
             transfers=transfers,
-            fare_rmb=alternative_fare(net, legs),
+            fare_rmb=alternative_fare(self.net, legs),
             gen_cost_min=best_total,
             legs=tuple(legs),
         )
@@ -594,6 +633,18 @@ class CachedPlanner:
         alt = self.planner.plan(*k)
         self._table[k] = alt
         return alt
+
+    def plan_missing(self, points) -> None:
+        """Cache the alternative of each point whose key is not cached yet:
+        each key once, in first-seen order, through one ``plan_many`` call of
+        the planner. The table marks a key as seen, so no other set is built."""
+        new = []
+        for p in points:
+            k = self.key(*p)
+            if k not in self._table:
+                self._table[k] = None  # planned below; plan() takes None as a miss
+                new.append(k)
+        self._table.update(zip(new, self.planner.plan_many(new)))
 
     def __len__(self) -> int:
         return len(self._table)

@@ -32,7 +32,6 @@ from .classify import (
     LAST_MILE,
     SUBSTITUTIVE,
     ClassifierConfig,
-    TripClass,
     classify_trip,
 )
 from .cli import MAX_DAYS
@@ -455,29 +454,45 @@ class _Factory:
         "independent_c6": (_draw_independent_c6, INDEPENDENT, "C6"),
     }
 
-    def classify(self, trip: TripRecord) -> TripClass:
-        alt = self.planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
-        return classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
+    def plant(self, recipe: str, count: int) -> list[TripRecord]:
+        """``count`` trips of ``recipe``, each the first of at most
+        ``max_attempts`` draws that classifies as intended.
 
-    def plant(self, recipe: str) -> tuple[TripRecord, str, Optional[str]]:
+        Draws are verified a planner block at a time. A draw never depends on
+        a verdict; only where a recipe stops does. So a block's draws are
+        accepted in order up to the first miss, the generator is re-seated
+        just after the missed draw, and that trip goes on one draw at a time:
+        the random stream is the one that verifying each draw before the next
+        gives."""
         draw, label, violated = self.RECIPES[recipe]
-        for _ in range(self.spec.max_attempts):
-            trip = draw(self)
-            got = self.classify(trip)
-            if got.label == label and got.failed_condition == violated:
-                return trip, label, violated
-        raise RuntimeError(f"could not place a {recipe} trip in "
-                           f"{self.spec.max_attempts} attempts; the scenario "
-                           f"geometry cannot express it")
+        trips: list[TripRecord] = []
+        misses = 0  # of the trip being drawn
+        while len(trips) < count:
+            if misses == self.spec.max_attempts:
+                raise RuntimeError(f"could not place a {recipe} trip in "
+                                   f"{self.spec.max_attempts} attempts; the scenario "
+                                   f"geometry cannot express it")
+            drawn, states = [], []
+            for _ in range(1 if misses else min(self.planner.block_trips, count - len(trips))):
+                drawn.append(draw(self))
+                states.append(self.rng.bit_generator.state)
+            alts = self.planner.plan_many([(t.olon, t.olat, t.dlon, t.dlat) for t in drawn])
+            for trip, alt, state in zip(drawn, alts, states):
+                got = classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
+                if got.label != label or got.failed_condition != violated:
+                    misses += 1
+                    self.rng.bit_generator.state = state
+                    break
+                trips.append(trip)
+                misses = 0
+        return trips
 
     def plant_all(self) -> tuple[list[TripRecord], list[GroundTruth]]:
         trips: list[TripRecord] = []
         intents: list[tuple[str, Optional[str]]] = []
         for recipe, count in self.spec.planted_counts().items():
-            for _ in range(count):
-                trip, label, violated = self.plant(recipe)
-                trips.append(trip)
-                intents.append((label, violated))
+            trips += self.plant(recipe, count)
+            intents += [self.RECIPES[recipe][1:]] * count
         order = self.rng.permutation(len(trips))
         shuffled = [trips[i] for i in order]
         truth = [GroundTruth(trip_index=new_idx,

@@ -196,6 +196,11 @@ class TestConfigLayers:
         assert code == 3, err
         assert json.loads(err)["kind"] == "config"
 
+    def test_config_file_is_a_directory(self, tmp_path):
+        code, _, err = run_cli(["ingest", "--config", str(tmp_path)])
+        assert code == 3, err
+        assert json.loads(err) == {"kind": "config", "error": f"config file not found: {tmp_path}"}
+
     def test_degenerate_bbox_rejected(self):
         with pytest.raises(ConfigError, match="degenerate"):
             load_config(_args(set=["bbox=[3.0, 1.0, 3.0, 2.0]"]))
@@ -1378,6 +1383,62 @@ class TestErrorContract:
         if producer:
             assert f"re-run '{producer}'" in doc["error"]
         assert out == ""
+
+    # each paths.* key with the stage that reads it
+    @pytest.mark.parametrize("key, stage", [
+        ("trips", "ingest"), ("stations", "plan"), ("routes", "plan"), ("fares", "plan"),
+        ("poi", "features"), ("population", "features"), ("roads", "features"),
+        ("districts", "gridify"),
+    ])
+    def test_configured_directory_is_not_found(self, pipeline, tmp_path, key, stage):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        code, out, err = run_cli([stage, "--workspace", str(copy),
+                                  "--set", f"paths.{key}={directory}"])
+        assert code == 2, err
+        assert json.loads(err) == {
+            "kind": "input", "error": f"input file not found: {directory} (paths.{key})"}
+        assert out == ""
+
+    # one file that each reading stage needs, replaced by a directory
+    @pytest.mark.parametrize("stage, name, producer", [
+        ("ingest", "city/trips.csv", "synth"),
+        ("plan", "trips_clean.csv", "ingest"),
+        ("plan", "city/stations.csv", "synth"),
+        ("classify", "alternatives.jsonl", "plan"),
+        ("gridify", "classified.csv", "classify"),
+        ("features", "cells.csv", "gridify"),
+        ("train", "features.csv", "features"),
+        ("explain", "model.json", "train"),
+        ("elasticity", "alternatives.jsonl", "plan"),
+        ("report", "summary.json", "classify"),
+    ])
+    def test_directory_in_place_of_a_file_is_missing(self, pipeline, tmp_path, stage, name,
+                                                     producer):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / name).unlink()
+        (copy / name).mkdir()
+        extra = ["--seed", "7"] if stage == "train" else []
+        code, out, err = run_cli([stage, "--workspace", str(copy), *extra])
+        assert code == 2, err
+        doc = json.loads(err)
+        assert (doc["kind"], doc["artifact"], doc["producer"]) == ("input", name, producer)
+        assert out == ""
+
+    def test_manifest_directory_is_no_manifest(self, pipeline, tmp_path):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        (copy / "city" / "scenario.json").unlink()
+        (copy / "city" / "scenario.json").mkdir()
+        code, out, err = run_cli(["gridify", "--workspace", str(copy)])
+        assert code == 3, err
+        assert "no scenario manifest exists" in json.loads(err)["error"]
 
     def test_configured_bbox_skips_the_manifest(self, pipeline, tmp_path):
         ws, _, _ = pipeline

@@ -17,6 +17,7 @@ from enum_oracle import best_journey, random_network
 from planner_oracle import OraclePlanner
 from ridelink.geo import EARTH_RADIUS_M, great_circle_m
 from ridelink.ptnet import (
+    DEFAULT_SEARCH_RADIUS_M,
     CachedPlanner,
     FareRules,
     Leg,
@@ -303,6 +304,94 @@ class TestPlannerOracle:
         alt = NetworkPlanner(net).plan(*o, *d)
         assert alt == OraclePlanner(net).plan(*o, *d)
         assert [leg.route_id for leg in alt.legs] == ["R2", "R3"]
+
+
+def _full_lattice(nodes: int) -> TransitNetwork:
+    """A station at each node of a square lattice about 600 m apart, each row a
+    metro line and each column a bus line, 2 minutes a leg."""
+    def sid(i, j):
+        return f"N{i:02d}-{j:02d}"
+
+    stations = {sid(i, j): Station(sid(i, j), sid(i, j), (), 121.0 + 0.006 * i, 31.0 + 0.006 * j,
+                                   "metro", (f"R{j}", f"C{i}"))
+                for i in range(nodes) for j in range(nodes)}
+    routes = {}
+    for k in range(nodes):
+        for rid, mode, path in ((f"R{k}", "metro", [sid(i, k) for i in range(nodes)]),
+                                (f"C{k}", "bus", [sid(k, j) for j in range(nodes)])):
+            routes[rid] = Route(rid, rid, mode, tuple(path), {"metro": 6.0, "bus": 8.0}[mode],
+                                330, 1410, 30.0, leg_times_min=(2.0,) * (nodes - 1))
+    return TransitNetwork(stations=stations, routes=routes, fares=FareRules())
+
+
+@st.composite
+def _block_cases(draw):
+    """A case of ``_planner_cases`` with its trips drawn again, with repeats,
+    to fill one to three ``plan_many`` blocks and a part of one, and with a
+    search radius that is either the default or the exact distance from one
+    trip end to one station, which then lies on the radius."""
+    net, penalty, ods = draw(_planner_cases())
+    block = NetworkPlanner(net).block_trips
+    rnd = draw(st.randoms(use_true_random=False))
+    trips = [rnd.choice(ods) for _ in range(draw(st.integers(block + 1, 3 * block + 1)))]
+    radius = DEFAULT_SEARCH_RADIUS_M
+    if draw(st.booleans()):
+        end = draw(st.sampled_from([od[:2] for od in ods] + [od[2:] for od in ods]))
+        d = net.station_distances_m(*end)
+        radius = float(d[draw(st.integers(0, len(d) - 1))]) or radius
+    return net, penalty, radius, trips
+
+
+class TestPlanBlocks:
+    """``plan_many``'s block front end against the per-point search it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_block_cases())
+    def test_blocks_match_the_dijkstra_oracle(self, case):
+        net, penalty, radius, trips = case
+        planner = NetworkPlanner(net, radius, penalty)
+        oracle = OraclePlanner(net, radius, penalty)
+        expected = {od: json.dumps(oracle.plan(*od).to_dict()) for od in set(trips)}
+        got = planner.plan_many(trips)
+        assert len(got) == len(trips) > planner.block_trips
+        assert [json.dumps(alt.to_dict()) for alt in got] == [expected[od] for od in trips]
+        one_by_one = NetworkPlanner(net, radius, penalty)
+        for od in trips:
+            one_by_one.plan(*od)
+        assert planner.states_expanded == one_by_one.states_expanded
+
+    def test_one_trip_fills_a_block_on_a_wide_lattice(self):
+        # 35 x 35 stations, so the two ends of one trip take more than half a block
+        net = _full_lattice(35)
+        planner, oracle = NetworkPlanner(net), OraclePlanner(net)
+        assert len(net.station_ids) > 1000 and planner.block_trips == 1
+        a, b, c = (net.stations[sid] for sid in ("N10-10", "N14-14", "N20-12"))
+        ods = [(a.lon, a.lat, b.lon, b.lat), (b.lon + 0.001, b.lat, c.lon, c.lat - 0.002),
+               (121.0, 30.9, c.lon, c.lat)]
+        trips = [ods[k] for k in (0, 1, 0, 2, 1, 1)]
+        expected = [json.dumps(oracle.plan(*od).to_dict()) for od in trips]
+        assert [json.dumps(alt.to_dict()) for alt in planner.plan_many(trips)] == expected
+        assert '"available": false' in expected[3] and expected[0] != expected[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), stations=st.integers(1, 1200),
+           trips=st.integers(1, 40), spread=st.sampled_from([1e-4, 0.05, 5.0, 90.0]))
+    def test_block_rows_are_the_per_point_rows(self, seed, stations, trips, spread):
+        rng = np.random.default_rng(seed)
+        lons = rng.uniform(-spread, spread, stations + 2 * trips) * 2.0
+        lats = rng.uniform(-spread, spread, stations + 2 * trips)
+        on_first = rng.random(len(lons)) < 0.1  # stations and ends on one point
+        lons[on_first], lats[on_first] = lons[0], lats[0]
+        net = TransitNetwork(stations={f"S{i:04d}": Station(f"S{i:04d}", "", (), float(lons[i]),
+                                                            float(lats[i]), "bus", ())
+                                       for i in range(stations)}, routes={})
+        # plan_many's block: an (origin, destination) pair of rows per trip,
+        # passed as the column views of one (ends, 2) array
+        ends = np.stack([lons[stations:], lats[stations:]], axis=1)
+        rows = net.distance_rows(ends[:, 0], ends[:, 1])
+        assert rows.shape == (2 * trips, stations)
+        for row, (lon, lat) in zip(rows, ends.tolist()):
+            assert row.tobytes() == net.station_distances_m(lon, lat).tobytes()
 
 
 class TestFares:

@@ -11,14 +11,18 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import synth_oracle
+from ridelink import synth
 from ridelink.classify import (
     FIRST_MILE,
     INDEPENDENT,
     LAST_MILE,
     SUBSTITUTIVE,
     ClassifierConfig,
+    TripClass,
     classify_all,
     classify_trip,
     match_label,
@@ -33,12 +37,14 @@ from ridelink.ptnet import (
 from ridelink.synth import (
     GROUND_TRUTH_COLUMNS,
     ScenarioSpec,
+    _Factory,
     bbox_of,
     build_network,
     generate,
     plant_trips,
     read_ground_truth,
 )
+from synth_oracle import OracleFactory
 
 SMALL = ScenarioSpec(first_mile=15, last_mile=15, substitutive=15,
                      independent_c1=15, independent_c3=15, independent_c4=15,
@@ -381,3 +387,87 @@ class TestGenerate:
             s = net.stations[sid]
             lon, lat = proj.to_lonlat(x * 1000.0, y * 1000.0)
             assert great_circle_m(lon, lat, s.lon, s.lat) < 1.0
+
+
+class _Rejecting:
+    """``classify_trip``, except that the calls numbered in ``reject`` (from
+    0, one per verified draw) return a verdict that no recipe intends."""
+
+    def __init__(self, reject):
+        self.reject, self.calls = set(reject), 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return TripClass("rejected") if self.calls - 1 in self.reject else classify_trip(*args)
+
+
+# block-sized recipes: 2 blocks and a part of first-mile trips, then 3 last-mile
+# and 3 substitutive ones, at most 4 attempts each
+BLOCKS = replace(ScenarioSpec(), first_mile=40, last_mile=3, substitutive=3, independent_c1=0,
+                 independent_c3=0, independent_c4=0, independent_c5=0, independent_c6=0,
+                 max_attempts=4)
+F = BLOCKS.first_mile  # unless a draw misses, the last-mile draws are F, F + 1, F + 2
+
+
+class TestBlockPlanting:
+    """``plant_all`` verifies its draws in planner blocks; the one-at-a-time
+    loop it replaced (``tests/synth_oracle.py``) must give the same trips, the
+    same truth, the same error and the same final generator state."""
+
+    @staticmethod
+    def _plant(factory_class, spec, monkeypatch, module, reject):
+        stub = _Rejecting(reject)
+        monkeypatch.setattr(module, "classify_trip", stub)
+        factory = factory_class(spec, *build_network(spec))
+        try:
+            outcome = factory.plant_all()
+        except RuntimeError as exc:
+            outcome = str(exc)
+        return outcome, factory.rng.bit_generator.state, stub.calls, factory
+
+    def _compare(self, spec, monkeypatch, reject):
+        got, state, calls, factory = self._plant(_Factory, spec, monkeypatch, synth, reject)
+        want, oracle_state, oracle_calls, _ = self._plant(OracleFactory, spec, monkeypatch,
+                                                          synth_oracle, reject)
+        assert got == want
+        assert state == oracle_state
+        assert calls == oracle_calls
+        return got, factory, calls
+
+    @pytest.mark.parametrize("reject", [
+        lambda b: [],
+        lambda b: [0],                           # the first draw of the first block
+        lambda b: [b - 1],                       # its last draw
+        lambda b: [b],                           # the first draw of the second block
+        lambda b: [b - 1, b, b + 2],             # the retry of a miss misses, then a block starts
+        lambda b: [0, 1, 2, 5, 9, b + 5],        # three misses, a success, and misses later on
+        lambda b: range(F + 2, F + 5),           # the last last-mile trip on its last attempt
+        lambda b: [F + 3, F + 5, F + 6],         # misses in the last recipe
+    ], ids=["none", "block_first", "block_last", "second_block_first", "retry_misses",
+            "spread", "last_attempt", "last_recipe"])
+    def test_misses_keep_the_oracle_stream(self, monkeypatch, reject):
+        block = _Factory(BLOCKS, *build_network(BLOCKS)).planner.block_trips
+        assert 2 * block < BLOCKS.first_mile < 3 * block
+        (trips, truth), _, _ = self._compare(BLOCKS, monkeypatch, reject(block))
+        assert len(trips) == BLOCKS.total_trips() == len(truth)
+
+    @pytest.mark.parametrize("start", [0, F // 2, F + 3])
+    def test_max_attempts_of_misses_raise_as_the_oracle(self, monkeypatch, start):
+        message, _, _ = self._compare(BLOCKS, monkeypatch,
+                                      range(start, start + BLOCKS.max_attempts))
+        assert message.startswith("could not place a ")
+        assert message.endswith(f" trip in {BLOCKS.max_attempts} attempts; the scenario "
+                                f"geometry cannot express it")
+
+    def test_no_attempts_draw_nothing(self, monkeypatch):
+        spec = replace(BLOCKS, max_attempts=0)
+        message, factory, calls = self._compare(spec, monkeypatch, [])
+        assert "first_mile trip in 0 attempts" in message and calls == 0
+        assert factory.rng.bit_generator.state == np.random.default_rng(spec.seed).bit_generator.state
+
+    def test_real_misses_keep_the_oracle_stream(self, monkeypatch):
+        # with 1.5 km station spacing a few draws miss their recipe unstubbed
+        spec = replace(ScenarioSpec(), metro_spacing_km=1.5,
+                       **{recipe: 30 for recipe in ScenarioSpec().planted_counts()})
+        (trips, _), _, calls = self._compare(spec, monkeypatch, [])
+        assert len(trips) == 240 < calls
