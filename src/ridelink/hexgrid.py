@@ -92,11 +92,6 @@ def corners_xy(grid: HexGrid, q: int, r: int) -> list[tuple[float, float]]:
             for k in range(6)]
 
 
-def cell_polygon(grid: HexGrid, q: int, r: int) -> list[tuple[float, float]]:
-    """Six corners (lon, lat), closed ring not included."""
-    return [grid.projection.to_lonlat(x, y) for x, y in corners_xy(grid, q, r)]
-
-
 def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
     """Tile a lon/lat bounding box with flat-top hexagons.
 
@@ -453,13 +448,22 @@ def write_cell_stats(stats: dict[str, GridCellStats], path: str) -> None:
 
 def read_cell_stats(path: str) -> dict[str, GridCellStats]:
     """Cell stats back from ``cells.csv``. Raises ``ValueError`` naming the
-    cell when its counts are impossible: fewer than one day, a negative count,
-    or a ratio numerator above its denominator."""
+    line of an id that is not ``cell_id``'s text or repeats an earlier one, or
+    the cell when its counts are impossible: fewer than one day, a negative
+    count, or a ratio numerator above its denominator."""
     stats = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
+        for row in (reader := csv.DictReader(handle)):
+            cid = row["cell_id"]
+            try:
+                canonical = cell_id(*parse_cell_id(cid))
+            except ValueError:
+                canonical = None
+            if cid != canonical or cid in stats:
+                raise ValueError(f"line {reader.line_num}: cell id {cid!r} is not a 'q,r' "
+                                 f"cell id or repeats an earlier row")
             counts = {count: int(row[count]) for count in COUNTS}
-            cs = GridCellStats(cell_id=row["cell_id"], days=int(row["days"]), **counts)
+            cs = GridCellStats(cell_id=cid, days=int(row["days"]), **counts)
             if cs.days < 1 or min(counts.values()) < 0 or any(
                     counts[num] > counts[den] for num, den in RATIOS.values()):
                 raise ValueError(f"cell {cs.cell_id} has impossible counts: days "
@@ -469,31 +473,43 @@ def read_cell_stats(path: str) -> dict[str, GridCellStats]:
 
 
 def _closed_rings(grid: HexGrid):
-    """Each cell's corners as a closed ring of [lon, lat], from one projection
-    call per 256 cells: elementwise, so the same bits as ``cell_polygon``. One
-    call over every corner would hold arrays that raise gridify's peak memory."""
+    """Each cell's closed ring, flat as lon, lat, lon, lat, ...: the centre plus
+    six offsets worked out once (``corners_xy``'s operations), projected
+    elementwise, so the bits of projecting each corner alone. One projection
+    call per 256 cells keeps gridify's peak memory flat."""
     import numpy as np
+    s = grid.side_m
+    dx, dy = (np.array([s * f(math.pi / 3.0 * k) for k in (*range(6), 0)])
+              for f in (math.cos, math.sin))
     for start in range(0, len(grid.cells), 256):
-        xy = np.fromiter((v for q, r in grid.cells[start:start + 256]
-                          for corner in corners_xy(grid, q, r) for v in corner), float)
-        lons, lats = (v.tolist() for v in grid.projection.to_lonlat(xy[0::2], xy[1::2]))
-        for i in range(0, len(lons), 6):
-            yield [[lons[k], lats[k]] for k in (*range(i, i + 6), i)]
+        q, r = np.array(grid.cells[start:start + 256], dtype=float).T
+        cx, cy = s * 1.5 * q, s * (SQRT3 / 2.0 * q + SQRT3 * r)
+        lons, lats = grid.projection.to_lonlat(cx[:, None] + dx, cy[:, None] + dy)
+        yield from np.stack((lons, lats), axis=2).reshape(-1, 14).tolist()
+
+
+# one feature as json.dump(..., indent=1) writes it inside the collection: %r
+# for each ring coordinate (json's float text), %s for the id and each value
+_POINT = "\n      [\n       %r,\n       %r\n      ]"
+_FEATURE = ('{\n   "type": "Feature",\n   "geometry": {\n    "type": "Polygon",\n'
+            '    "coordinates": [\n     [' + ",".join([_POINT] * 7) + '\n     ]\n    ]\n   },\n'
+            '   "properties": {\n    "cell_id": "%s"'
+            + "".join(f',\n    "{name}": %s' for name in (*_DAILY_COLUMNS, *RATIOS))
+            + "\n   }\n  }")
 
 
 def write_cell_stats_geojson(grid: HexGrid, stats: dict[str, GridCellStats], path: str) -> None:
-    features = []
-    for (q, r), ring in zip(grid.cells, _closed_rings(grid)):
-        cid = cell_id(q, r)
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "Polygon", "coordinates": [ring]},
-            "properties": {"cell_id": cid, **_derived(stats[cid])},
-        })
-    doc = {"type": "FeatureCollection", "features": features}
+    """The cells as GeoJSON, ``json.dump(doc, indent=1)``'s bytes and a newline,
+    one feature at a time: every number is finite (a finite bbox, days >= 1)."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=1)
-        handle.write("\n")
+        handle.write('{\n "type": "FeatureCollection",\n "features": [')
+        sep = "\n  "
+        for (q, r), ring in zip(grid.cells, _closed_rings(grid)):
+            cid = cell_id(q, r)
+            values = ("null" if v is None else repr(v) for v in _derived(stats[cid]).values())
+            handle.write(sep + _FEATURE % (*ring, cid, *values))
+            sep = ",\n  "
+        handle.write("\n ]\n}\n" if grid.cells else "]\n}\n")
 
 
 def write_od_flows(flows: Sequence[OdFlow], path: str) -> None:
@@ -543,7 +559,6 @@ __all__ = [
     "build_grid",
     "cell_center",
     "cell_id",
-    "cell_polygon",
     "complementary_breakdown",
     "compute_ratios",
     "corners_xy",

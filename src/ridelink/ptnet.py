@@ -235,6 +235,19 @@ def format_hhmm(minutes: int) -> str:
     return f"{minutes // 60:02d}:{minutes % 60:02d}"
 
 
+STATION_COLUMNS = ("id", "name", "aliases", "lon", "lat", "mode", "line_ids")
+ROUTE_COLUMNS = ("id", "line_id", "mode", "station_ids", "headway_min",
+                 "service_start", "service_end", "speed_kmh")
+
+
+def _table(handle, path: str, columns: Sequence[str]) -> csv.DictReader:
+    """Rows of a CSV file whose header must hold ``columns``."""
+    reader = csv.DictReader(handle)
+    if missing := [c for c in columns if c not in (reader.fieldnames or ())]:
+        raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+    return reader
+
+
 def load_network(
     stations_path: str,
     routes_path: str,
@@ -243,7 +256,7 @@ def load_network(
     """Load stations/routes CSVs plus fare rules from a JSON path (defaults when None)."""
     stations: dict[str, Station] = {}
     with open(stations_path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
+        for row in _table(handle, stations_path, STATION_COLUMNS):
             sid = row["id"].strip()
             if sid in stations:
                 raise ValueError(f"duplicate station id {sid!r}")
@@ -259,7 +272,7 @@ def load_network(
             )
     routes: dict[str, Route] = {}
     with open(routes_path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
+        for row in _table(handle, routes_path, ROUTE_COLUMNS):
             rid = row["id"].strip()
             if rid in routes:
                 raise ValueError(f"duplicate route id {rid!r}")
@@ -275,6 +288,8 @@ def load_network(
                 service_end=parse_hhmm(row["service_end"]),
                 speed_kmh=float(row["speed_kmh"]),
             )
+    if not routes:
+        raise ValueError(f"{routes_path} has no routes")
     fare_rules = FareRules()
     if fares is not None:
         with open(fares, "r", encoding="utf-8") as handle:
@@ -314,7 +329,7 @@ def validate_network(net: TransitNetwork) -> None:
 def write_stations(stations: Iterable[Station], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["id", "name", "aliases", "lon", "lat", "mode", "line_ids"])
+        writer.writerow(STATION_COLUMNS)
         for s in stations:
             writer.writerow([s.id, s.name, "|".join(s.aliases), repr(s.lon), repr(s.lat),
                              s.mode, "|".join(s.line_ids)])
@@ -323,8 +338,7 @@ def write_stations(stations: Iterable[Station], path: str) -> None:
 def write_routes(routes: Iterable[Route], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["id", "line_id", "mode", "station_ids", "headway_min",
-                         "service_start", "service_end", "speed_kmh"])
+        writer.writerow(ROUTE_COLUMNS)
         for r in routes:
             writer.writerow([r.id, r.line_id, r.mode, "|".join(r.station_ids),
                              repr(r.headway_min), format_hhmm(r.service_start),
@@ -682,7 +696,9 @@ __all__ = [
     "MODES",
     "NetworkPlanner",
     "PtAlternative",
+    "ROUTE_COLUMNS",
     "Route",
+    "STATION_COLUMNS",
     "Station",
     "TransitNetwork",
     "UNAVAILABLE",

@@ -22,6 +22,7 @@ import pytest
 
 from cityfix import build_city
 from enum_oracle import best_journey, random_network
+from geojson_oracle import cell_polygon
 from matrix_cases import build_condition_matrix
 from ridelink import boost
 from ridelink.boost import BoostModel, BoostParams, fit, model_to_json, predict
@@ -41,7 +42,6 @@ from ridelink.hexgrid import (
     axial_center_xy,
     build_grid,
     cell_id,
-    cell_polygon,
     compute_ratios,
     locate,
 )

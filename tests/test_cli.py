@@ -27,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ridelink import boost, explain, features, hexgrid, sensitivity, synth
+from ridelink import boost, explain, features, hexgrid, ptnet, sensitivity, synth
 from ridelink.cli import (
     ARTIFACTS,
     DEFAULTS,
@@ -564,6 +564,30 @@ class TestErrorContract:
         doc = json.loads(proc.stderr)
         assert doc["kind"] == "config"
         assert "grid.side_km" in doc["error"] and "bbox" in doc["error"]
+
+    @pytest.mark.parametrize("stage", ["plan", "gridify"])
+    @pytest.mark.parametrize("files, missing", [
+        ({"routes.csv": ""}, "id, line_id, mode, station_ids"),
+        ({"routes.csv": "id,mode\n"}, "line_id, station_ids, headway_min"),
+        ({"stations.csv": ",".join(ptnet.STATION_COLUMNS) + "\n",
+          "routes.csv": ",".join(ptnet.ROUTE_COLUMNS) + "\n"}, None),
+    ], ids=["routes_zero_bytes", "routes_two_columns", "both_header_only"])
+    def test_network_without_its_columns_or_routes(self, pipeline, tmp_path, stage, files,
+                                                   missing):
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        for name, text in files.items():
+            (copy / "city" / name).write_text(text)
+        code, out, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        routes = str(copy / "city" / "routes.csv")
+        if missing:
+            assert f"{routes} lacks the column(s) {missing}" in error
+        else:
+            assert f"{routes} has no routes" in error
+        assert out == ""
 
     def test_env_override_reaches_validation(self, pipeline, monkeypatch):
         _, config_path, _ = pipeline
@@ -1297,6 +1321,8 @@ class TestErrorContract:
         ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "fc_total", "-3")),
         ("report", "cells.csv", "gridify", _fc_above_o),
         ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "days", "0")),
+        ("report", "cells.csv", "gridify", lambda text: _set_csv_field(text, "cell_id", "-nan2,-4")),
+        ("report", "cells.csv", "gridify", lambda text: text + text.splitlines()[1] + "\n"),
         ("gridify", "city/scenario.json", "synth", lambda text: "{}"),
         ("gridify", "city/scenario.json", "synth", lambda text: "garbage"),
         ("gridify", "city/scenario.json", "synth", lambda text: "[1,2]"),
@@ -1326,6 +1352,7 @@ class TestErrorContract:
             "features_cells_negative_count", "features_cells_numerator_above_denominator",
             "features_cells_zero_days", "report_cells_negative_count",
             "report_cells_numerator_above_denominator", "report_cells_zero_days",
+            "report_cells_id_not_parsed", "report_cells_repeated_id",
             "gridify_manifest_empty_object", "gridify_manifest_not_json",
             "gridify_manifest_list", "features_manifest_empty_object",
             "features_manifest_not_json", "features_manifest_list",

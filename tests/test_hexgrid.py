@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityfix import build_city
+from geojson_oracle import cell_polygon
+from geojson_oracle import write_cell_stats_geojson as whole_document_geojson
 from locate_oracle import OFF_GRID
 from locate_oracle import locate as scalar_locate
 from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from ridelink.hexgrid import (
     CELL_STATS_COLUMNS,
     COUNTS,
+    HexGrid,
     SQRT3,
     axial_center_xy,
     build_grid,
     cell_center,
     cell_id,
-    cell_polygon,
     complementary_breakdown,
     compute_ratios,
     locate,
@@ -542,6 +546,31 @@ class TestWriters:
         with pytest.raises(ValueError, match=f"cell {cid} has impossible counts"):
             read_cell_stats(str(path))
 
+    @pytest.mark.parametrize("bad_id", ["-nan2,-4", "1, 2", "+1,2", "01,2", "1,2,3", "12", ""])
+    def test_reader_rejects_an_id_that_does_not_parse(self, tmp_path, bad_id):
+        grid = build_grid(BBOX, 0.5)
+        path = tmp_path / "cells.csv"
+        write_cell_stats(compute_ratios([], [], grid, days=2), str(path))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[3][0] = bad_id
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=re.escape(f"line 4: cell id {bad_id!r} is not")):
+            read_cell_stats(str(path))
+
+    def test_reader_rejects_a_repeated_id(self, tmp_path):
+        grid = build_grid(BBOX, 0.5)
+        path = tmp_path / "cells.csv"
+        write_cell_stats(compute_ratios([], [], grid, days=2), str(path))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows.append(rows[5])
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=f"line {len(rows)}: cell id '{rows[5][0]}' .* repeats"):
+            read_cell_stats(str(path))
+
     def test_flow_and_profile_writers_deterministic(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
         a = cell_center(grid, *grid.cells[5])
@@ -558,3 +587,57 @@ class TestWriters:
         write_temporal_profile(profile, str(t1))
         lines = t1.read_text().strip().splitlines()
         assert len(lines) == 25
+
+
+@st.composite
+def _geojson_case(draw):
+    """A grid somewhere in one of the four hemispheres, its cell stats over
+    ``days`` > 1, with every third cell empty (each ratio None)."""
+    lon = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.5, 179.0))
+    lat = draw(st.sampled_from([-1, 1])) * draw(st.floats(0.5, 75.0))
+    width_km, height_km = draw(st.floats(1.0, 6.0)), draw(st.floats(1.0, 6.0))
+    half_lon = width_km / 2 / (111.32 * math.cos(math.radians(abs(lat))))
+    half_lat = height_km / 2 / 110.57
+    side_km = draw(st.one_of(st.sampled_from([0.37, 2.0]), st.floats(0.3, 2.5)))
+    grid = build_grid((lon - half_lon, lat - half_lat, lon + half_lon, lat + half_lat), side_km)
+    stats = compute_ratios([], [], grid, days=draw(st.integers(2, 31)))
+    for i, cs in enumerate(stats.values()):
+        if i % 3:
+            cs.o_total, cs.a_total = draw(st.integers(0, 40)), draw(st.integers(1, 40))
+            cs.fc_total, cs.ds_total = draw(st.integers(0, cs.o_total)), draw(st.integers(0, cs.o_total))
+            cs.lc_total, cs.as_total = draw(st.integers(0, cs.a_total)), draw(st.integers(0, cs.a_total))
+    return grid, stats
+
+
+class TestGeojsonStream:
+    """The streaming ``cells.geojson`` writer against the whole-document oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_geojson_case())
+    def test_bytes_match_the_whole_document_oracle(self, tmp_path_factory, case):
+        grid, stats = case
+        tmp = tmp_path_factory.mktemp("geojson")
+        write_cell_stats_geojson(grid, stats, str(tmp / "stream.geojson"))
+        whole_document_geojson(grid, stats, str(tmp / "oracle.geojson"))
+        assert (tmp / "stream.geojson").read_bytes() == (tmp / "oracle.geojson").read_bytes()
+
+    def test_empty_grid_matches_the_oracle(self, tmp_path):
+        grid = HexGrid(lon0=121.0, lat0=31.0, side_km=0.5, cells=())
+        write_cell_stats_geojson(grid, {}, str(tmp_path / "stream.geojson"))
+        whole_document_geojson(grid, {}, str(tmp_path / "oracle.geojson"))
+        assert (tmp_path / "stream.geojson").read_bytes() == (tmp_path / "oracle.geojson").read_bytes()
+
+    def test_memory_does_not_grow_with_the_cell_count(self, tmp_path):
+        peaks = {}
+        for side_km in (0.34, 0.17):
+            grid = build_grid(BBOX, side_km)
+            stats = compute_ratios([], [], grid, days=2)
+            tracemalloc.start()
+            try:
+                write_cell_stats_geojson(grid, stats, str(tmp_path / "cells.geojson"))
+                peaks[len(grid.cells)] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        (small, small_peak), (large, large_peak) = sorted(peaks.items())
+        assert 350 <= small <= 450 and 1_400 <= large <= 1_800
+        assert large_peak <= 1.5 * small_peak, peaks
