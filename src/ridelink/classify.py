@@ -137,14 +137,11 @@ class TripClass:
 
 def classify_trip(
     trip: TripRecord,
-    alt: Optional[PtAlternative],
+    alt: PtAlternative,
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
     cfg: ClassifierConfig = ClassifierConfig(),
 ) -> TripClass:
-    if alt is None:
-        raise ValueError("alternative not prepared for trip; run the planner first")
-
     if not is_in_service(net, alt, (trip.pickup_min, trip.dropoff_min)):
         return TripClass(INDEPENDENT, "C1")
 
@@ -194,9 +191,8 @@ def classify_all(
 ) -> tuple[list[TripClass], dict]:
     """Classify every trip; returns per-trip results (input order) and a summary.
 
-    ``planner`` is a :class:`~ridelink.ptnet.NetworkPlanner` or a
-    :class:`~ridelink.ptnet.CachedPlanner`; each trip's alternative is its
-    ``plan(olon, olat, dlon, dlat)``.
+    ``planner`` is a :class:`~ridelink.ptnet.CachedPlanner` (anything with
+    ``plan(olon, olat, dlon, dlat)``); each trip's alternative is its ``plan``.
     """
     results = [
         classify_trip(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat), net, lexicon, cfg)

@@ -511,11 +511,11 @@ def cmd_plan(cfg: RunConfig, args) -> None:
     from .ptnet import CachedPlanner, NetworkPlanner
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
-    cache = CachedPlanner(NetworkPlanner(net, **cfg.data["planner"]))
-    cache.plan_missing((t.olon, t.olat, t.dlon, t.dlat) for t in trips)
+    planner = NetworkPlanner(net, **cfg.data["planner"])
+    cache = CachedPlanner.of(planner, ((t.olon, t.olat, t.dlon, t.dlat) for t in trips))
     cache.save(str(cfg.artifact("alternatives")))
     _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache),
-           "states_expanded": cache.planner.states_expanded})
+           "states_expanded": planner.states_expanded})
 
 
 def cmd_classify(cfg: RunConfig, args) -> None:

@@ -584,15 +584,14 @@ class NetworkPlanner:
         return legs, transfers, access_walk_m
 
 
-def is_in_service(net: TransitNetwork, alt: Optional[PtAlternative],
-                  interval: tuple[int, int]) -> bool:
+def is_in_service(net: TransitNetwork, alt: PtAlternative, interval: tuple[int, int]) -> bool:
     """Check service windows against a trip interval (minutes since epoch).
 
     The operative instant is the trip start: a window counts when it contains
     ``interval[0]`` expressed as minutes-of-day, boundaries inclusive.
 
     An available ``alt`` with legs requires *every* leg's route window to
-    contain the start; an alternative without legs (or None) falls back to
+    contain the start; an alternative without legs falls back to
     "any route in the network".
     """
     tod = interval[0] % 1440
@@ -600,7 +599,7 @@ def is_in_service(net: TransitNetwork, alt: Optional[PtAlternative],
     def window_ok(route: Route) -> bool:
         return route.service_start <= tod <= route.service_end
 
-    if alt is not None and alt.available and alt.legs:
+    if alt.available and alt.legs:
         return all(window_ok(net.routes[l.route_id]) for l in alt.legs)
     return any(window_ok(net.routes[rid]) for rid in sorted(net.routes))
 
@@ -620,45 +619,33 @@ def station_lexicon(net: TransitNetwork) -> dict[str, tuple[str, ...]]:
 
 
 class CachedPlanner:
-    """Memoising wrapper keyed on the exact origin and destination coordinates.
+    """The journey table: one journey per trip key, the exact origin and
+    destination coordinates.
 
-    The planner does not depend on time, so a trip's alternative is a function
-    of its four coordinates alone, and every lookup returns what the wrapped
-    planner returns for exactly those coordinates. Entries persist as JSON
-    lines, whose floats round-trip exactly, so a planning stage can be
-    replayed without the network files.
+    The planner does not depend on time, so a trip's journey is a function of
+    its four coordinates alone. The ``plan`` stage fills the table once with
+    :meth:`of`; ``classify`` and ``elasticity`` :meth:`load` it and only look
+    journeys up. Entries persist as JSON lines, whose floats round-trip
+    exactly, so those stages run without planning.
     """
 
-    def __init__(self, planner: Optional[NetworkPlanner] = None):
-        self.planner = planner
-        self._table: dict[tuple[float, float, float, float], PtAlternative] = {}
+    def __init__(self, table: dict[tuple[float, float, float, float], PtAlternative]):
+        self._table = table
+
+    @classmethod
+    def of(cls, planner: NetworkPlanner, points) -> "CachedPlanner":
+        """The table of each distinct key of ``points``, planned in sorted key
+        order by one ``planner.plan_many`` call."""
+        keys = sorted({cls.key(*p) for p in points})
+        return cls(dict(zip(keys, planner.plan_many(keys))))
 
     @staticmethod
     def key(olon, olat, dlon, dlat) -> tuple[float, float, float, float]:
         return (float(olon), float(olat), float(dlon), float(dlat))
 
     def plan(self, olon, olat, dlon, dlat) -> PtAlternative:
-        k = self.key(olon, olat, dlon, dlat)
-        hit = self._table.get(k)
-        if hit is not None:
-            return hit
-        if self.planner is None:
-            raise KeyError(f"no cached alternative for {k} and no planner attached")
-        alt = self.planner.plan(*k)
-        self._table[k] = alt
-        return alt
-
-    def plan_missing(self, points) -> None:
-        """Cache the alternative of each point whose key is not cached yet:
-        each key once, in first-seen order, through one ``plan_many`` call of
-        the planner. The table marks a key as seen, so no other set is built."""
-        new = []
-        for p in points:
-            k = self.key(*p)
-            if k not in self._table:
-                self._table[k] = None  # planned below; plan() takes None as a miss
-                new.append(k)
-        self._table.update(zip(new, self.planner.plan_many(new)))
+        """The stored journey; ``KeyError`` when the table has none for the key."""
+        return self._table[self.key(olon, olat, dlon, dlat)]
 
     def __len__(self) -> int:
         return len(self._table)
@@ -670,8 +657,9 @@ class CachedPlanner:
 
     @classmethod
     def load(cls, path: str) -> "CachedPlanner":
-        """Read a saved cache; a malformed entry raises ``ValueError`` naming its line."""
-        cache = cls()
+        """Read a saved table; a malformed entry or a repeated key raises
+        ``ValueError`` naming its line."""
+        table = {}
         with open(path, "r", encoding="utf-8") as handle:
             for number, line in enumerate(handle, 1):
                 if not line.strip():
@@ -680,11 +668,14 @@ class CachedPlanner:
                     entry = json.loads(line)
                     if not (len(entry["key"]) == 4 and all(map(finite_number, entry["key"]))):
                         raise ValueError(f"key must be four finite numbers, got {entry['key']!r}")
-                    cache._table[cls.key(*entry["key"])] = PtAlternative.from_dict(entry["alt"])
+                    k = cls.key(*entry["key"])
+                    if k in table:
+                        raise ValueError(f"key {list(k)} repeats an earlier key")
+                    table[k] = PtAlternative.from_dict(entry["alt"])
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise ValueError(f"line {number}: malformed entry "
                                      f"({type(exc).__name__}: {exc})") from None
-        return cache
+        return cls(table)
 
 
 __all__ = [

@@ -60,7 +60,8 @@ class SweepBase(NamedTuple):
 def sweep_base(trips: Sequence[TripRecord], results: Sequence[TripClass],
                planner) -> SweepBase:
     """Each of ``trips`` whose trace in ``results`` (at any setting) reaches C3,
-    with its journey from ``planner``: the base that every sweep shares."""
+    with its journey from ``planner``, a :class:`~ridelink.ptnet.CachedPlanner`
+    (anything with ``plan(olon, olat, dlon, dlat)``): the base every sweep shares."""
     return SweepBase([(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat))
                       for t, r in zip(trips, results, strict=True) if "C3" in r.trace],
                      len(trips))

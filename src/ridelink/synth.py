@@ -626,18 +626,6 @@ def write_ground_truth(truth: Sequence[GroundTruth], path) -> None:
                              row.violated_condition or ""])
 
 
-def read_ground_truth(path) -> list[GroundTruth]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(GroundTruth(
-                trip_index=int(row["trip_index"]),
-                intended_class=row["intended_class"],
-                violated_condition=row["violated_condition"] or None))
-    out.sort(key=lambda g: g.trip_index)
-    return out
-
-
 def bbox_of(spec: ScenarioSpec) -> tuple[float, float, float, float]:
     # as floats: numpy holds no integer anchor beyond int64
     proj = LocalProjection(float(spec.anchor_lon), float(spec.anchor_lat))
@@ -698,5 +686,5 @@ def generate(spec: ScenarioSpec, out_dir) -> dict[str, str]:
 
 
 __all__ = ["ScenarioSpec", "GroundTruth", "build_network", "plant_trips",
-           "generate", "write_ground_truth", "read_ground_truth", "bbox_of",
+           "generate", "write_ground_truth", "bbox_of",
            "GROUND_TRUTH_COLUMNS"]

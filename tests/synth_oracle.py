@@ -3,10 +3,14 @@
 blocks. ``classify``, ``plant`` and ``plant_all`` are kept verbatim from the
 loop that ``_Factory`` ran before it planned in blocks; only the class name
 and the imports are new. Each draw is planned and classified before the next
-is drawn, so the random stream is the one the block loop must reproduce."""
+is drawn, so the random stream is the one the block loop must reproduce.
+
+``read_ground_truth`` reads back the ``ground_truth.csv`` that
+``ridelink.synth.write_ground_truth`` writes; only the tests read that file."""
 
 from __future__ import annotations
 
+import csv
 from typing import Optional
 
 from ridelink.classify import TripClass, classify_trip
@@ -45,3 +49,15 @@ class OracleFactory(_Factory):
                              violated_condition=intents[old_idx][1])
                  for new_idx, old_idx in enumerate(order)]
         return shuffled, truth
+
+
+def read_ground_truth(path) -> list[GroundTruth]:
+    out = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            out.append(GroundTruth(
+                trip_index=int(row["trip_index"]),
+                intended_class=row["intended_class"],
+                violated_condition=row["violated_condition"] or None))
+    out.sort(key=lambda g: g.trip_index)
+    return out

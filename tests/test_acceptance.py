@@ -48,8 +48,9 @@ from ridelink.hexgrid import (
 from ridelink.ingest import parse_trips
 from ridelink.ptnet import NetworkPlanner, load_network, station_lexicon
 from ridelink.sensitivity import elasticity_sweep, sweep_base
-from ridelink.synth import ScenarioSpec, bbox_of, generate, read_ground_truth
+from ridelink.synth import ScenarioSpec, bbox_of, generate
 from shap_oracle import _shap_exact
+from synth_oracle import read_ground_truth
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:

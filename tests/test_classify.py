@@ -141,10 +141,6 @@ class TestConditionMatrix:
                 assert list(got.trace)[-1] == got.failed_condition
                 assert not got.trace[got.failed_condition]
 
-    def test_missing_alternative_raises(self):
-        with pytest.raises(ValueError, match="alternative not prepared"):
-            classify_trip(_CASES[0].trip, None, _NET, _LEX)
-
 
 def _random_alt(rng) -> PtAlternative:
     if rng.random() < 0.15:

@@ -460,7 +460,6 @@ class TestServiceWindows:
     def test_fallback_to_network_when_no_legs(self, city_net):
         assert is_in_service(city_net, UNAVAILABLE, (12 * 60, 12 * 60 + 20))
         assert not is_in_service(city_net, UNAVAILABLE, (60, 90))
-        assert is_in_service(city_net, None, (12 * 60, 12 * 60 + 20))
 
 
 class TestNetworkIO:
@@ -532,14 +531,16 @@ class TestLexicon:
         assert lex["peoples square"] == ("x1", "x2")
 
 
-class CountingPlanner:
+class RecordingPlanner:
+    """Plans through ``inner`` and records the points of each ``plan_many`` call."""
+
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.calls = []
 
-    def plan(self, *args):
-        self.calls += 1
-        return self.inner.plan(*args)
+    def plan_many(self, points):
+        self.calls.append(list(points))
+        return self.inner.plan_many(points)
 
 
 # coordinates inside the fixture city, and offsets far below the ~1 m that a
@@ -567,13 +568,13 @@ class TestPlanCache:
     @settings(max_examples=40, deadline=None)
     @given(seq=_coordinate_sequences())
     def test_exact_per_coordinate_memo(self, city_planner, seq):
-        counting = CountingPlanner(city_planner)
-        cache = CachedPlanner(counting)
+        recording = RecordingPlanner(city_planner)
+        cache = CachedPlanner.of(recording, seq)
+        distinct = set(seq)
+        assert recording.calls == [sorted(distinct)]
+        assert len(cache) == len(distinct)
         for coords in seq:
             assert cache.plan(*coords) == city_planner.plan(*coords)
-        distinct = set(seq)
-        assert len(cache) == len(distinct)
-        assert counting.calls == len(distinct)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "alts.jsonl")
             cache.save(path)
@@ -581,16 +582,23 @@ class TestPlanCache:
         assert len(replay) == len(distinct)
         for coords in distinct:
             assert replay.plan(*coords) == city_planner.plan(*coords)
+        absent = (seq[0][0] + 1.0, *seq[0][1:])  # east of every drawn longitude
+        for table in (cache, replay):
+            with pytest.raises(KeyError):
+                table.plan(*absent)
 
     def test_save_load_replay(self, city_planner, tmp_path):
-        cache = CachedPlanner(city_planner)
-        alt = cache.plan(121.001, 30.999, 121.055, 31.001)
+        coords = (121.001, 30.999, 121.055, 31.001)
+        cache = CachedPlanner.of(city_planner, [coords, coords])
+        alt = cache.plan(*coords)
+        assert len(cache) == 1 and alt == city_planner.plan(*coords)
         path = tmp_path / "alts.jsonl"
         cache.save(str(path))
         replay = CachedPlanner.load(str(path))
-        assert replay.plan(121.001, 30.999, 121.055, 31.001) == alt
-        with pytest.raises(KeyError):
-            replay.plan(121.002, 30.999, 121.055, 31.001)
+        assert replay.plan(*coords) == alt
+        for table in (cache, replay):
+            with pytest.raises(KeyError):
+                table.plan(121.002, 30.999, 121.055, 31.001)
 
 
 @st.composite

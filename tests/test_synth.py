@@ -42,9 +42,8 @@ from ridelink.synth import (
     build_network,
     generate,
     plant_trips,
-    read_ground_truth,
 )
-from synth_oracle import OracleFactory
+from synth_oracle import OracleFactory, read_ground_truth
 
 SMALL = ScenarioSpec(first_mile=15, last_mile=15, substitutive=15,
                      independent_c1=15, independent_c3=15, independent_c4=15,
