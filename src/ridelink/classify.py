@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import finite_number
-from .ingest import (DEFAULT_EPOCH, TripRecord, has_request_times, parse_trip_row,
-                     read_trip_header, trip_cells, trip_header)
+from .ingest import (BLOCK_ROWS, DEFAULT_EPOCH, TripRecord, has_request_times,
+                     read_trip_blocks, read_trip_header, trip_columns, trip_header)
 from .ptnet import PtAlternative, TransitNetwork, is_in_service
 
 FIRST_MILE = "first_mile_complementary"
@@ -211,6 +211,10 @@ def summarize(results: Sequence[TripClass]) -> dict:
 
 
 CLASSIFIED_EXTRA_COLUMNS = ("label", "failed_condition", "matched_station", "both_ends_station")
+# each (label, failed_condition) pair that write_classified writes
+_VERDICTS = frozenset([(label, "") for label in ALL_LABELS if label != INDEPENDENT]
+                      + [(INDEPENDENT, c) for c in _FAILABLE])
+_FLAGS = frozenset(("true", "false"))
 
 
 def write_classified(
@@ -223,48 +227,53 @@ def write_classified(
     if len(trips) != len(results):
         raise ValueError("trips and results must align")
     with_request = has_request_times(trips)
+    days: dict = {}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(trip_header(with_request) + CLASSIFIED_EXTRA_COLUMNS)
-        for t, r in zip(trips, results):
-            writer.writerow(trip_cells(t, epoch, with_request) + [
-                r.label, r.failed_condition or "", r.matched_station or "",
-                "true" if r.both_ends_station else "false",
-            ])
+        for start in range(0, len(trips), BLOCK_ROWS):
+            block = results[start:start + BLOCK_ROWS]
+            writer.writerows(zip(
+                *trip_columns(trips[start:start + BLOCK_ROWS], epoch, with_request, days),
+                [r.label for r in block], [r.failed_condition or "" for r in block],
+                [r.matched_station or "" for r in block],
+                ["true" if r.both_ends_station else "false" for r in block]))
+
+
+def _verdict_problems(label, failed, station, both) -> dict[int, str]:
+    """Each row whose label columns :func:`write_classified` would not write,
+    by position, with the first of its problems."""
+    if all(map(_VERDICTS.__contains__, zip(label, failed))) and _FLAGS.issuperset(both):
+        return {}
+    problems = {}
+    for i, (name, condition, flag) in enumerate(zip(label, failed, both)):
+        if name not in ALL_LABELS:
+            problems[i] = f"unknown trip label {name!r}"
+        elif (name, condition) not in _VERDICTS:
+            problems[i] = f"failed_condition {condition!r} does not fit label {name!r}"
+        elif flag not in _FLAGS:
+            problems[i] = f"both_ends_station {flag!r} is not true or false"
+    return problems
 
 
 def read_classified(path: str, bbox: tuple[float, float, float, float],
                     epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
-    """Reload a classified-trip CSV in one pass: each row's trip columns are
-    checked as ``ingest`` checks ``trips_clean.csv``, its verdict against what
-    :func:`write_classified` writes. The first bad row raises a ``ValueError``
-    naming its line."""
+    """Reload a classified-trip CSV, a column pass per block of rows: each
+    row's trip columns are checked as ``ingest`` checks ``trips_clean.csv``,
+    its verdict against what :func:`write_classified` writes. The first bad
+    row raises a ``ValueError`` naming its line."""
     trips: list[TripRecord] = []
     results: list[TripClass] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         layout = read_trip_header(reader, extra=CLASSIFIED_EXTRA_COLUMNS)
-        label_at, failed_at, station_at, both_at = layout.extra
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                trips.append(parse_trip_row(row, layout, bbox, epoch))
-                label, failed = row[label_at], row[failed_at]
-                if label not in ALL_LABELS:
-                    raise ValueError(f"unknown trip label {label!r}")
-                if failed not in (_FAILABLE if label == INDEPENDENT else ("",)):
-                    raise ValueError(f"failed_condition {failed!r} does not fit label {label!r}")
-                if row[both_at] not in ("true", "false"):
-                    raise ValueError(f"both_ends_station {row[both_at]!r} is not true or false")
-            except ValueError as exc:
-                raise ValueError(f"line {lineno} of {path}: {exc}") from None
-            results.append(TripClass(
-                label=label,
-                failed_condition=failed or None,
-                matched_station=row[station_at] or None,
-                both_ends_station=row[both_at] == "true",
-            ))
+        for kept, (label, failed, station, both), rejected in read_trip_blocks(
+                reader, layout, bbox, epoch, _verdict_problems):
+            if rejected:
+                raise ValueError(f"line {rejected[0].row} of {path}: {rejected[0].reason}")
+            trips.extend(kept)
+            results.extend(map(TripClass, label, [f or None for f in failed],
+                               [s or None for s in station], [b == "true" for b in both]))
     return trips, results
 
 

@@ -245,6 +245,18 @@ _KINDS = {
 }
 _SWEEP = _kind("a nonempty list of numbers, all finite",
                lambda v: isinstance(v, list) and v and all(map(finite_number, v)))
+
+
+def _trip_fields(columns) -> bool:
+    """Whether ``columns`` maps trip fields to header names and leaves no two
+    fields on one header name. Only a set ``ingest.columns`` loads ``ingest``."""
+    from .ingest import trip_header
+    fields = trip_header(with_request=True)
+    names = [columns.get(f, f) for f in fields]
+    return (set(columns) <= set(fields) and all(isinstance(h, str) for h in columns.values())
+            and len(set(names)) == len(names))
+
+
 _SPACE = _kind("a JSON object", lambda v: isinstance(v, dict),  # with ParamSpace's tuple ranges
                lambda v: {k: tuple(r) if isinstance(r, list) else r for k, r in v.items()})
 
@@ -309,8 +321,9 @@ SETTINGS: dict = {
     "ingest": {
         "iqr_k": Row(3.0, above=0),
         "per_day": Row(False),
-        "columns": Row(None, kind=_kind("a map from field names to header names", lambda v: (
-            isinstance(v, dict) and all(isinstance(h, str) for h in v.values())))),
+        "columns": Row(None, kind=_kind(
+            "a map from trip field names to header names, no two fields on one name",
+            lambda v: isinstance(v, dict) and _trip_fields(v))),
     },
     "grid": {"side_km": Row(0.5, above=0, most=20_000)},  # km: half the Earth's 40,030 km girth
     "features": {"vif_threshold": Row(10.0)},

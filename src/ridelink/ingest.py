@@ -11,7 +11,11 @@ integer count of minutes since midnight of a configurable epoch date, so
 whenever the header has one, yields pick-up waiting times.
 
 The trip columns of both ``trips_clean.csv`` and ``classified.csv`` are read by
-:func:`read_trip_header` and :func:`parse_trip_row` and written by :func:`trip_cells`.
+:func:`read_trip_header` and :func:`read_trip_blocks` and written by
+:func:`trip_columns`, one column pass per block of ``BLOCK_ROWS`` rows: each
+number column is parsed with one ``map``, each date's first minute and each
+day's written prefix are computed once per call, and every check runs over
+whole columns in a fixed order, so a rejected row gets its first failing reason.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ import json
 import math
 import re
 from dataclasses import asdict, dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, TextIO
+from functools import cache
+from itertools import chain, product
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 CANONICAL_COLUMNS = (
     "plate_id",
@@ -105,33 +112,68 @@ class IqrFilterReport:
     day: Optional[int] = None  # set only when filtering per day
 
 
-def parse_time(text: str, epoch: _dt.date = DEFAULT_EPOCH) -> int:
-    """Parse ``YYYY/M/D HH:MM`` into minutes since midnight of ``epoch``.
-
-    Accepts and rejects exactly what ``datetime.strptime(text.strip(),
-    TIME_FORMAT)`` does, with the regular expression ``strptime`` builds for
-    that format, at well under half its cost.
-    """
-    found = _TIME_RE.fullmatch(text.strip())
-    if found is None:
-        raise ValueError(f"time data {text!r} does not match format {TIME_FORMAT!r}")
-    moment = _dt.datetime(*map(int, found.groups()))
-    origin = _dt.datetime(epoch.year, epoch.month, epoch.day)
-    delta = moment - origin
-    return delta.days * 1440 + delta.seconds // 60
+BLOCK_ROWS = 1024  # rows per column pass: one block's columns are alive at a time
 
 
-def format_time(minutes: int, epoch: _dt.date = DEFAULT_EPOCH) -> str:
-    origin = _dt.datetime(epoch.year, epoch.month, epoch.day)
-    moment = origin + _dt.timedelta(minutes=int(minutes))
-    return f"{moment.year}/{moment.month}/{moment.day} {moment.hour:02d}:{moment.minute:02d}"
+@cache
+def _clock() -> tuple[str, ...]:
+    """"HH:MM" of each minute of the day, built on a process's first write."""
+    return tuple(map("".join, product([f"{h:02d}:" for h in range(24)],
+                                      [f"{m:02d}" for m in range(60)])))
 
 
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("not finite")
-    return value
+def _minutes(cells: Sequence[str], epoch: _dt.date, dates: dict, bad: set) -> list[int]:
+    """Each ``YYYY/M/D HH:MM`` cell as minutes since midnight of ``epoch``.
+    A cell parses exactly when ``datetime.strptime(cell.strip(),
+    TIME_FORMAT)`` would, by the regular expression ``strptime`` builds for
+    that format; one that does not reads 0 and its position joins ``bad``.
+    ``dates`` holds each date's first minute, computed once."""
+    out = [0] * len(cells)
+    for i, found in enumerate(map(_TIME_RE.fullmatch, map(str.strip, cells))):
+        if found is None:
+            bad.add(i)
+            continue
+        year, month, day, hour, minute = found.groups()
+        start = dates.get((year, month, day))
+        if start is None:
+            try:
+                start = (_dt.date(int(year), int(month), int(day)) - epoch).days * 1440
+            except ValueError:
+                bad.add(i)
+                continue
+            dates[year, month, day] = start
+        out[i] = start + int(hour) * 60 + int(minute)
+    return out
+
+
+def _stamps(minutes: Iterable[int], epoch: _dt.date, days: dict) -> list[str]:
+    """Each minute count as ``YYYY/M/D HH:MM``; ``days`` holds each day's prefix."""
+    clock, out = _clock(), []
+    for value in minutes:
+        day, minute = divmod(int(value), 1440)
+        prefix = days.get(day)
+        if prefix is None:
+            moment = epoch + _dt.timedelta(days=day)
+            prefix = days[day] = f"{moment.year}/{moment.month}/{moment.day} "
+        out.append(prefix + clock[minute])
+    return out
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text.strip())
+    except ValueError:
+        return math.nan
+
+
+def _floats(cells: Sequence[str]) -> list[float]:
+    """The cells as floats, NaN where a cell is no number. ``float`` strips
+    no more than ``str.strip``, so one ``map`` over the unstripped cells
+    agrees wherever it succeeds."""
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        return [_float(text) for text in cells]
 
 
 def has_request_times(trips: Sequence[TripRecord]) -> bool:
@@ -144,14 +186,22 @@ def trip_header(with_request: bool) -> tuple[str, ...]:
     return CANONICAL_COLUMNS + (("request_time",) if with_request else ())
 
 
-def trip_cells(t: TripRecord, epoch: _dt.date, with_request: bool) -> list[str]:
-    """One trip's cells under :func:`trip_header`; floats use repr so a reparse is lossless."""
-    row = [t.plate_id, repr(t.olon), repr(t.olat), t.pickup_label, format_time(t.pickup_min, epoch),
-           repr(t.dlon), repr(t.dlat), t.dropoff_label, format_time(t.dropoff_min, epoch),
-           repr(t.distance_km), repr(t.cost)]
+def trip_columns(trips: Sequence[TripRecord], epoch: _dt.date, with_request: bool,
+                 days: dict) -> list[list[str]]:
+    """The trips' cells under :func:`trip_header`, one list per column; floats
+    use repr so a reparse is lossless. ``days`` is :func:`_stamps`' cache."""
+    def cells(field, text=repr):
+        return list(map(text, map(attrgetter(field), trips)))
+
+    def times(field):
+        return _stamps(map(attrgetter(field), trips), epoch, days)
+
+    columns = [cells("plate_id", str), cells("olon"), cells("olat"), cells("pickup_label", str),
+               times("pickup_min"), cells("dlon"), cells("dlat"), cells("dropoff_label", str),
+               times("dropoff_min"), cells("distance_km"), cells("cost")]
     if with_request:
-        row.append(format_time(t.request_min, epoch))
-    return row
+        columns.append(times("request_min"))
+    return columns
 
 
 class TripLayout(NamedTuple):
@@ -192,45 +242,97 @@ def read_trip_header(reader, columns: Optional[dict[str, str]] = None,
     )
 
 
-def parse_trip_row(row: Sequence[str], layout: TripLayout,
-                   bbox: tuple[float, float, float, float], epoch: _dt.date) -> TripRecord:
-    """Parse and check one data row; a bad row raises ``ValueError(reason)``.
+def _row_blocks(reader) -> Iterator[list[tuple[int, list[str]]]]:
+    """The data rows with their row numbers (the header is 1), ``BLOCK_ROWS``
+    at a time. A row the reader cannot split ends the blocks, after the rows
+    before it, so the rows before it are checked first."""
+    block = []
+    try:
+        for numbered in enumerate(reader, start=2):
+            block.append(numbered)
+            if len(block) == BLOCK_ROWS:
+                yield block
+                block = []
+    except csv.Error:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
-    The reasons, in the order checked: wrong column count, bad timestamp, bad
-    number, dropoff not after pickup, nonpositive distance, negative cost,
-    coordinates outside bbox.
+
+def read_trip_blocks(reader, layout: TripLayout, bbox: tuple[float, float, float, float],
+                     epoch: _dt.date, check_extra: Optional[Callable] = None):
+    """Parse and check the data rows after :func:`read_trip_header`, one
+    column pass per block of ``BLOCK_ROWS`` rows.
+
+    Yields ``(trips, extra, rejections)`` per block: the trips of the rows
+    that pass, the ``layout.extra`` columns over the same rows, and one
+    :class:`Rejection` per other row, in row order. Blank rows are skipped.
+    A row's reason is the first failing check of: wrong column count, bad
+    timestamp, bad number, dropoff not after pickup, request after pickup,
+    nonpositive distance, negative cost, coordinates outside bbox, and then
+    ``check_extra(*extra)``, a map from a row's position among the block's
+    full-width rows to its reason.
     """
-    if len(row) != layout.width:
-        raise ValueError("wrong column count")
-    (plate_id, olon, olat, pickup_label, pickup_time, dlon, dlat, dropoff_label,
-     dropoff_time, distance_km, cost) = [row[i].strip() for i in layout.index]
-    try:
-        pickup_min = parse_time(pickup_time, epoch)
-        dropoff_min = parse_time(dropoff_time, epoch)
-        request_min = None
-        if layout.request is not None and row[layout.request].strip():
-            request_min = parse_time(row[layout.request], epoch)
-    except ValueError:
-        raise ValueError("bad timestamp") from None
-    try:
-        olon, olat = _parse_float(olon), _parse_float(olat)
-        dlon, dlat = _parse_float(dlon), _parse_float(dlat)
-        distance_km = _parse_float(distance_km)
-        cost = _parse_float(cost)
-    except ValueError:
-        raise ValueError("bad number") from None
-    if dropoff_min <= pickup_min:
-        raise ValueError("dropoff not after pickup")
-    if distance_km <= 0.0:
-        raise ValueError("nonpositive distance")
-    if cost < 0.0:
-        raise ValueError("negative cost")
+    dates: dict = {}
     lon_min, lat_min, lon_max, lat_max = bbox
-    if not (lon_min <= olon <= lon_max and lat_min <= olat <= lat_max
-            and lon_min <= dlon <= lon_max and lat_min <= dlat <= lat_max):
-        raise ValueError("coordinates outside bbox")
-    return TripRecord(plate_id, olon, olat, pickup_label, pickup_min, dlon, dlat,
-                      dropoff_label, dropoff_min, distance_km, cost, request_min)
+    for block in _row_blocks(reader):
+        lines, rows = map(list, zip(*block))
+        reasons = {}
+        if set(map(len, rows)) != {layout.width}:
+            reasons = {n: "wrong column count" for n, row in block if row and len(row) != layout.width}
+            lines = [n for n, row in block if len(row) == layout.width]
+            rows = [row for row in rows if len(row) == layout.width]
+        cells = list(zip(*rows)) or [()] * layout.width
+        (plate_id, olon, olat, pickup_label, pickup_time, dlon, dlat, dropoff_label,
+         dropoff_time, distance_km, cost) = (cells[i] for i in layout.index)
+        failed: dict[int, str] = {}
+
+        def flag(reason, positions):
+            for i in positions:
+                failed.setdefault(i, reason)
+
+        bad: set = set()
+        pickup = _minutes(pickup_time, epoch, dates, bad)
+        dropoff = _minutes(dropoff_time, epoch, dates, bad)
+        request: list = [None] * len(rows)
+        if layout.request is not None:
+            stamps = cells[layout.request]
+            given = [i for i, text in enumerate(stamps) if text.strip()]
+            timed: set = set()
+            for i, minutes in zip(given, _minutes([stamps[i] for i in given], epoch, dates, timed)):
+                request[i] = minutes
+            bad.update(given[j] for j in timed)
+        flag("bad timestamp", bad)
+        numbers = [_floats(column) for column in (olon, olat, dlon, dlat, distance_km, cost)]
+        if not all(map(math.isfinite, chain.from_iterable(numbers))):
+            flag("bad number", (i for i, row in enumerate(zip(*numbers))
+                                if not all(map(math.isfinite, row))))
+        olon, olat, dlon, dlat, distance_km, cost = numbers
+        flag("dropoff not after pickup", (i for i, (p, d) in enumerate(zip(pickup, dropoff))
+                                          if d <= p))
+        flag("request after pickup", (i for i, (r, p) in enumerate(zip(request, pickup))
+                                      if r is not None and r > p))
+        flag("nonpositive distance", (i for i, v in enumerate(distance_km) if v <= 0.0))
+        flag("negative cost", (i for i, v in enumerate(cost) if v < 0.0))
+        flag("coordinates outside bbox", (
+            i for i, (x0, y0, x1, y1) in enumerate(zip(olon, olat, dlon, dlat))
+            if not (lon_min <= x0 <= lon_max and lat_min <= y0 <= lat_max
+                    and lon_min <= x1 <= lon_max and lat_min <= y1 <= lat_max)))
+        extra = [cells[i] for i in layout.extra]
+        if check_extra is not None:
+            for i, reason in check_extra(*extra).items():
+                failed.setdefault(i, reason)
+        trips = list(map(TripRecord, map(str.strip, plate_id), olon, olat,
+                         map(str.strip, pickup_label), pickup, dlon, dlat,
+                         map(str.strip, dropoff_label), dropoff, distance_km, cost, request))
+        if failed:
+            reasons.update((lines[i], reason) for i, reason in failed.items())
+            kept = [i for i in range(len(rows)) if i not in failed]
+            trips = [trips[i] for i in kept]
+            extra = [[column[i] for i in kept] for column in extra]
+        yield trips, extra, [Rejection(*r) for r in sorted(reasons.items())]
 
 
 def parse_trips(
@@ -246,8 +348,8 @@ def parse_trips(
     optional waiting-time column, which is otherwise read whenever the header
     has a ``request_time`` column). A missing or repeated column raises
     :class:`SchemaError`. Malformed rows never abort the run: each one becomes
-    a :class:`Rejection` with the reason from :func:`parse_trip_row`, and valid
-    rows are returned in input order.
+    a :class:`Rejection` with the reason from :func:`read_trip_blocks`, and
+    valid rows are returned in input order.
 
     ``bbox`` is ``(lon_min, lat_min, lon_max, lat_max)``; both trip endpoints
     must fall inside it.
@@ -263,13 +365,9 @@ def parse_trips(
         layout = read_trip_header(reader, columns)
         trips: list[TripRecord] = []
         rejections: list[Rejection] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                trips.append(parse_trip_row(row, layout, bbox, epoch))
-            except ValueError as exc:
-                rejections.append(Rejection(lineno, str(exc)))
+        for kept, _, rejected in read_trip_blocks(reader, layout, bbox, epoch):
+            trips.extend(kept)
+            rejections.extend(rejected)
         return trips, rejections
     finally:
         if close_after:
@@ -277,7 +375,7 @@ def parse_trips(
 
 
 def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.date = DEFAULT_EPOCH) -> None:
-    """Write the canonical trip CSV through :func:`trip_cells`.
+    """Write the canonical trip CSV through :func:`trip_columns`, a block at a time.
 
     A ``request_time`` column is appended when every trip carries one, so the
     optional waiting-time signal survives a write/parse cycle.
@@ -293,8 +391,10 @@ def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.da
     try:
         writer = csv.writer(handle)
         writer.writerow(trip_header(with_request))
-        for t in rows:
-            writer.writerow(trip_cells(t, epoch, with_request))
+        days: dict = {}
+        for start in range(0, len(rows), BLOCK_ROWS):
+            block = rows[start:start + BLOCK_ROWS]
+            writer.writerows(zip(*trip_columns(block, epoch, with_request, days)))
     finally:
         if close_after:
             handle.close()
@@ -383,6 +483,7 @@ def write_iqr_reports(reports: Iterable[IqrFilterReport], target: str) -> None:
 
 
 __all__ = [
+    "BLOCK_ROWS",
     "CANONICAL_COLUMNS",
     "DEFAULT_EPOCH",
     "IqrFilterReport",
@@ -390,14 +491,12 @@ __all__ = [
     "SchemaError",
     "TripLayout",
     "TripRecord",
-    "format_time",
     "has_request_times",
     "iqr_filter",
-    "parse_time",
-    "parse_trip_row",
     "parse_trips",
+    "read_trip_blocks",
     "read_trip_header",
-    "trip_cells",
+    "trip_columns",
     "trip_header",
     "write_iqr_reports",
     "write_rejections",

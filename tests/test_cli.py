@@ -39,6 +39,7 @@ from ridelink.cli import (
 )
 from ridelink.classify import ClassifierConfig
 from ridelink.errors import ConfigError, finite_number
+from ridelink.ingest import CANONICAL_COLUMNS
 from ridelink.synth import ScenarioSpec, build_network
 from synth_oracle import read_ground_truth
 
@@ -398,6 +399,58 @@ class TestPipelineArtifacts:
         reaching = sum("C3" in r.trace for r in results)
         assert 0 < reaching < trips
         assert run("elasticity") == {"load": 1, "plan": reaching}
+
+    def test_stages_call_the_traced_trip_codecs(self, pipeline, tmp_path, monkeypatch):
+        """Each stage reads its trip file with one call and ``ingest`` and
+        ``classify`` write theirs with one. The benchmark's
+        ``ingest.parse_trips``, ``ingest.write_trips``,
+        ``classify.read_classified`` and ``classify.write_classified`` layers
+        time these four functions, so a stage that stops calling one leaves
+        its layer at 0."""
+        from ridelink import classify, ingest
+
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        calls = Counter()
+        for module, name in ((ingest, "parse_trips"), (ingest, "write_trips"),
+                             (classify, "read_classified"), (classify, "write_classified")):
+            def counted(*args, _name=name, _inner=getattr(module, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        def run(stage):
+            calls.clear()
+            code, _, err = run_cli([stage, "--config", str(config_path),
+                                    "--workspace", str(copy)])
+            assert code == 0, err
+            return dict(calls)
+
+        assert run("ingest") == {"parse_trips": 1, "write_trips": 1}
+        assert run("plan") == {"parse_trips": 1}
+        assert run("classify") == {"parse_trips": 1, "write_classified": 1}
+        for stage in ("gridify", "features", "elasticity"):
+            assert run(stage) == {"read_classified": 1}, stage
+
+    def test_request_after_pickup_is_rejected(self, pipeline, tmp_path):
+        """A request time after pickup would read as a negative wait in
+        ``features.csv``; ``ingest`` rejects the row instead."""
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        trips = copy / "city" / "trips.csv"
+        with open(trips, newline="") as handle:
+            rows = list(csv.reader(handle))
+        at = rows[0].index("request_time")
+        for row in rows[1:]:
+            row[at] = "2022/9/30 23:59"
+        with open(trips, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, _, err = run_cli(["ingest", "--config", str(config_path),
+                                "--workspace", str(copy)])
+        assert code == 2, err
+        assert "population too small" in json.loads(err)["error"]
 
     def test_classify_echo_counts_failed_conditions(self, pipeline):
         ws, _, echoes = pipeline
@@ -985,13 +1038,19 @@ class TestErrorContract:
         (["--set", "ingest.columns=5"], {}),
         (["--set", 'ingest.columns=["x"]'], {}),
         (["--set", 'ingest.columns={"olon": 5}'], {}),
+        (["--set", 'ingest.columns={"olng": "x"}'], {}),
+        (["--set", 'ingest.columns={"request_time": "pickup_time"}'], {}),
+        (["--set", 'ingest.columns={"plate_id": "request_time"}'], {}),
+        (["--set", 'ingest.columns={"olon": "olat"}'], {}),
         (["--set", "ingest.iqr_k=abc"], {}),
         (["--set", "ingest.iqr_k=-1"], {}),
         (["--set", "ingest.iqr_k=NaN"], {}),
         (["--iqr-k", "inf"], {}),
         (["--set", "ingest.iqr_k=1" + "0" * 400], {}),
         ([], {"RIDELINK_INGEST__PER_DAY": "no"}),
-    ], ids=["columns_number", "columns_list", "columns_value_number", "iqr_k_text",
+    ], ids=["columns_number", "columns_list", "columns_value_number", "columns_unknown_field",
+            "columns_request_on_pickup", "columns_plate_on_request", "columns_two_on_one",
+            "iqr_k_text",
             "iqr_k_negative", "iqr_k_nan", "iqr_k_flag_inf", "iqr_k_over_float",
             "per_day_env_no"])
     def test_bad_ingest_setting(self, pipeline, tmp_path, extra, env):
@@ -1602,7 +1661,11 @@ def _allowed(key, row, value, stored) -> bool:
     if key.startswith("paths."):
         return isinstance(stored, str) and stored == value
     if key == "ingest.columns":
-        return isinstance(stored, dict) and all(isinstance(v, str) for v in stored.values())
+        fields = CANONICAL_COLUMNS + ("request_time",)
+        names = [stored.get(f, f) for f in fields] if isinstance(stored, dict) else []
+        return (isinstance(stored, dict) and set(stored) <= set(fields)
+                and all(isinstance(v, str) for v in stored.values())
+                and len(set(names)) == len(fields))
     if key == "elasticity.parameters":
         return (isinstance(stored, list) and set(stored) <= set(sensitivity.PARAMETERS)
                 and len(set(stored)) == len(stored))

@@ -9,20 +9,35 @@ from hypothesis import strategies as st
 
 from ridelink.ingest import (
     CANONICAL_COLUMNS,
+    DEFAULT_EPOCH,
     TIME_FORMAT,
     IqrFilterReport,
     Rejection,
     SchemaError,
     TripRecord,
+    _minutes,
     _quartiles,
-    format_time,
+    _stamps,
     iqr_filter,
-    parse_time,
     parse_trips,
     write_trips,
 )
 
 BBOX = (120.0, 30.0, 122.5, 32.0)
+
+
+def parse_time(text, epoch=DEFAULT_EPOCH):
+    """One cell through the readers' timestamp column parser."""
+    bad = set()
+    (minutes,) = _minutes([text], epoch, {}, bad)
+    if bad:
+        raise ValueError(f"time data {text!r} does not match format {TIME_FORMAT!r}")
+    return minutes
+
+
+def format_time(minutes, epoch=DEFAULT_EPOCH):
+    """One value through the writers' timestamp column formatter."""
+    return _stamps([minutes], epoch, {})[0]
 
 
 def make_trip(duration_min=20, distance_km=8.0, cost=30.0, pickup_min=510, **overrides):
@@ -196,6 +211,20 @@ class TestParsing:
         trips, rejections = parse_trips(io.StringIO(text), BBOX)
         assert rejections == []
         assert [t.wait_min for t in trips] == [9, None]
+
+    def test_request_after_pickup_rejected(self):
+        header = list(CANONICAL_COLUMNS) + ["request_time"]
+        late = list(SAMPLE_ROW)
+        late[8] = late[4]  # dropoff not after pickup comes first
+        free = list(SAMPLE_ROW)
+        free[9] = "0"  # request after pickup comes before nonpositive distance
+        rows = [SAMPLE_ROW + ["2022/9/3 08:31"], SAMPLE_ROW + ["2022/9/3 08:30"],
+                late + ["2022/9/3 08:31"], free + ["2022/9/4 08:00"]]
+        trips, rejections = parse_trips(io.StringIO(csv_text(rows, header)), BBOX)
+        assert [t.wait_min for t in trips] == [0]
+        assert rejections == [Rejection(2, "request after pickup"),
+                              Rejection(4, "dropoff not after pickup"),
+                              Rejection(5, "request after pickup")]
 
     def test_duplicated_request_time_is_fatal(self):
         header = list(CANONICAL_COLUMNS) + ["request_time", "request_time"]
