@@ -446,9 +446,7 @@ class CvReport:
 
 
 def cross_validate(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
-                   params: BoostParams, k: int = 5,
-                   feature_names: Optional[Sequence[str]] = None,
-                   target: str = "y") -> CvReport:
+                   params: BoostParams, k: int = 5) -> CvReport:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     fold_of = spatial_kfold(cells, k)
@@ -457,7 +455,7 @@ def cross_validate(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
     for f in range(k):
         test = fold_of == f
         train = ~test
-        model = fit(X[train], y[train], params, feature_names, target)
+        model = fit(X[train], y[train], params)
         pred = predict(model, X[test])
         pooled_pred[test] = pred
         folds.append(evaluate(y[test], pred))
@@ -535,9 +533,8 @@ class Trial:
 
 
 def random_search(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
-                  space: ParamSpace, trials: int, seed: int, k: int = 5,
-                  feature_names: Optional[Sequence[str]] = None,
-                  target: str = "y") -> tuple[BoostParams, list[Trial]]:
+                  space: ParamSpace, trials: int, seed: int,
+                  k: int = 5) -> tuple[BoostParams, list[Trial]]:
     """Seeded uniform random search over ``space``; the winner is the trial
     with the lowest pooled cross-validation MSE (ties to the earliest). Each
     trial keeps its full cross-validation report."""
@@ -546,7 +543,7 @@ def random_search(X: np.ndarray, y: np.ndarray, cells: Sequence[str],
     rng = np.random.default_rng(seed)
     candidates = [space.sample(rng) for _ in range(trials)]
     log = [Trial(index=index, params=params,
-                 cv=cross_validate(X, y, cells, params, k, feature_names, target))
+                 cv=cross_validate(X, y, cells, params, k))
            for index, params in enumerate(candidates)]
     best = min(log, key=lambda t: (t.cv_mse, t.index))
     return best.params, log

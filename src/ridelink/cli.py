@@ -639,8 +639,7 @@ def cmd_train(cfg: RunConfig, args) -> None:
     try:
         best, log = boost.random_search(
             matrix.X, matrix.y, matrix.cell_ids, space, trials=trials,
-            seed=args.seed, k=folds, feature_names=matrix.names,
-            target=matrix.target)
+            seed=args.seed, k=folds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     cv = next(t.cv for t in log if t.params == best)

@@ -16,7 +16,8 @@ reachable leaf's value and its (lo, hi] bounds on every feature.
 * partial dependence (``pdp_curves``; ``pdp`` for one curve): the mean
   prediction as one feature is swept over an evenly spaced grid, with a
   per-point density flag marking grid values at or below the 95th percentile
-  of the observed column, bit-identical to predicting the tiled sweep.
+  of the observed column, bit-identical to predicting the tiled sweep. Trees
+  are added to every curve one at a time, and no state is kept per tree.
 
 CSV and SVG exports are deterministic: fixed canvas, fixed precision, and a
 seeded jitter for the beeswarm layout.
@@ -227,47 +228,45 @@ def pdp(model: BoostModel, X: np.ndarray, feature: Union[int, str],
 def pdp_curves(model: BoostModel, X: np.ndarray, features: Sequence[Union[int, str]],
                n_grid: int = PDP_GRID_INTERVALS) -> list[PdpCurve]:
     """Mean prediction over the rows of ``X`` with each of ``features`` pinned
-    in turn to each grid value. All grid points between two of a tree's bounds
-    on j reach the same leaves, so the tree is read once per interval; summed
-    in tree order, each value is the tiled ``predict`` sweep's mean, bit for bit."""
+    in turn to each grid value. Trees are added to every curve one at a time,
+    each read once per interval between its bounds on j; grid points that all
+    trees so far sent to the same leaves share one row of sums. Summed in tree
+    order, each value is the tiled ``predict`` sweep's mean, bit for bit."""
     X = _as_matrix(model, X, "X")
     if len(X) == 0:
         raise ValueError("partial dependence requires at least one row")
     if n_grid < 1:
         raise ValueError("n_grid must be at least 1")
     cols = [_feature_index(model, feature) for feature in features]
-    trees = []
+    grids = [np.linspace(float(X[:, j].min()), float(X[:, j].max()), n_grid + 1) for j in cols]
+    cutoffs = [float(np.percentile(X[:, j], DENSITY_PERCENTILE)) for j in cols]
+    classes = [np.zeros(n_grid + 1, dtype=np.intp) for _ in cols]
+    sums = [np.full((1, len(X)), model.f0) for _ in cols]
+    tree_rows = [0] * len(cols)
     for gamma, values, lo, hi in _leaf_boxes(model, X.shape[1]):
         outside = (X <= lo[:, None, :]) | (X > hi[:, None, :])      # (leaves, n, d)
         misses = outside.sum(axis=2)
-        # rows reaching each leaf with j pinned, bit-packed: kept for every tree
-        split = {j: (lo[:, j].copy(), hi[:, j].copy(),
-                     np.packbits(misses == outside[:, :, j], axis=1))
-                 for j in set(cols) if np.isfinite(lo[:, j]).any() or np.isfinite(hi[:, j]).any()}
-        trees.append((gamma, values, values[(misses == 0).argmax(axis=0)], split))
-    curves = []
-    for j in cols:
-        grid = np.linspace(float(X[:, j].min()), float(X[:, j].max()), n_grid + 1)
-        cutoff = float(np.percentile(X[:, j], DENSITY_PERCENTILE))
-        out, tree_rows = np.full((len(grid), len(X)), model.f0), 0
-        for gamma, values, pred, split in trees:
-            if j not in split:
-                out += gamma * pred
-                tree_rows += len(X)
+        pred = gamma * values[(misses == 0).argmax(axis=0)]
+        for k, (j, grid, old) in enumerate(zip(cols, grids, classes)):
+            if not (np.isfinite(lo[:, j]).any() or np.isfinite(hi[:, j]).any()):
+                sums[k] += pred
+                tree_rows[k] += len(X)
                 continue
-            lo_j, hi_j, packed = split[j]
-            reach = np.unpackbits(packed, axis=1, count=len(X)).view(bool)
             # grid points with no bound of the tree between them share a label
-            labels = np.searchsorted(np.sort(np.concatenate([lo_j, hi_j])), grid, side="left")
+            labels = np.searchsorted(np.sort(np.concatenate([lo[:, j], hi[:, j]])), grid, side="left")
             _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-            holds = (grid[first, None] > lo_j) & (grid[first, None] <= hi_j)  # (groups, leaves)
+            holds = (grid[first, None] > lo[:, j]) & (grid[first, None] <= hi[:, j])  # (groups, leaves)
+            reach = misses == outside[:, :, j]          # (leaves, n) with j pinned
             h = values[(holds[:, :, None] & reach).argmax(axis=1)]           # (groups, n)
-            out += (gamma * h)[inverse]
-            tree_rows += h.size
-        curves.append(PdpCurve(feature=model.feature_names[j], grid=grid,
-                               values=out.mean(axis=1), dense=grid <= cutoff,
-                               cutoff=cutoff, tree_rows=tree_rows))
-    return curves
+            # a class splits where this tree sends its grid points to two groups
+            _, rep, classes[k] = np.unique(old * len(first) + inverse, return_index=True,
+                                           return_inverse=True)
+            sums[k] = sums[k][old[rep]] + (gamma * h)[inverse[rep]]
+            tree_rows[k] += h.size
+    return [PdpCurve(feature=model.feature_names[j], grid=grid, values=out.mean(axis=1)[cls],
+                     dense=grid <= cutoff, cutoff=cutoff, tree_rows=rows)
+            for j, grid, cutoff, cls, out, rows
+            in zip(cols, grids, cutoffs, classes, sums, tree_rows)]
 
 
 def _feature_index(model: BoostModel, feature: Union[int, str]) -> int:
@@ -295,7 +294,7 @@ def value_ranks(X: np.ndarray) -> np.ndarray:
 
 def write_beeswarm_csv(shap: ShapMatrix, X: np.ndarray, path) -> None:
     X = np.asarray(X, dtype=float)
-    ranks = value_ranks(X) if len(X) else np.zeros(X.shape, dtype=int)
+    ranks = value_ranks(X)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "shap_value", "feature_value_rank"])
@@ -340,7 +339,7 @@ def export_plots(out_dir, shap: ShapMatrix, X: np.ndarray,
     write_pdp_csv(curves, out / "pdp.csv")
 
     n = len(shap.values)
-    ranks = value_ranks(X) if n else np.zeros(X.shape, dtype=int)
+    ranks = value_ranks(X)
     swarm_rows = []
     if n:
         scale = 1.0 / (n - 1) if n > 1 else None

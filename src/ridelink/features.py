@@ -154,10 +154,11 @@ def load_roads(path: str) -> RoadGraph:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     for number, feat in enumerate(doc.get("features", [])):
-        geom = feat.get("geometry", {})
+        # RFC 7946 3.2: "geometry" and "properties" may be null
+        geom = feat.get("geometry") or {}
         if geom.get("type") != "LineString":
             continue
-        highway = bool(feat.get("properties", {}).get("highway", False))
+        highway = bool((feat.get("properties") or {}).get("highway", False))
         coords = geom["coordinates"]
         if not all(finite_number(c) for vertex in coords for c in vertex):
             raise ValueError(f"feature {number} has a vertex that is not finite numbers")

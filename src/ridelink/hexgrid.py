@@ -310,8 +310,9 @@ def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     for feat in doc.get("features", []):
-        name = str(feat.get("properties", {}).get("name", f"d{len(out)}"))
-        geom = feat.get("geometry", {})
+        # RFC 7946 3.2: "geometry" and "properties" may be null
+        name = str((feat.get("properties") or {}).get("name", f"d{len(out)}"))
+        geom = feat.get("geometry") or {}
         if geom.get("type") != "Polygon":
             continue
         ring = geom["coordinates"][0]

@@ -433,6 +433,30 @@ class TestPipelineArtifacts:
         for stage in ("gridify", "features", "elasticity"):
             assert run(stage) == {"read_classified": 1}, stage
 
+    def test_explain_calls_the_traced_layers(self, pipeline, tmp_path, monkeypatch):
+        """``explain`` attributes, draws curves and exports with one call
+        each, and reads every live tree's leaf paths twice: once for the
+        attributions and once for the curves. The benchmark's
+        ``explain.shap_values``, ``explain.leaf_paths`` and
+        ``explain.export_plots`` layers wrap these functions, so a stage that
+        stops calling one leaves its layer at 0."""
+        ws, config_path, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        calls = Counter()
+        for name in ("shap_values", "pdp_curves", "export_plots", "_leaf_paths"):
+            def counted(*args, _name=name, _inner=getattr(explain, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(explain, name, counted)
+        code, _, err = run_cli(["explain", "--config", str(config_path),
+                                "--workspace", str(copy)])
+        assert code == 0, err
+        live = sum(gamma != 0.0 for gamma in boost.load_model(str(copy / "model.json")).gammas)
+        assert live > 0
+        assert dict(calls) == {"shap_values": 1, "pdp_curves": 1, "export_plots": 1,
+                               "_leaf_paths": 2 * live}
+
     def test_request_after_pickup_is_rejected(self, pipeline, tmp_path):
         """A request time after pickup would read as a negative wait in
         ``features.csv``; ``ingest`` rejects the row instead."""
@@ -1318,6 +1342,50 @@ class TestErrorContract:
             flows.append((copy / "od_flows.csv").read_text())
         assert flows[0] == flows[1]
         assert "\ndistrict," in flows[0]
+
+    def test_null_district_properties_and_geometry(self, pipeline, tmp_path):
+        # RFC 7946 3.2: a feature's "properties" and "geometry" may be null;
+        # a null name falls back to the default and a null geometry is skipped
+        ws, _, _ = pipeline
+        lon_min, lat_min, lon_max, lat_max = json.loads(
+            (ws / "city" / "scenario.json").read_text())["bbox"]
+        mid = (lon_min + lon_max) / 2
+        rings = [[[lon_min - 1, lat_min - 1], [mid, lat_min - 1], [mid, lat_max + 1]],
+                 [[mid, lat_min - 1], [lon_max + 1, lat_min - 1], [mid, lat_max + 1]]]
+        flows = []
+        for name, properties, extra in (("named", [{"name": "d0"}, {"name": "d1"}], []),
+                                        ("null", [None, None],
+                                         [{"type": "Feature", "properties": None,
+                                           "geometry": None}])):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            path = tmp_path / f"{name}.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": extra + [{
+                "type": "Feature", "properties": props,
+                "geometry": {"type": "Polygon", "coordinates": [ring + ring[:1]]}}
+                for props, ring in zip(properties, rings)]}))
+            code, _, err = run_cli(["gridify", "--workspace", str(copy),
+                                    "--set", f"paths.districts={path}"])
+            assert code == 0, err
+            flows.append((copy / "od_flows.csv").read_text())
+        assert flows[0] == flows[1]
+        assert "\ndistrict,d0,d1," in flows[0]
+
+    def test_null_road_properties_and_geometry(self, pipeline, tmp_path):
+        # RFC 7946 3.2: a null "properties" reads as none set (no highway flag)
+        # and a feature with a null geometry is skipped
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        roads = copy / "city" / "roads.geojson"
+        doc = json.loads(roads.read_text())
+        street = next(f for f in doc["features"] if not f["properties"].get("highway"))
+        street["properties"] = None
+        doc["features"].append({"type": "Feature", "properties": None, "geometry": None})
+        roads.write_text(json.dumps(doc))
+        code, _, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 0, err
+        assert (copy / "features.csv").read_bytes() == (ws / "features.csv").read_bytes()
 
     @pytest.mark.parametrize("argv, env, section", [
         (["ingest", "--set", "ingest=5", "--bbox", "0,0,1,1"], {}, "ingest"),

@@ -4,6 +4,7 @@ behavior of handcrafted tree ensembles."""
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -526,6 +527,30 @@ class TestPdpOracle:
         # three trees with nonzero gamma; grid points fall in two intervals
         # of each stump on x0 and in one of the x1 stump
         assert curve.tree_rows == (2 + 2 + 1) * len(X)
+
+
+class TestPdpMemory:
+    """Curves are summed tree by tree: ``pdp_curves`` holds at most one
+    (grid, rows) sum per curve, whatever the number of trees."""
+
+    @staticmethod
+    def _peak(model, X):
+        tracemalloc.start()
+        try:
+            curves = pdp_curves(model, X, range(X.shape[1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curves) == X.shape[1]
+        return peak
+
+    def test_peak_does_not_grow_with_the_tree_count(self):
+        peaks = {}
+        for iterations in (100, 400):
+            model, X = _fitted(n=300, d=8, seed=3, iterations=iterations, depth=6)
+            pdp_curves(model, X[:5], [0], n_grid=2)  # first-call allocations
+            peaks[iterations] = self._peak(model, X)
+        assert peaks[400] <= 1.25 * peaks[100], peaks
 
 
 class TestBackground:
