@@ -575,8 +575,10 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
     hexgrid.write_temporal_profile(profile, str(cfg.artifact("temporal")))
     hexgrid.write_trip_stats(stats_by_class, str(cfg.artifact("trip_stats")))
     hexgrid.write_breakdown(breakdown, str(cfg.artifact("breakdown")))
-    _echo({"command": "gridify", "cells": len(stats), "flows": len(flows),
-           "trips": len(trips)})
+    # a trip end off the grid is counted in no cell's o_total or a_total
+    _echo({"command": "gridify", "cells": len(stats), "flows": len(flows), "trips": len(trips),
+           "off_grid_origins": len(trips) - sum(cs.o_total for cs in stats.values()),
+           "off_grid_destinations": len(trips) - sum(cs.a_total for cs in stats.values())})
 
 
 def cmd_features(cfg: RunConfig, args) -> None:

@@ -87,7 +87,7 @@ def nearest_distances(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str,
 def _rows(grid: HexGrid, points: Sequence[tuple]) -> list[int]:
     """Grid row of each ``(lon, lat, ...)`` point, or -1 off the grid."""
     from .hexgrid import locate
-    return locate(grid, [p[0] for p in points], [p[1] for p in points]).tolist()
+    return locate(grid, [p[0] for p in points], [p[1] for p in points])
 
 
 def station_densities(grid: HexGrid, net: TransitNetwork) -> dict[str, dict[str, float]]:
@@ -137,7 +137,8 @@ class RoadGraph:
 
 
 def load_roads(path: str) -> RoadGraph:
-    """Street graph from GeoJSON LineStrings; consecutive vertices form edges."""
+    """Street graph from GeoJSON LineStrings and the parts of MultiLineStrings;
+    consecutive vertices of a line form edges."""
     from .geo import great_circle_m
     index: dict[tuple[float, float], int] = {}
     nodes: list[tuple[float, float]] = []
@@ -156,14 +157,15 @@ def load_roads(path: str) -> RoadGraph:
     for number, feat in enumerate(doc.get("features", [])):
         # RFC 7946 3.2: "geometry" and "properties" may be null
         geom = feat.get("geometry") or {}
-        if geom.get("type") != "LineString":
+        if geom.get("type") not in ("LineString", "MultiLineString"):
             continue
+        lines = geom["coordinates"] if geom["type"] == "MultiLineString" else [geom["coordinates"]]
         highway = bool((feat.get("properties") or {}).get("highway", False))
-        coords = geom["coordinates"]
-        if not all(finite_number(c) for vertex in coords for c in vertex):
+        if not all(finite_number(c) for coords in lines for vertex in coords for c in vertex):
             raise ValueError(f"feature {number} has a vertex that is not finite numbers")
         # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
-        for (lon1, lat1, *_), (lon2, lat2, *_) in zip(coords, coords[1:]):
+        pairs = (pair for coords in lines for pair in zip(coords, coords[1:]))
+        for (lon1, lat1, *_), (lon2, lat2, *_) in pairs:
             u, v = node_of(lon1, lat1), node_of(lon2, lat2)
             if u == v:
                 continue

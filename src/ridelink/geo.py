@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Mean Earth radius in metres; every distance in the package goes through here.
@@ -26,33 +27,21 @@ class LocalProjection:
     """Equirectangular plane (metres) anchored at a fixed lon/lat.
 
     Adequate for city-scale extents; the anchor should be the study-area
-    centroid so distortion stays small at the edges.
+    centroid so distortion stays small at the edges. Scalars only, in ``math``:
+    ``math.radians`` and ``math.degrees`` multiply by numpy's constants, so a
+    point projects to the bits of numpy's elementwise formulas.
     """
 
     lon0: float
     lat0: float
 
-    def to_xy(self, lon, lat):
-        import numpy as np
-        lon = np.asarray(lon, dtype=float)
-        lat = np.asarray(lat, dtype=float)
-        kx = EARTH_RADIUS_M * np.cos(np.radians(self.lat0))
-        x = np.radians(lon - self.lon0) * kx
-        y = np.radians(lat - self.lat0) * EARTH_RADIUS_M
-        if x.ndim == 0:
-            return float(x), float(y)
-        return x, y
+    def to_xy(self, lon: float, lat: float) -> tuple[float, float]:
+        kx = EARTH_RADIUS_M * math.cos(math.radians(self.lat0))
+        return math.radians(lon - self.lon0) * kx, math.radians(lat - self.lat0) * EARTH_RADIUS_M
 
-    def to_lonlat(self, x, y):
-        import numpy as np
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        kx = EARTH_RADIUS_M * np.cos(np.radians(self.lat0))
-        lon = self.lon0 + np.degrees(x / kx)
-        lat = self.lat0 + np.degrees(y / EARTH_RADIUS_M)
-        if lon.ndim == 0:
-            return float(lon), float(lat)
-        return lon, lat
+    def to_lonlat(self, x: float, y: float) -> tuple[float, float]:
+        kx = EARTH_RADIUS_M * math.cos(math.radians(self.lat0))
+        return self.lon0 + math.degrees(x / kx), self.lat0 + math.degrees(y / EARTH_RADIUS_M)
 
 
 def point_in_ring(lon: float, lat: float, ring) -> bool:

@@ -26,16 +26,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from .errors import finite_number
 from .geo import LocalProjection, point_in_ring
 from .ingest import TripRecord, has_request_times
 from .ptnet import TransitNetwork
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SQRT3 = math.sqrt(3.0)
 HISTOGRAM_BINS = 20  # equal-width bins per trip_stats histogram
@@ -131,38 +128,38 @@ def build_grid(bbox: Sequence[float], side_km: float = 0.5) -> HexGrid:
     return HexGrid(lon0=lon0, lat0=lat0, side_km=side_km, cells=tuple(cells))
 
 
-def locate(grid: HexGrid, lon, lat) -> np.ndarray:
+def locate(grid: HexGrid, lon: Sequence[float], lat: Sequence[float]) -> list[int]:
     """Row in ``grid.cells`` of the cell holding each point, or -1 off the grid.
 
-    ``lon`` and ``lat`` are equal-length 1-d sequences. Cube rounding uses
-    ``np.rint`` (half to even, like ``round``), so shared edges and vertices
-    always resolve the same way. Raises ``ValueError`` on a non-finite coordinate.
+    ``lon`` and ``lat`` are equal-length sequences. Cube rounding uses ``round``
+    (half to even), so shared edges and vertices always resolve the same way.
+    Raises ``ValueError`` on a non-finite coordinate.
     """
-    import numpy as np
-    lon, lat = (np.asarray(v, dtype=float) for v in (lon, lat))
-    bad = np.flatnonzero(~(np.isfinite(lon) & np.isfinite(lat)))
-    if bad.size:
-        raise ValueError(f"cannot locate the non-finite point ({lon[bad[0]]}, {lat[bad[0]]})")
-    x, y = grid.projection.to_xy(lon, lat)
-    s = grid.side_m
-    qf = (2.0 / 3.0) * x / s
-    rf = (-x / 3.0 + SQRT3 / 3.0 * y) / s
-    # cube rounding: x=q, z=r, y=-x-z; fix the component with the largest error
-    yf = -qf - rf
-    rx, ry, rz = np.rint(qf), np.rint(yf), np.rint(rf)
-    dx, dy, dz = np.abs(rx - qf), np.abs(ry - yf), np.abs(rz - rf)
-    fix_x = (dx > dy) & (dx > dz)
-    q = np.where(fix_x, -ry - rz, rx).tolist()
-    r = np.where(~fix_x & ~(dy > dz), -rx - ry, rz).tolist()
-    # whole floats hash and compare equal to the ints in grid.cells
+    to_xy, s = grid.projection.to_xy, grid.side_m
     row_of = {cell: row for row, cell in enumerate(grid.cells)}
-    return np.array([row_of.get(cell, -1) for cell in zip(q, r)], dtype=np.intp)
+    rows = []
+    for plon, plat in zip(lon, lat, strict=True):
+        if not (math.isfinite(plon) and math.isfinite(plat)):
+            raise ValueError(f"cannot locate the non-finite point ({plon}, {plat})")
+        x, y = to_xy(plon, plat)
+        qf = (2.0 / 3.0) * x / s
+        rf = (-x / 3.0 + SQRT3 / 3.0 * y) / s
+        # cube rounding: x=q, z=r, y=-x-z; fix the component with the largest error
+        yf = -qf - rf
+        rx, ry, rz = round(qf), round(yf), round(rf)
+        dx, dy, dz = abs(rx - qf), abs(ry - yf), abs(rz - rf)
+        if dx > dy and dx > dz:
+            rx = -ry - rz
+        elif not dy > dz:
+            rz = -rx - ry
+        rows.append(row_of.get((rx, rz), -1))
+    return rows
 
 
 def _trip_rows(grid: HexGrid, trips: Sequence[TripRecord]) -> tuple[list[int], list[int]]:
     """Grid rows of every trip's origin and destination (-1 off the grid)."""
-    return (locate(grid, [t.olon for t in trips], [t.olat for t in trips]).tolist(),
-            locate(grid, [t.dlon for t in trips], [t.dlat for t in trips]).tolist())
+    return (locate(grid, [t.olon for t in trips], [t.olat for t in trips]),
+            locate(grid, [t.dlon for t in trips], [t.dlat for t in trips]))
 
 
 # per-cell trip counts, and each ratio as (numerator, denominator): first-mile and
@@ -266,10 +263,10 @@ def od_flows(
     trips: Sequence[TripRecord],
     grid: HexGrid,
     days: int,
-    districts: Optional[dict[str, list[tuple[float, float]]]] = None,
+    districts: Optional[dict[str, list[list[tuple[float, float]]]]] = None,
 ) -> list[OdFlow]:
     """Daily OD flows of all trips between grid cells, optionally rolled up to
-    districts (name -> polygon ring of lon/lat pairs)."""
+    districts (name -> the outer ring of each part, as lon/lat pairs)."""
     if days < 1:
         raise ValueError("days must be >= 1")
     ids = [cell_id(q, r) for q, r in grid.cells]
@@ -293,19 +290,21 @@ def od_flows(
     return flows
 
 
-def _district_of_cells(grid: HexGrid, districts: dict[str, list[tuple[float, float]]]) -> dict[str, str]:
+def _district_of_cells(grid: HexGrid,
+                       districts: dict[str, list[list[tuple[float, float]]]]) -> dict[str, str]:
     assignment = {}
     for q, r in grid.cells:
         lon, lat = cell_center(grid, q, r)
         for name in sorted(districts):
-            if point_in_ring(lon, lat, districts[name]):
+            if any(point_in_ring(lon, lat, ring) for ring in districts[name]):
                 assignment[cell_id(q, r)] = name
                 break
     return assignment
 
 
-def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
-    """District polygons from a GeoJSON FeatureCollection (outer rings only)."""
+def load_districts(path: str) -> dict[str, list[list[tuple[float, float]]]]:
+    """District polygons from a GeoJSON FeatureCollection: the outer ring of a
+    Polygon, or of each part of a MultiPolygon."""
     out = {}
     with open(path, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
@@ -313,13 +312,14 @@ def load_districts(path: str) -> dict[str, list[tuple[float, float]]]:
         # RFC 7946 3.2: "geometry" and "properties" may be null
         name = str((feat.get("properties") or {}).get("name", f"d{len(out)}"))
         geom = feat.get("geometry") or {}
-        if geom.get("type") != "Polygon":
+        if geom.get("type") not in ("Polygon", "MultiPolygon"):
             continue
-        ring = geom["coordinates"][0]
-        if not all(finite_number(c) for vertex in ring for c in vertex):
+        parts = geom["coordinates"] if geom["type"] == "MultiPolygon" else [geom["coordinates"]]
+        rings = [polygon[0] for polygon in parts]
+        if not all(finite_number(c) for ring in rings for vertex in ring for c in vertex):
             raise ValueError(f"district {name!r} has a vertex that is not finite numbers")
         # a position is lon, lat and an optional altitude (RFC 7946 3.1.1)
-        out[name] = [(float(lon), float(lat)) for lon, lat, *_ in ring]
+        out[name] = [[(float(lon), float(lat)) for lon, lat, *_ in ring] for ring in rings]
     return out
 
 
@@ -475,18 +475,14 @@ def read_cell_stats(path: str) -> dict[str, GridCellStats]:
 
 def _closed_rings(grid: HexGrid):
     """Each cell's closed ring, flat as lon, lat, lon, lat, ...: the centre plus
-    six offsets worked out once (``corners_xy``'s operations), projected
-    elementwise, so the bits of projecting each corner alone. One projection
-    call per 256 cells keeps gridify's peak memory flat."""
-    import numpy as np
-    s = grid.side_m
-    dx, dy = (np.array([s * f(math.pi / 3.0 * k) for k in (*range(6), 0)])
-              for f in (math.cos, math.sin))
-    for start in range(0, len(grid.cells), 256):
-        q, r = np.array(grid.cells[start:start + 256], dtype=float).T
-        cx, cy = s * 1.5 * q, s * (SQRT3 / 2.0 * q + SQRT3 * r)
-        lons, lats = grid.projection.to_lonlat(cx[:, None] + dx, cy[:, None] + dy)
-        yield from np.stack((lons, lats), axis=2).reshape(-1, 14).tolist()
+    six offsets worked out once (``corners_xy``'s operations), so the bits of
+    projecting each corner alone."""
+    s, to_lonlat = grid.side_m, grid.projection.to_lonlat
+    offsets = [(s * math.cos(math.pi / 3.0 * k), s * math.sin(math.pi / 3.0 * k))
+               for k in (*range(6), 0)]
+    for q, r in grid.cells:
+        cx, cy = axial_center_xy(grid, q, r)
+        yield [c for dx, dy in offsets for c in to_lonlat(cx + dx, cy + dy)]
 
 
 # one feature as json.dump(..., indent=1) writes it inside the collection: %r

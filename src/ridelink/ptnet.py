@@ -103,8 +103,9 @@ class TransitNetwork:
     """Stations, routes and fares. Stations and routes are fixed once the
     network is built: the routes at each station and the station index
     (``station_ids`` sorted, with coordinates in the same order) derive from them.
-    The coordinate arrays are built on the first distance query, so a stage that
-    only matches labels never imports numpy."""
+    The coordinate arrays are built on the first distance query, and
+    ``nearest_station`` ranks in ``math``, so a stage that only matches labels or
+    picks a nearest station never imports numpy."""
 
     stations: dict[str, Station]
     routes: dict[str, Route]
@@ -151,13 +152,20 @@ class TransitNetwork:
         return d.reshape(m, len(slon))
 
     def nearest_station(self, lon: float, lat: float, among: Iterable[str]) -> str:
-        """Nearest of ``among``; rows follow sorted ids, so argmin's first minimum
-        breaks a tie toward the lowest id."""
-        rows = sorted(self._row[sid] for sid in among)
-        if len(rows) == 1:
-            return self.station_ids[rows[0]]
-        import numpy as np
-        return self.station_ids[rows[int(np.argmin(self.station_distances_m(lon, lat, rows)))]]
+        """Nearest of ``among``, ranked by ``great_circle_m``'s haversine term ``h``
+        in ``math``: ``arcsin`` is monotone, so this is the distances' order unless
+        two distances lie within one ulp of each other. ``min`` keeps the first
+        minimum over the sorted ids, so a tie goes to the lowest id."""
+        lon1, lat1 = math.radians(lon), math.radians(lat)
+        cos1 = math.cos(lat1)
+
+        def h(sid: str) -> float:
+            station = self.stations[sid]
+            lon2, lat2 = math.radians(station.lon), math.radians(station.lat)
+            a, b = math.sin((lat2 - lat1) / 2.0), math.sin((lon2 - lon1) / 2.0)
+            return a * a + cos1 * math.cos(lat2) * (b * b)
+
+        return min(sorted(among), key=h)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,9 @@ class ScenarioSpec:
             raise ValueError("bus_routes must be between 0 and 3")
         if not 2 <= self.metro_stations_per_line <= 20:
             raise ValueError("metro_stations_per_line must be between 2 and 20")
+        # chained lines share a corner station, and each other station takes a name
+        if self.metro_lines * (self.metro_stations_per_line - 1) + 1 > len(METRO_WORDS):
+            raise ValueError(f"the metro lines need more than the {len(METRO_WORDS)} station names")
         if not math.isfinite(self.metro_spacing_km * self.metro_stations_per_line * 1000.0):
             raise ValueError(f"metro_spacing_km {self.metro_spacing_km!r} would put the "
                              f"metro stations at non-finite coordinates")

@@ -172,7 +172,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
             mismatched.append(cid)
 
     sample = city.trips[::97]
-    rows = locate(grid, [t.olon for t in sample], [t.olat for t in sample]).tolist()
+    rows = locate(grid, [t.olon for t in sample], [t.olat for t in sample])
     outside = 0
     for trip, row in zip(sample, rows):
         cell = grid.cells[row] if row >= 0 else None

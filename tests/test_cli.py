@@ -37,10 +37,13 @@ from ridelink.cli import (
     load_config,
     main,
 )
-from ridelink.classify import ClassifierConfig
+from ridelink.classify import ClassifierConfig, read_classified
 from ridelink.errors import ConfigError, finite_number
 from ridelink.ingest import CANONICAL_COLUMNS
 from ridelink.synth import ScenarioSpec, build_network
+from locate_oracle import OFF_GRID
+from locate_oracle import locate as oracle_locate
+from numpy_geo_oracle import nearest_station as oracle_nearest
 from synth_oracle import read_ground_truth
 
 CONFIG = {
@@ -364,6 +367,42 @@ class TestPipelineArtifacts:
         assert code == 0
         assert json.loads(out)["states_expanded"] == expanded
         assert not any("states_expanded" in path.read_text(errors="replace")
+                       for path in copy.rglob("*") if path.is_file())
+
+    def test_gridify_echo_counts_off_grid_trip_ends(self, pipeline, tmp_path, monkeypatch):
+        ws, config_path, echoes = pipeline
+        cfg = load_config(_args(config=str(config_path)))
+        trips, _ = read_classified(str(ws / "classified.csv"), cfg.bbox())
+
+        def off_grid(grid):
+            """Off-grid origins and destinations, one scalar oracle call per end."""
+            return [sum(oracle_locate(grid, lon, lat) is OFF_GRID for lon, lat in ends)
+                    for ends in ([(t.olon, t.olat) for t in trips],
+                                 [(t.dlon, t.dlat) for t in trips])]
+
+        # pinned: every trip end lies in the bbox, which the grid covers
+        echo = echoes["gridify"]
+        counts = off_grid(hexgrid.build_grid(cfg.bbox(), cfg.data["grid"]["side_km"]))
+        assert [echo["off_grid_origins"], echo["off_grid_destinations"]] == counts == [0, 0]
+        # a grid over the bbox's west half leaves trip ends off it
+        build = hexgrid.build_grid
+        half = {}
+
+        def west_half(bbox, side_km):
+            lon_min, lat_min, lon_max, lat_max = bbox
+            half["grid"] = build((lon_min, lat_min, (lon_min + lon_max) / 2, lat_max), side_km)
+            return half["grid"]
+
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        monkeypatch.setattr(hexgrid, "build_grid", west_half)
+        code, out, err = run_cli(["gridify", "--config", str(config_path), "--workspace", str(copy)])
+        assert code == 0, err
+        echo = json.loads(out)
+        counts = off_grid(half["grid"])
+        assert [echo["off_grid_origins"], echo["off_grid_destinations"]] == counts
+        assert min(counts) > 0
+        assert not any("off_grid" in path.read_text(errors="replace")
                        for path in copy.rglob("*") if path.is_file())
 
     def test_stages_call_the_traced_table_functions(self, pipeline, tmp_path, monkeypatch):
@@ -1387,6 +1426,64 @@ class TestErrorContract:
         assert code == 0, err
         assert (copy / "features.csv").read_bytes() == (ws / "features.csv").read_bytes()
 
+    def test_multipolygon_districts(self, pipeline, tmp_path):
+        # RFC 7946 3.1.7: a MultiPolygon holds a district's parts; a cell
+        # belongs to it when its centre lies in any part's outer ring
+        ws, _, _ = pipeline
+        lon_min, lat_min, lon_max, lat_max = json.loads(
+            (ws / "city" / "scenario.json").read_text())["bbox"]
+        mid_lon, mid_lat = (lon_min + lon_max) / 2, (lat_min + lat_max) / 2
+
+        def box(w, s, e, n):
+            return [[w, s], [e, s], [e, n], [w, n], [w, s]]
+
+        west = box(lon_min - 1, lat_min - 1, mid_lon, lat_max + 1)
+        east = box(mid_lon, lat_min - 1, lon_max + 1, lat_max + 1)
+        # the west half as two parts split at the middle latitude
+        west_parts = [box(lon_min - 1, lat_min - 1, mid_lon, mid_lat),
+                      box(lon_min - 1, mid_lat, mid_lon, lat_max + 1)]
+        flows = []
+        for name, geometries in (
+                ("single", [("Polygon", [west]), ("Polygon", [east])]),
+                ("multi", [("MultiPolygon", [[part] for part in west_parts]),
+                           ("MultiPolygon", [[east]])])):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            path = tmp_path / f"{name}.geojson"
+            path.write_text(json.dumps({"type": "FeatureCollection", "features": [{
+                "type": "Feature", "properties": {"name": district},
+                "geometry": {"type": kind, "coordinates": coordinates}}
+                for district, (kind, coordinates) in zip(("west", "east"), geometries)]}))
+            code, _, err = run_cli(["gridify", "--workspace", str(copy),
+                                    "--set", f"paths.districts={path}"])
+            assert code == 0, err
+            flows.append((copy / "od_flows.csv").read_text())
+        assert flows[0] == flows[1]
+        assert flows[0].count("\ndistrict,") == 4
+
+    def test_multilinestring_roads(self, pipeline, tmp_path):
+        # RFC 7946 3.1.5: a MultiLineString is read part by part, so each road
+        # as a one-part MultiLineString, or one road cut in two parts that share
+        # a vertex, builds the same street graph
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        roads = copy / "city" / "roads.geojson"
+        doc = json.loads(roads.read_text())
+        for feature in doc["features"]:
+            coords = feature["geometry"]["coordinates"]
+            feature["geometry"] = {"type": "MultiLineString", "coordinates": [coords]}
+        longest = max(doc["features"], key=lambda f: len(f["geometry"]["coordinates"][0]))
+        (coords,) = longest["geometry"]["coordinates"]
+        cut = len(coords) // 2
+        assert 0 < cut < len(coords) - 1
+        longest["geometry"]["coordinates"] = [coords[:cut + 1], coords[cut:]]
+        roads.write_text(json.dumps(doc))
+        code, _, err = run_cli(["features", "--workspace", str(copy)])
+        assert code == 0, err
+        assert (copy / "features.csv").read_bytes() == (ws / "features.csv").read_bytes()
+        assert "avg_clustering" in (copy / "features.csv").read_text().splitlines()[0]
+
     @pytest.mark.parametrize("argv, env, section", [
         (["ingest", "--set", "ingest=5", "--bbox", "0,0,1,1"], {}, "ingest"),
         (["train", "--seed", "7", "--set", "train.space=5"], {}, "train.space"),
@@ -1847,7 +1944,7 @@ STAGE_MODULES = {
     "report": _TRIP_LAYERS | {"ridelink.hexgrid", "ridelink.svgchart"},
 }
 # the stages that compute on no array, so their process never imports numpy
-NUMPY_FREE_STAGES = {"ingest", "classify", "elasticity", "report"}
+NUMPY_FREE_STAGES = {"ingest", "classify", "gridify", "elasticity", "report"}
 
 _REPORT_MODULES = """
 import json, sys
@@ -1876,6 +1973,42 @@ class TestStageImports:
         loaded = json.loads(proc.stdout.strip().splitlines()[-1])
         assert loaded["ridelink"] == sorted(_LOADED_BY_EVERY_STAGE | STAGE_MODULES[argv[0]])
         assert loaded["numpy"] == (argv[0] not in NUMPY_FREE_STAGES)
+
+    def test_classify_picks_among_stations_of_one_name_without_numpy(
+            self, pipeline, tmp_path, monkeypatch):
+        # "Juniper Station" also names m01, so each Juniper label matches two
+        # stations and classify picks the nearer one
+        ws, config_path, _ = pipeline
+        copies = []
+        for name in ("subprocess", "oracle"):
+            copy = tmp_path / name
+            shutil.copytree(ws, copy)
+            stations = copy / "city" / "stations.csv"
+            text = stations.read_text()
+            assert "\nm01,Alder Station,Alder Station Exit A|" in text
+            stations.write_text(text.replace("\nm01,Alder Station,Alder Station Exit A|",
+                                             "\nm01,Alder Station,Juniper Station|Alder Station Exit A|"))
+            copies.append(copy)
+        proc = subprocess.run(
+            [sys.executable, "-c", _REPORT_MODULES, "classify", "--config", str(config_path),
+             "--workspace", str(copies[0])], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1])["numpy"] is False
+        # the numpy argmin it replaced classifies every trip the same way
+        calls = []
+
+        def argmin(net, lon, lat, among):
+            among = list(among)
+            calls.append(len(among))
+            return oracle_nearest(net, lon, lat, among)
+
+        monkeypatch.setattr(ptnet.TransitNetwork, "nearest_station", argmin)
+        code, _, err = run_cli(["classify", "--config", str(config_path),
+                                "--workspace", str(copies[1])])
+        assert code == 0, err
+        assert max(calls) >= 2
+        assert ((copies[0] / "classified.csv").read_bytes()
+                == (copies[1] / "classified.csv").read_bytes())
 
 
 class TestModuleEntry:

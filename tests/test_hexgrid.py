@@ -50,8 +50,8 @@ def _trip(olon, olat, dlon, dlat, pickup=480, duration=15, cost=20.0, request=No
 
 
 def _locate_one(grid, lon, lat):
-    """One point through the array ``locate``: its axial cell, or OFF_GRID."""
-    (row,) = locate(grid, [lon], [lat]).tolist()
+    """One point through the sequence ``locate``: its axial cell, or OFF_GRID."""
+    (row,) = locate(grid, [lon], [lat])
     return grid.cells[row] if row >= 0 else OFF_GRID
 
 
@@ -223,7 +223,7 @@ def _grid_and_points(draw):
 
 
 class TestLocateOracle:
-    """The array ``locate`` equals the scalar oracle point by point."""
+    """The sequence ``locate`` equals the scalar oracle point by point."""
 
     @staticmethod
     def _expected(grid, points):
@@ -235,9 +235,8 @@ class TestLocateOracle:
     def test_matches_scalar_oracle(self, case):
         grid, points = case
         rows = locate(grid, [p[0] for p in points], [p[1] for p in points])
-        assert rows.shape == (len(points),)
-        assert rows.dtype.kind == "i"
-        assert rows.tolist() == self._expected(grid, points)
+        assert all(type(row) is int for row in rows)
+        assert rows == self._expected(grid, points)
 
     @pytest.mark.parametrize("target", [-1.5, -0.5, 0.5, 1.5])
     def test_exact_half_integer_tie(self, target):
@@ -255,13 +254,17 @@ class TestLocateOracle:
             pytest.fail("no exact tie found")
         assert grid.lon0 == base.lon0 and grid.lat0 == base.lat0
         rows = locate(grid, [base.lon0], [lat])
-        assert rows.tolist() == self._expected(grid, [(base.lon0, lat)])
+        assert rows == self._expected(grid, [(base.lon0, lat)])
         assert grid.cells[rows[0]] in {(0, math.floor(target)), (0, math.ceil(target))}
 
     def test_empty_input(self):
-        rows = locate(build_grid(BBOX, 0.5), [], [])
-        assert rows.shape == (0,)
-        assert rows.dtype.kind == "i"
+        assert locate(build_grid(BBOX, 0.5), [], []) == []
+
+    def test_unequal_lengths_raise(self):
+        grid = build_grid(BBOX, 0.5)
+        lon, lat = cell_center(grid, *grid.cells[0])
+        with pytest.raises(ValueError):
+            locate(grid, [lon, lon], [lat])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", [0, 1], ids=["lon", "lat"])
@@ -405,10 +408,10 @@ class TestOdFlows:
         mid_lon = (BBOX[0] + BBOX[2]) / 2
         # two half-plane districts covering the whole padded area
         districts = {
-            "west": [(BBOX[0] - 1, BBOX[1] - 1), (mid_lon, BBOX[1] - 1),
-                     (mid_lon, BBOX[3] + 1), (BBOX[0] - 1, BBOX[3] + 1)],
-            "east": [(mid_lon, BBOX[1] - 1), (BBOX[2] + 1, BBOX[1] - 1),
-                     (BBOX[2] + 1, BBOX[3] + 1), (mid_lon, BBOX[3] + 1)],
+            "west": [[(BBOX[0] - 1, BBOX[1] - 1), (mid_lon, BBOX[1] - 1),
+                      (mid_lon, BBOX[3] + 1), (BBOX[0] - 1, BBOX[3] + 1)]],
+            "east": [[(mid_lon, BBOX[1] - 1), (BBOX[2] + 1, BBOX[1] - 1),
+                      (BBOX[2] + 1, BBOX[3] + 1), (mid_lon, BBOX[3] + 1)]],
         }
         flows = od_flows(trips, grid, days=2, districts=districts)
         grid_total = sum(f.flow for f in flows if f.level == "grid")

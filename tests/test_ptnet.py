@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from cityfix import build_lattice
 from enum_oracle import best_journey, random_network
+from numpy_geo_oracle import nearest_station as oracle_nearest
 from planner_oracle import OraclePlanner
 from ridelink.geo import EARTH_RADIUS_M, great_circle_m
 from ridelink.ptnet import (
@@ -665,3 +666,69 @@ print(net.nearest_station(121.0, 31.0, ["d", "c", "a", "b"]),
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["b", "d", "a"]
+
+
+def _bus(sid: str, lon: float, lat: float) -> Station:
+    return Station(sid, sid, (), lon, lat, "bus", ("B1",))
+
+
+@st.composite
+def _mirror_cases(draw):
+    """Two stations mirrored about the query point's meridian (query on lon 0)
+    or about its parallel (query on the equator), so their distances tie
+    exactly, among other stations drawn anywhere nearby."""
+    d = draw(st.floats(1e-6, 0.05))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3),
+                        min_size=2, max_size=6, unique=True))
+    if draw(st.booleans()):
+        point, lat2 = (0.0, draw(st.floats(-60.0, 60.0))), draw(st.floats(-60.0, 60.0))
+        pair = [(d, lat2), (-d, lat2)]
+    else:
+        point, lon2 = (draw(st.floats(-170.0, 170.0)), 0.0), draw(st.floats(-170.0, 170.0))
+        pair = [(lon2, d), (lon2, -d)]
+    near = st.tuples(st.floats(point[0] - 0.1, point[0] + 0.1),
+                     st.floats(point[1] - 0.1, point[1] + 0.1))
+    coords = pair + [draw(near) for _ in ids[2:]]
+    stations = {sid: _bus(sid, lon, lat) for sid, (lon, lat) in zip(ids, coords)}
+    among = draw(st.permutations(ids))
+    return stations, among, point, ids[:2]
+
+
+class TestNearestStationOracle:
+    """``nearest_station`` ranks by the haversine term in ``math``; the numpy
+    ``argmin`` over ``great_circle_m`` it replaced is the oracle. The two can
+    differ only when two distances lie within one ulp of each other, which
+    none of these cases draws: ties here are exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_station_cases(), repeats=st.integers(1, 3))
+    def test_matches_the_argmin_with_repeated_stations(self, case, repeats):
+        stations, among, (lon, lat) = case
+        net = TransitNetwork(stations=stations, routes={})
+        among = among * repeats
+        assert net.nearest_station(lon, lat, among) == oracle_nearest(net, lon, lat, among)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_mirror_cases())
+    def test_mirror_image_tie_goes_to_the_lowest_id(self, case):
+        stations, among, (lon, lat), pair = case
+        net = TransitNetwork(stations=stations, routes={})
+        got = net.nearest_station(lon, lat, among)
+        assert got == oracle_nearest(net, lon, lat, among)
+        d = dict(zip(net.station_ids, net.station_distances_m(lon, lat)))
+        assert d[pair[0]] == d[pair[1]]
+        if got in pair:
+            assert got == min(pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lon=_LON, lat=_LAT, slon=_LON, slat=_LAT, copies=st.integers(1, 3))
+    def test_lone_candidate(self, lon, lat, slon, slat, copies):
+        net = TransitNetwork(stations={"a": _bus("a", 121.0, 31.0), "m": _bus("m", slon, slat),
+                                       "z": _bus("z", lon, lat)}, routes={})
+        assert net.nearest_station(lon, lat, ["m"] * copies) == "m"
+        assert oracle_nearest(net, lon, lat, ["m"] * copies) == "m"
+
+    def test_unknown_station_raises(self):
+        net = TransitNetwork(stations={"a": _bus("a", 121.0, 31.0)}, routes={})
+        with pytest.raises(KeyError):
+            net.nearest_station(121.0, 31.0, ["a", "nope"])

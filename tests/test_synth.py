@@ -75,6 +75,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="bus_routes"):
             replace(SMALL, bus_routes=4).validate()
 
+    def test_metro_station_names_suffice(self):
+        # four chained lines of 13 stations need 49 names; there are 48
+        with pytest.raises(ValueError, match="station names"):
+            replace(ScenarioSpec(), metro_stations_per_line=13).validate()
+        net, _ = build_network(replace(ScenarioSpec(), metro_lines=2, metro_stations_per_line=20,
+                                       independent_c4=0, independent_c5=0))
+        assert sum(s.mode == "metro" for s in net.stations.values()) == 39
+
     def test_feeder_trips_without_stations_infeasible(self):
         spec = replace(SMALL, metro_lines=0, bus_routes=0)
         with pytest.raises(ValueError, match="infeasible"):
