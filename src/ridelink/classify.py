@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import finite_number
-from .ingest import (BLOCK_ROWS, DEFAULT_EPOCH, TripRecord, has_request_times,
-                     read_trip_blocks, read_trip_header, trip_columns, trip_header)
+from .ingest import (BLOCK_ROWS, DEFAULT_EPOCH, Trips, has_request_times, read_trip_blocks,
+                     read_trip_header, trip_columns, trip_header)
 from .ptnet import PtAlternative, TransitNetwork, is_in_service
 
 FIRST_MILE = "first_mile_complementary"
@@ -136,54 +136,56 @@ class TripClass:
 
 
 def classify_trip(
-    trip: TripRecord,
+    trips: Trips,
+    i: int,
     alt: PtAlternative,
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
     cfg: ClassifierConfig = ClassifierConfig(),
 ) -> TripClass:
-    if not is_in_service(net, alt, (trip.pickup_min, trip.dropoff_min)):
+    """The verdict on trip ``i`` of ``trips``, whose journey is ``alt``."""
+    pickup, dropoff = trips.pickup_min[i], trips.dropoff_min[i]
+    if not is_in_service(net, alt, (pickup, dropoff)):
         return TripClass(INDEPENDENT, "C1")
 
-    dest_hits = match_label(trip.dropoff_label, lexicon)
-    orig_hits = match_label(trip.pickup_label, lexicon)
+    dest_hits = match_label(trips.dropoff_label[i], lexicon)
+    orig_hits = match_label(trips.pickup_label[i], lexicon)
     if dest_hits:
-        matched = net.nearest_station(trip.dlon, trip.dlat, dest_hits)
+        matched = net.nearest_station(trips.dlon[i], trips.dlat[i], dest_hits)
         return TripClass(FIRST_MILE, matched_station=matched,
                          both_ends_station=bool(orig_hits))
     if orig_hits:
-        matched = net.nearest_station(trip.olon, trip.olat, orig_hits)
+        matched = net.nearest_station(trips.olon[i], trips.olat[i], orig_hits)
         return TripClass(LAST_MILE, matched_station=matched)
 
-    return classify_thresholds(trip, alt, cfg)
+    return classify_thresholds(dropoff - pickup, trips.cost[i], alt, cfg)
 
 
-def classify_thresholds(trip: TripRecord, alt: PtAlternative,
+def classify_thresholds(duration_min: int, cost: float, alt: PtAlternative,
                         cfg: ClassifierConfig) -> TripClass:
-    """C3-C6, the only conditions that read ``cfg``, for a trip that passed C1
-    and matched no station label in C2."""
+    """C3-C6, the only conditions that read ``cfg``, for a trip of ``duration_min``
+    and ``cost`` that passed C1 and matched no station label in C2."""
     if not (alt.available and alt.access_walk_m <= cfg.walk_threshold_m
             and alt.egress_walk_m <= cfg.walk_threshold_m):
         return TripClass(INDEPENDENT, "C3")
 
-    t_tnc = trip.duration_min
-    if t_tnc <= cfg.time_gate_min:
-        c4 = (alt.t_pt_min - t_tnc) <= cfg.time_gate_min
+    if duration_min <= cfg.time_gate_min:
+        c4 = (alt.t_pt_min - duration_min) <= cfg.time_gate_min
     else:
-        c4 = alt.t_pt_min <= cfg.time_ratio * t_tnc
+        c4 = alt.t_pt_min <= cfg.time_ratio * duration_min
     if not c4:
         return TripClass(INDEPENDENT, "C4")
 
     if not (alt.transfers <= cfg.max_transfers):
         return TripClass(INDEPENDENT, "C5")
 
-    if not (alt.fare_rmb <= cfg.cost_ratio * trip.cost):
+    if not (alt.fare_rmb <= cfg.cost_ratio * cost):
         return TripClass(INDEPENDENT, "C6")
     return TripClass(SUBSTITUTIVE)
 
 
 def classify_all(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     planner,
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
@@ -194,10 +196,8 @@ def classify_all(
     ``planner`` is a :class:`~ridelink.ptnet.CachedPlanner` (anything with
     ``plan(olon, olat, dlon, dlat)``); each trip's alternative is its ``plan``.
     """
-    results = [
-        classify_trip(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat), net, lexicon, cfg)
-        for t in trips
-    ]
+    results = [classify_trip(trips, i, planner.plan(*ends), net, lexicon, cfg)
+               for i, ends in enumerate(zip(trips.olon, trips.olat, trips.dlon, trips.dlat))]
     return results, summarize(results)
 
 
@@ -218,7 +218,7 @@ _FLAGS = frozenset(("true", "false"))
 
 
 def write_classified(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     results: Sequence[TripClass],
     path: str,
     epoch=DEFAULT_EPOCH,
@@ -232,9 +232,10 @@ def write_classified(
         writer = csv.writer(handle)
         writer.writerow(trip_header(with_request) + CLASSIFIED_EXTRA_COLUMNS)
         for start in range(0, len(trips), BLOCK_ROWS):
-            block = results[start:start + BLOCK_ROWS]
+            rows = slice(start, start + BLOCK_ROWS)
+            block = results[rows]
             writer.writerows(zip(
-                *trip_columns(trips[start:start + BLOCK_ROWS], epoch, with_request, days),
+                *trip_columns(trips, rows, epoch, with_request, days),
                 [r.label for r in block], [r.failed_condition or "" for r in block],
                 [r.matched_station or "" for r in block],
                 ["true" if r.both_ends_station else "false" for r in block]))
@@ -257,12 +258,12 @@ def _verdict_problems(label, failed, station, both) -> dict[int, str]:
 
 
 def read_classified(path: str, bbox: tuple[float, float, float, float],
-                    epoch=DEFAULT_EPOCH) -> tuple[list[TripRecord], list[TripClass]]:
+                    epoch=DEFAULT_EPOCH) -> tuple[Trips, list[TripClass]]:
     """Reload a classified-trip CSV, a column pass per block of rows: each
     row's trip columns are checked as ``ingest`` checks ``trips_clean.csv``,
     its verdict against what :func:`write_classified` writes. The first bad
     row raises a ``ValueError`` naming its line."""
-    trips: list[TripRecord] = []
+    trips = Trips.empty()
     results: list[TripClass] = []
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)

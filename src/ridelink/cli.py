@@ -525,7 +525,7 @@ def cmd_plan(cfg: RunConfig, args) -> None:
     trips = _read_clean_trips(cfg)
     net = _load_city_network(cfg)
     planner = NetworkPlanner(net, **cfg.data["planner"])
-    cache = CachedPlanner.of(planner, ((t.olon, t.olat, t.dlon, t.dlat) for t in trips))
+    cache = CachedPlanner.of(planner, zip(trips.olon, trips.olat, trips.dlon, trips.dlat))
     cache.save(str(cfg.artifact("alternatives")))
     _echo({"command": "plan", "trips": len(trips), "cache_entries": len(cache),
            "states_expanded": planner.states_expanded})
@@ -562,10 +562,11 @@ def cmd_gridify(cfg: RunConfig, args) -> None:
                          f"lacks, such as {unknown[0]!r}; re-run 'classify'")
     grid = _grid(cfg)
     days = cfg.days
-    stats = hexgrid.compute_ratios(trips, results, grid, days)
+    origins, destinations = hexgrid.trip_rows(grid, trips)
+    stats = hexgrid.compute_ratios(origins, destinations, results, grid, days)
     districts = (_read_city(cfg.input_file("districts"), hexgrid.load_districts)
                  if cfg.data["paths"]["districts"] else None)
-    flows = hexgrid.od_flows(trips, grid, days, districts=districts)
+    flows = hexgrid.od_flows(origins, destinations, grid, days, districts=districts)
     profile = hexgrid.temporal_profile(trips, results)
     stats_by_class = hexgrid.trip_stats(trips, results)
     breakdown = hexgrid.complementary_breakdown(trips, results, net)

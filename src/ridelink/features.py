@@ -27,7 +27,7 @@ from .errors import finite_number
 
 if TYPE_CHECKING:
     from .hexgrid import HexGrid
-    from .ingest import TripRecord
+    from .ingest import Trips
     from .ptnet import TransitNetwork
 
 POI_CATEGORIES = ("residence", "retail", "catering", "enterprise")
@@ -321,7 +321,7 @@ def poi_and_population(
 
 
 def tnc_travel_columns(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     grid: HexGrid,
     days: int,
     side: str,
@@ -329,7 +329,7 @@ def tnc_travel_columns(
     """Per-cell ride columns anchored at the pickup ("origin") or dropoff
     ("destination") end: daily trip count, mean wait (when request times are
     present on every trip), mean duration, mean fare per km."""
-    from .hexgrid import cell_id
+    from .hexgrid import cell_id, locate
     from .ingest import has_request_times
     if side not in ("origin", "destination"):
         raise ValueError("side must be 'origin' or 'destination'")
@@ -337,16 +337,18 @@ def tnc_travel_columns(
         raise ValueError("days must be >= 1")
     with_wait = has_request_times(trips)
     acc = [[0, 0.0, 0.0, 0.0] for _ in grid.cells]
-    ends = [(t.olon, t.olat) if side == "origin" else (t.dlon, t.dlat) for t in trips]
-    for trip, row in zip(trips, _rows(grid, ends)):
+    rows = (locate(grid, trips.olon, trips.olat) if side == "origin"
+            else locate(grid, trips.dlon, trips.dlat))
+    for row, pickup, dropoff, cost, km, request in zip(rows, trips.pickup_min, trips.dropoff_min,
+                                                       trips.cost, trips.distance_km, trips.request_min):
         if row < 0:
             continue
         entry = acc[row]
         entry[0] += 1
-        entry[1] += trip.duration_min
-        entry[2] += trip.fare_per_km
+        entry[1] += dropoff - pickup
+        entry[2] += cost / km
         if with_wait:
-            entry[3] += trip.wait_min
+            entry[3] += pickup - request
     return {cell_id(q, r): {
         "n_trips_daily": n / days,
         "avg_travel_min": travel / n if n else 0.0,
@@ -375,7 +377,7 @@ def assemble_features(
     grid: HexGrid,
     stats: dict,
     net: TransitNetwork,
-    trips: Sequence[TripRecord],
+    trips: Trips,
     days: int,
     target: str,
     pois: Sequence[tuple[float, float, str]] = (),

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
 from .errors import finite_number
 from .geo import LocalProjection, point_in_ring
-from .ingest import TripRecord, has_request_times
+from .ingest import Trips, has_request_times
 from .ptnet import TransitNetwork
 
 SQRT3 = math.sqrt(3.0)
@@ -156,10 +156,9 @@ def locate(grid: HexGrid, lon: Sequence[float], lat: Sequence[float]) -> list[in
     return rows
 
 
-def _trip_rows(grid: HexGrid, trips: Sequence[TripRecord]) -> tuple[list[int], list[int]]:
+def trip_rows(grid: HexGrid, trips: Trips) -> tuple[list[int], list[int]]:
     """Grid rows of every trip's origin and destination (-1 off the grid)."""
-    return (locate(grid, [t.olon for t in trips], [t.olat for t in trips]),
-            locate(grid, [t.dlon for t in trips], [t.dlat for t in trips]))
+    return locate(grid, trips.olon, trips.olat), locate(grid, trips.dlon, trips.dlat)
 
 
 # per-cell trip counts, and each ratio as (numerator, denominator): first-mile and
@@ -196,19 +195,19 @@ class GridCellStats:
 
 
 def compute_ratios(
-    trips: Sequence[TripRecord],
+    origins: Sequence[int], destinations: Sequence[int],
     results: Sequence[TripClass],
     grid: HexGrid,
     days: int,
 ) -> dict[str, GridCellStats]:
-    """Per-cell counts and ratios for every grid cell (including empty ones)."""
+    """Per-cell counts and ratios for every grid cell (including empty ones), from :func:`trip_rows`."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    if len(trips) != len(results):
+    if not len(origins) == len(destinations) == len(results):
         raise ValueError("trips and results must align")
     stats = {cell_id(q, r): GridCellStats(cell_id(q, r), days) for q, r in grid.cells}
     by_row = list(stats.values())
-    for orow, drow, res in zip(*_trip_rows(grid, trips), results):
+    for orow, drow, res in zip(origins, destinations, results):
         if orow >= 0:
             cs = by_row[orow]
             cs.o_total += 1
@@ -237,13 +236,13 @@ class TemporalProfile:
     independent: list[int]
 
 
-def temporal_profile(trips: Sequence[TripRecord], results: Sequence[TripClass]) -> TemporalProfile:
+def temporal_profile(trips: Trips, results: Sequence[TripClass]) -> TemporalProfile:
     if len(trips) != len(results):
         raise ValueError("trips and results must align")
     bins = {label: [0] * 24 for label in (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT)}
     totals = [0] * 24
-    for trip, res in zip(trips, results):
-        hour = trip.pickup_hour
+    for pickup, res in zip(trips.pickup_min, results):
+        hour = pickup % 1440 // 60
         totals[hour] += 1
         bins[res.label][hour] += 1
     return TemporalProfile(totals=totals, first_mile=bins[FIRST_MILE],
@@ -260,18 +259,18 @@ class OdFlow:
 
 
 def od_flows(
-    trips: Sequence[TripRecord],
+    origins: Sequence[int], destinations: Sequence[int],
     grid: HexGrid,
     days: int,
     districts: Optional[dict[str, list[list[tuple[float, float]]]]] = None,
 ) -> list[OdFlow]:
-    """Daily OD flows of all trips between grid cells, optionally rolled up to
-    districts (name -> the outer ring of each part, as lon/lat pairs)."""
+    """Daily OD flows of all trips between grid cells, from :func:`trip_rows`, optionally
+    rolled up to districts (name -> the outer ring of each part, as lon/lat pairs)."""
     if days < 1:
         raise ValueError("days must be >= 1")
     ids = [cell_id(q, r) for q, r in grid.cells]
     counts: dict[tuple[str, str], int] = {}
-    for orow, drow in zip(*_trip_rows(grid, trips)):
+    for orow, drow in zip(origins, destinations):
         if orow < 0 or drow < 0:
             continue
         key = (ids[orow], ids[drow])
@@ -350,7 +349,7 @@ def _histogram(values: list[float]) -> Histogram:
 
 
 def trip_stats(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     results: Sequence[TripClass],
 ) -> dict[str, dict[str, Histogram]]:
     """Per-class histograms of travel time and fare per km, plus waiting time
@@ -359,12 +358,13 @@ def trip_stats(
         raise ValueError("trips and results must align")
     with_wait = has_request_times(trips)
     per_class: dict[str, dict[str, list[float]]] = {}
-    for trip, res in zip(trips, results):
+    for res, pickup, dropoff, cost, km, request in zip(results, trips.pickup_min, trips.dropoff_min,
+                                                       trips.cost, trips.distance_km, trips.request_min):
         bucket = per_class.setdefault(res.label, {"travel_min": [], "fare_per_km": [], "wait_min": []})
-        bucket["travel_min"].append(trip.duration_min)
-        bucket["fare_per_km"].append(trip.fare_per_km)
+        bucket["travel_min"].append(dropoff - pickup)
+        bucket["fare_per_km"].append(cost / km)
         if with_wait:
-            bucket["wait_min"].append(trip.wait_min)
+            bucket["wait_min"].append(pickup - request)
     out: dict[str, dict[str, Histogram]] = {}
     for label in (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT):
         values = per_class.get(label, {"travel_min": [], "fare_per_km": [], "wait_min": []})
@@ -379,7 +379,7 @@ def trip_stats(
 
 
 def complementary_breakdown(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     results: Sequence[TripClass],
     net: TransitNetwork,
 ) -> dict:
@@ -395,7 +395,8 @@ def complementary_breakdown(
     mode_ids = {m: [sid for sid in net.station_ids if net.stations[sid].mode == m]
                 for m in by_mode}
     total = 0
-    for trip, res in zip(trips, results):
+    for res, olon, olat, dlon, dlat in zip(results, trips.olon, trips.olat, trips.dlon,
+                                           trips.dlat):
         if res.label not in (FIRST_MILE, LAST_MILE) or res.matched_station is None:
             continue
         station = net.stations[res.matched_station]
@@ -403,8 +404,7 @@ def complementary_breakdown(
         if mode not in by_mode:
             continue
         total += 1
-        lon, lat = ((trip.olon, trip.olat) if res.label == FIRST_MILE
-                    else (trip.dlon, trip.dlat))
+        lon, lat = (olon, olat) if res.label == FIRST_MILE else (dlon, dlat)
         if net.nearest_station(lon, lat, mode_ids[mode]) == res.matched_station:
             by_mode[mode]["direct"] += 1
         elif station.is_hub:
@@ -565,6 +565,7 @@ __all__ = [
     "parse_cell_id",
     "read_cell_stats",
     "temporal_profile",
+    "trip_rows",
     "trip_stats",
     "write_breakdown",
     "write_cell_stats",

@@ -10,7 +10,8 @@ integer count of minutes since midnight of a configurable epoch date, so
 ``t % 1440`` is minutes-of-day. An optional ``request_time`` column, read
 whenever the header has one, yields pick-up waiting times.
 
-The trip columns of both ``trips_clean.csv`` and ``classified.csv`` are read by
+Every stage holds trips as one :class:`Trips` table, a list per field. The
+trip columns of both ``trips_clean.csv`` and ``classified.csv`` are read by
 :func:`read_trip_header` and :func:`read_trip_blocks` and written by
 :func:`trip_columns`, one column pass per block of ``BLOCK_ROWS`` rows: each
 number column is parsed with one ``map``, each date's first minute and each
@@ -28,7 +29,6 @@ import re
 from dataclasses import asdict, dataclass
 from functools import cache
 from itertools import chain, product
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TextIO
 
 CANONICAL_COLUMNS = (
@@ -57,42 +57,38 @@ class SchemaError(ValueError):
     """The input header is unusable (missing or duplicated required columns)."""
 
 
-@dataclass
-class TripRecord:
-    plate_id: str
-    olon: float
-    olat: float
-    pickup_label: str
-    pickup_min: int
-    dlon: float
-    dlat: float
-    dropoff_label: str
-    dropoff_min: int
-    distance_km: float
-    cost: float
-    request_min: Optional[int] = None
+class Trips(NamedTuple):
+    """The trip table: one list per field, trip ``i`` at position ``i`` of each.
+    Times count minutes from midnight of the epoch date; ``request_min`` is None
+    where a trip has no request time. ``len`` counts the trips, and iterating or
+    unpacking gives the columns. Trip ``i`` lasts ``dropoff_min[i] - pickup_min[i]``."""
+    plate_id: list[str]
+    olon: list[float]
+    olat: list[float]
+    pickup_label: list[str]
+    pickup_min: list[int]
+    dlon: list[float]
+    dlat: list[float]
+    dropoff_label: list[str]
+    dropoff_min: list[int]
+    distance_km: list[float]
+    cost: list[float]
+    request_min: list[Optional[int]]
 
-    @property
-    def duration_min(self) -> int:
-        return self.dropoff_min - self.pickup_min
+    def __len__(self) -> int:
+        return len(self.plate_id)
 
-    @property
-    def wait_min(self) -> Optional[int]:
-        if self.request_min is None:
-            return None
-        return self.pickup_min - self.request_min
+    @classmethod
+    def empty(cls) -> Trips:
+        return cls(*([] for _ in cls._fields))
 
-    @property
-    def fare_per_km(self) -> float:
-        return self.cost / self.distance_km
+    def take(self, rows: Sequence[int]) -> Trips:
+        """The trips at positions ``rows``, in that order."""
+        return Trips(*([column[i] for i in rows] for column in self))
 
-    @property
-    def pickup_day(self) -> int:
-        return self.pickup_min // 1440
-
-    @property
-    def pickup_hour(self) -> int:
-        return (self.pickup_min % 1440) // 60
+    def extend(self, more: Trips) -> None:
+        for column, added in zip(self, more):
+            column.extend(added)
 
 
 @dataclass(frozen=True)
@@ -176,31 +172,32 @@ def _floats(cells: Sequence[str]) -> list[float]:
         return [_float(text) for text in cells]
 
 
-def has_request_times(trips: Sequence[TripRecord]) -> bool:
+def has_request_times(trips: Trips) -> bool:
     """True when every trip carries a request time, the condition under which
     the optional ``request_time`` column is written and waiting times exist."""
-    return bool(trips) and all(t.request_min is not None for t in trips)
+    return bool(trips) and None not in trips.request_min
 
 
 def trip_header(with_request: bool) -> tuple[str, ...]:
     return CANONICAL_COLUMNS + (("request_time",) if with_request else ())
 
 
-def trip_columns(trips: Sequence[TripRecord], epoch: _dt.date, with_request: bool,
+def trip_columns(trips: Trips, rows: slice, epoch: _dt.date, with_request: bool,
                  days: dict) -> list[list[str]]:
-    """The trips' cells under :func:`trip_header`, one list per column; floats
-    use repr so a reparse is lossless. ``days`` is :func:`_stamps`' cache."""
-    def cells(field, text=repr):
-        return list(map(text, map(attrgetter(field), trips)))
+    """The cells of the trips at ``rows`` under :func:`trip_header`, one list per column;
+    floats use repr so a reparse is lossless. ``days`` is :func:`_stamps`' cache."""
+    def text(column):
+        return list(map(repr, column[rows]))
 
-    def times(field):
-        return _stamps(map(attrgetter(field), trips), epoch, days)
+    def times(column):
+        return _stamps(column[rows], epoch, days)
 
-    columns = [cells("plate_id", str), cells("olon"), cells("olat"), cells("pickup_label", str),
-               times("pickup_min"), cells("dlon"), cells("dlat"), cells("dropoff_label", str),
-               times("dropoff_min"), cells("distance_km"), cells("cost")]
+    columns = [trips.plate_id[rows], text(trips.olon), text(trips.olat), trips.pickup_label[rows],
+               times(trips.pickup_min), text(trips.dlon), text(trips.dlat),
+               trips.dropoff_label[rows], times(trips.dropoff_min), text(trips.distance_km),
+               text(trips.cost)]
     if with_request:
-        columns.append(times("request_min"))
+        columns.append(times(trips.request_min))
     return columns
 
 
@@ -266,8 +263,8 @@ def read_trip_blocks(reader, layout: TripLayout, bbox: tuple[float, float, float
     """Parse and check the data rows after :func:`read_trip_header`, one
     column pass per block of ``BLOCK_ROWS`` rows.
 
-    Yields ``(trips, extra, rejections)`` per block: the trips of the rows
-    that pass, the ``layout.extra`` columns over the same rows, and one
+    Yields ``(trips, extra, rejections)`` per block: the :class:`Trips` of
+    the rows that pass, the ``layout.extra`` columns over the same rows, and one
     :class:`Rejection` per other row, in row order. Blank rows are skipped.
     A row's reason is the first failing check of: wrong column count, bad
     timestamp, bad number, dropoff not after pickup, request after pickup,
@@ -324,13 +321,13 @@ def read_trip_blocks(reader, layout: TripLayout, bbox: tuple[float, float, float
         if check_extra is not None:
             for i, reason in check_extra(*extra).items():
                 failed.setdefault(i, reason)
-        trips = list(map(TripRecord, map(str.strip, plate_id), olon, olat,
-                         map(str.strip, pickup_label), pickup, dlon, dlat,
-                         map(str.strip, dropoff_label), dropoff, distance_km, cost, request))
+        trips = Trips(list(map(str.strip, plate_id)), olon, olat,
+                      list(map(str.strip, pickup_label)), pickup, dlon, dlat,
+                      list(map(str.strip, dropoff_label)), dropoff, distance_km, cost, request)
         if failed:
             reasons.update((lines[i], reason) for i, reason in failed.items())
             kept = [i for i in range(len(rows)) if i not in failed]
-            trips = [trips[i] for i in kept]
+            trips = trips.take(kept)
             extra = [[column[i] for i in kept] for column in extra]
         yield trips, extra, [Rejection(*r) for r in sorted(reasons.items())]
 
@@ -340,8 +337,8 @@ def parse_trips(
     bbox: tuple[float, float, float, float],
     epoch: _dt.date = DEFAULT_EPOCH,
     columns: Optional[dict[str, str]] = None,
-) -> tuple[list[TripRecord], list[Rejection]]:
-    """Read the canonical trip CSV.
+) -> tuple[Trips, list[Rejection]]:
+    """Read the canonical trip CSV into one :class:`Trips`, a block at a time.
 
     ``columns`` maps canonical field names to the actual header names (fields
     not listed keep their canonical name; a ``request_time`` entry names the
@@ -363,7 +360,7 @@ def parse_trips(
     try:
         reader = csv.reader(handle)
         layout = read_trip_header(reader, columns)
-        trips: list[TripRecord] = []
+        trips = Trips.empty()
         rejections: list[Rejection] = []
         for kept, _, rejected in read_trip_blocks(reader, layout, bbox, epoch):
             trips.extend(kept)
@@ -374,14 +371,13 @@ def parse_trips(
             handle.close()
 
 
-def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.date = DEFAULT_EPOCH) -> None:
+def write_trips(trips: Trips, target: str | TextIO, epoch: _dt.date = DEFAULT_EPOCH) -> None:
     """Write the canonical trip CSV through :func:`trip_columns`, a block at a time.
 
     A ``request_time`` column is appended when every trip carries one, so the
     optional waiting-time signal survives a write/parse cycle.
     """
-    rows = list(trips)
-    with_request = has_request_times(rows)
+    with_request = has_request_times(trips)
     close_after = False
     if isinstance(target, str):
         handle: TextIO = open(target, "w", encoding="utf-8", newline="")
@@ -392,9 +388,9 @@ def write_trips(trips: Iterable[TripRecord], target: str | TextIO, epoch: _dt.da
         writer = csv.writer(handle)
         writer.writerow(trip_header(with_request))
         days: dict = {}
-        for start in range(0, len(rows), BLOCK_ROWS):
-            block = rows[start:start + BLOCK_ROWS]
-            writer.writerows(zip(*trip_columns(block, epoch, with_request, days)))
+        for start in range(0, len(trips), BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            writer.writerows(zip(*trip_columns(trips, rows, epoch, with_request, days)))
     finally:
         if close_after:
             handle.close()
@@ -419,22 +415,14 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def _field_values(trips: Sequence[TripRecord], field_name: str) -> list[float]:
-    if field_name == "travel_time_min":
-        return [float(t.duration_min) for t in trips]
-    if field_name == "distance_km":
-        return [float(t.distance_km) for t in trips]
-    raise ValueError(f"unknown filter field {field_name!r}")
-
-
 IQR_FIELDS = ("travel_time_min", "distance_km")
 
 
 def iqr_filter(
-    trips: Sequence[TripRecord],
+    trips: Trips,
     k: float = 3.0,
     per_day: bool = False,
-) -> tuple[list[TripRecord], list[IqrFilterReport]]:
+) -> tuple[Trips, list[IqrFilterReport]]:
     """Drop trips whose travel time or distance falls outside [Q1-k*IQR, Q3+k*IQR].
 
     Quartiles are computed on the pre-filter population (single pass, no
@@ -444,28 +432,30 @@ def iqr_filter(
     """
     if k <= 0.0:
         raise ValueError("k must be positive")
+    values = ([float(d - p) for p, d in zip(trips.pickup_min, trips.dropoff_min)],
+              list(map(float, trips.distance_km)))
     groups: dict[Optional[int], list[int]] = {} if per_day else {None: []}
-    for i, t in enumerate(trips):
-        groups.setdefault(t.pickup_day if per_day else None, []).append(i)
-    keep_mask = [True] * len(trips)
+    for i, pickup in enumerate(trips.pickup_min):
+        groups.setdefault(pickup // 1440 if per_day else None, []).append(i)
+    kept: list[int] = []
     reports: list[IqrFilterReport] = []
     for day in sorted(groups):
         idx = groups[day]
-        keep, day_reports = _filter_once([trips[i] for i in idx], k, day)
-        for i, kept in zip(idx, keep):
-            keep_mask[i] = kept
+        keep, day_reports = _filter_once([[column[i] for i in idx] for column in values], k, day)
+        kept.extend(i for i, flag in zip(idx, keep) if flag)
         reports.extend(day_reports)
-    return [t for t, kept in zip(trips, keep_mask) if kept], reports
+    return trips.take(sorted(kept)), reports
 
 
-def _filter_once(trips: list[TripRecord], k: float, day: Optional[int]) -> tuple[list[bool], list[IqrFilterReport]]:
-    if len(trips) < 4:
+def _filter_once(columns: list[list[float]], k: float, day: Optional[int]) -> tuple[list[bool], list[IqrFilterReport]]:
+    """Which of one population's trips to keep, given its ``IQR_FIELDS`` columns."""
+    n = len(columns[0])
+    if n < 4:
         scope = f"day {day}" if day is not None else "dataset"
-        raise ValueError(f"population too small for quartiles ({len(trips)} trips in {scope})")
-    keep = [True] * len(trips)
+        raise ValueError(f"population too small for quartiles ({n} trips in {scope})")
+    keep = [True] * n
     reports = []
-    for field_name in IQR_FIELDS:
-        values = _field_values(trips, field_name)
+    for field_name, values in zip(IQR_FIELDS, columns):
         q1, q3 = _quartiles(values)
         iqr = q3 - q1
         lo, hi = q1 - k * iqr, q3 + k * iqr
@@ -490,7 +480,7 @@ __all__ = [
     "Rejection",
     "SchemaError",
     "TripLayout",
-    "TripRecord",
+    "Trips",
     "has_request_times",
     "iqr_filter",
     "parse_trips",

@@ -9,9 +9,9 @@ baseline configuration.
 Only C3-C6 read a threshold, so the trips that reach C3 are the same at
 every setting. :func:`sweep_base` takes them from ``classify``'s recorded
 verdicts, whose traces settle each trip's service window (C1) and station
-labels (C2), and looks up each one's journey once in ``plan``'s cache; every
-sweep point of every parameter then runs only ``classify_thresholds`` over
-those trips, and divides by all trips as ``summarize`` does.
+labels (C2), and keeps its duration and cost with its journey from ``plan``'s
+cache; every sweep point of every parameter then runs only ``classify_thresholds``
+over those triples, and divides by all trips as ``summarize`` does.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 from . import svgchart
 from .classify import SUBSTITUTIVE, ClassifierConfig, TripClass, classify_thresholds
 from .errors import finite_number
-from .ingest import TripRecord
+from .ingest import Trips
 from .ptnet import PtAlternative
 
 PARAMETERS = ("walk_threshold_m", "time_gate_min", "max_transfers", "cost_ratio")
@@ -52,18 +52,20 @@ def arc_elasticity(baseline_value: float, baseline_ratio: float,
 
 
 class SweepBase(NamedTuple):
-    """The trips that reach C3, each with its journey, out of ``total`` trips."""
-    reaching: list[tuple[TripRecord, PtAlternative]]
+    """Each trip that reaches C3 as its duration, cost and journey, of ``total`` trips."""
+    reaching: list[tuple[int, float, PtAlternative]]
     total: int
 
 
-def sweep_base(trips: Sequence[TripRecord], results: Sequence[TripClass],
-               planner) -> SweepBase:
+def sweep_base(trips: Trips, results: Sequence[TripClass], planner) -> SweepBase:
     """Each of ``trips`` whose trace in ``results`` (at any setting) reaches C3,
     with its journey from ``planner``, a :class:`~ridelink.ptnet.CachedPlanner`
     (anything with ``plan(olon, olat, dlon, dlat)``): the base every sweep shares."""
-    return SweepBase([(t, planner.plan(t.olon, t.olat, t.dlon, t.dlat))
-                      for t, r in zip(trips, results, strict=True) if "C3" in r.trace],
+    ends = zip(trips.olon, trips.olat, trips.dlon, trips.dlat)
+    return SweepBase([(dropoff - pickup, cost, planner.plan(*key))
+                      for pickup, dropoff, cost, key, r in zip(
+                          trips.pickup_min, trips.dropoff_min, trips.cost, ends, results,
+                          strict=True) if "C3" in r.trace],
                      len(trips))
 
 
@@ -106,8 +108,8 @@ def elasticity_sweep(
 
     ratios = []
     for swept in configs:
-        count = sum(classify_thresholds(trip, alt, swept).label == SUBSTITUTIVE
-                    for trip, alt in base.reaching)
+        count = sum(classify_thresholds(duration, cost, alt, swept).label == SUBSTITUTIVE
+                    for duration, cost, alt in base.reaching)
         ratios.append(count / base.total if base.total else 0.0)
 
     base_ratio = ratios[points.index(baseline)]

@@ -37,7 +37,7 @@ from .classify import (
 from .cli import MAX_DAYS
 from .errors import finite_number
 from .geo import LocalProjection
-from .ingest import TripRecord, write_trips
+from .ingest import Trips, write_trips
 from .ptnet import (
     FareRules,
     NetworkPlanner,
@@ -341,7 +341,7 @@ class _Factory:
         return seq[int(self.rng.integers(len(seq)))]
 
     def _trip(self, o_xy, d_xy, o_label, d_label, pickup, duration,
-              cost=None) -> TripRecord:
+              cost=None) -> Trips:
         olon, olat = self.proj.to_lonlat(o_xy[0] * 1000.0, o_xy[1] * 1000.0)
         dlon, dlat = self.proj.to_lonlat(d_xy[0] * 1000.0, d_xy[1] * 1000.0)
         euclid = math.hypot(d_xy[0] - o_xy[0], d_xy[1] - o_xy[1])
@@ -351,14 +351,14 @@ class _Factory:
                          + self.rng.uniform(-1.0, 1.0), 2)
         wait = int(self.rng.integers(2, 11))
         duration = max(2, int(round(duration)))
-        return TripRecord(
-            plate_id=self._pick(self.plates),
-            olon=olon, olat=olat, pickup_label=o_label, pickup_min=pickup,
-            dlon=dlon, dlat=dlat, dropoff_label=d_label,
-            dropoff_min=pickup + duration, distance_km=distance,
-            cost=float(cost), request_min=pickup - wait)
+        return Trips(
+            plate_id=[self._pick(self.plates)],
+            olon=[olon], olat=[olat], pickup_label=[o_label], pickup_min=[pickup],
+            dlon=[dlon], dlat=[dlat], dropoff_label=[d_label],
+            dropoff_min=[pickup + duration], distance_km=[distance],
+            cost=[float(cost)], request_min=[pickup - wait])
 
-    def _ride(self, origin, dest, pickup, lo, hi, cost=None) -> TripRecord:
+    def _ride(self, origin, dest, pickup, lo, hi, cost=None) -> Trips:
         """A ride between two places: draws its duration in [lo, hi), then
         its fare in the range ``cost`` when given, then two place labels.
         Callers draw ``origin``, ``dest`` and ``pickup`` in the argument
@@ -372,7 +372,7 @@ class _Factory:
 
     # recipes --------------------------------------------------------------
 
-    def _feeder(self, to_station: bool) -> TripRecord:
+    def _feeder(self, to_station: bool) -> Trips:
         """A first-mile ride (``to_station``) from an interior point to a
         metro station, or a last-mile ride from the station outwards."""
         sid = self._pick(self.metro_sids)
@@ -394,17 +394,17 @@ class _Factory:
         j = min(i + span, len(line) - 1)
         return line[i], line[j]
 
-    def _draw_substitutive(self) -> TripRecord:
+    def _draw_substitutive(self) -> Trips:
         a, b = self._corridor_pair(max_legs=4)
         return self._ride(self._near(a, 330.0), self._near(b, 330.0),
                           self._day_minute(), 14.0, 26.0)
 
-    def _draw_independent_c1(self) -> TripRecord:
+    def _draw_independent_c1(self) -> Trips:
         a, b = self._corridor_pair(max_legs=4)
         return self._ride(self._near(a, 330.0), self._near(b, 330.0),
                           self._night_minute(), 8.0, 20.0)
 
-    def _draw_independent_c3(self) -> TripRecord:
+    def _draw_independent_c3(self) -> Trips:
         line = self._pick(self.interior)
         sid = self._pick(line)
         # origin 480..720 m out, roughly perpendicular to the line so no
@@ -421,14 +421,14 @@ class _Factory:
                           self._near(self._pick(self.metro_sids), 330.0),
                           self._day_minute(), 10.0, 24.0)
 
-    def _draw_independent_c4(self) -> TripRecord:
+    def _draw_independent_c4(self) -> Trips:
         # opposite belts: transit must ride around the loop, the street route
         # cuts straight across, so the time condition fails on the gap
         return self._ride(self._near(self._pick(self.interior[0]), 330.0),
                           self._near(self._pick(self.interior[2]), 330.0),
                           self._day_minute(), 8.0, 14.0)
 
-    def _draw_independent_c5(self) -> TripRecord:
+    def _draw_independent_c5(self) -> Trips:
         # middle of the north belt to middle of the east belt: the chained
         # layout forces three transfers; both stations are picked first
         a = self._pick(self.metro_ids[0][4:8])
@@ -436,7 +436,7 @@ class _Factory:
         return self._ride(self._near(a, 330.0), self._near(b, 330.0),
                           self._day_minute(), 48.0, 62.0)
 
-    def _draw_independent_c6(self) -> TripRecord:
+    def _draw_independent_c6(self) -> Trips:
         # one-stop hop where the metro fare exceeds half the (cheap) fare of
         # the ride itself
         line = self._pick(self.metro_ids)
@@ -457,7 +457,7 @@ class _Factory:
         "independent_c6": (_draw_independent_c6, INDEPENDENT, "C6"),
     }
 
-    def plant(self, recipe: str, count: int) -> list[TripRecord]:
+    def plant(self, recipe: str, count: int) -> Trips:
         """``count`` trips of ``recipe``, each the first of at most
         ``max_attempts`` draws that classifies as intended.
 
@@ -468,36 +468,36 @@ class _Factory:
         the random stream is the one that verifying each draw before the next
         gives."""
         draw, label, violated = self.RECIPES[recipe]
-        trips: list[TripRecord] = []
+        trips = Trips.empty()
         misses = 0  # of the trip being drawn
         while len(trips) < count:
             if misses == self.spec.max_attempts:
                 raise RuntimeError(f"could not place a {recipe} trip in "
                                    f"{self.spec.max_attempts} attempts; the scenario "
                                    f"geometry cannot express it")
-            drawn, states = [], []
+            drawn, states = Trips.empty(), []
             for _ in range(1 if misses else min(self.planner.block_trips, count - len(trips))):
-                drawn.append(draw(self))
+                drawn.extend(draw(self))
                 states.append(self.rng.bit_generator.state)
-            alts = self.planner.plan_many([(t.olon, t.olat, t.dlon, t.dlat) for t in drawn])
-            for trip, alt, state in zip(drawn, alts, states):
-                got = classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
+            alts = self.planner.plan_many(list(zip(drawn.olon, drawn.olat, drawn.dlon, drawn.dlat)))
+            for i, (alt, state) in enumerate(zip(alts, states)):
+                got = classify_trip(drawn, i, alt, self.net, self.lexicon, self.cfg)
                 if got.label != label or got.failed_condition != violated:
                     misses += 1
                     self.rng.bit_generator.state = state
                     break
-                trips.append(trip)
+                trips.extend(drawn.take([i]))
                 misses = 0
         return trips
 
-    def plant_all(self) -> tuple[list[TripRecord], list[GroundTruth]]:
-        trips: list[TripRecord] = []
+    def plant_all(self) -> tuple[Trips, list[GroundTruth]]:
+        trips = Trips.empty()
         intents: list[tuple[str, Optional[str]]] = []
         for recipe, count in self.spec.planted_counts().items():
-            trips += self.plant(recipe, count)
+            trips.extend(self.plant(recipe, count))
             intents += [self.RECIPES[recipe][1:]] * count
         order = self.rng.permutation(len(trips))
-        shuffled = [trips[i] for i in order]
+        shuffled = trips.take(order)
         truth = [GroundTruth(trip_index=new_idx,
                              intended_class=intents[old_idx][0],
                              violated_condition=intents[old_idx][1])
@@ -506,7 +506,7 @@ class _Factory:
 
 
 def plant_trips(spec: ScenarioSpec, net: TransitNetwork,
-                meta: dict) -> tuple[list[TripRecord], list[GroundTruth]]:
+                meta: dict) -> tuple[Trips, list[GroundTruth]]:
     return _Factory(spec, net, meta).plant_all()
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE
-from ridelink.ingest import TripRecord
 from ridelink.ptnet import Leg, PtAlternative, TransitNetwork, UNAVAILABLE
+from trip_oracle import TripRecord
 
 
 @dataclass

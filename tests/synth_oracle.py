@@ -5,6 +5,10 @@ loop that ``_Factory`` ran before it planned in blocks; only the class name
 and the imports are new. Each draw is planned and classified before the next
 is drawn, so the random stream is the one the block loop must reproduce.
 
+Each draw is now a ``Trips`` table of one row, so ``classify`` judges row 0
+and ``plant_all`` joins the shuffled draws into one table; the loops are
+otherwise unchanged.
+
 ``read_ground_truth`` reads back the ``ground_truth.csv`` that
 ``ridelink.synth.write_ground_truth`` writes; only the tests read that file."""
 
@@ -14,16 +18,16 @@ import csv
 from typing import Optional
 
 from ridelink.classify import TripClass, classify_trip
-from ridelink.ingest import TripRecord
+from ridelink.ingest import Trips
 from ridelink.synth import GroundTruth, _Factory
 
 
 class OracleFactory(_Factory):
-    def classify(self, trip: TripRecord) -> TripClass:
-        alt = self.planner.plan(trip.olon, trip.olat, trip.dlon, trip.dlat)
-        return classify_trip(trip, alt, self.net, self.lexicon, self.cfg)
+    def classify(self, trip: Trips) -> TripClass:
+        alt = self.planner.plan(trip.olon[0], trip.olat[0], trip.dlon[0], trip.dlat[0])
+        return classify_trip(trip, 0, alt, self.net, self.lexicon, self.cfg)
 
-    def plant(self, recipe: str) -> tuple[TripRecord, str, Optional[str]]:
+    def plant(self, recipe: str) -> tuple[Trips, str, Optional[str]]:
         draw, label, violated = self.RECIPES[recipe]
         for _ in range(self.spec.max_attempts):
             trip = draw(self)
@@ -34,8 +38,8 @@ class OracleFactory(_Factory):
                            f"{self.spec.max_attempts} attempts; the scenario "
                            f"geometry cannot express it")
 
-    def plant_all(self) -> tuple[list[TripRecord], list[GroundTruth]]:
-        trips: list[TripRecord] = []
+    def plant_all(self) -> tuple[Trips, list[GroundTruth]]:
+        trips: list[Trips] = []
         intents: list[tuple[str, Optional[str]]] = []
         for recipe, count in self.spec.planted_counts().items():
             for _ in range(count):
@@ -43,7 +47,9 @@ class OracleFactory(_Factory):
                 trips.append(trip)
                 intents.append((label, violated))
         order = self.rng.permutation(len(trips))
-        shuffled = [trips[i] for i in order]
+        shuffled = Trips.empty()
+        for i in order:
+            shuffled.extend(trips[i])
         truth = [GroundTruth(trip_index=new_idx,
                              intended_class=intents[old_idx][0],
                              violated_condition=intents[old_idx][1])

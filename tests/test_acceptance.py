@@ -44,6 +44,7 @@ from ridelink.hexgrid import (
     cell_id,
     compute_ratios,
     locate,
+    trip_rows,
 )
 from ridelink.ingest import parse_trips
 from ridelink.ptnet import NetworkPlanner, load_network, station_lexicon
@@ -51,6 +52,7 @@ from ridelink.sensitivity import elasticity_sweep, sweep_base
 from ridelink.synth import ScenarioSpec, bbox_of, generate
 from shap_oracle import _shap_exact
 from synth_oracle import read_ground_truth
+from trip_oracle import as_records, as_trips
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -87,7 +89,7 @@ def city(tmp_path_factory):
     results, summary = classify_all(trips, NetworkPlanner(net), net, lexicon, cfg)
     elapsed = time.perf_counter() - started
     return SimpleNamespace(spec=spec, net=net, lexicon=lexicon, trips=trips,
-                           truth=truth, cfg=cfg, results=results,
+                           records=as_records(trips), truth=truth, cfg=cfg, results=results,
                            summary=summary, elapsed=elapsed)
 
 
@@ -115,7 +117,7 @@ def test_criterion_02_condition_matrix_agreement():
     bad = []
     for case in cases:
         lex = case.lexicon if case.lexicon is not None else lexicon
-        got = classify_trip(case.trip, case.alt, net, lex)
+        got = classify_trip(as_trips([case.trip]), 0, case.alt, net, lex)
         expected = (case.label, case.failed, case.matched, case.both_ends,
                     case.trace)
         actual = (got.label, got.failed_condition, got.matched_station,
@@ -134,7 +136,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
     totals are conserved exactly."""
     grid = build_grid(bbox_of(city.spec), side_km=1.0)
     days = city.spec.days
-    stats = compute_ratios(city.trips, city.results, grid, days)
+    stats = compute_ratios(*trip_rows(grid, city.trips), city.results, grid, days)
 
     centers = np.array([axial_center_xy(grid, q, r) for q, r in grid.cells])
     ids = [cell_id(q, r) for q, r in grid.cells]
@@ -145,7 +147,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
         return ids[int(np.argmin(d2))]
 
     recount = {cid: [0, 0, 0, 0, 0, 0] for cid in ids}  # o a fc lc ds as
-    for trip, res in zip(city.trips, city.results):
+    for trip, res in zip(city.records, city.results):
         origin = recount[nearest(trip.olon, trip.olat)]
         dest = recount[nearest(trip.dlon, trip.dlat)]
         origin[0] += 1
@@ -171,7 +173,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
         if actual != expected:
             mismatched.append(cid)
 
-    sample = city.trips[::97]
+    sample = city.records[::97]
     rows = locate(grid, [t.olon for t in sample], [t.olat for t in sample])
     outside = 0
     for trip, row in zip(sample, rows):

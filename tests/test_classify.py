@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import classify_oracle
 from cityfix import build_city
 from matrix_cases import build_condition_matrix
 from ridelink.classify import (
@@ -29,8 +30,9 @@ from ridelink.classify import (
     write_classified,
     write_summary,
 )
-from ridelink.ingest import TripRecord, parse_trips, write_trips
-from ridelink.ptnet import NetworkPlanner, PtAlternative, station_lexicon
+from ridelink.ingest import parse_trips, write_trips
+from ridelink.ptnet import Leg, NetworkPlanner, PtAlternative, station_lexicon
+from trip_oracle import TripRecord, as_trips
 
 _NET = build_city()
 _LEX = station_lexicon(_NET)
@@ -118,7 +120,7 @@ class TestConditionMatrix:
     @pytest.mark.parametrize("case", _CASES, ids=lambda c: c.name)
     def test_case(self, case):
         lex = case.lexicon if case.lexicon is not None else _LEX
-        got = classify_trip(case.trip, case.alt, _NET, lex)
+        got = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
         assert got.label == case.label, case.name
         assert got.failed_condition == case.failed, case.name
         assert got.matched_station == case.matched, case.name
@@ -136,7 +138,7 @@ class TestConditionMatrix:
             evaluated = list(case.trace)
             assert evaluated == list(CONDITIONS[:len(evaluated)]), case.name
             lex = case.lexicon if case.lexicon is not None else _LEX
-            got = classify_trip(case.trip, case.alt, _NET, lex)
+            got = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
             if got.failed_condition:
                 assert list(got.trace)[-1] == got.failed_condition
                 assert not got.trace[got.failed_condition]
@@ -171,7 +173,7 @@ class TestClassifierProperties:
     def test_every_trip_gets_exactly_one_label(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
-            got = classify_trip(_random_trip(rng), _random_alt(rng), _NET, _LEX)
+            got = classify_trip(as_trips([_random_trip(rng)]), 0, _random_alt(rng), _NET, _LEX)
             assert got.label in ALL_LABELS
             if got.label == INDEPENDENT:
                 assert got.failed_condition in CONDITIONS
@@ -185,9 +187,9 @@ class TestClassifierProperties:
         tight = ClassifierConfig(walk_threshold_m=300, time_gate_min=10,
                                  time_ratio=1.5, max_transfers=1, cost_ratio=0.3)
         for _ in range(300):
-            trip, alt = _random_trip(rng), _random_alt(rng)
-            got_tight = classify_trip(trip, alt, _NET, _LEX, tight)
-            got_loose = classify_trip(trip, alt, _NET, _LEX, loose)
+            trip, alt = as_trips([_random_trip(rng)]), _random_alt(rng)
+            got_tight = classify_trip(trip, 0, alt, _NET, _LEX, tight)
+            got_loose = classify_trip(trip, 0, alt, _NET, _LEX, loose)
             if got_tight.label == SUBSTITUTIVE:
                 assert got_loose.label == SUBSTITUTIVE
 
@@ -196,17 +198,20 @@ class TestClassifierProperties:
         bad_alt = PtAlternative(available=True, access_walk_m=9999, egress_walk_m=9999,
                                 t_pt_min=999, transfers=9, fare_rmb=999,
                                 gen_cost_min=999, legs=())
-        trip = TripRecord(plate_id="T", olon=121.02, olat=31.004, pickup_label="Home",
-                          pickup_min=600, dlon=121.036, dlat=31.0005,
-                          dropoff_label="Cedar Station Exit A", dropoff_min=615,
-                          distance_km=3.0, cost=15.0)
-        got = classify_trip(trip, bad_alt, _NET, _LEX)
+        trip = as_trips([TripRecord(plate_id="T", olon=121.02, olat=31.004, pickup_label="Home",
+                                    pickup_min=600, dlon=121.036, dlat=31.0005,
+                                    dropoff_label="Cedar Station Exit A", dropoff_min=615,
+                                    distance_km=3.0, cost=15.0)])
+        got = classify_trip(trip, 0, bad_alt, _NET, _LEX)
         assert got.label == FIRST_MILE
         assert got.matched_station == "m3"
 
 
 class TestClassifyAll:
     def _trips(self):
+        return as_trips(self._records())
+
+    def _records(self):
         # two complementary, one substitutive-looking, one night trip
         return [
             TripRecord("P1", 121.010, 31.006, "Maple Estate", 480,
@@ -248,7 +253,7 @@ class TestClassifiedRoundtrip:
                                              b.matched_station, b.both_ends_station)
 
     def test_header_shape(self, city_planner, tmp_path):
-        trips = TestClassifyAll()._trips()[:1]
+        trips = TestClassifyAll()._trips().take([0])
         results, _ = classify_all(trips, city_planner, _NET, _LEX)
         path = tmp_path / "classified.csv"
         write_classified(trips, results, str(path))
@@ -259,8 +264,8 @@ class TestClassifiedRoundtrip:
         assert "request_time" not in header
 
     def test_request_time_survives_roundtrip(self, city_planner, tmp_path):
-        trips = [replace(t, request_min=t.pickup_min - 4)
-                 for t in TestClassifyAll()._trips()]
+        trips = as_trips([replace(t, request_min=t.pickup_min - 4)
+                          for t in TestClassifyAll()._records()])
         results, _ = classify_all(trips, city_planner, _NET, _LEX)
         path = tmp_path / "classified.csv"
         write_classified(trips, results, str(path))
@@ -276,7 +281,7 @@ class TestClassifiedRoundtrip:
             write_classified(trips, [TripClass(INDEPENDENT)], str(tmp_path / "x.csv"))
 
     def test_bad_label_on_read(self, tmp_path):
-        trips = TestClassifyAll()._trips()[:1]
+        trips = TestClassifyAll()._trips().take([0])
         path = tmp_path / "classified.csv"
         write_classified(trips, [TripClass(INDEPENDENT, failed_condition="C1")], str(path))
         text = path.read_text().replace("independent", "mystery")
@@ -327,8 +332,8 @@ class TestOneTripCodec:
         results = [r for _, r in rows]
         with tempfile.TemporaryDirectory() as tmp:
             clean, classified = Path(tmp, "trips_clean.csv"), Path(tmp, "classified.csv")
-            write_trips(trips, str(clean))
-            write_classified(trips, results, str(classified))
+            write_trips(as_trips(trips), str(clean))
+            write_classified(as_trips(trips), results, str(classified))
             clean_lines = clean.read_bytes().split(b"\r\n")
             classified_lines = classified.read_bytes().split(b"\r\n")
             assert len(clean_lines) == len(classified_lines) == len(trips) + 2
@@ -339,6 +344,7 @@ class TestOneTripCodec:
         assert rejections == []
         if not all(t.request_min is not None for t in trips):  # written only when all have one
             trips = [replace(t, request_min=None) for t in trips]
+        trips = as_trips(trips)
         assert trips2 == parsed == trips
         assert [(r.label, r.failed_condition, r.matched_station, r.both_ends_station)
                 for r in results2] == [
@@ -374,3 +380,114 @@ class TestOneTripCodec:
             csv.writer(handle).writerows(rows)
         with pytest.raises(ValueError, match=f"^line 4 of .*: {reason}$"):
             read_classified(str(path), _BBOX)
+
+
+class _Journeys(dict):
+    """A journey per trip key: a planner that plans nothing."""
+
+    def plan(self, olon, olat, dlon, dlat):
+        return self[olon, olat, dlon, dlat]
+
+
+# minutes of the day around the fixture routes' windows: metro 330-1410, bus 360-1380
+_SERVICE_EDGES = (0, 120, 329, 330, 359, 360, 1380, 1381, 1410, 1411, 1439)
+_LEGS = ((), (Leg("metro", "M1", "M1", "m1", "m2", 2.9, 1.72),),
+         (Leg("bus", "B1", "B1", "b1", "b2", 5.1, 1.72),),
+         (Leg("metro", "M1", "M1", "m1", "m3", 5.8, 3.4), Leg("bus", "B1", "B1", "b3", "b2", 4.0, 1.7)))
+# station labels in several spellings, and labels that match no station
+_STATION_LABELS = ("Cedar Station Exit A", "alder station", "Harbor Bus Stop", "Fir Station B1")
+_PLACE_LABELS = ("Maple Estate", "Corner A", "Cedar Gardens")
+_LABELS = st.sampled_from(_STATION_LABELS) | st.sampled_from(_PLACE_LABELS)
+_CONFIGS = st.builds(
+    ClassifierConfig,
+    walk_threshold_m=st.sampled_from([400.0]) | st.floats(50.0, 900.0),
+    time_gate_min=st.integers(5, 30).map(float),
+    time_ratio=st.sampled_from([2.0]) | st.floats(1.1, 3.0),
+    max_transfers=st.integers(0, 3),
+    cost_ratio=st.sampled_from([0.5, 1.0]) | st.floats(0.05, 1.0))
+
+
+@st.composite
+def _judged_trip(draw, cfg):
+    """A trip and its journey that meet every threshold of ``cfg`` but one of
+    access walk, egress walk, time, transfers and fare, which sits on its
+    inclusive threshold or one step either side of it."""
+    pickup = 1440 * draw(st.integers(0, 3)) + draw(st.sampled_from(_SERVICE_EDGES)
+                                                   | st.integers(330, 1380))
+    gate = int(cfg.time_gate_min)
+    duration = draw(st.sampled_from([gate, gate + 1]) | st.integers(1, 120))
+    cost = draw(st.floats(0.0, 200.0))
+    trip = TripRecord(
+        "R", draw(st.floats(_BBOX[0], _BBOX[2])), draw(st.floats(_BBOX[1], _BBOX[3])),
+        draw(_LABELS), pickup, draw(st.floats(_BBOX[0], _BBOX[2])),
+        draw(st.floats(_BBOX[1], _BBOX[3])), draw(_LABELS), pickup + duration,
+        draw(st.floats(0.1, 50.0)), cost)
+    limits = {"access": cfg.walk_threshold_m, "egress": cfg.walk_threshold_m,
+              "time": (duration + cfg.time_gate_min if duration <= cfg.time_gate_min
+                       else cfg.time_ratio * duration),
+              "fare": cfg.cost_ratio * cost}
+    edge = draw(st.sampled_from([*limits, "transfers"]))
+    step = draw(st.sampled_from([-math.inf, None, math.inf]))
+    value = {name: (limit if step is None else math.nextafter(limit, step)) if name == edge
+             else draw(st.floats(0.0, limit)) for name, limit in limits.items()}
+    transfers = (cfg.max_transfers + (step == math.inf) if edge == "transfers"
+                 else draw(st.integers(0, cfg.max_transfers)))
+    alt = PtAlternative(
+        available=draw(st.sampled_from([True, True, True, False])),
+        access_walk_m=value["access"], egress_walk_m=value["egress"], t_pt_min=value["time"],
+        transfers=transfers, fare_rmb=value["fare"], gen_cost_min=0.0,
+        legs=draw(st.sampled_from(_LEGS)))
+    return trip, alt
+
+
+def _edge_rows():
+    """Hand-set trips at the default thresholds: C1 either side of each
+    window edge, a station label at either end or both, and each of C3-C6
+    exactly on its inclusive threshold and one step past it."""
+    def trip(pickup=600, duration=20, cost=30.0, o="Maple Estate", d="Corner A"):
+        return TripRecord("E", 121.02, 31.004, o, pickup, 121.036, 31.0005, d,
+                          pickup + duration, 6.0, cost)
+
+    def alt(walk=400.0, t_pt=40.0, transfers=2, fare=15.0, legs=_LEGS[1]):
+        return PtAlternative(True, walk, walk, t_pt, transfers, fare, 0.0, legs)
+
+    past = math.nextafter
+    rows = [(trip(pickup=m), alt(legs=legs)) for m in (329, 330, 1410, 1411, 1440 + 120)
+            for legs in _LEGS[:2]]
+    rows += [(trip(o="Cedar Station Exit A"), alt()), (trip(d="alder station"), alt()),
+             (trip(o="Harbor Bus Stop", d="Fir Station B1"), alt())]
+    rows += [(trip(), alt(walk=400.0)), (trip(), alt(walk=past(400.0, math.inf))),
+             (trip(), alt(t_pt=40.0)), (trip(), alt(t_pt=past(40.0, math.inf))),
+             (trip(duration=15), alt(t_pt=30.0)), (trip(duration=15), alt(t_pt=31.0)),
+             (trip(duration=16), alt(t_pt=32.0)), (trip(duration=16), alt(t_pt=33.0)),
+             (trip(), alt(transfers=2)), (trip(), alt(transfers=3)),
+             (trip(cost=30.0), alt(fare=15.0)), (trip(cost=30.0), alt(fare=past(15.0, math.inf)))]
+    # each row its own key
+    return [(replace(t, olon=t.olon + i * 1e-5), a) for i, (t, a) in enumerate(rows)]
+
+
+class TestTableClassifier:
+    """``classify_all`` over a ``Trips`` table gives each row the verdict that
+    the record classifier (``classify_oracle``) gives that trip alone."""
+
+    @staticmethod
+    def _check(rows, cfg):
+        records = [t for t, _ in rows]
+        journeys = _Journeys(((t.olon, t.olat, t.dlon, t.dlat), a) for t, a in rows)
+        got, summary = classify_all(as_trips(records), journeys, _NET, _LEX, cfg)
+        want = [classify_oracle.classify_trip(
+            t, journeys.plan(t.olon, t.olat, t.dlon, t.dlat), _NET, _LEX, cfg) for t in records]
+        assert got == want
+        assert summary == summarize(want)
+        return got
+
+    def test_edge_rows(self):
+        got = self._check(_edge_rows(), ClassifierConfig())
+        assert {r.failed_condition for r in got} == {None, "C1", "C3", "C4", "C5", "C6"}
+        assert {r.label for r in got} == set(ALL_LABELS)
+        assert any(r.both_ends_station for r in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), cfg=_CONFIGS)
+    def test_random_tables(self, data, cfg):
+        self._check(data.draw(st.lists(_judged_trip(cfg), max_size=12)), cfg)

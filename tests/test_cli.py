@@ -45,6 +45,7 @@ from locate_oracle import OFF_GRID
 from locate_oracle import locate as oracle_locate
 from numpy_geo_oracle import nearest_station as oracle_nearest
 from synth_oracle import read_ground_truth
+from trip_oracle import as_records
 
 CONFIG = {
     "synth": {
@@ -372,7 +373,7 @@ class TestPipelineArtifacts:
     def test_gridify_echo_counts_off_grid_trip_ends(self, pipeline, tmp_path, monkeypatch):
         ws, config_path, echoes = pipeline
         cfg = load_config(_args(config=str(config_path)))
-        trips, _ = read_classified(str(ws / "classified.csv"), cfg.bbox())
+        trips = as_records(read_classified(str(ws / "classified.csv"), cfg.bbox())[0])
 
         def off_grid(grid):
             """Off-grid origins and destinations, one scalar oracle call per end."""
@@ -471,6 +472,28 @@ class TestPipelineArtifacts:
         assert run("classify") == {"parse_trips": 1, "write_classified": 1}
         for stage in ("gridify", "features", "elasticity"):
             assert run(stage) == {"read_classified": 1}, stage
+
+    def test_gridify_locates_each_trip_end_once(self, pipeline, tmp_path, monkeypatch):
+        """``gridify`` locates every origin with one ``hexgrid.locate`` call and
+        every destination with another, and hands the rows to both the cell
+        counts and the flows. The benchmark's ``hexgrid.locate`` layer counts
+        these calls."""
+        ws, config_path, echoes = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        located = []
+
+        def counted(grid, lon, lat, _inner=hexgrid.locate):
+            located.append(len(lon))
+            return _inner(grid, lon, lat)
+
+        monkeypatch.setattr(hexgrid, "locate", counted)
+        code, _, err = run_cli(["gridify", "--config", str(config_path), "--workspace", str(copy)])
+        assert code == 0, err
+        trips = echoes["gridify"]["trips"]
+        assert located == [trips, trips]
+        for name in ("cells.csv", "cells.geojson", "od_flows.csv"):
+            assert (copy / name).read_bytes() == (ws / name).read_bytes(), name
 
     def test_explain_calls_the_traced_layers(self, pipeline, tmp_path, monkeypatch):
         """``explain`` attributes, draws curves and exports with one call

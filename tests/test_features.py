@@ -25,9 +25,9 @@ from ridelink.features import (
     write_vif_report,
 )
 from ridelink.geo import great_circle_m
-from ridelink.hexgrid import build_grid, cell_center, cell_id, compute_ratios, locate
-from ridelink.ingest import TripRecord
+from ridelink.hexgrid import build_grid, cell_center, cell_id, compute_ratios, locate, trip_rows
 from ridelink.ptnet import Station, TransitNetwork
+from trip_oracle import TripRecord, as_trips
 
 BBOX = (121.00, 31.00, 121.05, 31.04)
 
@@ -355,7 +355,7 @@ class TestTncTravelColumns:
         lon, lat = cell_center(grid, *grid.cells[2])
         trips = [_trip(lon, lat, 121.049, 31.001, duration=10),
                  _trip(lon, lat, 121.049, 31.001, duration=20)]
-        cols = tnc_travel_columns(trips, grid, days=1, side="origin")
+        cols = tnc_travel_columns(as_trips(trips), grid, days=1, side="origin")
         cid = cell_id(*grid.cells[2])
         assert cols[cid]["avg_travel_min"] == pytest.approx(15.0)
         assert cols[cid]["n_trips_daily"] == pytest.approx(2.0)
@@ -365,8 +365,8 @@ class TestTncTravelColumns:
         o = cell_center(grid, *grid.cells[1])
         d = cell_center(grid, *grid.cells[-2])
         trips = [_trip(o[0], o[1], d[0], d[1])]
-        dest = tnc_travel_columns(trips, grid, days=1, side="destination")
-        orig = tnc_travel_columns(trips, grid, days=1, side="origin")
+        dest = tnc_travel_columns(as_trips(trips), grid, days=1, side="destination")
+        orig = tnc_travel_columns(as_trips(trips), grid, days=1, side="origin")
         assert dest[cell_id(*grid.cells[-2])]["n_trips_daily"] == 1.0
         assert dest[cell_id(*grid.cells[1])]["n_trips_daily"] == 0.0
         assert orig[cell_id(*grid.cells[1])]["n_trips_daily"] == 1.0
@@ -375,11 +375,11 @@ class TestTncTravelColumns:
         grid = build_grid(BBOX, 0.5)
         lon, lat = cell_center(grid, *grid.cells[2])
         bare = [_trip(lon, lat, 121.049, 31.001)]
-        cols = tnc_travel_columns(bare, grid, days=1, side="origin")
+        cols = tnc_travel_columns(as_trips(bare), grid, days=1, side="origin")
         assert all(row["avg_wait_min"] is None for row in cols.values())
         timed = [_trip(lon, lat, 121.049, 31.001, request=4),
                  _trip(lon, lat, 121.049, 31.001, request=8)]
-        cols = tnc_travel_columns(timed, grid, days=1, side="origin")
+        cols = tnc_travel_columns(as_trips(timed), grid, days=1, side="origin")
         assert cols[cell_id(*grid.cells[2])]["avg_wait_min"] == pytest.approx(6.0)
 
     def test_fare_per_km_recompute(self):
@@ -389,7 +389,7 @@ class TestTncTravelColumns:
         trips = [_trip(lon, lat, 121.049, 31.001,
                        distance=float(rng.uniform(2, 30)),
                        cost=float(rng.uniform(10, 90))) for _ in range(25)]
-        cols = tnc_travel_columns(trips, grid, days=1, side="origin")
+        cols = tnc_travel_columns(as_trips(trips), grid, days=1, side="origin")
         expected = np.mean([t.cost / t.distance_km for t in trips])
         assert cols[cell_id(*grid.cells[5])]["avg_fare_per_km"] == pytest.approx(expected, rel=1e-12)
 
@@ -397,12 +397,12 @@ class TestTncTravelColumns:
         grid = build_grid(BBOX, 0.5)
         lon, lat = cell_center(grid, *grid.cells[2])
         trips = [_trip(lon, lat, 121.049, 31.001) for _ in range(6)]
-        cols = tnc_travel_columns(trips, grid, days=3, side="origin")
+        cols = tnc_travel_columns(as_trips(trips), grid, days=3, side="origin")
         assert cols[cell_id(*grid.cells[2])]["n_trips_daily"] == pytest.approx(2.0)
         with pytest.raises(ValueError):
-            tnc_travel_columns(trips, grid, days=0, side="origin")
+            tnc_travel_columns(as_trips(trips), grid, days=0, side="origin")
         with pytest.raises(ValueError):
-            tnc_travel_columns(trips, grid, days=1, side="midpoint")
+            tnc_travel_columns(as_trips(trips), grid, days=1, side="midpoint")
 
 
 class TestVifFilter:
@@ -502,7 +502,8 @@ def _mini_world(with_request=True, wide=False):
             trips.append(_trip(o[0], o[1], b[0], b[1], pickup=600,
                                request=2 if with_request else None))
             results.append(TripClass(INDEPENDENT, "C1"))
-    stats = compute_ratios(trips, results, grid, days=1)
+    trips = as_trips(trips)
+    stats = compute_ratios(*trip_rows(grid, trips), results, grid, days=1)
     rng = np.random.default_rng(9)
     pois = [(float(rng.uniform(BBOX[0], BBOX[2])), float(rng.uniform(BBOX[1], BBOX[3])),
              ["residence", "retail", "catering", "enterprise"][i % 4]) for i in range(40)]

@@ -30,13 +30,14 @@ from ridelink.hexgrid import (
     od_flows,
     read_cell_stats,
     temporal_profile,
+    trip_rows,
     trip_stats,
     write_cell_stats,
     write_cell_stats_geojson,
     write_od_flows,
     write_temporal_profile,
 )
-from ridelink.ingest import TripRecord
+from trip_oracle import TripRecord, as_trips
 
 BBOX = (121.00, 31.00, 121.105, 31.09)  # ~10 x 10 km at this latitude
 
@@ -292,7 +293,7 @@ class TestComputeRatios:
         ]
         results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE),
                    TripClass(INDEPENDENT, "C4"), TripClass(LAST_MILE)]
-        stats = compute_ratios(trips, results, grid, days=2)
+        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
         ca = stats[cell_id(*grid.cells[10])]
         cb = stats[cell_id(*grid.cells[40])]
         assert (ca.o_total, ca.a_total) == (3, 1)
@@ -307,7 +308,7 @@ class TestComputeRatios:
 
     def test_empty_cell_has_undefined_ratios(self):
         grid = self._grid()
-        stats = compute_ratios([], [], grid, days=1)
+        stats = compute_ratios([], [], [], grid, days=1)
         empty = stats[cell_id(*grid.cells[0])]
         assert empty.ratio("fcr") is None and empty.ratio("lcr") is None
         assert empty.ratio("dsr") is None and empty.ratio("asr") is None
@@ -325,7 +326,7 @@ class TestComputeRatios:
             label = labels[int(rng.integers(0, 4))]
             results.append(TripClass(label, "C3" if label == INDEPENDENT else None))
         days = 3
-        stats = compute_ratios(trips, results, grid, days)
+        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days)
 
         assert sum(cs.o_total for cs in stats.values()) == 300
         assert sum(cs.a_total for cs in stats.values()) == 300
@@ -357,20 +358,20 @@ class TestComputeRatios:
 
     def test_bad_days_rejected(self):
         with pytest.raises(ValueError, match="days"):
-            compute_ratios([], [], self._grid(), days=0)
+            compute_ratios([], [], [], self._grid(), days=0)
 
 
 class TestTemporalProfile:
     def test_single_hour_concentration(self):
         trips = [_trip(121.01, 31.01, 121.02, 31.02, pickup=8 * 60 + m) for m in range(5)]
         results = [TripClass(FIRST_MILE)] * 5
-        profile = temporal_profile(trips, results)
+        profile = temporal_profile(as_trips(trips), results)
         assert profile.totals[8] == 5
         assert sum(profile.totals) == 5
         assert profile.first_mile[8] == 5
 
     def test_empty_profile(self):
-        profile = temporal_profile([], [])
+        profile = temporal_profile(as_trips([]), [])
         assert profile.totals == [0] * 24
 
     def test_bins_sum_to_total(self):
@@ -379,7 +380,7 @@ class TestTemporalProfile:
         trips = [_trip(121.01, 31.01, 121.02, 31.02,
                        pickup=int(rng.integers(0, 1440))) for _ in range(97)]
         results = [TripClass(labels[int(rng.integers(0, 4))]) for _ in range(97)]
-        profile = temporal_profile(trips, results)
+        profile = temporal_profile(as_trips(trips), results)
         assert sum(profile.totals) == 97
         per_class = (sum(profile.first_mile) + sum(profile.last_mile)
                      + sum(profile.substitutive) + sum(profile.independent))
@@ -391,7 +392,7 @@ class TestOdFlows:
         grid = build_grid(BBOX, 0.5)
         a = cell_center(grid, *grid.cells[5])
         b = cell_center(grid, *grid.cells[25])
-        flows = od_flows([_trip(a[0], a[1], b[0], b[1])], grid, days=2)
+        flows = od_flows(*trip_rows(grid, as_trips([_trip(a[0], a[1], b[0], b[1])])), grid, days=2)
         assert len(flows) == 1
         f = flows[0]
         assert f.level == "grid"
@@ -413,7 +414,7 @@ class TestOdFlows:
             "east": [[(mid_lon, BBOX[1] - 1), (BBOX[2] + 1, BBOX[1] - 1),
                       (BBOX[2] + 1, BBOX[3] + 1), (mid_lon, BBOX[3] + 1)]],
         }
-        flows = od_flows(trips, grid, days=2, districts=districts)
+        flows = od_flows(*trip_rows(grid, as_trips(trips)), grid, days=2, districts=districts)
         grid_total = sum(f.flow for f in flows if f.level == "grid")
         district_total = sum(f.flow for f in flows if f.level == "district")
         assert district_total == pytest.approx(grid_total, rel=1e-12)
@@ -426,16 +427,16 @@ class TestTripStats:
         trips = [_trip(121.01, 31.01, 121.02, 31.02,
                        duration=int(rng.integers(5, 60))) for _ in range(50)]
         results = ([TripClass(SUBSTITUTIVE)] * 30 + [TripClass(INDEPENDENT, "C5")] * 20)
-        stats = trip_stats(trips, results)
+        stats = trip_stats(as_trips(trips), results)
         assert stats[SUBSTITUTIVE]["travel_min"].mass == 30
         assert stats[INDEPENDENT]["fare_per_km"].mass == 20
         assert stats[FIRST_MILE]["travel_min"].mass == 0
 
     def test_wait_histogram_requires_request_times(self):
-        trips = [_trip(121.01, 31.01, 121.02, 31.02)]
+        trips = as_trips([_trip(121.01, 31.01, 121.02, 31.02)])
         stats = trip_stats(trips, [TripClass(SUBSTITUTIVE)])
         assert "wait_min" not in stats[SUBSTITUTIVE]
-        trips = [_trip(121.01, 31.01, 121.02, 31.02, pickup=480, request=474)]
+        trips = as_trips([_trip(121.01, 31.01, 121.02, 31.02, pickup=480, request=474)])
         stats = trip_stats(trips, [TripClass(SUBSTITUTIVE)])
         assert stats[SUBSTITUTIVE]["wait_min"].mass == 1
 
@@ -458,7 +459,7 @@ class TestComplementaryBreakdown:
             TripClass(LAST_MILE, matched_station="m1"),
             TripClass(FIRST_MILE, matched_station="b1"),
         ]
-        breakdown = complementary_breakdown(trips, results, net)
+        breakdown = complementary_breakdown(as_trips(trips), results, net)
         assert breakdown["total"] == 4
         assert breakdown["mode_counts"] == {"metro": 3, "bus": 1}
         assert breakdown["by_mode"]["metro"] == {
@@ -468,7 +469,7 @@ class TestComplementaryBreakdown:
 
     def test_non_complementary_trips_ignored(self):
         net = build_city()
-        trips = [_trip(121.01, 31.0, 121.02, 31.0)]
+        trips = as_trips([_trip(121.01, 31.0, 121.02, 31.0)])
         breakdown = complementary_breakdown(trips, [TripClass(SUBSTITUTIVE)], net)
         assert breakdown["total"] == 0
 
@@ -480,7 +481,7 @@ class TestWriters:
         trips = [_trip(a[0], a[1], a[0], a[1])] * 4
         results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE),
                    TripClass(LAST_MILE), TripClass(INDEPENDENT, "C6")]
-        stats = compute_ratios(trips, results, grid, days=2)
+        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
         path = tmp_path / "cells.csv"
         write_cell_stats(stats, str(path))
         back = read_cell_stats(str(path))
@@ -495,7 +496,7 @@ class TestWriters:
 
     def test_geojson_output(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
-        stats = compute_ratios([], [], grid, days=1)
+        stats = compute_ratios([], [], [], grid, days=1)
         path = tmp_path / "cells.geojson"
         write_cell_stats_geojson(grid, stats, str(path))
         doc = json.loads(path.read_text())
@@ -510,7 +511,7 @@ class TestWriters:
     def test_geojson_rings_are_cell_polygons(self, tmp_path, side_km):
         grid = build_grid(BBOX, side_km)
         path = tmp_path / "cells.geojson"
-        write_cell_stats_geojson(grid, compute_ratios([], [], grid, days=1), str(path))
+        write_cell_stats_geojson(grid, compute_ratios([], [], [], grid, days=1), str(path))
         features = json.loads(path.read_text())["features"]
         assert len(features) == len(grid.cells)
         for feature, (q, r) in zip(features, grid.cells):
@@ -519,7 +520,7 @@ class TestWriters:
 
     def test_columns_follow_the_count_and_ratio_tables(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
-        stats = compute_ratios([], [], grid, days=1)
+        stats = compute_ratios([], [], [], grid, days=1)
         derived = ["o_daily", "a_daily", "fc_daily", "lc_daily", "ds_daily", "as_daily",
                    "fcr", "lcr", "dsr", "asr"]
         assert CELL_STATS_COLUMNS == ("cell_id", "days", *COUNTS, *derived)
@@ -536,7 +537,7 @@ class TestWriters:
         a = cell_center(grid, *grid.cells[10])
         trips = [_trip(a[0], a[1], a[0], a[1])] * 3
         results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE), TripClass(LAST_MILE)]
-        stats = compute_ratios(trips, results, grid, days=2)
+        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
         path = tmp_path / "cells.csv"
         write_cell_stats(stats, str(path))
         with open(path, newline="") as handle:
@@ -553,7 +554,7 @@ class TestWriters:
     def test_reader_rejects_an_id_that_does_not_parse(self, tmp_path, bad_id):
         grid = build_grid(BBOX, 0.5)
         path = tmp_path / "cells.csv"
-        write_cell_stats(compute_ratios([], [], grid, days=2), str(path))
+        write_cell_stats(compute_ratios([], [], [], grid, days=2), str(path))
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         rows[3][0] = bad_id
@@ -565,7 +566,7 @@ class TestWriters:
     def test_reader_rejects_a_repeated_id(self, tmp_path):
         grid = build_grid(BBOX, 0.5)
         path = tmp_path / "cells.csv"
-        write_cell_stats(compute_ratios([], [], grid, days=2), str(path))
+        write_cell_stats(compute_ratios([], [], [], grid, days=2), str(path))
         with open(path, newline="") as handle:
             rows = list(csv.reader(handle))
         rows.append(rows[5])
@@ -580,8 +581,8 @@ class TestWriters:
         b = cell_center(grid, *grid.cells[25])
         trips = [_trip(a[0], a[1], b[0], b[1])]
         results = [TripClass(FIRST_MILE)]
-        flows = od_flows(trips, grid, days=1)
-        profile = temporal_profile(trips, results)
+        flows = od_flows(*trip_rows(grid, as_trips(trips)), grid, days=1)
+        profile = temporal_profile(as_trips(trips), results)
         p1, p2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
         write_od_flows(flows, str(p1))
         write_od_flows(flows, str(p2))
@@ -603,7 +604,7 @@ def _geojson_case(draw):
     half_lat = height_km / 2 / 110.57
     side_km = draw(st.one_of(st.sampled_from([0.37, 2.0]), st.floats(0.3, 2.5)))
     grid = build_grid((lon - half_lon, lat - half_lat, lon + half_lon, lat + half_lat), side_km)
-    stats = compute_ratios([], [], grid, days=draw(st.integers(2, 31)))
+    stats = compute_ratios([], [], [], grid, days=draw(st.integers(2, 31)))
     for i, cs in enumerate(stats.values()):
         if i % 3:
             cs.o_total, cs.a_total = draw(st.integers(0, 40)), draw(st.integers(1, 40))
@@ -634,7 +635,7 @@ class TestGeojsonStream:
         peaks = {}
         for side_km in (0.34, 0.17):
             grid = build_grid(BBOX, side_km)
-            stats = compute_ratios([], [], grid, days=2)
+            stats = compute_ratios([], [], [], grid, days=2)
             tracemalloc.start()
             try:
                 write_cell_stats_geojson(grid, stats, str(tmp_path / "cells.geojson"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ridelink import ingest
 from ridelink.ingest import (
     CANONICAL_COLUMNS,
     DEFAULT_EPOCH,
@@ -14,16 +15,26 @@ from ridelink.ingest import (
     IqrFilterReport,
     Rejection,
     SchemaError,
-    TripRecord,
+    Trips,
     _minutes,
     _quartiles,
     _stamps,
-    iqr_filter,
-    parse_trips,
-    write_trips,
 )
+from trip_oracle import TripRecord, as_trips, from_records, on_records
 
 BBOX = (120.0, 30.0, 122.5, 32.0)
+
+parse_trips = on_records(ingest.parse_trips)
+write_trips = from_records(ingest.write_trips)
+
+
+def iqr_filter(records, k=3.0, per_day=False):
+    """``ingest.iqr_filter`` on the table of ``records``. Their positions
+    stand in for the plate ids, which the filter does not read, so each kept
+    row comes back as the record it was."""
+    table = as_trips(records)
+    kept, reports = ingest.iqr_filter(Trips(list(range(len(records))), *table[1:]), k, per_day)
+    return [records[i] for i in kept.plate_id], reports
 
 
 def parse_time(text, epoch=DEFAULT_EPOCH):

@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cityfix import build_city
-from ridelink.classify import (
-    FIRST_MILE,
-    INDEPENDENT,
-    SUBSTITUTIVE,
-    ClassifierConfig,
-    classify_all,
-)
-from ridelink.ingest import TripRecord
+from ridelink import classify, sensitivity
+from ridelink.classify import FIRST_MILE, INDEPENDENT, SUBSTITUTIVE, ClassifierConfig
 from ridelink.ptnet import (
     FareRules,
     NetworkPlanner,
@@ -30,9 +24,13 @@ from ridelink.sensitivity import (
     arc_elasticity,
     elasticity_sweep,
     elasticity_svg,
-    sweep_base,
     write_elasticity_csv,
 )
+from trip_oracle import TripRecord, from_records
+
+# the stages that take a trip table, on lists of records
+classify_all = from_records(classify.classify_all)
+sweep_base = from_records(sensitivity.sweep_base)
 
 _NET = build_city()
 _LEX = station_lexicon(_NET)
@@ -183,7 +181,8 @@ class TestWalkSweep:
         base = sweep_base(trips, results, self._counting(calls))
         assert calls == [(t.olon, t.olat, t.dlon, t.dlat) for t in trips[:-2]]
         assert base.total == len(trips)
-        assert [trip for trip, _ in base.reaching] == trips[:-2]
+        assert [(duration, cost) for duration, cost, _ in base.reaching] == [
+            (t.duration_min, t.cost) for t in trips[:-2]]
 
     def test_one_base_serves_every_parameter(self):
         calls = []

@@ -44,6 +44,9 @@ from ridelink.synth import (
     plant_trips,
 )
 from synth_oracle import OracleFactory, read_ground_truth
+from trip_oracle import as_trips, on_records
+
+plant_records = on_records(plant_trips)  # the planted table as records
 
 SMALL = ScenarioSpec(first_mile=15, last_mile=15, substitutive=15,
                      independent_c1=15, independent_c3=15, independent_c4=15,
@@ -53,7 +56,7 @@ SMALL = ScenarioSpec(first_mile=15, last_mile=15, substitutive=15,
 @pytest.fixture(scope="module")
 def small_city():
     net, meta = build_network(SMALL)
-    trips, truth = plant_trips(SMALL, net, meta)
+    trips, truth = plant_records(SMALL, net, meta)
     return net, meta, trips, truth
 
 
@@ -184,7 +187,7 @@ class TestPlanting:
         net, _, trips, truth = small_city
         planner = NetworkPlanner(net)
         lex = station_lexicon(net)
-        results, _ = classify_all(trips, planner, net, lex, ClassifierConfig())
+        results, _ = classify_all(as_trips(trips), planner, net, lex, ClassifierConfig())
         assert len(results) == len(truth)
         for g in truth:
             r = results[g.trip_index]
@@ -250,7 +253,7 @@ class TestPlanting:
             assert alt.t_pt_min <= cfg.time_ratio * t_tnc
         assert alt.transfers <= cfg.max_transfers                   # C5
         assert alt.fare_rmb <= cfg.cost_ratio * trip.cost           # C6
-        got = classify_trip(trip, alt, net, lex, cfg)
+        got = classify_trip(as_trips([trip]), 0, alt, net, lex, cfg)
         assert got.label == SUBSTITUTIVE
 
     def test_transfer_heavy_trips_need_three_transfers(self, small_city):
@@ -291,7 +294,7 @@ class TestPlanting:
 
     def test_deterministic_replant(self, small_city):
         net, meta, trips, truth = small_city
-        trips2, truth2 = plant_trips(SMALL, net, meta)
+        trips2, truth2 = plant_records(SMALL, net, meta)
         assert trips == trips2
         assert truth == truth2
 

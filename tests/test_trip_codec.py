@@ -17,11 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trip_oracle as oracle
-from ridelink.classify import (ALL_LABELS, FIRST_MILE, INDEPENDENT, TripClass,
-                               read_classified, write_classified)
-from ridelink.ingest import BLOCK_ROWS, CANONICAL_COLUMNS, DEFAULT_EPOCH, TripRecord, parse_trips, write_trips
+from ridelink import classify, ingest
+from ridelink.classify import ALL_LABELS, FIRST_MILE, INDEPENDENT, TripClass
+from ridelink.ingest import BLOCK_ROWS, CANONICAL_COLUMNS, DEFAULT_EPOCH
+from trip_oracle import TripRecord, from_records, on_records
 
 BBOX = (120.0, 30.0, 122.5, 32.0)
+# the column codec in the row codec's form: trips as records
+parse_trips = on_records(ingest.parse_trips)
+read_classified = on_records(classify.read_classified)
+write_trips = from_records(ingest.write_trips)
+write_classified = from_records(classify.write_classified)
 EPOCHS = (DEFAULT_EPOCH, datetime.date(2023, 1, 1), datetime.date(2022, 10, 15),
           datetime.date(2024, 2, 29), datetime.date(1999, 12, 31))
 # every rejection reason, in the order the checks run
@@ -329,10 +335,12 @@ class TestReadClassified:
 class TestReaderMemory:
     """Blocks bound the readers' working memory: the memory a read holds only
     while it runs (its peak less what its result keeps) grows by at most half
-    when the file has four times the rows."""
+    when the file has four times the rows. And a table of columns keeps less
+    than a list of records of the same trips."""
 
     @staticmethod
-    def _transient(read):
+    def _traced(read):
+        """What ``read``'s result keeps, and its peak less that."""
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -342,7 +350,11 @@ class TestReaderMemory:
         finally:
             tracemalloc.stop()
         assert current > before and result
-        return peak - current
+        return current - before, peak - current
+
+    @classmethod
+    def _transient(cls, read):
+        return cls._traced(read)[1]
 
     @pytest.mark.parametrize("reader", ["parse_trips", "read_classified"])
     def test_transient_memory_is_bounded(self, reader, tmp_path):
@@ -353,8 +365,21 @@ class TestReaderMemory:
             trips = _trips(rng, n, epoch_span=7 * 1440, timed=True)
             if reader == "parse_trips":
                 write_trips(trips, str(path))
-                sizes[n] = self._transient(lambda: parse_trips(str(path), BBOX))
+                sizes[n] = self._transient(lambda: ingest.parse_trips(str(path), BBOX))
             else:
                 write_classified(trips, _verdicts(rng, n), str(path))
-                sizes[n] = self._transient(lambda: read_classified(str(path), BBOX))
+                sizes[n] = self._transient(lambda: classify.read_classified(str(path), BBOX))
         assert sizes[10000] <= 1.5 * sizes[2500], sizes
+
+    def test_table_keeps_less_than_records(self, tmp_path):
+        """The ``Trips`` that ``parse_trips`` returns for 10,000 trips keeps at
+        most 0.9 of what the row codec's list of ``TripRecord`` keeps for the
+        same file: both hold the same cells, but a record also holds an
+        object and its attribute slots per trip."""
+        path = tmp_path / "trips.csv"
+        write_trips(_trips(random.Random(7), 10000, epoch_span=7 * 1440, timed=True), str(path))
+        kept = {}
+        for name, parse in (("table", ingest.parse_trips), ("records", oracle.parse_trips)):
+            with open(path, newline="") as handle:
+                kept[name] = self._traced(lambda: parse(handle, BBOX))[0]
+        assert kept["table"] <= 0.9 * kept["records"], kept

@@ -2,21 +2,99 @@
 column pass (``parse_trips``, ``write_trips``) and for ``ridelink.classify``'s
 ``read_classified`` and ``write_classified``, which run the same pass.
 
-``parse_time``, ``format_time``, ``parse_trip_row`` and ``trip_cells`` are
-kept verbatim from the row codec that ``ingest`` ran before it read and wrote
-by column, with one check added to ``parse_trip_row``: a request time after
-pickup. The readers and writers below are the loops that called them."""
+``TripRecord`` is kept verbatim from the one object per trip that every stage
+used before they all read the columns of ``ridelink.ingest.Trips``.
+``as_trips`` and ``as_records`` turn a list of records into that table and
+back; ``on_records`` and ``from_records`` let a test call a stage that returns
+or takes a table with records instead. ``parse_time``, ``format_time``,
+``parse_trip_row`` and ``trip_cells`` are kept verbatim from the row codec that
+``ingest`` ran before it read and wrote by column, with one check added to
+``parse_trip_row``: a request time after pickup. The readers and writers below
+are the loops that called them."""
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
 import math
-from typing import Sequence
+from dataclasses import astuple, dataclass
+from typing import Optional, Sequence
 
 from ridelink.classify import _FAILABLE, ALL_LABELS, CLASSIFIED_EXTRA_COLUMNS, INDEPENDENT, TripClass
-from ridelink.ingest import (DEFAULT_EPOCH, TIME_FORMAT, Rejection, TripLayout, TripRecord, _TIME_RE,
-                             has_request_times, read_trip_header, trip_header)
+from ridelink.ingest import (DEFAULT_EPOCH, TIME_FORMAT, Rejection, TripLayout, Trips, _TIME_RE,
+                             read_trip_header, trip_header)
+
+
+@dataclass
+class TripRecord:
+    plate_id: str
+    olon: float
+    olat: float
+    pickup_label: str
+    pickup_min: int
+    dlon: float
+    dlat: float
+    dropoff_label: str
+    dropoff_min: int
+    distance_km: float
+    cost: float
+    request_min: Optional[int] = None
+
+    @property
+    def duration_min(self) -> int:
+        return self.dropoff_min - self.pickup_min
+
+    @property
+    def wait_min(self) -> Optional[int]:
+        if self.request_min is None:
+            return None
+        return self.pickup_min - self.request_min
+
+    @property
+    def fare_per_km(self) -> float:
+        return self.cost / self.distance_km
+
+    @property
+    def pickup_day(self) -> int:
+        return self.pickup_min // 1440
+
+    @property
+    def pickup_hour(self) -> int:
+        return (self.pickup_min % 1440) // 60
+
+
+def as_trips(records: Sequence[TripRecord]) -> Trips:
+    """The records as one table, a column per field in ``Trips`` order."""
+    table = Trips.empty()
+    for record in records:
+        for column, value in zip(table, astuple(record)):
+            column.append(value)
+    return table
+
+
+def as_records(trips: Trips) -> list[TripRecord]:
+    """The table's rows as records."""
+    return [TripRecord(*row) for row in zip(*trips, strict=True)]
+
+
+def on_records(read):
+    """``read``, a reader that returns a table and one more value, returning
+    the table as records instead."""
+    def read_records(*args, **kwargs):
+        trips, other = read(*args, **kwargs)
+        return as_records(trips), other
+    return read_records
+
+
+def from_records(call):
+    """``call``, whose first argument is a table, taking records instead."""
+    def call_records(records, *args, **kwargs):
+        return call(as_trips(records), *args, **kwargs)
+    return call_records
+
+
+def has_request_times(trips: Sequence[TripRecord]) -> bool:
+    return bool(trips) and all(t.request_min is not None for t in trips)
 
 
 def parse_time(text: str, epoch: _dt.date = DEFAULT_EPOCH) -> int:
