@@ -24,6 +24,7 @@ import csv
 import json
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import finite_number
@@ -117,22 +118,35 @@ class ClassifierConfig:
             raise ValueError("cost_ratio must be in (0, 1]")
 
 
-@dataclass
-class TripClass:
-    label: str
-    failed_condition: Optional[str] = None
-    matched_station: Optional[str] = None
-    both_ends_station: bool = False
+class Verdicts(NamedTuple):
+    """The verdict columns of a trip table, trip ``i``'s at position ``i`` of each:
+    a failed condition only on an independent trip, a matched station only on a
+    complementary one, both ends only on a first-mile one. ``len`` counts the trips."""
+    label: list[str]
+    failed_condition: list[Optional[str]]
+    matched_station: list[Optional[str]]
+    both_ends_station: list[bool]
 
-    @property
-    def trace(self) -> dict[str, bool]:
-        """Each condition evaluated, in order, and its outcome. C2 records a
-        label match, which ends the checks; every other condition is True
-        except the failed one, where the checks stop."""
-        if self.label in (FIRST_MILE, LAST_MILE):
-            return {"C1": True, "C2": True}
-        last = CONDITIONS.index(self.failed_condition or CONDITIONS[-1])
-        return {c: c not in ("C2", self.failed_condition) for c in CONDITIONS[:last + 1]}
+    def __len__(self) -> int:
+        return len(self.label)
+
+    @classmethod
+    def empty(cls) -> Verdicts:
+        return cls([], [], [], [])
+
+    def extend(self, more) -> None:
+        for column, added in zip(self, more):
+            column.extend(added)
+
+
+def trace(label: str, failed_condition: Optional[str]) -> dict[str, bool]:
+    """Each condition evaluated for a verdict, in order, and its outcome. C2
+    records a label match, which ends the checks; every other condition is
+    True except the failed one, where the checks stop."""
+    if label in (FIRST_MILE, LAST_MILE):
+        return {"C1": True, "C2": True}
+    last = CONDITIONS.index(failed_condition or CONDITIONS[-1])
+    return {c: c not in ("C2", failed_condition) for c in CONDITIONS[:last + 1]}
 
 
 def classify_trip(
@@ -142,46 +156,48 @@ def classify_trip(
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
     cfg: ClassifierConfig = ClassifierConfig(),
-) -> TripClass:
-    """The verdict on trip ``i`` of ``trips``, whose journey is ``alt``."""
+) -> tuple[str, Optional[str], Optional[str], bool]:
+    """The verdict on trip ``i`` of ``trips``, whose journey is ``alt``: one
+    row of :class:`Verdicts`."""
     pickup, dropoff = trips.pickup_min[i], trips.dropoff_min[i]
     if not is_in_service(net, alt, (pickup, dropoff)):
-        return TripClass(INDEPENDENT, "C1")
+        return INDEPENDENT, "C1", None, False
 
     dest_hits = match_label(trips.dropoff_label[i], lexicon)
     orig_hits = match_label(trips.pickup_label[i], lexicon)
     if dest_hits:
         matched = net.nearest_station(trips.dlon[i], trips.dlat[i], dest_hits)
-        return TripClass(FIRST_MILE, matched_station=matched,
-                         both_ends_station=bool(orig_hits))
+        return FIRST_MILE, None, matched, bool(orig_hits)
     if orig_hits:
         matched = net.nearest_station(trips.olon[i], trips.olat[i], orig_hits)
-        return TripClass(LAST_MILE, matched_station=matched)
+        return LAST_MILE, None, matched, False
 
-    return classify_thresholds(dropoff - pickup, trips.cost[i], alt, cfg)
+    failed = classify_thresholds(dropoff - pickup, trips.cost[i], alt, cfg)
+    return (INDEPENDENT, failed, None, False) if failed else (SUBSTITUTIVE, None, None, False)
 
 
 def classify_thresholds(duration_min: int, cost: float, alt: PtAlternative,
-                        cfg: ClassifierConfig) -> TripClass:
-    """C3-C6, the only conditions that read ``cfg``, for a trip of ``duration_min``
-    and ``cost`` that passed C1 and matched no station label in C2."""
+                        cfg: ClassifierConfig) -> Optional[str]:
+    """The first of C3-C6, the only conditions that read ``cfg``, that a trip of
+    ``duration_min`` and ``cost`` fails after passing C1 and matching no station
+    label in C2; None when it passes them all and is substitutive."""
     if not (alt.available and alt.access_walk_m <= cfg.walk_threshold_m
             and alt.egress_walk_m <= cfg.walk_threshold_m):
-        return TripClass(INDEPENDENT, "C3")
+        return "C3"
 
     if duration_min <= cfg.time_gate_min:
         c4 = (alt.t_pt_min - duration_min) <= cfg.time_gate_min
     else:
         c4 = alt.t_pt_min <= cfg.time_ratio * duration_min
     if not c4:
-        return TripClass(INDEPENDENT, "C4")
+        return "C4"
 
     if not (alt.transfers <= cfg.max_transfers):
-        return TripClass(INDEPENDENT, "C5")
+        return "C5"
 
     if not (alt.fare_rmb <= cfg.cost_ratio * cost):
-        return TripClass(INDEPENDENT, "C6")
-    return TripClass(SUBSTITUTIVE)
+        return "C6"
+    return None
 
 
 def classify_all(
@@ -190,42 +206,45 @@ def classify_all(
     net: TransitNetwork,
     lexicon: dict[str, tuple[str, ...]],
     cfg: ClassifierConfig = ClassifierConfig(),
-) -> tuple[list[TripClass], dict]:
-    """Classify every trip; returns per-trip results (input order) and a summary.
+) -> tuple[Verdicts, dict]:
+    """Classify every trip; returns the verdicts (input order) and a summary.
 
     ``planner`` is a :class:`~ridelink.ptnet.CachedPlanner` (anything with
     ``plan(olon, olat, dlon, dlat)``); each trip's alternative is its ``plan``.
     """
-    results = [classify_trip(trips, i, planner.plan(*ends), net, lexicon, cfg)
-               for i, ends in enumerate(zip(trips.olon, trips.olat, trips.dlon, trips.dlat))]
-    return results, summarize(results)
+    rows = (classify_trip(trips, i, planner.plan(*ends), net, lexicon, cfg)
+            for i, ends in enumerate(zip(trips.olon, trips.olat, trips.dlon, trips.dlat)))
+    verdicts = Verdicts.empty()
+    while block := list(islice(rows, BLOCK_ROWS)):
+        verdicts.extend(zip(*block))
+    return verdicts, summarize(verdicts.label)
 
 
-def summarize(results: Sequence[TripClass]) -> dict:
-    counts = {label: 0 for label in ALL_LABELS}
-    for r in results:
-        counts[r.label] += 1
-    total = len(results)
+def summarize(labels: Sequence[str]) -> dict:
+    counts = {label: labels.count(label) for label in ALL_LABELS}
+    total = len(labels)
     shares = {label: (counts[label] / total if total else 0.0) for label in ALL_LABELS}
     return {"total": total, "counts": counts, "shares": shares}
 
 
-CLASSIFIED_EXTRA_COLUMNS = ("label", "failed_condition", "matched_station", "both_ends_station")
-# each (label, failed_condition) pair that write_classified writes
-_VERDICTS = frozenset([(label, "") for label in ALL_LABELS if label != INDEPENDENT]
-                      + [(INDEPENDENT, c) for c in _FAILABLE])
+CLASSIFIED_EXTRA_COLUMNS = Verdicts._fields
+# each row of label cells that write_classified writes, its station cell as filled or not
+_ROWS = frozenset([(FIRST_MILE, "", True, "true"), (FIRST_MILE, "", True, "false"),
+                   (LAST_MILE, "", True, "false"), (SUBSTITUTIVE, "", False, "false")]
+                  + [(INDEPENDENT, c, False, "false") for c in _FAILABLE])
+_VERDICTS = frozenset(row[:2] for row in _ROWS)  # each (label, failed_condition) pair
 _FLAGS = frozenset(("true", "false"))
 
 
 def write_classified(
     trips: Trips,
-    results: Sequence[TripClass],
+    verdicts: Verdicts,
     path: str,
     epoch=DEFAULT_EPOCH,
 ) -> None:
     """Write the trip columns of ``trips_clean.csv``, then the four label columns."""
-    if len(trips) != len(results):
-        raise ValueError("trips and results must align")
+    if len(trips) != len(verdicts):
+        raise ValueError("trips and verdicts must align")
     with_request = has_request_times(trips)
     days: dict = {}
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -233,38 +252,41 @@ def write_classified(
         writer.writerow(trip_header(with_request) + CLASSIFIED_EXTRA_COLUMNS)
         for start in range(0, len(trips), BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            block = results[rows]
+            label, failed, station, both = (column[rows] for column in verdicts)
             writer.writerows(zip(
                 *trip_columns(trips, rows, epoch, with_request, days),
-                [r.label for r in block], [r.failed_condition or "" for r in block],
-                [r.matched_station or "" for r in block],
-                ["true" if r.both_ends_station else "false" for r in block]))
+                label, [f or "" for f in failed], [s or "" for s in station],
+                ["true" if b else "false" for b in both]))
 
 
 def _verdict_problems(label, failed, station, both) -> dict[int, str]:
     """Each row whose label columns :func:`write_classified` would not write,
     by position, with the first of its problems."""
-    if all(map(_VERDICTS.__contains__, zip(label, failed))) and _FLAGS.issuperset(both):
+    if _ROWS.issuperset(zip(label, failed, map(bool, station), both)):
         return {}
     problems = {}
-    for i, (name, condition, flag) in enumerate(zip(label, failed, both)):
+    for i, (name, condition, matched, flag) in enumerate(zip(label, failed, station, both)):
         if name not in ALL_LABELS:
             problems[i] = f"unknown trip label {name!r}"
         elif (name, condition) not in _VERDICTS:
             problems[i] = f"failed_condition {condition!r} does not fit label {name!r}"
         elif flag not in _FLAGS:
             problems[i] = f"both_ends_station {flag!r} is not true or false"
+        elif (name, condition, bool(matched), flag) not in _ROWS:
+            problems[i] = (f"matched_station {matched!r} and both_ends_station {flag!r} "
+                           f"do not fit label {name!r}")
     return problems
 
 
 def read_classified(path: str, bbox: tuple[float, float, float, float],
-                    epoch=DEFAULT_EPOCH) -> tuple[Trips, list[TripClass]]:
+                    epoch=DEFAULT_EPOCH) -> tuple[Trips, Verdicts]:
     """Reload a classified-trip CSV, a column pass per block of rows: each
     row's trip columns are checked as ``ingest`` checks ``trips_clean.csv``,
     its verdict against what :func:`write_classified` writes. The first bad
-    row raises a ``ValueError`` naming its line."""
-    trips = Trips.empty()
-    results: list[TripClass] = []
+    row raises a ``ValueError`` naming its line. The verdicts hold one string
+    per distinct label, condition and station."""
+    trips, verdicts = Trips.empty(), Verdicts.empty()
+    shared: dict = {"": None}  # an empty cell reads None
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         layout = read_trip_header(reader, extra=CLASSIFIED_EXTRA_COLUMNS)
@@ -273,9 +295,9 @@ def read_classified(path: str, bbox: tuple[float, float, float, float],
             if rejected:
                 raise ValueError(f"line {rejected[0].row} of {path}: {rejected[0].reason}")
             trips.extend(kept)
-            results.extend(map(TripClass, label, [f or None for f in failed],
-                               [s or None for s in station], [b == "true" for b in both]))
-    return trips, results
+            verdicts.extend([[shared.setdefault(cell, cell) for cell in column]
+                             for column in (label, failed, station)] + [[b == "true" for b in both]])
+    return trips, verdicts
 
 
 def write_summary(summary: dict, path: str) -> None:
@@ -294,7 +316,7 @@ __all__ = [
     "LAST_MILE",
     "NormalizedLabel",
     "SUBSTITUTIVE",
-    "TripClass",
+    "Verdicts",
     "classify_all",
     "classify_thresholds",
     "classify_trip",
@@ -302,6 +324,7 @@ __all__ = [
     "normalize_label",
     "read_classified",
     "summarize",
+    "trace",
     "write_classified",
     "write_summary",
 ]

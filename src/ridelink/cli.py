@@ -32,7 +32,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
@@ -539,37 +538,36 @@ def cmd_classify(cfg: RunConfig, args) -> None:
     cache = _read(cfg, "alternatives", CachedPlanner.load)
     lexicon = station_lexicon(net)
     try:
-        results, summary = classify_all(trips, cache, net, lexicon,
-                                        cfg.classifier())
+        verdicts, summary = classify_all(trips, cache, net, lexicon,
+                                         cfg.classifier())
     except KeyError as exc:
         raise _uncovered(exc) from None
-    write_classified(trips, results, str(cfg.artifact("classified")), cfg.epoch)
+    write_classified(trips, verdicts, str(cfg.artifact("classified")), cfg.epoch)
     write_summary(summary, str(cfg.artifact("summary")))
-    failed = Counter(r.failed_condition for r in results)
     _echo({"command": "classify", "trips": len(trips),
            "shares": summary["shares"],
-           "failed_conditions": {c: failed[c] for c in CONDITIONS}})
+           "failed_conditions": {c: verdicts.failed_condition.count(c) for c in CONDITIONS}})
 
 
 def cmd_gridify(cfg: RunConfig, args) -> None:
     from . import hexgrid
     from .classify import read_classified
-    trips, results = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
+    trips, verdicts = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
     net = _load_city_network(cfg)
-    unknown = sorted({r.matched_station for r in results if r.matched_station} - set(net.stations))
+    unknown = sorted(set(verdicts.matched_station) - {None} - set(net.stations))
     if unknown:
         raise InputError(f"classified artifact names {len(unknown)} station(s) the network "
                          f"lacks, such as {unknown[0]!r}; re-run 'classify'")
     grid = _grid(cfg)
     days = cfg.days
     origins, destinations = hexgrid.trip_rows(grid, trips)
-    stats = hexgrid.compute_ratios(origins, destinations, results, grid, days)
+    stats = hexgrid.compute_ratios(origins, destinations, verdicts.label, grid, days)
     districts = (_read_city(cfg.input_file("districts"), hexgrid.load_districts)
                  if cfg.data["paths"]["districts"] else None)
     flows = hexgrid.od_flows(origins, destinations, grid, days, districts=districts)
-    profile = hexgrid.temporal_profile(trips, results)
-    stats_by_class = hexgrid.trip_stats(trips, results)
-    breakdown = hexgrid.complementary_breakdown(trips, results, net)
+    profile = hexgrid.temporal_profile(trips, verdicts.label)
+    stats_by_class = hexgrid.trip_stats(trips, verdicts.label)
+    breakdown = hexgrid.complementary_breakdown(trips, verdicts.label, verdicts.matched_station, net)
     hexgrid.write_cell_stats(stats, str(cfg.artifact("cells")))
     hexgrid.write_cell_stats_geojson(grid, stats, str(cfg.artifact("cells_geojson")))
     hexgrid.write_od_flows(flows, str(cfg.artifact("od_flows")))
@@ -700,10 +698,10 @@ def cmd_elasticity(cfg: RunConfig, args) -> None:
     from .ptnet import CachedPlanner
     settings = cfg.data["elasticity"]
     classifier = cfg.classifier()
-    trips, results = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
+    trips, verdicts = _read(cfg, "classified", lambda p: read_classified(p, cfg.bbox(), cfg.epoch))
     cache = _read(cfg, "alternatives", CachedPlanner.load)
     try:
-        base = sensitivity.sweep_base(trips, results, cache)
+        base = sensitivity.sweep_base(trips, verdicts, cache)
     except KeyError as exc:
         raise _uncovered(exc) from None
     reports = []

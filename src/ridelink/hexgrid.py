@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
+from .classify import ALL_LABELS, FIRST_MILE, LAST_MILE, SUBSTITUTIVE
 from .errors import finite_number
 from .geo import LocalProjection, point_in_ring
 from .ingest import Trips, has_request_times
@@ -196,31 +196,31 @@ class GridCellStats:
 
 def compute_ratios(
     origins: Sequence[int], destinations: Sequence[int],
-    results: Sequence[TripClass],
+    labels: Sequence[str],
     grid: HexGrid,
     days: int,
 ) -> dict[str, GridCellStats]:
     """Per-cell counts and ratios for every grid cell (including empty ones), from :func:`trip_rows`."""
     if days < 1:
         raise ValueError("days must be >= 1")
-    if not len(origins) == len(destinations) == len(results):
-        raise ValueError("trips and results must align")
+    if not len(origins) == len(destinations) == len(labels):
+        raise ValueError("trips and labels must align")
     stats = {cell_id(q, r): GridCellStats(cell_id(q, r), days) for q, r in grid.cells}
     by_row = list(stats.values())
-    for orow, drow, res in zip(origins, destinations, results):
+    for orow, drow, label in zip(origins, destinations, labels):
         if orow >= 0:
             cs = by_row[orow]
             cs.o_total += 1
-            if res.label == FIRST_MILE:
+            if label == FIRST_MILE:
                 cs.fc_total += 1
-            elif res.label == SUBSTITUTIVE:
+            elif label == SUBSTITUTIVE:
                 cs.ds_total += 1
         if drow >= 0:
             cs = by_row[drow]
             cs.a_total += 1
-            if res.label == LAST_MILE:
+            if label == LAST_MILE:
                 cs.lc_total += 1
-            elif res.label == SUBSTITUTIVE:
+            elif label == SUBSTITUTIVE:
                 cs.as_total += 1
     return stats
 
@@ -236,18 +236,13 @@ class TemporalProfile:
     independent: list[int]
 
 
-def temporal_profile(trips: Trips, results: Sequence[TripClass]) -> TemporalProfile:
-    if len(trips) != len(results):
-        raise ValueError("trips and results must align")
-    bins = {label: [0] * 24 for label in (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT)}
-    totals = [0] * 24
-    for pickup, res in zip(trips.pickup_min, results):
-        hour = pickup % 1440 // 60
-        totals[hour] += 1
-        bins[res.label][hour] += 1
-    return TemporalProfile(totals=totals, first_mile=bins[FIRST_MILE],
-                           last_mile=bins[LAST_MILE], substitutive=bins[SUBSTITUTIVE],
-                           independent=bins[INDEPENDENT])
+def temporal_profile(trips: Trips, labels: Sequence[str]) -> TemporalProfile:
+    if len(trips) != len(labels):
+        raise ValueError("trips and labels must align")
+    bins = {label: [0] * 24 for label in ALL_LABELS}  # in TemporalProfile's field order
+    for pickup, label in zip(trips.pickup_min, labels):
+        bins[label][pickup % 1440 // 60] += 1
+    return TemporalProfile([sum(hour) for hour in zip(*bins.values())], *bins.values())
 
 
 @dataclass(frozen=True)
@@ -350,37 +345,24 @@ def _histogram(values: list[float]) -> Histogram:
 
 def trip_stats(
     trips: Trips,
-    results: Sequence[TripClass],
+    labels: Sequence[str],
 ) -> dict[str, dict[str, Histogram]]:
     """Per-class histograms of travel time and fare per km, plus waiting time
     when the input schema carries request timestamps on every trip."""
-    if len(trips) != len(results):
-        raise ValueError("trips and results must align")
-    with_wait = has_request_times(trips)
-    per_class: dict[str, dict[str, list[float]]] = {}
-    for res, pickup, dropoff, cost, km, request in zip(results, trips.pickup_min, trips.dropoff_min,
-                                                       trips.cost, trips.distance_km, trips.request_min):
-        bucket = per_class.setdefault(res.label, {"travel_min": [], "fare_per_km": [], "wait_min": []})
-        bucket["travel_min"].append(dropoff - pickup)
-        bucket["fare_per_km"].append(cost / km)
-        if with_wait:
-            bucket["wait_min"].append(pickup - request)
-    out: dict[str, dict[str, Histogram]] = {}
-    for label in (FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT):
-        values = per_class.get(label, {"travel_min": [], "fare_per_km": [], "wait_min": []})
-        entry = {
-            "travel_min": _histogram(values["travel_min"]),
-            "fare_per_km": _histogram(values["fare_per_km"]),
-        }
-        if with_wait:
-            entry["wait_min"] = _histogram(values["wait_min"])
-        out[label] = entry
-    return out
+    if len(trips) != len(labels):
+        raise ValueError("trips and labels must align")
+    measures = {"travel_min": [d - p for p, d in zip(trips.pickup_min, trips.dropoff_min)],
+                "fare_per_km": [c / km for c, km in zip(trips.cost, trips.distance_km)]}
+    if has_request_times(trips):
+        measures["wait_min"] = [p - r for p, r in zip(trips.pickup_min, trips.request_min)]
+    return {label: {name: _histogram([v for v, of in zip(values, labels) if of == label])
+                    for name, values in measures.items()} for label in ALL_LABELS}
 
 
 def complementary_breakdown(
     trips: Trips,
-    results: Sequence[TripClass],
+    labels: Sequence[str],
+    stations: Sequence[Optional[str]],
     net: TransitNetwork,
 ) -> dict:
     """Split complementary trips by connecting mode and directness.
@@ -394,24 +376,20 @@ def complementary_breakdown(
                "bus": {"direct": 0, "indirect_hub": 0, "indirect_single": 0}}
     mode_ids = {m: [sid for sid in net.station_ids if net.stations[sid].mode == m]
                 for m in by_mode}
-    total = 0
-    for res, olon, olat, dlon, dlat in zip(results, trips.olon, trips.olat, trips.dlon,
-                                           trips.dlat):
-        if res.label not in (FIRST_MILE, LAST_MILE) or res.matched_station is None:
+    for label, matched, olon, olat, dlon, dlat in zip(labels, stations, trips.olon, trips.olat,
+                                                      trips.dlon, trips.dlat):
+        if label not in (FIRST_MILE, LAST_MILE):
             continue
-        station = net.stations[res.matched_station]
+        station = net.stations[matched]
         mode = station.mode
         if mode not in by_mode:
             continue
-        total += 1
-        lon, lat = (olon, olat) if res.label == FIRST_MILE else (dlon, dlat)
-        if net.nearest_station(lon, lat, mode_ids[mode]) == res.matched_station:
-            by_mode[mode]["direct"] += 1
-        elif station.is_hub:
-            by_mode[mode]["indirect_hub"] += 1
-        else:
-            by_mode[mode]["indirect_single"] += 1
+        lon, lat = (olon, olat) if label == FIRST_MILE else (dlon, dlat)
+        kind = ("direct" if net.nearest_station(lon, lat, mode_ids[mode]) == matched
+                else "indirect_hub" if station.is_hub else "indirect_single")
+        by_mode[mode][kind] += 1
     mode_counts = {m: sum(v.values()) for m, v in by_mode.items()}
+    total = sum(mode_counts.values())
     return {
         "total": total,
         "mode_counts": mode_counts,

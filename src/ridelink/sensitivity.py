@@ -7,11 +7,11 @@ by the percentage change of the threshold, both measured against the
 baseline configuration.
 
 Only C3-C6 read a threshold, so the trips that reach C3 are the same at
-every setting. :func:`sweep_base` takes them from ``classify``'s recorded
-verdicts, whose traces settle each trip's service window (C1) and station
-labels (C2), and keeps its duration and cost with its journey from ``plan``'s
-cache; every sweep point of every parameter then runs only ``classify_thresholds``
-over those triples, and divides by all trips as ``summarize`` does.
+every setting. :func:`sweep_base` takes them from ``classify``'s verdicts, whose
+``classify.trace`` settles each trip's service window (C1) and station labels
+(C2), and keeps its duration and cost with its journey from ``plan``'s cache;
+every sweep point of every parameter then counts the triples that pass all of
+``classify_thresholds``, and divides by all trips as ``summarize`` does.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 from . import svgchart
-from .classify import SUBSTITUTIVE, ClassifierConfig, TripClass, classify_thresholds
+from .classify import ClassifierConfig, Verdicts, classify_thresholds, trace
 from .errors import finite_number
 from .ingest import Trips
 from .ptnet import PtAlternative
@@ -57,15 +57,15 @@ class SweepBase(NamedTuple):
     total: int
 
 
-def sweep_base(trips: Trips, results: Sequence[TripClass], planner) -> SweepBase:
-    """Each of ``trips`` whose trace in ``results`` (at any setting) reaches C3,
+def sweep_base(trips: Trips, verdicts: Verdicts, planner) -> SweepBase:
+    """Each of ``trips`` whose ``trace`` in ``verdicts`` (at any setting) reaches C3,
     with its journey from ``planner``, a :class:`~ridelink.ptnet.CachedPlanner`
     (anything with ``plan(olon, olat, dlon, dlat)``): the base every sweep shares."""
     ends = zip(trips.olon, trips.olat, trips.dlon, trips.dlat)
     return SweepBase([(dropoff - pickup, cost, planner.plan(*key))
-                      for pickup, dropoff, cost, key, r in zip(
-                          trips.pickup_min, trips.dropoff_min, trips.cost, ends, results,
-                          strict=True) if "C3" in r.trace],
+                      for pickup, dropoff, cost, key, label, failed in zip(
+                          trips.pickup_min, trips.dropoff_min, trips.cost, ends, verdicts.label,
+                          verdicts.failed_condition, strict=True) if "C3" in trace(label, failed)],
                      len(trips))
 
 
@@ -108,7 +108,7 @@ def elasticity_sweep(
 
     ratios = []
     for swept in configs:
-        count = sum(classify_thresholds(duration, cost, alt, swept).label == SUBSTITUTIVE
+        count = sum(classify_thresholds(duration, cost, alt, swept) is None
                     for duration, cost, alt in base.reaching)
         ratios.append(count / base.total if base.total else 0.0)
 

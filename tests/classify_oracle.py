@@ -1,14 +1,53 @@
 """The classifier one ``TripRecord`` at a time: ``classify_trip`` and
 ``classify_thresholds`` are kept verbatim from ``ridelink.classify`` as it was
 before it judged the rows of a ``ridelink.ingest.Trips`` table. The oracle for
-``classify_all``."""
+``classify_all``.
+
+``TripClass`` is kept verbatim from the one object per verdict that
+``ridelink.classify`` returned before it kept its verdicts as the columns of
+``ridelink.classify.Verdicts``; its ``trace`` is the oracle for
+``ridelink.classify.trace``. ``as_verdicts`` and ``as_classes`` turn a list of
+verdicts into that table and back."""
 
 from __future__ import annotations
 
-from ridelink.classify import (FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, ClassifierConfig,
-                               TripClass, match_label)
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional, Sequence
+
+from ridelink.classify import (CONDITIONS, FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE,
+                               ClassifierConfig, Verdicts, match_label)
 from ridelink.ptnet import PtAlternative, TransitNetwork, is_in_service
-from trip_oracle import TripRecord
+
+if TYPE_CHECKING:  # trip_oracle imports this module
+    from trip_oracle import TripRecord
+
+
+@dataclass
+class TripClass:
+    label: str
+    failed_condition: Optional[str] = None
+    matched_station: Optional[str] = None
+    both_ends_station: bool = False
+
+    @property
+    def trace(self) -> dict[str, bool]:
+        """Each condition evaluated, in order, and its outcome. C2 records a
+        label match, which ends the checks; every other condition is True
+        except the failed one, where the checks stop."""
+        if self.label in (FIRST_MILE, LAST_MILE):
+            return {"C1": True, "C2": True}
+        last = CONDITIONS.index(self.failed_condition or CONDITIONS[-1])
+        return {c: c not in ("C2", self.failed_condition) for c in CONDITIONS[:last + 1]}
+
+
+def as_verdicts(results: Sequence[TripClass]) -> Verdicts:
+    """The verdicts as one table, a column per field in ``Verdicts`` order."""
+    return Verdicts(*([getattr(r, name) for r in results] for name in Verdicts._fields))
+
+
+def as_classes(verdicts: Verdicts) -> list[TripClass]:
+    """The table's rows as verdicts."""
+    return [TripClass(*row) for row in zip(*verdicts, strict=True)]
 
 
 def classify_trip(

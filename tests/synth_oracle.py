@@ -17,7 +17,8 @@ from __future__ import annotations
 import csv
 from typing import Optional
 
-from ridelink.classify import TripClass, classify_trip
+from classify_oracle import TripClass
+from ridelink.classify import classify_trip
 from ridelink.ingest import Trips
 from ridelink.synth import GroundTruth, _Factory
 
@@ -25,7 +26,7 @@ from ridelink.synth import GroundTruth, _Factory
 class OracleFactory(_Factory):
     def classify(self, trip: Trips) -> TripClass:
         alt = self.planner.plan(trip.olon[0], trip.olat[0], trip.dlon[0], trip.dlat[0])
-        return classify_trip(trip, 0, alt, self.net, self.lexicon, self.cfg)
+        return TripClass(*classify_trip(trip, 0, alt, self.net, self.lexicon, self.cfg))
 
     def plant(self, recipe: str) -> tuple[Trips, str, Optional[str]]:
         draw, label, violated = self.RECIPES[recipe]

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from cityfix import build_city
+from classify_oracle import as_classes
 from enum_oracle import best_journey, random_network
 from geojson_oracle import cell_polygon
 from matrix_cases import build_condition_matrix
@@ -33,6 +34,7 @@ from ridelink.classify import (
     ClassifierConfig,
     classify_all,
     classify_trip,
+    trace,
 )
 from ridelink.cli import main as cli_main
 from ridelink.explain import pdp, sample_background, shap_values
@@ -97,7 +99,7 @@ def test_criterion_01_planted_city_recovered_exactly(city):
     """Classification of the default synthetic city reproduces every planted
     label and violated condition, within the runtime budget."""
     mismatches = sum(
-        1 for res, gt in zip(city.results, city.truth)
+        1 for res, gt in zip(as_classes(city.results), city.truth)
         if res.label != gt.intended_class
         or res.failed_condition != gt.violated_condition)
     ok = (len(city.trips) == 5000 and len(city.truth) == 5000
@@ -120,8 +122,7 @@ def test_criterion_02_condition_matrix_agreement():
         got = classify_trip(as_trips([case.trip]), 0, case.alt, net, lex)
         expected = (case.label, case.failed, case.matched, case.both_ends,
                     case.trace)
-        actual = (got.label, got.failed_condition, got.matched_station,
-                  got.both_ends_station, got.trace)
+        actual = (*got, trace(*got[:2]))
         if actual != expected:
             bad.append(case.name)
     ok = len(cases) >= 20 and not bad
@@ -136,7 +137,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
     totals are conserved exactly."""
     grid = build_grid(bbox_of(city.spec), side_km=1.0)
     days = city.spec.days
-    stats = compute_ratios(*trip_rows(grid, city.trips), city.results, grid, days)
+    stats = compute_ratios(*trip_rows(grid, city.trips), city.results.label, grid, days)
 
     centers = np.array([axial_center_xy(grid, q, r) for q, r in grid.cells])
     ids = [cell_id(q, r) for q, r in grid.cells]
@@ -147,7 +148,7 @@ def test_criterion_03_cell_ratios_match_brute_force(city):
         return ids[int(np.argmin(d2))]
 
     recount = {cid: [0, 0, 0, 0, 0, 0] for cid in ids}  # o a fc lc ds as
-    for trip, res in zip(city.records, city.results):
+    for trip, res in zip(city.records, as_classes(city.results)):
         origin = recount[nearest(trip.olon, trip.olat)]
         dest = recount[nearest(trip.dlon, trip.dlat)]
         origin[0] += 1

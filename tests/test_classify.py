@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 import classify_oracle
 from cityfix import build_city
+from classify_oracle import TripClass, as_classes, as_verdicts
 from matrix_cases import build_condition_matrix
 from ridelink.classify import (
+    _VERDICTS,
     ALL_LABELS,
     CONDITIONS,
     FIRST_MILE,
@@ -20,13 +22,13 @@ from ridelink.classify import (
     LAST_MILE,
     SUBSTITUTIVE,
     ClassifierConfig,
-    TripClass,
     classify_all,
     classify_trip,
     match_label,
     normalize_label,
     read_classified,
     summarize,
+    trace,
     write_classified,
     write_summary,
 )
@@ -120,12 +122,12 @@ class TestConditionMatrix:
     @pytest.mark.parametrize("case", _CASES, ids=lambda c: c.name)
     def test_case(self, case):
         lex = case.lexicon if case.lexicon is not None else _LEX
-        got = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
-        assert got.label == case.label, case.name
-        assert got.failed_condition == case.failed, case.name
-        assert got.matched_station == case.matched, case.name
-        assert got.both_ends_station == case.both_ends, case.name
-        assert got.trace == case.trace, case.name
+        label, failed, matched, both = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
+        assert label == case.label, case.name
+        assert failed == case.failed, case.name
+        assert matched == case.matched, case.name
+        assert both == case.both_ends, case.name
+        assert trace(label, failed) == case.trace, case.name
 
     def test_matrix_covers_every_condition_and_label(self):
         assert len(_CASES) >= 20
@@ -138,10 +140,16 @@ class TestConditionMatrix:
             evaluated = list(case.trace)
             assert evaluated == list(CONDITIONS[:len(evaluated)]), case.name
             lex = case.lexicon if case.lexicon is not None else _LEX
-            got = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
-            if got.failed_condition:
-                assert list(got.trace)[-1] == got.failed_condition
-                assert not got.trace[got.failed_condition]
+            label, failed, _, _ = classify_trip(as_trips([case.trip]), 0, case.alt, _NET, lex)
+            if failed:
+                assert list(trace(label, failed))[-1] == failed
+                assert not trace(label, failed)[failed]
+
+    @pytest.mark.parametrize("label, failed", sorted(_VERDICTS))
+    def test_trace_matches_the_verdict_object(self, label, failed):
+        """Every verdict ``classified.csv`` can hold has the trace that the
+        verdict object gave it."""
+        assert trace(label, failed or None) == TripClass(label, failed or None).trace
 
 
 def _random_alt(rng) -> PtAlternative:
@@ -173,12 +181,13 @@ class TestClassifierProperties:
     def test_every_trip_gets_exactly_one_label(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
-            got = classify_trip(as_trips([_random_trip(rng)]), 0, _random_alt(rng), _NET, _LEX)
-            assert got.label in ALL_LABELS
-            if got.label == INDEPENDENT:
-                assert got.failed_condition in CONDITIONS
+            label, failed, _, _ = classify_trip(as_trips([_random_trip(rng)]), 0,
+                                                _random_alt(rng), _NET, _LEX)
+            assert label in ALL_LABELS
+            if label == INDEPENDENT:
+                assert failed in CONDITIONS
             else:
-                assert got.failed_condition is None
+                assert failed is None
 
     def test_tightening_thresholds_never_gains_substitutive(self):
         rng = np.random.default_rng(7)
@@ -188,10 +197,10 @@ class TestClassifierProperties:
                                  time_ratio=1.5, max_transfers=1, cost_ratio=0.3)
         for _ in range(300):
             trip, alt = as_trips([_random_trip(rng)]), _random_alt(rng)
-            got_tight = classify_trip(trip, 0, alt, _NET, _LEX, tight)
-            got_loose = classify_trip(trip, 0, alt, _NET, _LEX, loose)
-            if got_tight.label == SUBSTITUTIVE:
-                assert got_loose.label == SUBSTITUTIVE
+            tight_label = classify_trip(trip, 0, alt, _NET, _LEX, tight)[0]
+            loose_label = classify_trip(trip, 0, alt, _NET, _LEX, loose)[0]
+            if tight_label == SUBSTITUTIVE:
+                assert loose_label == SUBSTITUTIVE
 
     def test_complementary_ignores_downstream_conditions(self):
         # a first-mile match is decided before walks/time/fare are looked at
@@ -202,9 +211,9 @@ class TestClassifierProperties:
                                     pickup_min=600, dlon=121.036, dlat=31.0005,
                                     dropoff_label="Cedar Station Exit A", dropoff_min=615,
                                     distance_km=3.0, cost=15.0)])
-        got = classify_trip(trip, 0, bad_alt, _NET, _LEX)
-        assert got.label == FIRST_MILE
-        assert got.matched_station == "m3"
+        label, _, matched, _ = classify_trip(trip, 0, bad_alt, _NET, _LEX)
+        assert label == FIRST_MILE
+        assert matched == "m3"
 
 
 class TestClassifyAll:
@@ -226,9 +235,9 @@ class TestClassifyAll:
 
     def test_labels_summary_and_order(self, city_planner):
         results, summary = classify_all(self._trips(), city_planner, _NET, _LEX)
-        assert [r.label for r in results] == [
+        assert results.label == [
             FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT]
-        assert results[3].failed_condition == "C1"
+        assert results.failed_condition[3] == "C1"
         assert summary["total"] == 4
         assert summary["counts"][FIRST_MILE] == 1
         assert abs(sum(summary["shares"].values()) - 1.0) < 1e-12
@@ -247,7 +256,7 @@ class TestClassifiedRoundtrip:
         write_classified(trips, results, str(path))
         trips2, results2 = read_classified(str(path), _BBOX)
         assert trips2 == trips
-        for a, b in zip(results, results2):
+        for a, b in zip(as_classes(results), as_classes(results2)):
             assert (a.label, a.failed_condition, a.matched_station,
                     a.both_ends_station) == (b.label, b.failed_condition,
                                              b.matched_station, b.both_ends_station)
@@ -278,12 +287,13 @@ class TestClassifiedRoundtrip:
     def test_mismatched_lengths_rejected(self, tmp_path):
         trips = TestClassifyAll()._trips()
         with pytest.raises(ValueError):
-            write_classified(trips, [TripClass(INDEPENDENT)], str(tmp_path / "x.csv"))
+            write_classified(trips, as_verdicts([TripClass(INDEPENDENT)]), str(tmp_path / "x.csv"))
 
     def test_bad_label_on_read(self, tmp_path):
         trips = TestClassifyAll()._trips().take([0])
         path = tmp_path / "classified.csv"
-        write_classified(trips, [TripClass(INDEPENDENT, failed_condition="C1")], str(path))
+        write_classified(trips, as_verdicts([TripClass(INDEPENDENT, failed_condition="C1")]),
+                         str(path))
         text = path.read_text().replace("independent", "mystery")
         path.write_text(text)
         with pytest.raises(ValueError, match="unknown trip label"):
@@ -291,7 +301,7 @@ class TestClassifiedRoundtrip:
 
     def test_summary_json(self, tmp_path):
         import json
-        summary = summarize([TripClass(SUBSTITUTIVE), TripClass(INDEPENDENT, "C4")])
+        summary = summarize([SUBSTITUTIVE, INDEPENDENT])
         path = tmp_path / "summary.json"
         write_summary(summary, str(path))
         assert json.loads(path.read_text()) == summary
@@ -311,13 +321,15 @@ def _trip_and_class(draw, timed):
         draw(_LABEL_TEXT), draw(lon), draw(lat), draw(_LABEL_TEXT), pickup,
         draw(lon), draw(lat), draw(_LABEL_TEXT), pickup + draw(st.integers(1, 600)),
         draw(st.floats(1e-6, 500.0)), draw(st.floats(0.0, 1e4)), request)
-    # only an independent trip records a failed condition, and never C2
+    # only an independent trip records a failed condition, and never C2; only a
+    # complementary trip names a station, and only a first-mile one both ends
     label = draw(st.sampled_from(ALL_LABELS))
     failed = (draw(st.sampled_from([c for c in CONDITIONS if c != "C2"]))
               if label == INDEPENDENT else None)
     result = TripClass(label, failed,
-                       draw(st.none() | st.sampled_from(sorted(_NET.stations))),
-                       draw(st.booleans()))
+                       draw(st.sampled_from(sorted(_NET.stations)))
+                       if label in (FIRST_MILE, LAST_MILE) else None,
+                       label == FIRST_MILE and draw(st.booleans()))
     return trip, result
 
 
@@ -333,7 +345,7 @@ class TestOneTripCodec:
         with tempfile.TemporaryDirectory() as tmp:
             clean, classified = Path(tmp, "trips_clean.csv"), Path(tmp, "classified.csv")
             write_trips(as_trips(trips), str(clean))
-            write_classified(as_trips(trips), results, str(classified))
+            write_classified(as_trips(trips), as_verdicts(results), str(classified))
             clean_lines = clean.read_bytes().split(b"\r\n")
             classified_lines = classified.read_bytes().split(b"\r\n")
             assert len(clean_lines) == len(classified_lines) == len(trips) + 2
@@ -347,7 +359,7 @@ class TestOneTripCodec:
         trips = as_trips(trips)
         assert trips2 == parsed == trips
         assert [(r.label, r.failed_condition, r.matched_station, r.both_ends_station)
-                for r in results2] == [
+                for r in as_classes(results2)] == [
             (r.label, r.failed_condition, r.matched_station, r.both_ends_station)
             for r in results]
 
@@ -380,6 +392,38 @@ class TestOneTripCodec:
             csv.writer(handle).writerows(rows)
         with pytest.raises(ValueError, match=f"^line 4 of .*: {reason}$"):
             read_classified(str(path), _BBOX)
+
+
+class TestVerdictContract:
+    """A station names the matched station of a complementary trip only, and
+    only a first-mile trip can match a station at both ends: a row that breaks
+    either is refused at its line, as ``write_classified`` never writes it."""
+
+    @pytest.mark.parametrize("line, station, both", [
+        (2, "", "false"), (2, "", "true"), (3, "", "false"), (3, "m1", "true"),
+        (4, "m3", "false"), (4, "", "true"), (5, "b1", "false"), (5, "", "true"),
+    ], ids=["first_mile_without_station", "both_ends_without_station",
+            "last_mile_without_station", "both_ends_on_last_mile", "station_on_substitutive",
+            "both_ends_on_substitutive", "station_on_independent", "both_ends_on_independent"])
+    def test_row_that_does_not_fit_its_label(self, city_planner, tmp_path, line, station, both):
+        trips = TestClassifyAll()._trips()
+        results, _ = classify_all(trips, city_planner, _NET, _LEX)
+        path = tmp_path / "classified.csv"
+        write_classified(trips, results, str(path))
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[line - 1][-2:] = [station, both]
+        label = rows[line - 1][-4]
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=(
+                f"^line {line} of .*: matched_station {station!r} and both_ends_station "
+                f"{both!r} do not fit label {label!r}$")):
+            read_classified(str(path), _BBOX)
+
+    def test_classified_rows_fit_their_labels(self, city_planner):
+        _, _, station, both = classify_all(TestClassifyAll()._trips(), city_planner, _NET, _LEX)[0]
+        assert station == ["m3", "m1", None, None] and both == [False] * 4
 
 
 class _Journeys(dict):
@@ -477,15 +521,15 @@ class TestTableClassifier:
         got, summary = classify_all(as_trips(records), journeys, _NET, _LEX, cfg)
         want = [classify_oracle.classify_trip(
             t, journeys.plan(t.olon, t.olat, t.dlon, t.dlat), _NET, _LEX, cfg) for t in records]
-        assert got == want
-        assert summary == summarize(want)
+        assert as_classes(got) == want
+        assert summary == summarize([r.label for r in want])
         return got
 
     def test_edge_rows(self):
         got = self._check(_edge_rows(), ClassifierConfig())
-        assert {r.failed_condition for r in got} == {None, "C1", "C3", "C4", "C5", "C6"}
-        assert {r.label for r in got} == set(ALL_LABELS)
-        assert any(r.both_ends_station for r in got)
+        assert set(got.failed_condition) == {None, "C1", "C3", "C4", "C5", "C6"}
+        assert set(got.label) == set(ALL_LABELS)
+        assert any(got.both_ends_station)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), cfg=_CONFIGS)

@@ -412,7 +412,7 @@ class TestPipelineArtifacts:
         whose trace reaches C3. The benchmark's ``ptnet.cache_save``,
         ``ptnet.cache_load`` and ``ptnet.cached_plan`` layers time these three
         functions, so a stage that stops calling one leaves its layer at 0."""
-        from ridelink.classify import read_classified
+        from ridelink.classify import read_classified, trace
 
         ws, config_path, echoes = pipeline
         copy = tmp_path / "ws"
@@ -436,7 +436,7 @@ class TestPipelineArtifacts:
         assert run("classify") == {"load": 1, "plan": trips}
         bbox = json.loads((copy / "city" / "scenario.json").read_text())["bbox"]
         _, results = read_classified(str(copy / "classified.csv"), bbox)
-        reaching = sum("C3" in r.trace for r in results)
+        reaching = sum("C3" in trace(*r[:2]) for r in zip(*results))
         assert 0 < reaching < trips
         assert run("elasticity") == {"load": 1, "plan": reaching}
 
@@ -552,7 +552,7 @@ class TestPipelineArtifacts:
                        for path in ws.rglob("*") if path.is_file())
 
     def test_reread_traces_match_the_classifier(self, pipeline):
-        from ridelink.classify import classify_all, read_classified
+        from ridelink.classify import classify_all, read_classified, trace
         from ridelink.ingest import parse_trips
         from ridelink.ptnet import CachedPlanner, load_network, station_lexicon
 
@@ -564,8 +564,8 @@ class TestPipelineArtifacts:
         cache = CachedPlanner.load(str(ws / "alternatives.jsonl"))
         results, _ = classify_all(trips, cache, net, station_lexicon(net))
         _, reread = read_classified(str(ws / "classified.csv"), bbox)
-        assert [r.trace for r in reread] == [r.trace for r in results]
-        assert {len(r.trace) for r in results} == {1, 2, 3, 4, 5, 6}
+        assert [trace(*r[:2]) for r in zip(*reread)] == [trace(*r[:2]) for r in zip(*results)]
+        assert {len(trace(*r[:2])) for r in zip(*results)} == {1, 2, 3, 4, 5, 6}
 
     def test_explain_echo_counts_pdp_tree_rows(self, pipeline):
         ws, _, echoes = pipeline
@@ -872,6 +872,41 @@ class TestErrorContract:
         assert code == 2, err
         error = json.loads(err)["error"]
         assert "'zz_unknown'" in error and "re-run 'classify'" in error
+
+    @pytest.mark.parametrize("label, station, both", [
+        ("first_mile_complementary", "", "false"), ("last_mile_complementary", "", "false"),
+        ("last_mile_complementary", None, "true"), ("substitutive", "m", "false"),
+        ("independent", "m", "false"), ("independent", "", "true"),
+    ], ids=["first_mile_without_station", "last_mile_without_station", "both_ends_on_last_mile",
+            "station_on_substitutive", "station_on_independent", "both_ends_on_independent"])
+    @pytest.mark.parametrize("stage", ["gridify", "features", "elasticity"])
+    def test_classified_row_that_does_not_fit_its_label(self, pipeline, tmp_path, label,
+                                                         station, both, stage):
+        """A complementary row without a station, a station on any other row,
+        or both ends on a row that is not first-mile is refused at its line:
+        ``classify`` never writes one, and ``gridify`` would count the trip in
+        the cells but not in the breakdown. ``None`` keeps the row's station;
+        ``"m"`` puts a station of the network on it."""
+        ws, _, _ = pipeline
+        copy = tmp_path / "ws"
+        shutil.copytree(ws, copy)
+        path = copy / "classified.csv"
+        with open(path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        at = {name: header.index(name) for name in ("label", "matched_station", "both_ends_station")}
+        line, row = next((n, r) for n, r in enumerate(rows[1:], start=2) if r[at["label"]] == label)
+        named = next(r[at["matched_station"]] for r in rows[1:] if r[at["matched_station"]])
+        if station is not None:
+            row[at["matched_station"]] = named if station == "m" else station
+        row[at["both_ends_station"]] = both
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        code, _, err = run_cli([stage, "--workspace", str(copy)])
+        assert code == 2, err
+        error = json.loads(err)["error"]
+        assert f"line {line} " in error and f"do not fit label '{label}'" in error
+        assert "re-run 'classify'" in error
 
     @pytest.mark.parametrize("case", ["nan_coordinate", "dropoff_not_after_pickup",
                                       "wrong_column_count", "outside_bbox",

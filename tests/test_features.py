@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
+from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE
 from ridelink.features import (
     COLUMN_SCHEMA,
     RoadGraph,
@@ -488,20 +488,18 @@ def _mini_world(with_request=True, wide=False):
     for i in range(8):
         trips.append(_trip(a[0], a[1], b[0], b[1], pickup=480 + i,
                            request=3 if with_request else None))
-        results.append(TripClass(FIRST_MILE if i < 2 else INDEPENDENT,
-                                 None if i < 2 else "C1", matched_station="mh1"))
+        results.append(FIRST_MILE if i < 2 else INDEPENDENT)
     for i in range(5):
         trips.append(_trip(c[0], c[1], a[0], a[1], pickup=540 + i,
                            request=5 if with_request else None))
-        results.append(TripClass(SUBSTITUTIVE if i < 3 else LAST_MILE,
-                                 matched_station=None if i < 3 else "ms1"))
+        results.append(SUBSTITUTIVE if i < 3 else LAST_MILE)
     if wide:
         # one pickup per cell so every cell carries a defined origin target
         for q, r in cells:
             o = cell_center(grid, q, r)
             trips.append(_trip(o[0], o[1], b[0], b[1], pickup=600,
                                request=2 if with_request else None))
-            results.append(TripClass(INDEPENDENT, "C1"))
+            results.append(INDEPENDENT)
     trips = as_trips(trips)
     stats = compute_ratios(*trip_rows(grid, trips), results, grid, days=1)
     rng = np.random.default_rng(9)

@@ -14,7 +14,7 @@ from geojson_oracle import cell_polygon
 from geojson_oracle import write_cell_stats_geojson as whole_document_geojson
 from locate_oracle import OFF_GRID
 from locate_oracle import locate as scalar_locate
-from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE, TripClass
+from ridelink.classify import FIRST_MILE, INDEPENDENT, LAST_MILE, SUBSTITUTIVE
 from ridelink.hexgrid import (
     CELL_STATS_COLUMNS,
     COUNTS,
@@ -291,9 +291,8 @@ class TestComputeRatios:
             _trip(a[0], a[1], b[0], b[1]),
             _trip(b[0], b[1], a[0], a[1]),
         ]
-        results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE),
-                   TripClass(INDEPENDENT, "C4"), TripClass(LAST_MILE)]
-        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
+        labels = [FIRST_MILE, SUBSTITUTIVE, INDEPENDENT, LAST_MILE]
+        stats = compute_ratios(*trip_rows(grid, as_trips(trips)), labels, grid, days=2)
         ca = stats[cell_id(*grid.cells[10])]
         cb = stats[cell_id(*grid.cells[40])]
         assert (ca.o_total, ca.a_total) == (3, 1)
@@ -323,8 +322,7 @@ class TestComputeRatios:
                                float(rng.uniform(BBOX[1], BBOX[3])),
                                float(rng.uniform(BBOX[0], BBOX[2])),
                                float(rng.uniform(BBOX[1], BBOX[3]))))
-            label = labels[int(rng.integers(0, 4))]
-            results.append(TripClass(label, "C3" if label == INDEPENDENT else None))
+            results.append(labels[int(rng.integers(0, 4))])
         days = 3
         stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days)
 
@@ -340,11 +338,11 @@ class TestComputeRatios:
             ok, dk = cell_id(*ocell), cell_id(*dcell)
             recount[ok][0] += 1
             recount[dk][1] += 1
-            if res.label == FIRST_MILE:
+            if res == FIRST_MILE:
                 recount[ok][2] += 1
-            elif res.label == LAST_MILE:
+            elif res == LAST_MILE:
                 recount[dk][3] += 1
-            elif res.label == SUBSTITUTIVE:
+            elif res == SUBSTITUTIVE:
                 recount[ok][4] += 1
                 recount[dk][5] += 1
         for cid, cs in stats.items():
@@ -364,7 +362,7 @@ class TestComputeRatios:
 class TestTemporalProfile:
     def test_single_hour_concentration(self):
         trips = [_trip(121.01, 31.01, 121.02, 31.02, pickup=8 * 60 + m) for m in range(5)]
-        results = [TripClass(FIRST_MILE)] * 5
+        results = [FIRST_MILE] * 5
         profile = temporal_profile(as_trips(trips), results)
         assert profile.totals[8] == 5
         assert sum(profile.totals) == 5
@@ -379,7 +377,7 @@ class TestTemporalProfile:
         labels = [FIRST_MILE, LAST_MILE, SUBSTITUTIVE, INDEPENDENT]
         trips = [_trip(121.01, 31.01, 121.02, 31.02,
                        pickup=int(rng.integers(0, 1440))) for _ in range(97)]
-        results = [TripClass(labels[int(rng.integers(0, 4))]) for _ in range(97)]
+        results = [labels[int(rng.integers(0, 4))] for _ in range(97)]
         profile = temporal_profile(as_trips(trips), results)
         assert sum(profile.totals) == 97
         per_class = (sum(profile.first_mile) + sum(profile.last_mile)
@@ -426,7 +424,7 @@ class TestTripStats:
         rng = np.random.default_rng(2)
         trips = [_trip(121.01, 31.01, 121.02, 31.02,
                        duration=int(rng.integers(5, 60))) for _ in range(50)]
-        results = ([TripClass(SUBSTITUTIVE)] * 30 + [TripClass(INDEPENDENT, "C5")] * 20)
+        results = [SUBSTITUTIVE] * 30 + [INDEPENDENT] * 20
         stats = trip_stats(as_trips(trips), results)
         assert stats[SUBSTITUTIVE]["travel_min"].mass == 30
         assert stats[INDEPENDENT]["fare_per_km"].mass == 20
@@ -434,10 +432,10 @@ class TestTripStats:
 
     def test_wait_histogram_requires_request_times(self):
         trips = as_trips([_trip(121.01, 31.01, 121.02, 31.02)])
-        stats = trip_stats(trips, [TripClass(SUBSTITUTIVE)])
+        stats = trip_stats(trips, [SUBSTITUTIVE])
         assert "wait_min" not in stats[SUBSTITUTIVE]
         trips = as_trips([_trip(121.01, 31.01, 121.02, 31.02, pickup=480, request=474)])
-        stats = trip_stats(trips, [TripClass(SUBSTITUTIVE)])
+        stats = trip_stats(trips, [SUBSTITUTIVE])
         assert stats[SUBSTITUTIVE]["wait_min"].mass == 1
 
 
@@ -453,13 +451,9 @@ class TestComplementaryBreakdown:
             _trip(121.05, 31.02, 121.0182, 31.0003),
             _trip(121.0001, 30.9851, 121.05, 31.02),
         ]
-        results = [
-            TripClass(FIRST_MILE, matched_station="m3"),
-            TripClass(FIRST_MILE, matched_station="m3"),
-            TripClass(LAST_MILE, matched_station="m1"),
-            TripClass(FIRST_MILE, matched_station="b1"),
-        ]
-        breakdown = complementary_breakdown(as_trips(trips), results, net)
+        labels = [FIRST_MILE, FIRST_MILE, LAST_MILE, FIRST_MILE]
+        stations = ["m3", "m3", "m1", "b1"]
+        breakdown = complementary_breakdown(as_trips(trips), labels, stations, net)
         assert breakdown["total"] == 4
         assert breakdown["mode_counts"] == {"metro": 3, "bus": 1}
         assert breakdown["by_mode"]["metro"] == {
@@ -470,7 +464,7 @@ class TestComplementaryBreakdown:
     def test_non_complementary_trips_ignored(self):
         net = build_city()
         trips = as_trips([_trip(121.01, 31.0, 121.02, 31.0)])
-        breakdown = complementary_breakdown(trips, [TripClass(SUBSTITUTIVE)], net)
+        breakdown = complementary_breakdown(trips, [SUBSTITUTIVE], [None], net)
         assert breakdown["total"] == 0
 
 
@@ -479,8 +473,7 @@ class TestWriters:
         grid = build_grid(BBOX, 0.5)
         a = cell_center(grid, *grid.cells[10])
         trips = [_trip(a[0], a[1], a[0], a[1])] * 4
-        results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE),
-                   TripClass(LAST_MILE), TripClass(INDEPENDENT, "C6")]
+        results = [FIRST_MILE, SUBSTITUTIVE, LAST_MILE, INDEPENDENT]
         stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
         path = tmp_path / "cells.csv"
         write_cell_stats(stats, str(path))
@@ -536,7 +529,7 @@ class TestWriters:
         grid = build_grid(BBOX, 0.5)
         a = cell_center(grid, *grid.cells[10])
         trips = [_trip(a[0], a[1], a[0], a[1])] * 3
-        results = [TripClass(FIRST_MILE), TripClass(SUBSTITUTIVE), TripClass(LAST_MILE)]
+        results = [FIRST_MILE, SUBSTITUTIVE, LAST_MILE]
         stats = compute_ratios(*trip_rows(grid, as_trips(trips)), results, grid, days=2)
         path = tmp_path / "cells.csv"
         write_cell_stats(stats, str(path))
@@ -580,7 +573,7 @@ class TestWriters:
         a = cell_center(grid, *grid.cells[5])
         b = cell_center(grid, *grid.cells[25])
         trips = [_trip(a[0], a[1], b[0], b[1])]
-        results = [TripClass(FIRST_MILE)]
+        results = [FIRST_MILE]
         flows = od_flows(*trip_rows(grid, as_trips(trips)), grid, days=1)
         profile = temporal_profile(as_trips(trips), results)
         p1, p2 = tmp_path / "f1.csv", tmp_path / "f2.csv"

@@ -176,8 +176,8 @@ class TestWalkSweep:
         calls = []
         trips = self._mixed_trips()
         results, _ = classify_all(trips, _PLANNER, _NET, _LEX, ClassifierConfig())
-        assert [r.label for r in results[-2:]] == [INDEPENDENT, FIRST_MILE]
-        assert results[-2].failed_condition == "C1"
+        assert results.label[-2:] == [INDEPENDENT, FIRST_MILE]
+        assert results.failed_condition[-2] == "C1"
         base = sweep_base(trips, results, self._counting(calls))
         assert calls == [(t.olon, t.olat, t.dlon, t.dlat) for t in trips[:-2]]
         assert base.total == len(trips)

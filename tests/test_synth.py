@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import synth_oracle
+from classify_oracle import as_classes
 from ridelink import synth
 from ridelink.classify import (
     FIRST_MILE,
@@ -22,7 +23,6 @@ from ridelink.classify import (
     LAST_MILE,
     SUBSTITUTIVE,
     ClassifierConfig,
-    TripClass,
     classify_all,
     classify_trip,
     match_label,
@@ -190,7 +190,7 @@ class TestPlanting:
         results, _ = classify_all(as_trips(trips), planner, net, lex, ClassifierConfig())
         assert len(results) == len(truth)
         for g in truth:
-            r = results[g.trip_index]
+            r = as_classes(results)[g.trip_index]
             assert r.label == g.intended_class
             assert r.failed_condition == g.violated_condition
 
@@ -254,7 +254,7 @@ class TestPlanting:
         assert alt.transfers <= cfg.max_transfers                   # C5
         assert alt.fare_rmb <= cfg.cost_ratio * trip.cost           # C6
         got = classify_trip(as_trips([trip]), 0, alt, net, lex, cfg)
-        assert got.label == SUBSTITUTIVE
+        assert got[0] == SUBSTITUTIVE
 
     def test_transfer_heavy_trips_need_three_transfers(self, small_city):
         net, _, trips, truth = small_city
@@ -342,8 +342,8 @@ class TestGenerate:
                                   station_lexicon(net), ClassifierConfig())
         truth = read_ground_truth(small_files["ground_truth"])
         for g in truth:
-            assert results[g.trip_index].label == g.intended_class
-            assert results[g.trip_index].failed_condition == g.violated_condition
+            assert results.label[g.trip_index] == g.intended_class
+            assert results.failed_condition[g.trip_index] == g.violated_condition
 
     def test_poi_layer(self, small_files):
         lines = Path(small_files["poi"]).read_text().splitlines()
@@ -408,7 +408,8 @@ class _Rejecting:
 
     def __call__(self, *args):
         self.calls += 1
-        return TripClass("rejected") if self.calls - 1 in self.reject else classify_trip(*args)
+        return (("rejected", None, None, False) if self.calls - 1 in self.reject
+                else classify_trip(*args))
 
 
 # block-sized recipes: 2 blocks and a part of first-mile trips, then 3 last-mile

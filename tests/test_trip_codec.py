@@ -17,17 +17,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trip_oracle as oracle
+from classify_oracle import TripClass, as_classes, as_verdicts
 from ridelink import classify, ingest
-from ridelink.classify import ALL_LABELS, FIRST_MILE, INDEPENDENT, TripClass
+from ridelink.classify import ALL_LABELS, FIRST_MILE, INDEPENDENT, LAST_MILE
 from ridelink.ingest import BLOCK_ROWS, CANONICAL_COLUMNS, DEFAULT_EPOCH
 from trip_oracle import TripRecord, from_records, on_records
 
 BBOX = (120.0, 30.0, 122.5, 32.0)
-# the column codec in the row codec's form: trips as records
+# the column codec in the row codec's form: trips as records, verdicts as objects
 parse_trips = on_records(ingest.parse_trips)
-read_classified = on_records(classify.read_classified)
 write_trips = from_records(ingest.write_trips)
-write_classified = from_records(classify.write_classified)
+
+
+def read_classified(*args):
+    trips, verdicts = on_records(classify.read_classified)(*args)
+    return trips, as_classes(verdicts)
+
+
+def write_classified(trips, results, *args):
+    from_records(classify.write_classified)(trips, as_verdicts(results), *args)
+
+
 EPOCHS = (DEFAULT_EPOCH, datetime.date(2023, 1, 1), datetime.date(2022, 10, 15),
           datetime.date(2024, 2, 29), datetime.date(1999, 12, 31))
 # every rejection reason, in the order the checks run
@@ -152,12 +162,15 @@ def _trips(rng, n, epoch_span=60 * 1440, timed=None):
 
 
 def _verdicts(rng, n):
+    """Verdicts as ``classify`` gives them: a station only on a complementary
+    trip, a station at both ends only on a first-mile one."""
     results = []
     for _ in range(n):
         label = rng.choice(ALL_LABELS)
         results.append(TripClass(label, rng.choice(("C1", "C3", "C4", "C5", "C6"))
                                  if label == INDEPENDENT else None,
-                                 rng.choice((None, "S1", "Cedar")), rng.random() < 0.5))
+                                 rng.choice(("S1", "Cedar")) if label in (FIRST_MILE, LAST_MILE)
+                                 else None, label == FIRST_MILE and rng.random() < 0.5))
     return results
 
 
@@ -383,3 +396,18 @@ class TestReaderMemory:
             with open(path, newline="") as handle:
                 kept[name] = self._traced(lambda: parse(handle, BBOX))[0]
         assert kept["table"] <= 0.9 * kept["records"], kept
+
+    def test_verdict_columns_keep_less_than_objects(self, tmp_path):
+        """The ``Verdicts`` that ``read_classified`` returns for 10,000 rows keep
+        at most half of what the row codec's list of ``TripClass`` keeps for the
+        same file: four lists that share one string per distinct label,
+        condition and station, against an object per row with its own strings."""
+        rng = random.Random(7)
+        path = tmp_path / "classified.csv"
+        write_classified(_trips(rng, 10000, epoch_span=7 * 1440, timed=True),
+                         _verdicts(rng, 10000), str(path))
+        kept = {}
+        for name, read in (("columns", classify.read_classified),
+                           ("objects", oracle.read_classified)):
+            kept[name] = self._traced(lambda: read(str(path), BBOX)[1])[0]
+        assert kept["columns"] <= 0.5 * kept["objects"], kept

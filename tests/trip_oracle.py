@@ -20,7 +20,8 @@ import math
 from dataclasses import astuple, dataclass
 from typing import Optional, Sequence
 
-from ridelink.classify import _FAILABLE, ALL_LABELS, CLASSIFIED_EXTRA_COLUMNS, INDEPENDENT, TripClass
+from classify_oracle import TripClass
+from ridelink.classify import _FAILABLE, ALL_LABELS, CLASSIFIED_EXTRA_COLUMNS, INDEPENDENT
 from ridelink.ingest import (DEFAULT_EPOCH, TIME_FORMAT, Rejection, TripLayout, Trips, _TIME_RE,
                              read_trip_header, trip_header)
 
